@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
+	"syscall"
 	"time"
 
 	"automdt/internal/env"
@@ -81,16 +83,30 @@ type fleetEndpoint struct {
 	recv   *transfer.Receiver
 	cancel context.CancelFunc
 	done   chan struct{} // closed when Serve returns (all sessions torn down)
+	// closing is set from the moment the endpoint stops accepting: before
+	// its serve loop is cancelled, or when a control dial to it is refused.
+	// The listeners close well before done does (sessions tear down in
+	// between), and placement must not hand the endpoint out in that window.
+	closing atomic.Bool
 }
 
-// dead reports whether the endpoint's serve loop has fully exited.
+// dead reports whether the endpoint has stopped accepting sessions.
 func (ep *fleetEndpoint) dead() bool {
+	if ep.closing.Load() {
+		return true
+	}
 	select {
 	case <-ep.done:
 		return true
 	default:
 		return false
 	}
+}
+
+// stop marks the endpoint unplaceable, then cancels its serve loop.
+func (ep *fleetEndpoint) stop() {
+	ep.closing.Store(true)
+	ep.cancel()
 }
 
 // sessTrack remembers which endpoint last served a session and lets a
@@ -211,7 +227,7 @@ func (f *FleetRunner) syncRingLocked() {
 
 // place acquires a live endpoint for the session. The registry drives
 // membership; the in-process dead() check additionally catches endpoints
-// whose serve loop exited but whose heartbeat TTL has not lapsed yet, so
+// that stopped accepting but whose heartbeat TTL has not lapsed yet, so
 // a retry never routes to a corpse just because the registry is a
 // heartbeat behind.
 func (f *FleetRunner) place(session string) (*fleetEndpoint, error) {
@@ -252,7 +268,10 @@ func (f *FleetRunner) place(session string) (*fleetEndpoint, error) {
 
 // Run implements Runner: place the session on a live endpoint, wait out
 // the previous attempt's teardown if placement moved (failover), and run
-// one sender session against the chosen endpoint.
+// one sender session against the chosen endpoint. An endpoint can stop
+// accepting between placement and the control dial; that refused dial
+// negotiated nothing, so Run marks the endpoint dead and re-places here
+// instead of spending one of the scheduler's attempts on it.
 func (f *FleetRunner) Run(ctx context.Context, spec JobSpec, ctrl env.Controller) (*transfer.Result, error) {
 	if spec.DestDir != "" {
 		return nil, errors.New("sched: fleet runner has a fixed shared destination; DestDir is not supported")
@@ -264,14 +283,45 @@ func (f *FleetRunner) Run(ctx context.Context, spec JobSpec, ctrl env.Controller
 		return nil, fmt.Errorf("sched: start fleet: %w", err)
 	}
 	session := spec.Transfer.SessionID
+	negotiated := false
+	onSession := spec.Transfer.Hooks.OnSession
+	spec.Transfer.Hooks.OnSession = func(s transfer.Session) {
+		negotiated = true
+		if onSession != nil {
+			onSession(s)
+		}
+	}
+	for refused := 0; ; refused++ {
+		f.mu.Lock()
+		prev := f.sess[session]
+		f.mu.Unlock()
+		ep, res, err := f.runOnce(ctx, spec, ctrl, prev)
+		if ep == nil || negotiated || refused >= len(f.order) || !errors.Is(err, syscall.ECONNREFUSED) {
+			return res, err
+		}
+		ep.closing.Store(true)
+		f.mu.Lock()
+		if prev == nil {
+			delete(f.sess, session)
+		} else {
+			f.sess[session] = prev
+		}
+		f.mu.Unlock()
+	}
+}
+
+// runOnce places the session and runs one sender against the endpoint
+// it got, which it returns (nil when placement itself failed). prev is
+// the track of the session's previous attempt, if any.
+func (f *FleetRunner) runOnce(ctx context.Context, spec JobSpec, ctrl env.Controller, prev *sessTrack) (*fleetEndpoint, *transfer.Result, error) {
+	session := spec.Transfer.SessionID
 	ep, err := f.place(session)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer f.ring.Release(ep.id)
 
 	f.mu.Lock()
-	prev := f.sess[session]
 	var prevEp *fleetEndpoint
 	if prev != nil {
 		prevEp = f.eps[prev.epID]
@@ -299,7 +349,7 @@ func (f *FleetRunner) Run(ctx context.Context, spec JobSpec, ctrl env.Controller
 		case <-cap.C:
 		case <-ctx.Done():
 			cap.Stop()
-			return nil, ctx.Err()
+			return ep, nil, ctx.Err()
 		}
 		cap.Stop()
 	}
@@ -330,7 +380,8 @@ func (f *FleetRunner) Run(ctx context.Context, spec JobSpec, ctrl env.Controller
 
 	src := fsim.NewSyntheticStore()
 	send := &transfer.Sender{Cfg: spec.Transfer, Store: src, Manifest: spec.Manifest, Controller: ctrl}
-	return send.Run(ctx, ep.recv.DataAddr(), ep.recv.CtrlAddr())
+	res, err := send.Run(ctx, ep.recv.DataAddr(), ep.recv.CtrlAddr())
+	return ep, res, err
 }
 
 // Addrs returns the FIRST endpoint's data and control addresses,
@@ -384,7 +435,7 @@ func (f *FleetRunner) KillEndpoint(id string) error {
 	if ep == nil {
 		return fmt.Errorf("sched: fleet has no endpoint %q", id)
 	}
-	ep.cancel()
+	ep.stop()
 	<-ep.done
 	return nil
 }
@@ -494,7 +545,7 @@ func (f *FleetRunner) Close() {
 	}
 	f.mu.Unlock()
 	for _, ep := range eps {
-		ep.cancel()
+		ep.stop()
 	}
 	for _, ep := range eps {
 		<-ep.done

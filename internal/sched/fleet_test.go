@@ -2,6 +2,7 @@ package sched
 
 import (
 	"context"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -267,6 +268,74 @@ func TestFleetFailoverResumesOnSibling(t *testing.T) {
 	}
 	if inUse := arena.Stats().InUseBytes; inUse != 0 {
 		t.Fatalf("arena leaks %d bytes after fleet teardown", inUse)
+	}
+}
+
+// TestFleetRefusedDialReplaces holds open the window the failover e2e used
+// to lose one run in five to: an endpoint whose listeners are closed but
+// whose serve loop has not been seen to exit. A Run placed on it must mark
+// it dead on the refused control dial and finish on a sibling inside the
+// same call — the scheduler never sees a failed attempt.
+func TestFleetRefusedDialReplaces(t *testing.T) {
+	fr := &FleetRunner{Size: 3, Verify: true}
+	defer fr.Close()
+	if _, err := fr.Endpoints(); err != nil {
+		t.Fatal(err)
+	}
+	const victim = "ep-1"
+	session := ""
+	for i := 0; session == ""; i++ {
+		id := "refused-" + strconv.Itoa(i)
+		ep, err := fr.place(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fr.ring.Release(ep.id)
+		if ep.id == victim {
+			session = id
+		}
+	}
+	// Swap the victim for an endpoint in exactly that state: a receiver
+	// that listened and shut down (so both addresses refuse), with done
+	// still open and closing not yet set.
+	gone := transfer.NewReceiver(transfer.Config{}, fr.Store)
+	if err := gone.Listen("127.0.0.1:0", "127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	gone.Serve(cancelled) //nolint:errcheck // returns ctx.Err() after closing the listeners
+	zombie := &fleetEndpoint{id: victim, recv: gone, cancel: func() {}, done: make(chan struct{})}
+	defer close(zombie.done) // runs before fr.Close, which waits on it
+	fr.mu.Lock()
+	real := fr.eps[victim]
+	fr.eps[victim] = zombie
+	fr.mu.Unlock()
+	real.stop()
+	<-real.done
+
+	ctx, stop := context.WithTimeout(context.Background(), 30*time.Second)
+	defer stop()
+	spec := JobSpec{Manifest: workload.LargeFiles(1, 256<<10)}
+	spec.Transfer.SessionID = session
+	res, err := fr.Run(ctx, spec, nil)
+	if err != nil {
+		t.Fatalf("Run placed on an endpoint that refuses: %v", err)
+	}
+	if res.Bytes != 256<<10 {
+		t.Fatalf("transferred %d bytes, want %d", res.Bytes, 256<<10)
+	}
+	if got := fr.EndpointOf(session); got == victim || got == "" {
+		t.Fatalf("session finished on %q, want a sibling of %s", got, victim)
+	}
+	st := fr.Status()
+	if st.Failovers != 0 {
+		t.Fatalf("failovers = %d: a refused dial negotiated nothing and is not a failover", st.Failovers)
+	}
+	for _, ep := range st.Endpoints {
+		if ep.Live == (ep.ID == victim) {
+			t.Fatalf("endpoint %s live=%v after the refused dial: %+v", ep.ID, ep.Live, st)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -372,6 +373,87 @@ func TestEndpointRetryReclaimsSessionKey(t *testing.T) {
 	defer second.Close()
 	if m := recvReply(t, second); m.Welcome == nil {
 		t.Fatalf("retry bounced instead of reclaiming the session: %+v", m)
+	}
+}
+
+// The retry's wait is on the holder's release, not on a timer: with the
+// busy bound far away, a Hello parked behind a holder that is still tearing
+// down gets its Welcome as soon as the holder unregisters — the old 25 ms
+// busy-poll added 12 ms on average.
+func TestEndpointRetryAdmittedOnRelease(t *testing.T) {
+	recv := NewReceiver(testConfig(), fsim.NewSyntheticStore())
+	recv.busyWait = time.Minute
+	if err := recv.Listen("127.0.0.1:0", "127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	go recv.Serve(ctx)
+
+	const rounds = 15
+	var waits []time.Duration
+	for i := 0; i < rounds; i++ {
+		hello := wire.Hello{
+			Files:        []wire.FileInfo{{Name: "r.dat", Size: 1 << 20}},
+			ChunkBytes:   64 << 10,
+			ProtoVersion: wire.ProtoVersion,
+			SessionID:    fmt.Sprintf("held-%d", i),
+		}
+		holder, _, err := recv.admit(&hello)
+		if err != nil {
+			t.Fatal(err)
+		}
+		retry := helloConn(t, recv.CtrlAddr(), hello)
+		// Give the handler time to park behind the holder. Releasing
+		// before it has is harmless: it is then admitted outright.
+		time.Sleep(20 * time.Millisecond)
+		t0 := time.Now()
+		recv.release(holder, errors.New("previous attempt torn down"))
+		if m := recvReply(t, retry); m.Welcome == nil {
+			t.Fatalf("round %d: retry bounced after the holder released: %+v", i, m)
+		}
+		waits = append(waits, time.Since(t0))
+		retry.Close()
+	}
+	sort.Slice(waits, func(i, j int) bool { return waits[i] < waits[j] })
+	if med := waits[rounds/2]; med > 5*time.Millisecond {
+		t.Fatalf("median release→Welcome %v over %d rounds (all: %v): the retry is not woken by the release", med, rounds, waits)
+	}
+}
+
+// A holder that never releases still costs the retry only the bound, and
+// the retry still gets the busy error after it.
+func TestEndpointRetryBusyAfterBound(t *testing.T) {
+	recv := NewReceiver(testConfig(), fsim.NewSyntheticStore())
+	recv.busyWait = 150 * time.Millisecond
+	if err := recv.Listen("127.0.0.1:0", "127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	go recv.Serve(ctx)
+
+	hello := wire.Hello{
+		Files:        []wire.FileInfo{{Name: "r.dat", Size: 1 << 20}},
+		ChunkBytes:   64 << 10,
+		ProtoVersion: wire.ProtoVersion,
+		SessionID:    "never-released",
+	}
+	if _, _, err := recv.admit(&hello); err != nil {
+		t.Fatal(err)
+	}
+	t0 := time.Now()
+	retry := helloConn(t, recv.CtrlAddr(), hello)
+	defer retry.Close()
+	m := recvReply(t, retry)
+	if m.Status == nil || !strings.Contains(m.Status.Error, "already active") {
+		t.Fatalf("retry behind a stuck holder not rejected as busy: %+v", m)
+	}
+	if waited := time.Since(t0); waited < recv.busyWait {
+		t.Fatalf("busy error after %v, before the %v bound", waited, recv.busyWait)
+	}
+	if got := gauge(t, recv.MetricsSnapshot(), "automdt_endpoint_sessions_total", "rejected"); got != 1 {
+		t.Fatalf("rejected gauge %v, want 1", got)
 	}
 }
 

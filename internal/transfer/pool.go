@@ -1,36 +1,6 @@
 package transfer
 
-import (
-	"sync"
-	"time"
-)
-
-// pollTimer is a reusable timer for worker poll loops. The old
-// per-iteration time.After allocated a timer and channel on every empty
-// poll — hundreds of allocations per transfer under a 2 ms poll
-// interval. With go ≥ 1.23 semantics, Reset without a drain is safe.
-type pollTimer struct {
-	t *time.Timer
-}
-
-func newPollTimer() *pollTimer { return &pollTimer{} }
-
-// after arms the timer for d and returns its channel.
-func (p *pollTimer) after(d time.Duration) <-chan time.Time {
-	if p.t == nil {
-		p.t = time.NewTimer(d)
-	} else {
-		p.t.Reset(d)
-	}
-	return p.t.C
-}
-
-// stop disarms the timer.
-func (p *pollTimer) stop() {
-	if p.t != nil {
-		p.t.Stop()
-	}
-}
+import "sync"
 
 // Pool is a dynamically resizable worker pool. Each worker runs the work
 // function with a stop channel that is closed when the pool shrinks below

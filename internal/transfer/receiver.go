@@ -64,6 +64,9 @@ type Receiver struct {
 	// budget is configured.
 	arb *writeArbiter
 
+	// busyWait bounds handleControl's wait on a busy session's holder.
+	busyWait time.Duration
+
 	gcOnce sync.Once
 	// fatal is closed when an acceptor dies outside shutdown, so serve
 	// can stop blocking and surface the endpoint-fatal error.
@@ -72,8 +75,9 @@ type Receiver struct {
 }
 
 // errSessionBusy marks an admission conflict that resolves itself once
-// the previous holder's teardown finishes; handleControl retries these
-// briefly instead of rejecting outright.
+// the previous holder's teardown finishes; handleControl waits (bounded
+// by Receiver.busyWait) for the holder's release instead of rejecting
+// outright.
 var errSessionBusy = errors.New("session busy")
 
 // SessionResult summarizes one session served by the endpoint.
@@ -110,6 +114,10 @@ type rsession struct {
 	conns       []net.Conn
 	connsClosed bool
 	readerWG    sync.WaitGroup
+
+	// released is closed when the endpoint unregisters the session; a
+	// retry Hello for the same session ID waits on it.
+	released chan struct{}
 }
 
 // setCancel installs the session's cancel function once the run loop has
@@ -227,13 +235,14 @@ func (s *rsession) closeConns() {
 func NewReceiver(cfg Config, store fsim.Store) *Receiver {
 	cfg = cfg.WithDefaults()
 	return &Receiver{
-		Cfg:     cfg,
-		Store:   store,
-		byToken: make(map[string]*rsession),
-		byID:    make(map[string]*rsession),
-		pending: make(map[net.Conn]struct{}),
-		fatal:   make(chan struct{}),
-		arb:     newWriteArbiter(cfg.WriteBudgetMbps, cfg.ChunkBytes),
+		Cfg:      cfg,
+		Store:    store,
+		byToken:  make(map[string]*rsession),
+		byID:     make(map[string]*rsession),
+		pending:  make(map[net.Conn]struct{}),
+		fatal:    make(chan struct{}),
+		busyWait: 5 * time.Second,
+		arb:      newWriteArbiter(cfg.WriteBudgetMbps, cfg.ChunkBytes),
 	}
 }
 
@@ -510,16 +519,21 @@ func (r *Receiver) handleControl(ctx context.Context, raw net.Conn, results chan
 		ctrl.Close() // not a session: garbage or a vanished peer
 		return
 	}
-	sess, reject := r.admit(m.Hello)
-	// A retried attempt can race the previous attempt's teardown: the
-	// sender is gone, but its session still holds the ledger key for up
-	// to a control-channel-death detection plus a persist. Wait out that
-	// window instead of burning the retry.
-	for deadline := time.Now().Add(5 * time.Second); reject != nil &&
-		errors.Is(reject, errSessionBusy) &&
-		time.Now().Before(deadline) && ctx.Err() == nil; {
-		time.Sleep(25 * time.Millisecond)
-		sess, reject = r.admit(m.Hello)
+	sess, held, reject := r.admit(m.Hello)
+	if held != nil {
+		// A retried attempt can race the previous attempt's teardown: the
+		// sender is gone, but its session still holds the ledger key for up
+		// to a control-channel-death detection plus a persist. Wait for the
+		// holder's release instead of burning the retry.
+		bound, stop := context.WithTimeout(ctx, r.busyWait)
+		for held != nil && bound.Err() == nil {
+			select {
+			case <-held:
+				sess, held, reject = r.admit(m.Hello)
+			case <-bound.Done():
+			}
+		}
+		stop()
 	}
 	if reject != nil {
 		r.mu.Lock()
@@ -554,8 +568,10 @@ func (r *Receiver) handleControl(ctx context.Context, raw net.Conn, results chan
 // time (their data connections are indistinguishable), and no two live
 // sessions sharing a ledger key. It also creates the session's staging
 // buffer up front, because a legacy peer's data connections can arrive
-// before the session's run loop starts.
-func (r *Receiver) admit(h *wire.Hello) (*rsession, error) {
+// before the session's run loop starts. When the session ID is still held
+// by a previous attempt, held is that holder's released channel and the
+// error is errSessionBusy.
+func (r *Receiver) admit(h *wire.Hello) (sess *rsession, held <-chan struct{}, err error) {
 	proto := h.ProtoVersion
 	if proto > wire.ProtoVersion {
 		proto = wire.ProtoVersion
@@ -571,24 +587,25 @@ func (r *Receiver) admit(h *wire.Hello) (*rsession, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
-		return nil, errors.New("transfer: endpoint shutting down")
+		return nil, nil, errors.New("transfer: endpoint shutting down")
 	}
 	if r.active >= r.Cfg.MaxSessions {
-		return nil, fmt.Errorf("transfer: endpoint at session capacity (%d)", r.Cfg.MaxSessions)
+		return nil, nil, fmt.Errorf("transfer: endpoint at session capacity (%d)", r.Cfg.MaxSessions)
 	}
-	if _, ok := r.byID[session]; ok {
+	if holder, ok := r.byID[session]; ok {
 		// Checked before the legacy slot so a pre-v2 retry of its own
 		// session reports busy (retryable) rather than slot-taken.
-		return nil, fmt.Errorf("transfer: session %q is already active on this endpoint: %w", session, errSessionBusy)
+		return nil, holder.released, fmt.Errorf("transfer: session %q is already active on this endpoint: %w", session, errSessionBusy)
 	}
 	if proto < 2 && r.legacy != nil {
-		return nil, fmt.Errorf("transfer: endpoint already serves a pre-v2 session (%s); one legacy peer at a time", r.legacy.id)
+		return nil, nil, fmt.Errorf("transfer: endpoint already serves a pre-v2 session (%s); one legacy peer at a time", r.legacy.id)
 	}
-	sess := &rsession{
-		id:      session,
-		proto:   proto,
-		staging: NewStaging(bufCap),
-		arena:   r.Cfg.arena(),
+	sess = &rsession{
+		id:       session,
+		proto:    proto,
+		staging:  NewStaging(bufCap),
+		arena:    r.Cfg.arena(),
+		released: make(chan struct{}),
 	}
 	if proto >= 2 {
 		sess.token = wire.NewDataToken()
@@ -599,7 +616,7 @@ func (r *Receiver) admit(h *wire.Hello) (*rsession, error) {
 	r.byID[session] = sess
 	r.active++
 	r.admitted++
-	return sess, nil
+	return sess, nil, nil
 }
 
 // release unregisters a finished session and records its outcome.
@@ -613,6 +630,7 @@ func (r *Receiver) release(sess *rsession, err error) {
 	if r.legacy == sess {
 		r.legacy = nil
 	}
+	close(sess.released)
 	r.active--
 	if err == nil {
 		r.completed++
@@ -998,8 +1016,6 @@ func (r *Receiver) runSession(parent context.Context, sess *rsession, ctrl *wire
 	var pool *Pool
 	pool = NewPool(func(stop <-chan struct{}, id int) {
 		lim := perThread.get(id)
-		poll := newPollTimer()
-		defer poll.stop()
 		var batch []Chunk
 		var iovs [][]byte
 		for {
@@ -1022,20 +1038,11 @@ func (r *Receiver) runSession(parent context.Context, sess *rsession, ctrl *wire
 					k = commitBatchChunks
 				}
 			}
-			var closed bool
-			batch, closed = staging.TryGetN(batch[:0], k)
+			// An empty buffer parks the worker (no timer) until a Put or
+			// Close, its stop, or the context: all but a Put end it.
+			batch, _ = staging.GetN(batch[:0], k, stop, ctx.Done())
 			if len(batch) == 0 {
-				if closed {
-					return
-				}
-				select {
-				case <-stop:
-					return
-				case <-ctx.Done():
-					return
-				case <-poll.after(2 * time.Millisecond):
-				}
-				continue
+				return
 			}
 			// Drop duplicates of committed chunks (resume overlap or a
 			// replayed frame) without touching the disk.

@@ -949,8 +949,6 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 
 	netPool := NewPool(func(stop <-chan struct{}, id int) {
 		lim := netPerStream.get(id)
-		poll := newPollTimer()
-		defer poll.stop()
 		var batch []Chunk
 		var frames []wire.Frame
 		for {
@@ -961,20 +959,11 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 				return
 			default:
 			}
-			var closed bool
-			batch, closed = staging.TryGetN(batch[:0], drain)
+			// An empty buffer parks the worker (no timer) until a Put or
+			// Close, its stop, or the context: all but a Put end it.
+			batch, _ = staging.GetN(batch[:0], drain, stop, ctx.Done())
 			if len(batch) == 0 {
-				if closed {
-					return
-				}
-				select {
-				case <-stop:
-					return
-				case <-ctx.Done():
-					return
-				case <-poll.after(2 * time.Millisecond):
-				}
-				continue
+				return
 			}
 			// Reserve shaping tokens chunk by chunk (not one batch-sized
 			// debt) so a shaped link paces a batched sender the same as a

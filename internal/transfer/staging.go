@@ -51,26 +51,30 @@ func (c *Chunk) Release() {
 }
 
 // Staging is a bounded FIFO of chunks with byte-based capacity
-// accounting. Put blocks while the buffer is full (the "sender buffer
-// full" condition of Fig. 1); Get blocks while it is empty. Closing wakes
-// all waiters.
+// accounting and the one hand-off between pipeline stages. Put blocks
+// while the buffer is full (the "sender buffer full" condition of
+// Fig. 1); GetN parks a consumer that finds it empty until a Put or
+// Close. Closing wakes all waiters.
 type Staging struct {
 	mu       sync.Mutex
 	notFull  *sync.Cond
-	notEmpty *sync.Cond
 	capBytes int64
 	used     int64
 	q        []Chunk
 	head     int
 	closed   bool
+	// ready holds at most one wake-up token. Every Put, and every take
+	// that leaves chunks behind, makes sure one is pending, so while the
+	// buffer is non-empty some parked consumer is always on its way;
+	// Close closes the channel, which wakes them all for good.
+	ready chan struct{}
 }
 
 // NewStaging creates a staging buffer holding up to capBytes of chunk
 // payload.
 func NewStaging(capBytes int64) *Staging {
-	s := &Staging{capBytes: capBytes}
+	s := &Staging{capBytes: capBytes, ready: make(chan struct{}, 1)}
 	s.notFull = sync.NewCond(&s.mu)
-	s.notEmpty = sync.NewCond(&s.mu)
 	return s
 }
 
@@ -90,90 +94,123 @@ func (s *Staging) Put(c Chunk) bool {
 	}
 	s.q = append(s.q, c)
 	s.used += n
-	s.notEmpty.Signal()
+	s.wakeOneLocked()
 	return true
+}
+
+// wakeOneLocked leaves a wake-up token for one parked consumer unless one
+// is already pending. Once closed, the closed channel wakes everyone.
+// Caller holds mu.
+func (s *Staging) wakeOneLocked() {
+	if s.closed {
+		return
+	}
+	select {
+	case s.ready <- struct{}{}:
+	default:
+	}
+}
+
+// takeLocked pops up to max oldest chunks onto dst and passes the wake-up
+// on if it leaves any behind. Caller holds mu.
+func (s *Staging) takeLocked(dst []Chunk, max int) []Chunk {
+	for ; max > 0 && s.head < len(s.q); max-- {
+		c := s.q[s.head]
+		s.q[s.head] = Chunk{} // release for GC
+		s.head++
+		s.used -= c.size()
+		dst = append(dst, c)
+	}
+	if s.head == len(s.q) {
+		s.q = s.q[:0]
+		s.head = 0
+	} else {
+		s.wakeOneLocked()
+	}
+	s.notFull.Broadcast()
+	return dst
+}
+
+// GetN removes up to max oldest chunks, appending them to dst. On an
+// empty buffer it parks — no timer — until a Put or Close, or until stop
+// or done fires. It returns no chunks with closed set once the buffer is
+// closed and fully drained, and no chunks with closed unset when stop or
+// done fired first. The network and write stages drain batches: adjacent
+// chunks popped together can share one vectored frame write or one
+// pwritev flush.
+//
+// No wake-up is lost: a Put leaves its token even when nobody is parked
+// yet, the consumer that receives a token always takes before it looks at
+// stop or done again, and a take that leaves chunks behind passes the
+// token on. A Put wakes one parked consumer, not all of them. A token can
+// outlive the chunk it announced; the consumer it wakes parks again.
+func (s *Staging) GetN(dst []Chunk, max int, stop, done <-chan struct{}) (out []Chunk, closed bool) {
+	for {
+		s.mu.Lock()
+		if s.head < len(s.q) {
+			dst = s.takeLocked(dst, max)
+			s.mu.Unlock()
+			return dst, false
+		}
+		closed = s.closed
+		s.mu.Unlock()
+		if closed {
+			return dst, true
+		}
+		select {
+		case <-stop:
+			return dst, false
+		case <-done:
+			return dst, false
+		case <-s.ready:
+		}
+	}
 }
 
 // Get removes the oldest chunk, blocking until one is available. It
 // reports false when the buffer is closed and drained.
 func (s *Staging) Get() (Chunk, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for len(s.q)-s.head == 0 && !s.closed {
-		s.notEmpty.Wait()
-	}
-	if len(s.q)-s.head == 0 {
+	var one [1]Chunk
+	out, _ := s.GetN(one[:0], 1, nil, nil)
+	if len(out) == 0 {
 		return Chunk{}, false
 	}
-	c := s.q[s.head]
-	s.q[s.head] = Chunk{} // release for GC
-	s.head++
-	if s.head == len(s.q) {
-		s.q = s.q[:0]
-		s.head = 0
-	}
-	s.used -= c.size()
-	s.notFull.Broadcast()
-	return c, true
+	return out[0], true
 }
 
 // TryGet removes the oldest chunk without blocking. ok reports whether a
 // chunk was returned; closed reports that the buffer is closed and fully
-// drained. Worker loops that must respond to stop signals use TryGet in
-// a poll loop instead of the blocking Get.
+// drained.
 func (s *Staging) TryGet() (c Chunk, ok bool, closed bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.q)-s.head == 0 {
-		return Chunk{}, false, s.closed
+	var one [1]Chunk
+	out, closed := s.TryGetN(one[:0], 1)
+	if len(out) == 0 {
+		return Chunk{}, false, closed
 	}
-	c = s.q[s.head]
-	s.q[s.head] = Chunk{}
-	s.head++
-	if s.head == len(s.q) {
-		s.q = s.q[:0]
-		s.head = 0
-	}
-	s.used -= c.size()
-	s.notFull.Broadcast()
-	return c, true, false
+	return out[0], true, false
 }
 
-// TryGetN removes up to max oldest chunks without blocking, appending
-// them to dst and returning the extended slice. closed reports that the
-// buffer is closed and fully drained. The kio network and write stages
-// drain batches — adjacent chunks popped together can share one
-// vectored frame write or one pwritev flush.
+// TryGetN is GetN without the parking: on an empty buffer it returns at
+// once, with closed reporting closed-and-drained.
 func (s *Staging) TryGetN(dst []Chunk, max int) (out []Chunk, closed bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.q)-s.head == 0 {
+	if s.head == len(s.q) {
 		return dst, s.closed
 	}
-	for max > 0 && len(s.q)-s.head > 0 {
-		c := s.q[s.head]
-		s.q[s.head] = Chunk{}
-		s.head++
-		s.used -= c.size()
-		dst = append(dst, c)
-		max--
-	}
-	if s.head == len(s.q) {
-		s.q = s.q[:0]
-		s.head = 0
-	}
-	s.notFull.Broadcast()
-	return dst, false
+	return s.takeLocked(dst, max), false
 }
 
 // Close marks the buffer closed; pending Gets drain remaining chunks,
 // pending and future Puts fail.
 func (s *Staging) Close() {
 	s.mu.Lock()
-	s.closed = true
+	if !s.closed {
+		s.closed = true
+		close(s.ready)
+	}
 	s.mu.Unlock()
 	s.notFull.Broadcast()
-	s.notEmpty.Broadcast()
 }
 
 // ReleaseRemaining drains any queued chunks and returns their arena

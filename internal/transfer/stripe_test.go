@@ -52,6 +52,10 @@ func TestStripedOneConnByteParity(t *testing.T) {
 func TestStripedMultiConnTransfer(t *testing.T) {
 	cfg := testConfig()
 	cfg.Conns = 4
+	// A slot is dialed lazily by the worker with affinity to it, so cap
+	// each stream: unshaped, three workers can drain the whole dataset
+	// before the fourth ever gets a batch.
+	cfg.Shaping.NetPerStreamMbps = 200
 	var mu sync.Mutex
 	seen := map[int]bool{}
 	cfg.Hooks.OnDataConn = func(index int, conn net.Conn) {
