@@ -231,7 +231,11 @@ type rollout struct {
 
 // collect runs one episode of M steps in e under the current policy.
 func (a *Agent) collect(e env.Environment, m int, scale, oobPenalty float64) rollout {
-	var ro rollout
+	ro := rollout{
+		states:  make([][]float64, 0, m),
+		actions: make([][]float64, 0, m),
+		rewards: make([]float64, 0, m),
+	}
 	rate, buf := e.Scales()
 	maxT := e.MaxThreads()
 	s := e.Reset()
@@ -313,7 +317,8 @@ func (a *Agent) Train(e env.Environment, cfg TrainConfig) *TrainResult {
 	if cfg.Seed != 0 {
 		a.rng = rand.New(rand.NewSource(cfg.Seed))
 	}
-	opt := nn.NewAdam(a.allParams(), cfg.LR)
+	params := a.allParams()
+	opt := nn.NewAdam(params, cfg.LR)
 	opt.MaxNorm = 5
 
 	res := &TrainResult{ConvergedAt: -1}
@@ -330,7 +335,13 @@ func (a *Agent) Train(e env.Environment, cfg TrainConfig) *TrainResult {
 		if ro.rawSum > best {
 			best = ro.rawSum
 			stagnant = 0
-			a.best = cloneParams(a.allParams())
+			// One checkpoint buffer per agent, overwritten in place: a noisy
+			// episode beats the best hundreds of times in a run.
+			if a.best == nil {
+				a.best = cloneParams(params)
+			} else if err := nn.CopyParams(a.best, params); err != nil {
+				panic(err)
+			}
 		} else {
 			stagnant++
 		}

@@ -1,7 +1,7 @@
 // Package sim implements the lightweight I/O–network dynamics simulator
 // of AutoMDT (Algorithm 1 of the paper). It emulates one second of
-// modular transfer activity per Step call using a priority queue of
-// (time, threadType) tasks instead of real threads, tracking the
+// modular transfer activity per Step call using a queue of (time,
+// threadType) tasks instead of real threads, tracking the
 // application-level staging buffers at the sender and receiver.
 //
 // The simulator is initialized with per-thread throughputs (TPT), aggregate
@@ -14,10 +14,43 @@
 //
 // Units: data volumes are megabits (Mb) and rates are megabits per second
 // (Mbps), matching the paper's reporting.
+//
+// # Event model
+//
+// A step is a discrete-event run over [0, StepDuration). Every worker
+// starts at t = 0, reads before network workers before writes. An event
+// is one worker trying to move a chunk at time t: if its stage has
+// something to move it executes — changes the buffers, draws its jitter
+// sample from Rand — and is due again at t + chunk/rate + 1 ns; if not, it
+// is blocked and due again at t + ϵ (RetryDelay). Events run in (t, seq)
+// order, seq being a counter handed out when an event is scheduled, so
+// workers due at the same instant run in the order their previous events
+// ran. That tie order is an invariant, not a detail: every worker starts
+// at 0, so starved network and write workers share the lattice ϵ, ϵ+ϵ, …,
+// and whether a write runs just after or just before the network worker
+// of the same instant decides whether it sees its data then or ϵ later.
+// A retry time is reached by adding ϵ once per retry because that is the
+// float the lattice consists of; k·ϵ is a different one.
+//
+// Most events (96 % of them while training) are retries that change
+// nothing, so they do not go through a priority queue. Only an execution
+// changes the buffers, so between two executions "blocked" is a property
+// of the stage; a retry scheduled at time t is due at t+ϵ, no earlier than
+// any retry scheduled before it, so retries sit in a FIFO that is always
+// in (t, seq) order; and same-stage workers with one t and consecutive
+// seqs are interchangeable, so they move as one record (all nc·ns starved
+// network workers are one record until data arrives). What remains in the
+// binary heap is one entry per worker that has executed. The next event is the
+// smaller of the FIFO's head and the heap's top, and when every stage
+// that has workers is blocked the step ends early, since nothing can
+// execute again. None of this is visible from outside: Results and the
+// order in which Rand is consumed are those of the plain one-heap loop,
+// which survives as stepReference in reference_test.go and is compared
+// with == on every Result over a seeded grid, a fuzz target, and (in
+// internal/experiments) a whole training run.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
@@ -139,7 +172,12 @@ type Simulator struct {
 	senderBuf   float64
 	receiverBuf float64
 
-	q taskQueue
+	// retry is a ring (power-of-two length, live range head..tail) of
+	// blocked cohorts in (t, seq) order; run is a min-heap of executed
+	// workers' next starts. See the package comment.
+	retry      []task
+	head, tail int
+	run        []task
 }
 
 // New creates a simulator from cfg. It panics if cfg is invalid; call
@@ -199,41 +237,118 @@ func (s *Simulator) SetTPT(st Stage, mbps float64) {
 	}
 }
 
-// task is one scheduled thread work item.
+// task is a cohort of n interchangeable workers of one stage, all due at
+// the same instant t and holding the consecutive sequence numbers
+// seq … seq+n-1. Events run in (t, seq) order; seq is handed out in push
+// order, so equal-t tasks run in the order their predecessors ran.
 type task struct {
 	t     float64
-	stage Stage
 	seq   int
+	stage Stage
+	n     int
 }
 
-// taskQueue is a min-heap ordered by time, then sequence for determinism.
-type taskQueue []task
+func (a *task) before(b *task) bool {
+	return a.t < b.t || (a.t == b.t && a.seq < b.seq)
+}
 
-func (q taskQueue) Len() int { return len(q) }
-func (q taskQueue) Less(i, j int) bool {
-	if q[i].t != q[j].t {
-		return q[i].t < q[j].t
+// park appends a blocked cohort to the retry FIFO, folding it into the
+// tail record when it continues that record's stage, instant and
+// sequence run. The ring never overflows: it holds at most one record
+// per live worker and is sized to the worker count.
+func (s *Simulator) park(tk task) {
+	mask := len(s.retry) - 1
+	if s.head != s.tail {
+		if last := &s.retry[(s.tail-1)&mask]; last.t == tk.t && last.stage == tk.stage && last.seq+last.n == tk.seq {
+			last.n += tk.n
+			return
+		}
 	}
-	return q[i].seq < q[j].seq
+	s.retry[s.tail&mask] = tk
+	s.tail++
 }
-func (q taskQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *taskQueue) Push(x any)   { *q = append(*q, x.(task)) }
-func (q *taskQueue) Pop() any     { old := *q; n := len(old); it := old[n-1]; *q = old[:n-1]; return it }
 
-// effectiveRate returns a single thread's rate for the stage given n
-// concurrent threads: near-linear scaling capped by the aggregate
-// bandwidth share and, for the network stage, by the striped
+// pushRun and popRun are a binary min-heap over s.run in (t, seq) order.
+func (s *Simulator) pushRun(tk task) {
+	q := append(s.run, tk)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !tk.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = tk
+	s.run = q
+}
+
+func (s *Simulator) popRun() task {
+	q := s.run
+	top, n := q[0], len(q)-1
+	last := q[n]
+	q = q[:n]
+	for i := 0; n > 0; {
+		c := 2*i + 1
+		if c+1 < n && q[c+1].before(&q[c]) {
+			c++
+		}
+		if c >= n || !q[c].before(&last) {
+			q[i] = last
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	s.run = q
+	return top
+}
+
+// tiny is the volume below which a stage counts as blocked, and the gap
+// in seconds between a worker's chunk ending and its next one starting.
+const tiny = 1e-9
+
+// avail returns the volume a stage could move right now: free sender
+// space for reads, staged data bounded by free receiver space for the
+// network, staged receiver data for writes.
+func (s *Simulator) avail(st Stage) float64 {
+	switch st {
+	case Read:
+		return s.cfg.SenderBufCap - s.senderBuf
+	case Network:
+		return math.Min(s.senderBuf, s.cfg.ReceiverBufCap-s.receiverBuf)
+	default:
+		return s.receiverBuf
+	}
+}
+
+// blockedStages reports which stages cannot move a chunk right now
+// (avail ≤ tiny), and whether that is every stage that has workers.
+// Buffers change only when a task executes, so the answer holds until the
+// next execution — and once stuck, nothing can execute again in this step.
+func (s *Simulator) blockedStages(counts *[3]int) (blocked [3]bool, stuck bool) {
+	blocked[Read] = s.cfg.SenderBufCap-s.senderBuf <= tiny
+	blocked[Network] = s.senderBuf <= tiny || s.cfg.ReceiverBufCap-s.receiverBuf <= tiny
+	blocked[Write] = s.receiverBuf <= tiny
+	stuck = true
+	for st, n := range counts {
+		stuck = stuck && (blocked[st] || n == 0)
+	}
+	return blocked, stuck
+}
+
+// baseRate returns a single thread's rate for the stage given n
+// concurrent threads, before jitter: near-linear scaling capped by the
+// aggregate bandwidth share and, for the network stage, by the striped
 // per-connection ceiling (conns·ConnMbps split across the n streams).
-func (s *Simulator) effectiveRate(st Stage, n, conns int) float64 {
+func (s *Simulator) baseRate(st Stage, n, conns int) float64 {
 	r := s.cfg.TPT[st]
 	if bw := s.cfg.Bandwidth[st]; bw > 0 && n > 0 {
 		r = math.Min(r, bw/float64(n))
 	}
 	if st == Network && s.cfg.ConnMbps > 0 && n > 0 && conns > 0 {
 		r = math.Min(r, s.cfg.ConnMbps*float64(conns)/float64(n))
-	}
-	if s.cfg.Jitter > 0 && s.cfg.Rand != nil {
-		r *= 1 + s.cfg.Jitter*(2*s.cfg.Rand.Float64()-1)
 	}
 	return r
 }
@@ -251,68 +366,91 @@ func (s *Simulator) Step(nr, nc, ns, nw int) Result {
 	var moved [3]float64
 
 	nc = max(0, nc)
-	nn := nc * max(0, ns)
+	counts := [3]int{max(0, nr), nc * max(0, ns), max(0, nw)}
 
-	s.q = s.q[:0]
+	// Every worker starts at t = 0, reads before network before writes.
+	size := 1
+	for size < counts[Read]+counts[Network]+counts[Write] {
+		size *= 2
+	}
+	if len(s.retry) < size {
+		s.retry = make([]task, size)
+	}
+	mask := len(s.retry) - 1
+	s.head, s.tail, s.run = 0, 0, s.run[:0]
 	seq := 0
-	schedule := func(st Stage, count int) {
-		for i := 0; i < count; i++ {
-			s.q = append(s.q, task{t: 0, stage: st, seq: seq})
-			seq++
+	for st, n := range counts {
+		if n > 0 {
+			s.park(task{stage: Stage(st), seq: seq, n: n})
+			seq += n
 		}
 	}
-	schedule(Read, max(0, nr))
-	schedule(Network, nn)
-	schedule(Write, max(0, nw))
-	heap.Init(&s.q)
 
-	counts := [3]int{max(0, nr), nn, max(0, nw)}
-	const tiny = 1e-9
+	// Rates are fixed for the step; only the jitter sample is per chunk.
+	var base [3]float64
+	for st := Read; st <= Write; st++ {
+		base[st] = s.baseRate(st, counts[st], nc)
+	}
+	jitter := cfg.Jitter > 0 && cfg.Rand != nil
 
-	for s.q.Len() > 0 {
-		tk := heap.Pop(&s.q).(task)
+	blocked, stuck := s.blockedStages(&counts)
+	for !stuck && (s.head != s.tail || len(s.run) > 0) {
+		// The next event in (t, seq) order is the head of the retry FIFO
+		// or the top of the run heap. A blocked cohort moves whole; a
+		// runnable one gives up its first worker and keeps its place.
+		var tk task
+		if h := &s.retry[s.head&mask]; s.head != s.tail && (len(s.run) == 0 || h.before(&s.run[0])) {
+			tk = *h
+			if blocked[h.stage] || h.n == 1 {
+				s.head++
+			} else {
+				tk.n = 1
+				h.seq++
+				h.n--
+			}
+		} else {
+			tk = s.popRun()
+		}
+
+		if blocked[tk.stage] {
+			// Blocked: retry after ϵ.
+			if tk.t += cfg.RetryDelay; tk.t < tEnd {
+				tk.seq = seq
+				seq += tk.n
+				s.park(tk)
+			}
+			continue
+		}
+
+		// TASK(t, threadType): move one chunk.
 		t := tk.t
-
-		// TASK(t, threadType): attempt one chunk move.
-		var avail float64
+		chunk := math.Min(cfg.ChunkMb, s.avail(tk.stage))
+		rate := base[tk.stage]
+		if jitter {
+			rate *= 1 + cfg.Jitter*(2*cfg.Rand.Float64()-1)
+		}
+		dTask := chunk / rate
+		if t+dTask > tEnd {
+			// Partial completion at the step boundary.
+			frac := (tEnd - t) / dTask
+			chunk *= frac
+			dTask = tEnd - t
+		}
+		moved[tk.stage] += chunk
 		switch tk.stage {
 		case Read:
-			avail = cfg.SenderBufCap - s.senderBuf
+			s.senderBuf = math.Min(cfg.SenderBufCap, s.senderBuf+chunk)
 		case Network:
-			avail = math.Min(s.senderBuf, cfg.ReceiverBufCap-s.receiverBuf)
+			s.senderBuf = math.Max(0, s.senderBuf-chunk)
+			s.receiverBuf = math.Min(cfg.ReceiverBufCap, s.receiverBuf+chunk)
 		case Write:
-			avail = s.receiverBuf
+			s.receiverBuf = math.Max(0, s.receiverBuf-chunk)
 		}
-		var tNext float64
-		if avail <= tiny {
-			// Blocked: retry after ϵ.
-			tNext = t + cfg.RetryDelay
-		} else {
-			chunk := math.Min(cfg.ChunkMb, avail)
-			rate := s.effectiveRate(tk.stage, counts[tk.stage], nc)
-			dTask := chunk / rate
-			if t+dTask > tEnd {
-				// Partial completion at the step boundary.
-				frac := (tEnd - t) / dTask
-				chunk *= frac
-				dTask = tEnd - t
-			}
-			moved[tk.stage] += chunk
-			switch tk.stage {
-			case Read:
-				s.senderBuf = math.Min(cfg.SenderBufCap, s.senderBuf+chunk)
-			case Network:
-				s.senderBuf = math.Max(0, s.senderBuf-chunk)
-				s.receiverBuf = math.Min(cfg.ReceiverBufCap, s.receiverBuf+chunk)
-			case Write:
-				s.receiverBuf = math.Max(0, s.receiverBuf-chunk)
-			}
-			tNext = t + dTask + tiny
-		}
-		if tNext < tEnd {
-			heap.Push(&s.q, task{t: tNext, stage: tk.stage, seq: seq})
+		if tNext := t + dTask + tiny; tNext < tEnd {
+			s.pushRun(task{t: tNext, seq: seq, stage: tk.stage, n: 1})
 			seq++
 		}
+		blocked, stuck = s.blockedStages(&counts)
 	}
 
 	res := Result{
