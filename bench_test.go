@@ -239,14 +239,10 @@ func BenchmarkEngineLoopbackE2EKio(b *testing.B)  { enginebench.DiskLoopbackE2E(
 // decision flight recorder enabled, isolating the stage-span cost.
 func BenchmarkEngineLoopbackE2EFlight(b *testing.B) { enginebench.LoopbackE2EFlight(true)(b) }
 
-// BenchmarkEngineLedgerTickV1 measures one steady-state probe-tick
-// persist of the quick-scale session ledger as a schema-1 full-document
-// rewrite (O(chunks) per tick).
-func BenchmarkEngineLedgerTickV1(b *testing.B) { enginebench.LedgerPersistTick(false, true)(b) }
-
-// BenchmarkEngineLedgerTickV2 is the same tick as schema-2 journal
-// records (O(delta) per tick) — the ledger-scalability headline.
-func BenchmarkEngineLedgerTickV2(b *testing.B) { enginebench.LedgerPersistTick(true, true)(b) }
+// BenchmarkEngineLedgerTickV2 measures one steady-state probe-tick
+// persist of the quick-scale session ledger as journal records
+// (O(delta) per tick) — the ledger-scalability headline.
+func BenchmarkEngineLedgerTickV2(b *testing.B) { enginebench.LedgerPersistTick(true)(b) }
 
 // BenchmarkEngineLedgerReplay measures crash-recovery journal replay at
 // the quick scenario scale (one commit record per chunk).

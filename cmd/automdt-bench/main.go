@@ -16,7 +16,8 @@
 // (frame encode/decode, staging hand-off, arena lease cycle, loopback
 // end-to-end) and, with -bench-json, writes a machine-readable report.
 // With -baseline it exits non-zero when throughput drops or allocs/op
-// rise by more than -bench-tolerance against the baseline report.
+// rise by more than -bench-tolerance against the baseline report, or
+// when a scenario is present in only one of the two.
 //
 // The chaos experiment runs the adversarial scenario matrix over the
 // live loopback engine: `-exp chaos -quick` is the PR-blocking 3×3
@@ -341,7 +342,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "REGRESSION %s\n", reg)
 			}
 			if len(regs) > 0 {
-				return fmt.Errorf("engine benchmarks regressed beyond %.0f%% against %s",
+				return fmt.Errorf("engine benchmarks regressed beyond %.0f%% against %s, or the scenario sets differ",
 					*benchTol*100, *baseline)
 			}
 			fmt.Printf("[baseline gate passed: %s, tolerance %.0f%%]\n", *baseline, *benchTol*100)

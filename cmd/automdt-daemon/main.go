@@ -9,12 +9,12 @@
 //
 // Submit, inspect, and cancel jobs:
 //
-//	curl -s localhost:8080/jobs -d '{"name":"nightly","priority":2,
+//	curl -s localhost:8080/v1/jobs -d '{"name":"nightly","priority":2,
 //	    "dataset":{"kind":"large","count":64,"size_bytes":67108864}}'
-//	curl -s localhost:8080/jobs          # list
-//	curl -s localhost:8080/jobs/1        # one job
-//	curl -s -X POST localhost:8080/jobs/1/cancel
-//	curl -s localhost:8080/metrics       # text-format metrics
+//	curl -s localhost:8080/v1/jobs          # list
+//	curl -s localhost:8080/v1/jobs/1        # one job
+//	curl -s -X POST localhost:8080/v1/jobs/1/cancel
+//	curl -s localhost:8080/v1/metrics       # text-format metrics
 //
 // The per-job optimizer is chosen with -optimizer: marlin (default,
 // needs no training), static, or automdt with -model/-profile files
@@ -57,16 +57,15 @@ func main() {
 	budgetWrite := flag.Int("budget-write", 32, "global write worker budget")
 	maxActive := flag.Int("max-active", 0, "max concurrent jobs (0 = min stage budget)")
 	opt := flag.String("optimizer", "marlin", "per-job optimizer: marlin, static, automdt")
-	endpoint := flag.Bool("endpoint", false, "run all jobs against one shared multi-session receiver endpoint instead of one private receiver per job")
-	fleetSize := flag.Int("fleet", 0, "run jobs against a fleet of N receiver endpoints with consistent-hash placement and failover (implies -endpoint semantics; 0 = off)")
-	maxSessions := flag.Int("max-sessions", 0, "shared endpoint admission cap (with -endpoint/-fleet; 0 = default 64)")
-	writeBudget := flag.Float64("write-budget-mbps", 0, "per-endpoint write budget in Mbps, split max-min fair across its sessions (with -endpoint/-fleet; 0 = unarbitrated)")
+	fleetSize := flag.Int("fleet", 0, "run all jobs against a fleet of N shared multi-session receiver endpoints with consistent-hash placement and failover, instead of one private receiver per job (1 = one shared endpoint; 0 = off)")
+	maxSessions := flag.Int("max-sessions", 0, "per-endpoint admission cap (with -fleet; 0 = default 64)")
+	writeBudget := flag.Float64("write-budget-mbps", 0, "per-endpoint write budget in Mbps, split max-min fair across its sessions (with -fleet; 0 = unarbitrated)")
 	kioMode := flag.String("kio", "auto", "kernel-assisted I/O fast path for the endpoint receiver: auto, on, or off")
 	cc := flag.Int("cc", 4, "static optimizer concurrency")
 	model := flag.String("model", "", "automdt agent checkpoint (from automdt-train)")
 	profilePath := flag.String("profile", "", "automdt probed profile JSON (from automdt-train)")
 	maxThreads := flag.Int("maxthreads", 32, "per-stage concurrency bound for automdt")
-	flightOn := flag.Bool("flight", false, "enable the decision flight recorder (dump at GET /debug/flight)")
+	flightOn := flag.Bool("flight", false, "enable the decision flight recorder (dump at GET /v1/debug/flight)")
 	flightCap := flag.Int("flight-capacity", 0, "flight ring capacity per source (0 = default)")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the HTTP listener")
 	flag.Parse()
@@ -116,15 +115,10 @@ func main() {
 
 	recvCfg := transfer.Config{MaxSessions: *maxSessions, KioMode: *kioMode, WriteBudgetMbps: *writeBudget}
 	var runner sched.Runner = &sched.LoopbackRunner{}
-	switch {
-	case *fleetSize > 0:
+	if *fleetSize > 0 {
 		fr := &sched.FleetRunner{Size: *fleetSize, Receiver: recvCfg}
 		defer fr.Close()
 		runner = fr
-	case *endpoint:
-		er := &sched.EndpointRunner{Receiver: recvCfg}
-		defer er.Close()
-		runner = er
 	}
 	s, err := sched.New(sched.Config{
 		Budget:        [env.StageCount]int{*budgetRead, *budgetConns, *budgetNet, *budgetWrite},
@@ -135,21 +129,14 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	switch r := runner.(type) {
-	case *sched.FleetRunner:
-		eps, err := r.Endpoints()
+	if fr, ok := runner.(*sched.FleetRunner); ok {
+		eps, err := fr.Endpoints()
 		if err != nil {
 			fatal(err)
 		}
 		for _, ep := range eps {
 			fmt.Printf("automdt-daemon: fleet endpoint %s serving data %s, control %s\n", ep.ID, ep.DataAddr, ep.CtrlAddr)
 		}
-	case *sched.EndpointRunner:
-		data, ctrl, err := r.Addrs()
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("automdt-daemon: shared endpoint serving data %s, control %s\n", data, ctrl)
 	}
 
 	handler := sched.NewHandler(s)

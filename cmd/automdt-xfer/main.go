@@ -153,11 +153,10 @@ func serve(args []string) {
 	r := transfer.NewReceiver(*cfg, recvStore(*dir, *verify))
 	r.OnSessionDone = func(res transfer.SessionResult) {
 		if res.Err != nil {
-			fmt.Printf("session %s (proto %d) failed: %v\n", res.SessionID, res.Proto, res.Err)
+			fmt.Printf("session %s failed: %v\n", res.SessionID, res.Err)
 			return
 		}
-		fmt.Printf("session %s (proto %d) complete: %d bytes committed\n",
-			res.SessionID, res.Proto, res.CommittedBytes)
+		fmt.Printf("session %s complete: %d bytes committed\n", res.SessionID, res.CommittedBytes)
 	}
 	if err := r.Listen(*data, *ctrl); err != nil {
 		fatal(err)
@@ -302,18 +301,18 @@ func ledgerCmd(args []string) {
 	// loadState reads a session's document once and folds in its
 	// journal, returning the decoded state plus the raw sizes (one read
 	// per file — a 4M-chunk snapshot is ~16 MB, not worth reading twice).
-	loadState := func(session string) (l *transfer.Ledger, schema, rawLen, journalLen int, err error) {
+	loadState := func(session string) (l *transfer.Ledger, rawLen, journalLen int, err error) {
 		raw, err := ds.LoadLedger(session)
 		if err != nil {
-			return nil, 0, 0, 0, err
+			return nil, 0, 0, err
 		}
 		l, err = transfer.DecodeLedger(raw)
 		if err != nil {
-			return nil, 0, 0, 0, err
+			return nil, 0, 0, err
 		}
 		journal, _ := ds.LoadJournal(session)
 		l.ReplayJournal(journal)
-		return l, transfer.LedgerSchema(raw), len(raw), len(journal), nil
+		return l, len(raw), len(journal), nil
 	}
 
 	if *session == "" {
@@ -325,9 +324,9 @@ func ledgerCmd(args []string) {
 			fmt.Println("no session ledgers")
 			return
 		}
-		fmt.Printf("%-24s %-7s %10s %14s %14s %8s\n", "session", "schema", "age", "committed", "total", "files")
+		fmt.Printf("%-24s %10s %14s %14s %8s\n", "session", "age", "committed", "total", "files")
 		for _, info := range infos {
-			l, schema, _, _, err := loadState(info.Session)
+			l, _, _, err := loadState(info.Session)
 			if err != nil {
 				fmt.Printf("%-24s unreadable: %v\n", info.Session, err)
 				continue
@@ -336,14 +335,14 @@ func ledgerCmd(args []string) {
 			for _, f := range l.Files {
 				total += f.Size
 			}
-			fmt.Printf("%-24s %-7d %10s %14d %14d %8d\n",
-				info.Session, schema, info.Age.Round(time.Second),
+			fmt.Printf("%-24s %10s %14d %14d %8d\n",
+				info.Session, info.Age.Round(time.Second),
 				l.CommittedBytes(), total, len(l.Files))
 		}
 		return
 	}
 
-	l, schema, rawLen, journalLen, err := loadState(*session)
+	l, rawLen, journalLen, err := loadState(*session)
 	if err != nil {
 		fatal(fmt.Errorf("ledger: load %s: %w", *session, err))
 	}
@@ -352,7 +351,6 @@ func ledgerCmd(args []string) {
 		total += f.Size
 	}
 	fmt.Printf("session:      %s\n", l.SessionID)
-	fmt.Printf("schema:       %d\n", schema)
 	fmt.Printf("chunk bytes:  %d\n", l.ChunkBytes)
 	fmt.Printf("checksums:    %v\n", l.HasSums)
 	fmt.Printf("files:        %d\n", len(l.Files))

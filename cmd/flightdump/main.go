@@ -1,12 +1,12 @@
 // Command flightdump analyzes a decision flight trace: the JSON written
 // by `automdt-xfer send -flight`, `automdt-bench -flight`, or fetched
-// from a daemon's GET /debug/flight.
+// from a daemon's GET /v1/debug/flight.
 //
 //	flightdump trace.json            # per-source regret summary + top moments
 //	flightdump -top 20 trace.json
 //	flightdump -source sched:arbiter trace.json
 //	flightdump -json trace.json      # filtered events back out as JSON
-//	curl -s localhost:8080/debug/flight | flightdump -
+//	curl -s localhost:8080/v1/debug/flight | flightdump -
 //
 // The per-source summary ranks controllers by cumulative counterfactual
 // regret; the moments view names the individual decisions that cost the

@@ -12,7 +12,7 @@
 // every job over real HTTP, kills an endpoint once the run is warm,
 // polls until the fleet drains, and prints the per-state tally, the
 // /v1/fleet membership document, the fleet's re-place decisions from the
-// flight recorder, and the automdt_fleet_* gauges from /metrics.
+// flight recorder, and the automdt_fleet_* gauges from /v1/metrics.
 package main
 
 import (

@@ -10,7 +10,7 @@
 // The example starts the daemon in-process on an ephemeral port, submits
 // every job over real HTTP, polls until the fleet drains, and prints the
 // final per-job table plus the endpoint's automdt_endpoint_* gauges from
-// the daemon's /metrics text.
+// the daemon's /v1/metrics text.
 package main
 
 import (
@@ -36,7 +36,8 @@ func main() {
 	// One shared destination endpoint for the whole tenant fleet: every
 	// job runs as a sender session against this receiver, verified
 	// against the deterministic synthetic content.
-	endpoint := &sched.EndpointRunner{
+	endpoint := &sched.FleetRunner{
+		Size:     1,
 		Receiver: transfer.Config{MaxSessions: jobs},
 		Verify:   true,
 	}
@@ -57,11 +58,11 @@ func main() {
 	}
 	defer s.Close()
 
-	dataAddr, ctrlAddr, err := endpoint.Addrs()
+	eps, err := endpoint.Endpoints()
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("shared endpoint: data %s, control %s\n", dataAddr, ctrlAddr)
+	fmt.Printf("shared endpoint: data %s, control %s\n", eps[0].DataAddr, eps[0].CtrlAddr)
 
 	// Serve the daemon API on an ephemeral loopback port.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -94,7 +95,7 @@ func main() {
 			}
 		}
 		body, _ := json.Marshal(req)
-		resp, err := http.Post(base+"/jobs", "application/json", bytes.NewReader(body))
+		resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -108,7 +109,7 @@ func main() {
 	// Poll the list endpoint until every job is terminal.
 	var list []sched.JobStatus
 	for {
-		resp, err := http.Get(base + "/jobs")
+		resp, err := http.Get(base + "/v1/jobs")
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -143,7 +144,7 @@ func main() {
 		log.Fatalf("%d of %d tenants did not complete", failed, jobs)
 	}
 
-	resp, err := http.Get(base + "/metrics")
+	resp, err := http.Get(base + "/v1/metrics")
 	if err != nil {
 		log.Fatal(err)
 	}

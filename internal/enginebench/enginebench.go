@@ -499,11 +499,10 @@ func ledgerBenchManifest(chunks int) workload.Manifest {
 
 // LedgerPersistTick measures one steady-state probe-tick persist of a
 // fully-built session ledger: ledgerTickChunks chunks turn over per
-// tick, and the tick serializes either the whole schema-1 JSON document
-// (v1, O(chunks)) or just the delta as schema-2 journal records (v2,
-// O(delta)). The persisted bytes per tick are reported as
-// persistbytes/op — the number the CI gate holds the ≥10× v1→v2 win to.
-func LedgerPersistTick(v2, quick bool) func(b *testing.B) {
+// tick, and the tick serializes just the delta as journal records
+// (O(delta)). The persisted bytes per tick are reported as
+// persistbytes/op, which the CI gate holds against the baseline.
+func LedgerPersistTick(quick bool) func(b *testing.B) {
 	return func(b *testing.B) {
 		chunks := ledgerBenchChunks(quick)
 		m := ledgerBenchManifest(chunks)
@@ -525,16 +524,7 @@ func LedgerPersistTick(v2, quick bool) func(b *testing.B) {
 				l.Invalidate(fid, off, cb)
 				l.Commit(fid, off, chunkBytes, uint32(g))
 			}
-			if v2 {
-				persisted += int64(len(l.AppendSince()))
-			} else {
-				data, err := l.Encode()
-				if err != nil {
-					b.Fatal(err)
-				}
-				persisted += int64(len(data))
-				l.AppendSince() // v1 has no journal; the delta is discarded
-			}
+			persisted += int64(len(l.AppendSince()))
 		}
 		b.StopTimer()
 		b.ReportMetric(float64(persisted)/float64(b.N), "persistbytes/op")
@@ -542,7 +532,7 @@ func LedgerPersistTick(v2, quick bool) func(b *testing.B) {
 }
 
 // LedgerJournalReplay measures recovering a session from its persisted
-// v2 state: decode an empty snapshot, then replay a journal carrying
+// state: decode an empty snapshot, then replay a journal carrying
 // one commit record per chunk — the worst-case crash-recovery load for
 // the scenario size. MB/s is journal bytes replayed per second.
 func LedgerJournalReplay(quick bool) func(b *testing.B) {
@@ -580,8 +570,8 @@ type Result struct {
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op"`
 	// PersistedBytesPerOp is how many ledger bytes one persist tick
-	// wrote (the ledger scenario's headline: v2 must stay ≥10× under
-	// v1). Hardware-independent, so the baseline gate always arms.
+	// wrote (the ledger scenario's headline). Hardware-independent, so
+	// the baseline gate always arms.
 	PersistedBytesPerOp float64 `json:"persisted_bytes_per_op,omitempty"`
 	// SyscallsPerOp is the wire.IOOps data-plane counter delta per op —
 	// every read, frame write, frame read, sendfile/pwritev call, and
@@ -704,10 +694,9 @@ func Run(quick bool) Report {
 		toResult("loopback_e2e_multiconn", loopBytes, testing.Benchmark(LoopbackE2EMultiConn(quick, 4))),
 		toResult("loopback_e2e_flight", loopBytes, testing.Benchmark(LoopbackE2EFlight(quick))),
 		// Ledger scenario (4M chunks full, 256k quick): the per-tick
-		// persist cost of schema 1 (full JSON document) vs schema 2
-		// (journal delta), and the crash-recovery journal replay.
-		toResult("ledger_tick_v1", 0, testing.Benchmark(LedgerPersistTick(false, quick))),
-		toResult("ledger_tick_v2", 0, testing.Benchmark(LedgerPersistTick(true, quick))),
+		// persist cost of the journal delta, and the crash-recovery
+		// journal replay.
+		toResult("ledger_tick_v2", 0, testing.Benchmark(LedgerPersistTick(quick))),
 		toResult("ledger_replay_v2", 0, testing.Benchmark(LedgerJournalReplay(quick))),
 		// Real files at both ends, portable vs kernel-assisted —
 		// KioSpeedup/KioSyscallRatio pair these two within the report.
@@ -732,6 +721,9 @@ type Regression struct {
 }
 
 func (r Regression) String() string {
+	if r.Base == 0 && r.Cur == 0 {
+		return r.Bench + ": " + r.Metric // a missing scenario, not a number
+	}
 	return fmt.Sprintf("%s: %s regressed %.4g → %.4g (%.1f%%)",
 		r.Bench, r.Metric, r.Base, r.Cur, 100*(r.Cur/r.Base-1))
 }
@@ -744,9 +736,9 @@ func (r Regression) String() string {
 // trip the gate. MB/s is only meaningful against a baseline measured on
 // the same CPU, so the throughput gate arms only when
 // ThroughputComparable holds — a baseline committed from one machine
-// cannot flag a differently-sized CI runner as a regression. Benchmarks
-// present in only one report are ignored (suite evolution is not a
-// regression).
+// cannot flag a differently-sized CI runner as a regression. A scenario
+// present in only one report is a finding too: a gate that skips what it
+// cannot match would pass a renamed or dropped scenario unmeasured.
 // diskBound names scenarios whose absolute goodput rides the machine's
 // page-cache and writeback state and swings far beyond any useful
 // tolerance run to run. Their throughput is gated by the same-run
@@ -768,8 +760,10 @@ func Compare(base, cur Report, tol float64) []Regression {
 	for _, c := range cur.Results {
 		b, ok := baseBy[c.Name]
 		if !ok {
+			regs = append(regs, Regression{Bench: c.Name, Metric: "scenario missing from the baseline"})
 			continue
 		}
+		delete(baseBy, c.Name)
 		if gateThroughput && !diskBound[c.Name] && b.MBPerSec > 0 && c.MBPerSec < b.MBPerSec*(1-tol) {
 			regs = append(regs, Regression{c.Name, "mb_per_s", b.MBPerSec, c.MBPerSec})
 		}
@@ -790,6 +784,11 @@ func Compare(base, cur Report, tol float64) []Regression {
 		sysGate := b.SyscallsPerOp*(1+tol) + 16
 		if b.SyscallsPerOp > 0 && c.SyscallsPerOp > sysGate {
 			regs = append(regs, Regression{c.Name, "syscalls_per_op", b.SyscallsPerOp, c.SyscallsPerOp})
+		}
+	}
+	for _, b := range base.Results {
+		if _, unmatched := baseBy[b.Name]; unmatched {
+			regs = append(regs, Regression{Bench: b.Name, Metric: "scenario missing from this run"})
 		}
 	}
 	return regs

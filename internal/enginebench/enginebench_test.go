@@ -74,11 +74,21 @@ func TestCompareThroughputNeedsSameCPU(t *testing.T) {
 	}
 }
 
-func TestCompareIgnoresSuiteEvolution(t *testing.T) {
-	base := report(Result{Name: "old_bench", MBPerSec: 100})
-	cur := report(Result{Name: "new_bench", MBPerSec: 1})
-	if regs := Compare(base, cur, 0.20); len(regs) != 0 {
-		t.Fatalf("disjoint suites flagged: %v", regs)
+// A scenario on one side only means the baseline and the suite have
+// drifted apart: both directions fail the gate instead of passing
+// unmeasured.
+func TestCompareFailsOnScenarioMismatch(t *testing.T) {
+	base := report(Result{Name: "shared", MBPerSec: 100}, Result{Name: "old_bench", MBPerSec: 100})
+	cur := report(Result{Name: "shared", MBPerSec: 100}, Result{Name: "new_bench", MBPerSec: 1})
+	regs := Compare(base, cur, 0.20)
+	if len(regs) != 2 {
+		t.Fatalf("want one finding per unmatched scenario, got %v", regs)
+	}
+	got := regs[0].String() + "\n" + regs[1].String()
+	for _, want := range []string{"old_bench: scenario missing from this run", "new_bench: scenario missing from the baseline"} {
+		if !strings.Contains(got, want) {
+			t.Fatalf("findings %q lack %q", got, want)
+		}
 	}
 }
 
@@ -154,8 +164,9 @@ func TestComparePersistedBytesGate(t *testing.T) {
 }
 
 // The ledger scenario's acceptance criterion, shrunk to test speed: at
-// steady state a v2 probe tick persists at least 10× fewer bytes than
-// the v1 full-document rewrite of the same session.
+// steady state a journaled probe tick persists at least 10× fewer bytes
+// than the full-snapshot rewrite of the same session (the live fallback
+// for stores without fsim.LedgerAppender).
 func TestLedgerTickDeltaIsTenthOfDocument(t *testing.T) {
 	const chunks = 64 << 10 // 16 files of the scenario's 4096-chunk shape
 	m := ledgerBenchManifest(chunks)
@@ -172,15 +183,12 @@ func TestLedgerTickDeltaIsTenthOfDocument(t *testing.T) {
 		l.Invalidate(fid, off, cb)
 		l.Commit(fid, off, chunkBytes, uint32(j))
 	}
-	doc, err := l.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
 	delta := l.AppendSince()
+	doc := l.EncodeV2()
 	if len(delta) == 0 || len(doc) < 10*len(delta) {
-		t.Fatalf("v1 tick writes %d bytes, v2 tick %d: want ≥10× reduction", len(doc), len(delta))
+		t.Fatalf("snapshot tick writes %d bytes, journal tick %d: want ≥10× reduction", len(doc), len(delta))
 	}
-	t.Logf("v1 tick %d B, v2 tick %d B (%.0f×) at %d chunks", len(doc), len(delta), float64(len(doc))/float64(len(delta)), chunks)
+	t.Logf("snapshot tick %d B, journal tick %d B (%.0f×) at %d chunks", len(doc), len(delta), float64(len(doc))/float64(len(delta)), chunks)
 }
 
 func TestMultiConnSpeedup(t *testing.T) {

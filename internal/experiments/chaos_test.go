@@ -12,9 +12,9 @@ import (
 
 // TestQuickChaosMatrix is the PR-blocking robustness gate: the 3×3
 // quick sub-matrix must pass every cell invariant, and the
-// connection-kill cells must demonstrably exercise the protocol ≥3
-// targeted re-plan path (re-plan events in the flight trace — enforced
-// per cell via MinReplans, asserted again here for the matrix).
+// connection-kill cells must demonstrably exercise the targeted re-plan
+// path (re-plan events in the flight trace — enforced per cell via
+// MinReplans, asserted again here for the matrix).
 func TestQuickChaosMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos matrix needs live loopback transfers")

@@ -15,10 +15,10 @@
 // resume can detect a vanished or truncated destination; LedgerStore
 // persists per-session chunk ledgers (DirStore keeps each session's
 // state in its own <root>/.automdt/<session>/ directory — a binary
-// snapshot plus journal, or a legacy JSON document); LedgerAppender
-// adds the fsync'd append-only journal so a probe tick persists only
-// the delta since the last one; LedgerLister enumerates persisted
-// ledgers with ages so a long-lived endpoint can expire sessions that
-// were abandoned rather than resumed. Session names are constrained by
-// ValidSessionID so they are safe as keys on any backend.
+// snapshot plus journal); LedgerAppender adds the fsync'd append-only
+// journal so a probe tick persists only the delta since the last one;
+// LedgerLister enumerates persisted ledgers with ages so a long-lived
+// endpoint can expire sessions that were abandoned rather than resumed.
+// Session names are constrained by ValidSessionID so they are safe as
+// keys on any backend.
 package fsim

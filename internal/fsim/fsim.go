@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"time"
 )
@@ -421,22 +420,13 @@ func (d *DirStore) Stat(name string) (int64, error) {
 // subdirectory so per-session documents can never collide and a
 // session's control state is removed as one unit:
 //
-//	.automdt/<session>/ledger.bin    binary (schema-2) snapshot
+//	.automdt/<session>/ledger.bin    binary snapshot
 //	.automdt/<session>/journal.bin   append-only journal extending it
-//	.automdt/<session>/ledger.json   JSON (schema-1) document
-//
-// A session has either the binary pair or the JSON document — the first
-// binary save removes the JSON document, migrating the session in
-// place. Ledgers written by the oldest builds at the flat
-// `.automdt/<session>.ledger` path are still read (and cleaned up).
 const ledgerDir = ".automdt"
 
-// Per-session file names inside a session directory. SaveLedger routes
-// by content: JSON documents (first byte '{') keep the schema-1 name,
-// anything else is a binary snapshot.
+// Per-session file names inside a session directory.
 const (
-	ledgerFile   = "ledger.json"
-	ledgerFileV2 = "ledger.bin"
+	snapshotFile = "ledger.bin"
 	journalFile  = "journal.bin"
 )
 
@@ -448,31 +438,9 @@ func (d *DirStore) sessionDir(session string) (string, error) {
 	return filepath.Join(d.Root, ledgerDir, session), nil
 }
 
-// ledgerPath maps a session id to its JSON document path in the current
-// per-session-directory layout.
-func (d *DirStore) ledgerPath(session string) (string, error) {
-	dir, err := d.sessionDir(session)
-	if err != nil {
-		return "", err
-	}
-	return filepath.Join(dir, ledgerFile), nil
-}
-
-// legacyLedgerPath maps a session id to the flat pre-multi-session
-// sidecar path, kept readable for ledgers written by older builds.
-func (d *DirStore) legacyLedgerPath(session string) (string, error) {
-	if !ValidSessionID(session) {
-		return "", fmt.Errorf("fsim: invalid session id %q", session)
-	}
-	return filepath.Join(d.Root, ledgerDir, session+".ledger"), nil
-}
-
 // SaveLedger implements LedgerStore: write-to-temp, fsync, then rename,
 // so a crash mid-save leaves the previous ledger intact rather than a
-// torn document. The document is routed by content — JSON to
-// ledger.json, binary snapshots to ledger.bin — and a binary save
-// removes the session's JSON document and legacy flat-path sidecar, so
-// the first schema-2 save migrates a schema-1 session in place.
+// torn document.
 func (d *DirStore) SaveLedger(session string, data []byte) error {
 	dir, err := d.sessionDir(session)
 	if err != nil {
@@ -481,11 +449,7 @@ func (d *DirStore) SaveLedger(session string, data []byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	name, stale := ledgerFileV2, ledgerFile
-	if len(data) > 0 && data[0] == '{' {
-		name, stale = ledgerFile, ledgerFileV2
-	}
-	p := filepath.Join(dir, name)
+	p := filepath.Join(dir, snapshotFile)
 	tmp := p + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -510,10 +474,6 @@ func (d *DirStore) SaveLedger(session string, data []byte) error {
 	// the directory fsync a power loss could persist that truncate but
 	// not this rename — resurrecting the old snapshot with no journal.
 	syncDir(dir)
-	os.Remove(filepath.Join(dir, stale))
-	if legacy, lerr := d.legacyLedgerPath(session); lerr == nil {
-		os.Remove(legacy)
-	}
 	return nil
 }
 
@@ -603,54 +563,29 @@ func (d *DirStore) ResetJournal(session string) error {
 	return nil
 }
 
-// LoadLedger implements LedgerStore: the binary snapshot wins, then the
-// JSON document, then the legacy flat path written by the oldest
-// builds, so every generation of destination still resumes.
+// LoadLedger implements LedgerStore.
 func (d *DirStore) LoadLedger(session string) ([]byte, error) {
 	dir, err := d.sessionDir(session)
 	if err != nil {
 		return nil, err
 	}
-	for _, name := range []string{ledgerFileV2, ledgerFile} {
-		data, err := os.ReadFile(filepath.Join(dir, name))
-		if err == nil || !os.IsNotExist(err) {
-			return data, err
-		}
-	}
-	legacy, lerr := d.legacyLedgerPath(session)
-	if lerr != nil {
-		return nil, lerr
-	}
-	return os.ReadFile(legacy)
+	return os.ReadFile(filepath.Join(dir, snapshotFile))
 }
 
-// RemoveLedger implements LedgerStore, clearing every layout: the
-// binary snapshot + journal pair, the JSON document, and the legacy
-// flat path. Removing an absent ledger is not an error (completion and
+// RemoveLedger implements LedgerStore by removing the session's whole
+// directory — snapshot, journal, and anything a crashed save left
+// behind. Removing an absent ledger is not an error (completion and
 // cleanup race benignly).
 func (d *DirStore) RemoveLedger(session string) error {
 	dir, err := d.sessionDir(session)
 	if err != nil {
 		return err
 	}
-	for _, name := range []string{ledgerFileV2, journalFile, ledgerFile} {
-		if err := os.Remove(filepath.Join(dir, name)); err != nil && !os.IsNotExist(err) {
-			return err
-		}
-	}
-	os.Remove(dir) // session dir, if now empty
-	legacy, err := d.legacyLedgerPath(session)
-	if err != nil {
-		return err
-	}
-	if err := os.Remove(legacy); err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	return nil
+	return os.RemoveAll(dir)
 }
 
-// ListLedgers implements LedgerLister over both layouts. Ages come from
-// document modification times.
+// ListLedgers implements LedgerLister. Ages come from file modification
+// times.
 func (d *DirStore) ListLedgers() ([]LedgerInfo, error) {
 	entries, err := os.ReadDir(filepath.Join(d.Root, ledgerDir))
 	if os.IsNotExist(err) {
@@ -662,42 +597,23 @@ func (d *DirStore) ListLedgers() ([]LedgerInfo, error) {
 	now := time.Now()
 	var out []LedgerInfo
 	for _, e := range entries {
-		var session string
-		var paths []string
-		if e.IsDir() {
-			session = e.Name()
-			dir := filepath.Join(d.Root, ledgerDir, session)
-			// Age is the most recent write across the session's files:
-			// a long transfer appends to the journal for hours between
-			// snapshot compactions, and must not look abandoned.
-			paths = []string{
-				filepath.Join(dir, ledgerFileV2),
-				filepath.Join(dir, journalFile),
-				filepath.Join(dir, ledgerFile),
-			}
-		} else if n, ok := strings.CutSuffix(e.Name(), ".ledger"); ok {
-			session = n
-			paths = []string{filepath.Join(d.Root, ledgerDir, e.Name())}
-		} else {
-			continue // stray temp file or unrelated entry
+		if !e.IsDir() || !ValidSessionID(e.Name()) {
+			continue // stray file or unrelated entry
 		}
-		if !ValidSessionID(session) {
-			continue
-		}
+		dir := filepath.Join(d.Root, ledgerDir, e.Name())
+		// Age is the most recent write across the session's files: a
+		// long transfer appends to the journal for hours between
+		// snapshot compactions, and must not look abandoned.
 		var newest time.Time
-		found := false
-		for _, p := range paths {
-			if fi, err := os.Stat(p); err == nil {
-				found = true
-				if fi.ModTime().After(newest) {
-					newest = fi.ModTime()
-				}
+		for _, name := range []string{snapshotFile, journalFile} {
+			if fi, err := os.Stat(filepath.Join(dir, name)); err == nil && fi.ModTime().After(newest) {
+				newest = fi.ModTime()
 			}
 		}
-		if !found {
+		if newest.IsZero() {
 			continue // session dir without a document yet, or racing removal
 		}
-		out = append(out, LedgerInfo{Session: session, Age: now.Sub(newest)})
+		out = append(out, LedgerInfo{Session: e.Name(), Age: now.Sub(newest)})
 	}
 	return out, nil
 }

@@ -292,39 +292,35 @@ func TestSyntheticStoreStatAndLedger(t *testing.T) {
 	}
 }
 
-// SaveLedger routes documents by content: JSON to ledger.json, binary
-// snapshots to ledger.bin — and a binary save migrates a JSON session
-// in place (the old document and the legacy flat sidecar are removed).
+// One layout: whatever the bytes, a save lands at ledger.bin and loads
+// back, and a remove takes the whole session directory with it —
+// including a crashed save's temp file and files this build never
+// writes.
 func TestDirStoreSaveRoutesByContentAndMigrates(t *testing.T) {
 	root := t.TempDir()
 	ds, _ := NewDirStore(root)
-	jsonDoc := []byte(`{"schema":1}`)
-	binDoc := []byte{0xAD, 'L', 'S', '2', 9, 9, 9}
-	if err := ds.SaveLedger("sess", jsonDoc); err != nil {
+	dir := filepath.Join(root, ".automdt", "sess")
+	for _, doc := range [][]byte{{0xAD, 'L', 'S', '2', 9, 9, 9}, []byte(`{"schema":1}`)} {
+		if err := ds.SaveLedger("sess", doc); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(filepath.Join(dir, "ledger.bin")); err != nil || !bytes.Equal(got, doc) {
+			t.Fatalf("ledger.bin=%q err=%v", got, err)
+		}
+		if got, err := ds.LoadLedger("sess"); err != nil || !bytes.Equal(got, doc) {
+			t.Fatalf("load=%q err=%v", got, err)
+		}
+	}
+	for _, stray := range []string{"ledger.bin.tmp", "ledger.json"} {
+		if err := os.WriteFile(filepath.Join(dir, stray), []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ds.RemoveLedger("sess"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(root, ".automdt", "sess", "ledger.json")); err != nil {
-		t.Fatalf("JSON document not at ledger.json: %v", err)
-	}
-	// A legacy flat sidecar from an even older build is lying around.
-	flat := filepath.Join(root, ".automdt", "sess.ledger")
-	if err := os.WriteFile(flat, jsonDoc, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := ds.SaveLedger("sess", binDoc); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(root, ".automdt", "sess", "ledger.bin")); err != nil {
-		t.Fatalf("binary document not at ledger.bin: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(root, ".automdt", "sess", "ledger.json")); !os.IsNotExist(err) {
-		t.Fatal("migration left the JSON document behind")
-	}
-	if _, err := os.Stat(flat); !os.IsNotExist(err) {
-		t.Fatal("migration left the legacy flat sidecar behind")
-	}
-	if got, err := ds.LoadLedger("sess"); err != nil || !bytes.Equal(got, binDoc) {
-		t.Fatalf("load=%v err=%v", got, err)
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("session directory survived RemoveLedger: %v", err)
 	}
 }
 
@@ -372,8 +368,8 @@ func TestDirStoreJournalAppendResetRemove(t *testing.T) {
 	}
 }
 
-// ListLedgers enumerates sessions in every layout (binary, JSON,
-// journal-only age refresh, legacy flat).
+// ListLedgers enumerates session directories (a journal append
+// refreshes the age) and skips stray non-directory entries.
 func TestDirStoreListLedgersNewLayout(t *testing.T) {
 	root := t.TempDir()
 	ds, _ := NewDirStore(root)
@@ -383,7 +379,7 @@ func TestDirStoreListLedgersNewLayout(t *testing.T) {
 	if err := ds.AppendLedger("bin-sess", []byte("recs")); err != nil {
 		t.Fatal(err)
 	}
-	if err := ds.SaveLedger("json-sess", []byte(`{"schema":1}`)); err != nil {
+	if err := ds.AppendLedger("journal-only", []byte("recs")); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(root, ".automdt", "flat-sess.ledger"), []byte(`{}`), 0o644); err != nil {
@@ -400,10 +396,8 @@ func TestDirStoreListLedgersNewLayout(t *testing.T) {
 			t.Fatalf("%s: implausible age %v", info.Session, info.Age)
 		}
 	}
-	for _, want := range []string{"bin-sess", "json-sess", "flat-sess"} {
-		if !got[want] {
-			t.Fatalf("ListLedgers missed %s: %v", want, infos)
-		}
+	if len(got) != 2 || !got["bin-sess"] || !got["journal-only"] {
+		t.Fatalf("ListLedgers = %v, want bin-sess and journal-only only", infos)
 	}
 }
 

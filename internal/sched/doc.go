@@ -13,12 +13,12 @@
 // instead of restarting from byte zero.
 //
 // Attempts execute through a pluggable Runner. LoopbackRunner spawns a
-// private in-process receiver per job; EndpointRunner instead points the
-// whole fleet at ONE shared multi-session receiver endpoint — the
-// deployed-DTN shape, where the destination's admission cap and the
-// scheduler's budget bound load together. NewHandler exposes the
-// scheduler over HTTP (submit/status/cancel/list plus a /metrics text
-// snapshot).
+// private in-process receiver per job; FleetRunner instead points every
+// job at a fleet of shared multi-session receiver endpoints (one, with
+// Size 1) — the deployed-DTN shape, where the destination's admission
+// cap and the scheduler's budget bound load together. NewHandler exposes
+// the scheduler over HTTP under /v1/ (submit/status/cancel/list plus a
+// text metrics snapshot).
 //
 // docs/OPERATIONS.md is the operator's guide: the HTTP API reference,
 // the /metrics field glossary, and resume/retry semantics.

@@ -22,16 +22,17 @@ import (
 const FleetSource = "sched:fleet"
 
 // FleetRunner executes every job attempt as a sender against a FLEET of
-// multi-session receiver endpoints instead of EndpointRunner's single
-// one. Sessions are placed on endpoints by a consistent-hash ring with
-// bounded loads (internal/fleet.Ring), endpoint liveness comes from a
-// heartbeat registry (internal/fleet.Registry), and every endpoint
-// shares one destination Store — which is what makes failover work: when
-// an endpoint dies mid-transfer, the scheduler's ordinary retry re-runs
-// the job with the same session ID, placement lands it on a live
-// sibling, and the sibling finds the victim's binary ledger in the
-// shared store, so the resumed session re-sends only the uncommitted
-// tail.
+// shared multi-session receiver endpoints (Size 1 is the single shared
+// endpoint), instead of spawning a private receiver per job the way
+// LoopbackRunner does. Sessions are placed on endpoints by a
+// consistent-hash ring with bounded loads (internal/fleet.Ring), endpoint
+// liveness comes from a heartbeat registry (internal/fleet.Registry), and
+// every endpoint shares one destination Store — which is what makes
+// failover work: when an endpoint dies mid-transfer, the scheduler's
+// ordinary retry re-runs the job with the same session ID, placement
+// lands it on a live sibling, and the sibling finds the victim's ledger
+// in the shared store, so the resumed session re-sends only the
+// uncommitted tail.
 //
 // Job manifests must not write conflicting content to the same file
 // names (synthetic content is name-derived, so same-named synthetic
@@ -384,19 +385,6 @@ func (f *FleetRunner) runOnce(ctx context.Context, spec JobSpec, ctrl env.Contro
 	return ep, res, err
 }
 
-// Addrs returns the FIRST endpoint's data and control addresses,
-// starting the fleet if necessary — the single-endpoint compatibility
-// surface the daemon prints for external senders.
-func (f *FleetRunner) Addrs() (data, ctrl string, err error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if err := f.start(); err != nil {
-		return "", "", err
-	}
-	ep := f.eps[f.order[0]]
-	return ep.recv.DataAddr(), ep.recv.CtrlAddr(), nil
-}
-
 // Endpoints returns every endpoint's registration info in spawn order,
 // starting the fleet if necessary.
 func (f *FleetRunner) Endpoints() ([]fleet.EndpointInfo, error) {
@@ -489,9 +477,8 @@ func (f *FleetRunner) Status() FleetStatus {
 
 // Snapshot exports the fleet gauges (automdt_fleet_*) plus every
 // endpoint's automdt_endpoint_* gauges. A single-endpoint fleet emits
-// the receiver samples unlabeled — the exact series EndpointRunner
-// always exported — while a real fleet adds an endpoint label so
-// per-endpoint series don't collide.
+// the receiver samples unlabeled, while a real fleet adds an endpoint
+// label so per-endpoint series don't collide.
 func (f *FleetRunner) Snapshot() metrics.Snapshot {
 	f.mu.Lock()
 	if !f.started || f.startErr != nil {

@@ -13,6 +13,84 @@ import (
 	"automdt/internal/workload"
 )
 
+// A Size-1 fleet is the single shared endpoint: every job lands on one
+// multi-session receiver, its gauges ride the scheduler snapshot
+// unlabeled, and a job naming its own DestDir is refused.
+func TestFleetSizeOneSharesOneReceiver(t *testing.T) {
+	fr := &FleetRunner{Size: 1, Verify: true}
+	defer fr.Close()
+	s, err := New(Config{
+		Budget:    [env.StageCount]int{8, 8, 8, 8},
+		MaxActive: 4,
+		Runner:    fr,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	const jobs = 4
+	ids := make([]int64, jobs)
+	for i := range ids {
+		id, err := s.Submit(JobSpec{
+			Name:     "tenant",
+			Manifest: workload.LargeFiles(2, 512<<10),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = id
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids {
+		st, err := s.Status(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != "done" {
+			t.Fatalf("job %d: state %s (%s)", id, st.State, st.Error)
+		}
+	}
+
+	// A job is done when its sender has the final Status; the endpoint
+	// counts the session only after that send, so wait for its
+	// bookkeeping rather than racing it.
+	want := []string{
+		`automdt_endpoint_sessions_total{event="completed"} 4`,
+		"automdt_endpoint_sessions_active 0",
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		text := s.Snapshot().Text()
+		if strings.Contains(text, want[0]) && strings.Contains(text, want[1]) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("scheduler snapshot never showed %q:\n%s", want, text)
+		}
+	}
+
+	// A DestDir job cannot target a shared endpoint.
+	id, err := s.Submit(JobSpec{
+		Name:     "bad",
+		Manifest: workload.LargeFiles(1, 64<<10),
+		DestDir:  t.TempDir(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.Wait(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != "failed" || !strings.Contains(st.Error, "DestDir") {
+		t.Fatalf("DestDir job against shared endpoint: state=%s err=%q", st.State, st.Error)
+	}
+}
+
 // TestFleetRunnerSpreadsSessions drives jobs through a 3-endpoint fleet
 // and asserts the control-plane surface: sessions complete, placement
 // gauges appear endpoint-labeled, and Status reports the membership.

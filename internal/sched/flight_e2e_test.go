@@ -86,7 +86,7 @@ func TestFlightEndToEnd(t *testing.T) {
 		return tr
 	}
 
-	trace := get(srv.URL + "/debug/flight")
+	trace := get(srv.URL + "/v1/debug/flight")
 	if !trace.Enabled {
 		t.Fatal("trace reports recorder disabled")
 	}
@@ -127,7 +127,7 @@ func TestFlightEndToEnd(t *testing.T) {
 
 	// Source filter: only arbiter events come back, and the source list
 	// still names every source.
-	arb := get(srv.URL + "/debug/flight?source=" + ArbiterSource)
+	arb := get(srv.URL + "/v1/debug/flight?source=" + ArbiterSource)
 	if len(arb.Events) == 0 {
 		t.Fatal("source filter returned nothing")
 	}
@@ -142,7 +142,7 @@ func TestFlightEndToEnd(t *testing.T) {
 
 	// Since filter cuts the head of the arbiter's sequence.
 	mid := arb.Events[len(arb.Events)/2].Seq
-	tail := get(fmt.Sprintf("%s/debug/flight?source=%s&since=%d", srv.URL, ArbiterSource, mid))
+	tail := get(fmt.Sprintf("%s/v1/debug/flight?source=%s&since=%d", srv.URL, ArbiterSource, mid))
 	if len(tail.Events) >= len(arb.Events) || len(tail.Events) == 0 {
 		t.Fatalf("since=%d returned %d of %d events", mid, len(tail.Events), len(arb.Events))
 	}
@@ -151,7 +151,7 @@ func TestFlightEndToEnd(t *testing.T) {
 	}
 
 	// A malformed since is a 400, not a silent full dump.
-	resp, err := http.Get(srv.URL + "/debug/flight?since=banana")
+	resp, err := http.Get(srv.URL + "/v1/debug/flight?since=banana")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestFlightEndToEnd(t *testing.T) {
 
 	// The scheduler metrics page carries the recorder gauges and the
 	// stage histograms the loopback run populated.
-	mresp, err := http.Get(srv.URL + "/metrics")
+	mresp, err := http.Get(srv.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"automdt/internal/flight"
@@ -59,10 +58,8 @@ func (r SubmitRequest) spec() (JobSpec, error) {
 	}, nil
 }
 
-// NewHandler exposes a Scheduler over HTTP. The stable, versioned
-// surface lives under /v1/ (see docs/OPERATIONS.md for the stability
-// contract); every route is also registered at its historical unprefixed
-// path as a deprecated alias so pre-v1 clients keep working:
+// NewHandler exposes a Scheduler over HTTP. Every route lives under
+// /v1/ (see docs/OPERATIONS.md for the stability contract):
 //
 //	POST   /v1/jobs             submit a SubmitRequest, returns the JobStatus
 //	GET    /v1/jobs             list all jobs
@@ -74,21 +71,10 @@ func (r SubmitRequest) spec() (JobSpec, error) {
 //	GET    /v1/metrics          text-format metrics snapshot
 //	GET    /v1/healthz          liveness probe
 //
-// GET /fleet answers 404 when the scheduler's runner is not a fleet
+// GET /v1/fleet answers 404 when the scheduler's runner is not a fleet
 // (e.g. the per-job loopback runner).
 func NewHandler(s *Scheduler) http.Handler {
 	mux := http.NewServeMux()
-
-	// handle registers one route under /v1/ and at the legacy unprefixed
-	// path. pattern is "METHOD /path".
-	handle := func(pattern string, h http.HandlerFunc) {
-		method, path, ok := strings.Cut(pattern, " ")
-		if !ok {
-			panic("sched: bad route pattern " + pattern)
-		}
-		mux.HandleFunc(method+" /v1"+path, h)
-		mux.HandleFunc(pattern, h)
-	}
 
 	writeJSON := func(w http.ResponseWriter, code int, v any) {
 		w.Header().Set("Content-Type", "application/json")
@@ -123,7 +109,7 @@ func NewHandler(s *Scheduler) http.Handler {
 		writeJSON(w, http.StatusOK, st)
 	}
 
-	handle("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		// A submit body is a small JSON document; bound it so no client
 		// can stream the daemon out of memory.
 		r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
@@ -149,10 +135,10 @@ func NewHandler(s *Scheduler) http.Handler {
 		st, _ := s.Status(id)
 		writeJSON(w, http.StatusCreated, st)
 	})
-	handle("GET /jobs", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.List())
 	})
-	handle("GET /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		id, ok := jobID(w, r)
 		if !ok {
 			return
@@ -164,9 +150,9 @@ func NewHandler(s *Scheduler) http.Handler {
 		}
 		writeJSON(w, http.StatusOK, st)
 	})
-	handle("POST /jobs/{id}/cancel", cancel)
-	handle("DELETE /jobs/{id}", cancel)
-	handle("GET /fleet", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/jobs/{id}/cancel", cancel)
+	mux.HandleFunc("DELETE /v1/jobs/{id}", cancel)
+	mux.HandleFunc("GET /v1/fleet", func(w http.ResponseWriter, r *http.Request) {
 		type fleetStatuser interface{ Status() FleetStatus }
 		fs, ok := s.Runner().(fleetStatuser)
 		if !ok {
@@ -175,7 +161,7 @@ func NewHandler(s *Scheduler) http.Handler {
 		}
 		writeJSON(w, http.StatusOK, fs.Status())
 	})
-	handle("GET /debug/flight", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/debug/flight", func(w http.ResponseWriter, r *http.Request) {
 		var since uint64
 		if v := r.URL.Query().Get("since"); v != "" {
 			n, err := strconv.ParseUint(v, 10, 64)
@@ -187,12 +173,12 @@ func NewHandler(s *Scheduler) http.Handler {
 		}
 		writeJSON(w, http.StatusOK, flight.Default().DumpFile(r.URL.Query().Get("source"), since))
 	})
-	handle("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, r *http.Request) {
 		snap := s.Snapshot()
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		w.Write([]byte(snap.Text()))
 	})
-	handle("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte("ok\n"))
 	})
 	return mux

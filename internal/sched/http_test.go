@@ -64,7 +64,7 @@ func TestHTTPSubmitStatusMetrics(t *testing.T) {
 		Dataset:         dataset(2, 256<<10),
 		ProbeIntervalMs: 10,
 	}
-	resp := postJSON(t, srv.URL+"/jobs", req)
+	resp := postJSON(t, srv.URL+"/v1/jobs", req)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("submit status = %d", resp.StatusCode)
 	}
@@ -77,14 +77,14 @@ func TestHTTPSubmitStatusMetrics(t *testing.T) {
 	}
 
 	waitFor(t, "job done via API", func() bool {
-		r, err := http.Get(fmt.Sprintf("%s/jobs/%d", srv.URL, st.ID))
+		r, err := http.Get(fmt.Sprintf("%s/v1/jobs/%d", srv.URL, st.ID))
 		if err != nil {
 			return false
 		}
 		return decodeStatus(t, r).State == "done"
 	})
 
-	r, err := http.Get(srv.URL + "/jobs")
+	r, err := http.Get(srv.URL + "/v1/jobs")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestHTTPSubmitStatusMetrics(t *testing.T) {
 		t.Fatalf("list = %+v", list)
 	}
 
-	r, err = http.Get(srv.URL + "/metrics")
+	r, err = http.Get(srv.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,10 +131,10 @@ func TestHTTPCancel(t *testing.T) {
 	s, srv := newTestServer(t, Config{Budget: [env.StageCount]int{2, 2, 2, 2}, Runner: runner})
 	defer close(block)
 
-	st := decodeStatus(t, postJSON(t, srv.URL+"/jobs", SubmitRequest{
+	st := decodeStatus(t, postJSON(t, srv.URL+"/v1/jobs", SubmitRequest{
 		Name: "doomed", Dataset: dataset(1, 1024),
 	}))
-	resp := postJSON(t, fmt.Sprintf("%s/jobs/%d/cancel", srv.URL, st.ID), nil)
+	resp := postJSON(t, fmt.Sprintf("%s/v1/jobs/%d/cancel", srv.URL, st.ID), nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cancel status = %d", resp.StatusCode)
 	}
@@ -149,7 +149,7 @@ func TestHTTPCancel(t *testing.T) {
 		t.Fatalf("state = %s, want cancelled", got.State)
 	}
 	// Cancelling again conflicts.
-	resp = postJSON(t, fmt.Sprintf("%s/jobs/%d/cancel", srv.URL, st.ID), nil)
+	resp = postJSON(t, fmt.Sprintf("%s/v1/jobs/%d/cancel", srv.URL, st.ID), nil)
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("second cancel status = %d, want 409", resp.StatusCode)
 	}
@@ -160,7 +160,7 @@ func TestHTTPErrors(t *testing.T) {
 	_, srv := newTestServer(t, Config{Budget: [env.StageCount]int{1, 1, 1, 1}})
 
 	// Unknown job.
-	r, err := http.Get(srv.URL + "/jobs/99")
+	r, err := http.Get(srv.URL + "/v1/jobs/99")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,14 +170,14 @@ func TestHTTPErrors(t *testing.T) {
 	r.Body.Close()
 
 	// Bad dataset.
-	resp := postJSON(t, srv.URL+"/jobs", SubmitRequest{Name: "bad"})
+	resp := postJSON(t, srv.URL+"/v1/jobs", SubmitRequest{Name: "bad"})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad dataset status = %d", resp.StatusCode)
 	}
 	resp.Body.Close()
 
 	// Malformed id.
-	r, err = http.Get(srv.URL + "/jobs/banana")
+	r, err = http.Get(srv.URL + "/v1/jobs/banana")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestHTTPErrors(t *testing.T) {
 	r.Body.Close()
 
 	// Health.
-	r, err = http.Get(srv.URL + "/healthz")
+	r, err = http.Get(srv.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,9 +197,8 @@ func TestHTTPErrors(t *testing.T) {
 	r.Body.Close()
 }
 
-// TestV1RouteAliases checks the versioned API surface: every route is
-// reachable under /v1/ and at its legacy unprefixed path, and both
-// spellings hit the same scheduler.
+// TestV1RouteAliases checks that /v1/ is the only API surface: every
+// route answers there, and no route has an unprefixed alias.
 func TestV1RouteAliases(t *testing.T) {
 	_, srv := newTestServer(t, Config{Budget: [env.StageCount]int{8, 8, 8, 8}})
 
@@ -214,29 +213,24 @@ func TestV1RouteAliases(t *testing.T) {
 	}
 	st := decodeStatus(t, resp)
 
-	// Read it back through both spellings; they must agree on identity.
-	for _, path := range []string{
-		fmt.Sprintf("/v1/jobs/%d", st.ID),
-		fmt.Sprintf("/jobs/%d", st.ID),
-	} {
-		r, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := decodeStatus(t, r)
-		if got.ID != st.ID || got.Name != "v1-job" {
-			t.Fatalf("GET %s returned %+v", path, got)
+	job := fmt.Sprintf("/jobs/%d", st.ID)
+	for _, path := range []string{"/healthz", "/metrics", "/jobs", job, "/debug/flight"} {
+		for prefix, want := range map[string]int{"/v1": http.StatusOK, "": http.StatusNotFound} {
+			r, err := http.Get(srv.URL + prefix + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Body.Close()
+			if r.StatusCode != want {
+				t.Fatalf("GET %s status %d, want %d", prefix+path, r.StatusCode, want)
+			}
 		}
 	}
-
-	for _, path := range []string{"/v1/healthz", "/v1/metrics", "/v1/jobs", "/v1/debug/flight"} {
-		r, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, path := range []string{"/jobs", job + "/cancel"} {
+		r := postJSON(t, srv.URL+path, SubmitRequest{Name: "unprefixed", Dataset: dataset(1, 1<<20)})
 		r.Body.Close()
-		if r.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s status %d", path, r.StatusCode)
+		if r.StatusCode != http.StatusNotFound {
+			t.Fatalf("POST %s status %d, want 404", path, r.StatusCode)
 		}
 	}
 
@@ -284,16 +278,14 @@ func TestHTTPFleetStatus(t *testing.T) {
 		}
 	}
 
-	// A non-fleet runner answers 404, on both route spellings.
+	// A non-fleet runner answers 404.
 	_, plain := newTestServer(t, Config{Budget: [env.StageCount]int{8, 8, 8, 8}})
-	for _, path := range []string{"/v1/fleet", "/fleet"} {
-		r, err := http.Get(plain.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Body.Close()
-		if r.StatusCode != http.StatusNotFound {
-			t.Fatalf("GET %s on non-fleet runner: status %d, want 404", path, r.StatusCode)
-		}
+	r, err := http.Get(plain.URL + "/v1/fleet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Body.Close()
+	if r.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /v1/fleet on non-fleet runner: status %d, want 404", r.StatusCode)
 	}
 }

@@ -800,8 +800,8 @@ func (s *Scheduler) Snapshot() metrics.Snapshot {
 	snap.Merge(s.arena.Snapshot())
 	snap.Merge(metrics.ResumeSnapshot())
 	snap.Merge(flight.Default().MetricsSnapshot())
-	// A runner that fronts shared infrastructure (the EndpointRunner's
-	// multi-session receiver) exports its own gauges.
+	// A runner that fronts shared infrastructure (the FleetRunner's
+	// multi-session receivers) exports its own gauges.
 	if rs, ok := s.cfg.Runner.(interface{ Snapshot() metrics.Snapshot }); ok {
 		snap.Merge(rs.Snapshot())
 	}

@@ -90,8 +90,7 @@ type Config struct {
 	// sender stripes its chunks across (the controller's conns dimension;
 	// each connection carries InitialThreads network streams at start). A
 	// controller resizes it every probe interval like the thread pools.
-	// Default 1 — the legacy single-socket data plane. Peers below
-	// protocol 2 force one connection regardless.
+	// Default 1.
 	Conns int
 	// SessionID names a resumable session. When set, the receiver
 	// persists a chunk ledger through the destination store (if it

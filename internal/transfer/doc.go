@@ -27,11 +27,10 @@
 // and re-verifies by read-back before trusting after a restart.
 // Persistence is incremental: a probe tick appends only the chunk
 // commits and invalidations since the last tick to an fsync'd
-// append-only journal (schema 2, O(delta) per tick), periodically
-// compacted into a fresh binary snapshot; schema-1 JSON documents are
-// still read and migrate in place on the first save. Stale ledgers are
-// expired by age when an endpoint starts serving (Config.LedgerTTL).
+// append-only journal (O(delta) per tick), periodically compacted into
+// a fresh binary snapshot. Stale ledgers are expired by age when an
+// endpoint starts serving (Config.LedgerTTL).
 //
 // See docs/ARCHITECTURE.md for the subsystem map and data-path diagram,
-// and docs/PROTOCOL.md for the wire formats and the ledger schemas.
+// and docs/PROTOCOL.md for the wire formats and the ledger schema.
 package transfer

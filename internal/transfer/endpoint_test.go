@@ -37,8 +37,7 @@ func gauge(t *testing.T, snap metrics.Snapshot, name, labelValue string) float64
 }
 
 // The tentpole acceptance test: one Receiver.Serve endpoint completes
-// nine concurrent sessions from distinct senders — eight protocol-2
-// peers plus one forced protocol-1 legacy peer — while one session is
+// nine concurrent sessions from distinct senders while one session is
 // killed mid-run and resumed against the same endpoint. Sibling sessions
 // must complete unperturbed and per-session ledgers must never
 // cross-contaminate.
@@ -65,7 +64,6 @@ func TestEndpointServesConcurrentSessions(t *testing.T) {
 
 	const peers = 9
 	const killed = 0 // session killed mid-run and resumed
-	const legacy = 1 // forced protocol-1 peer
 	session := func(i int) string { return fmt.Sprintf("sess-%02d", i) }
 	manifests := make([]workload.Manifest, peers)
 	for i := range manifests {
@@ -113,9 +111,6 @@ func TestEndpointServesConcurrentSessions(t *testing.T) {
 				ctx = killCtx
 			}
 			send := &Sender{Cfg: scfg, Store: fsim.NewSyntheticStore(), Manifest: manifests[i]}
-			if i == legacy {
-				send.forceProto = 1
-			}
 			runCtx, cancel := context.WithTimeout(ctx, 60*time.Second)
 			defer cancel()
 			_, errs[i] = send.Run(runCtx, recv.DataAddr(), recv.CtrlAddr())
@@ -157,13 +152,6 @@ func TestEndpointServesConcurrentSessions(t *testing.T) {
 		}
 		if r.Err != nil {
 			t.Fatalf("receiver failed sibling %s: %v", r.SessionID, r.Err)
-		}
-		want := wire.ProtoVersion
-		if i == legacy {
-			want = 1
-		}
-		if r.Proto != want {
-			t.Fatalf("session %s negotiated protocol %d, want %d", r.SessionID, r.Proto, want)
 		}
 	}
 
@@ -311,10 +299,10 @@ func TestEndpointAdmissionCap(t *testing.T) {
 	}
 }
 
-// Pre-v2 peers send no data preamble, so their connections are
-// indistinguishable: the endpoint serves exactly one at a time and
-// rejects a second with a clear error.
-func TestEndpointSingleLegacySlot(t *testing.T) {
+// There is one protocol generation: a Hello announcing any other is
+// answered with an errored Status naming both versions, counted as
+// rejected, and registers nothing.
+func TestEndpointRefusesOtherGenerations(t *testing.T) {
 	recv := NewReceiver(testConfig(), fsim.NewSyntheticStore())
 	if err := recv.Listen("127.0.0.1:0", "127.0.0.1:0"); err != nil {
 		t.Fatal(err)
@@ -323,20 +311,29 @@ func TestEndpointSingleLegacySlot(t *testing.T) {
 	defer cancel()
 	go recv.Serve(ctx)
 
-	hello := wire.Hello{
-		Files:        []wire.FileInfo{{Name: "pin.dat", Size: 1 << 20}},
-		ChunkBytes:   64 << 10,
-		ProtoVersion: 1,
+	others := []int{0, 1, 2, wire.ProtoVersion + 1}
+	for _, v := range others {
+		c := helloConn(t, recv.CtrlAddr(), wire.Hello{
+			Files:        []wire.FileInfo{{Name: "pin.dat", Size: 1 << 20}},
+			ChunkBytes:   64 << 10,
+			ProtoVersion: v,
+		})
+		m := recvReply(t, c)
+		c.Close()
+		want := fmt.Sprintf("sender speaks protocol %d, this endpoint speaks protocol %d only", v, wire.ProtoVersion)
+		if m.Status == nil || !strings.Contains(m.Status.Error, want) {
+			t.Fatalf("Hello with protocol %d: reply %+v, want an error saying %q", v, m, want)
+		}
 	}
-	first := helloConn(t, recv.CtrlAddr(), hello)
-	defer first.Close()
-	if m := recvReply(t, first); m.Welcome == nil {
-		t.Fatalf("first legacy session rejected: %+v", m)
+	snap := recv.MetricsSnapshot()
+	if got := gauge(t, snap, "automdt_endpoint_sessions_total", "rejected"); got != float64(len(others)) {
+		t.Fatalf("rejected gauge %v, want %d", got, len(others))
 	}
-	second := helloConn(t, recv.CtrlAddr(), hello)
-	defer second.Close()
-	if m := recvReply(t, second); m.Status == nil || !strings.Contains(m.Status.Error, "pre-v2") {
-		t.Fatalf("second legacy session not rejected: %+v", m)
+	if got := gauge(t, snap, "automdt_endpoint_sessions_active", ""); got != 0 {
+		t.Fatalf("%v sessions active after refusals, want 0", got)
+	}
+	if got := gauge(t, snap, "automdt_endpoint_sessions_total", "admitted"); got != 0 {
+		t.Fatalf("%v sessions admitted, want 0", got)
 	}
 }
 
@@ -457,33 +454,134 @@ func TestEndpointRetryBusyAfterBound(t *testing.T) {
 	}
 }
 
-// A data connection carrying an unknown routing token must be closed
-// without admitting a single frame.
+// A data connection that does not open with the preamble magic and a
+// live token never reaches a session: an unknown token and a bare frame
+// stream (what a pre-preamble peer would send) are closed at once, and
+// one that stalls mid-preamble is closed by shutdown instead of hanging
+// it. None of their bytes land in the live session's staging.
 func TestEndpointRejectsUnknownToken(t *testing.T) {
 	recv := NewReceiver(testConfig(), fsim.NewSyntheticStore())
 	if err := recv.Listen("127.0.0.1:0", "127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	go recv.Serve(ctx)
+	served := make(chan error, 1)
+	go func() { served <- recv.Serve(ctx) }()
 
-	conn, err := net.Dial("tcp", recv.DataAddr())
-	if err != nil {
+	// One live session the strays could be mis-routed into.
+	live := helloConn(t, recv.CtrlAddr(), wire.Hello{
+		Files:        []wire.FileInfo{{Name: "live.dat", Size: 1 << 20}},
+		ChunkBytes:   64 << 10,
+		ProtoVersion: wire.ProtoVersion,
+		SessionID:    "live",
+	})
+	defer live.Close()
+	if m := recvReply(t, live); m.Welcome == nil {
+		t.Fatalf("live session rejected: %+v", m)
+	}
+	recv.mu.Lock()
+	sess := recv.byID["live"]
+	recv.mu.Unlock()
+
+	dial := func() net.Conn {
+		conn, err := net.Dial("tcp", recv.DataAddr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		return conn
+	}
+	// closed reports whether the endpoint hung up (EOF or reset — not the
+	// read deadline).
+	closed := func(conn net.Conn) bool {
+		_, err := conn.Read(make([]byte, 1))
+		var ne net.Error
+		return err != nil && !(errors.As(err, &ne) && ne.Timeout())
+	}
+
+	unknown := dial()
+	defer unknown.Close()
+	if err := wire.WriteDataPreamble(unknown, wire.NewDataToken()); err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	if err := wire.WriteDataPreamble(conn, wire.NewDataToken()); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	if _, err := conn.Read(make([]byte, 1)); err == nil {
+	if !closed(unknown) {
 		t.Fatal("endpoint kept a connection with an unknown token open")
+	}
+
+	bare := dial()
+	defer bare.Close()
+	if err := wire.WriteFrame(bare, wire.Frame{FileID: 0, Offset: 0, Data: make([]byte, 16)}); err != nil {
+		t.Fatal(err)
+	}
+	if !closed(bare) {
+		t.Fatal("endpoint kept an un-preambled frame stream open")
+	}
+
+	stalled := dial()
+	defer stalled.Close()
+	if _, err := stalled.Write(wire.PreambleMagic[:3]); err != nil {
+		t.Fatal(err)
+	}
+
+	if used := sess.staging.Used(); used != 0 {
+		t.Fatalf("%d stray bytes reached the live session's staging", used)
+	}
+	cancel()
+	select {
+	case <-served:
+	case <-time.After(10 * time.Second):
+		t.Fatal("shutdown hung on a data connection stalled mid-preamble")
+	}
+	if !closed(stalled) {
+		t.Fatal("shutdown left the stalled connection open")
 	}
 }
 
-// Stale session ledgers — in both the per-session-directory and the
-// legacy flat layout — are expired when the endpoint starts serving;
+// The sender refuses a Welcome from another generation, or one without a
+// data token, with an error that says which.
+func TestSenderRefusesBadWelcome(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		welcome wire.Welcome
+		want    string
+	}{
+		{"other generation", wire.Welcome{ProtoVersion: 2, DataToken: wire.NewDataToken()},
+			fmt.Sprintf("receiver speaks protocol 2, this sender speaks protocol %d only", wire.ProtoVersion)},
+		{"no data token", wire.Welcome{ProtoVersion: wire.ProtoVersion}, "no data token"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			go func() {
+				raw, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				c := wire.NewConn(raw)
+				defer c.Close()
+				if m, err := c.Recv(); err != nil || m.Hello == nil {
+					return
+				}
+				c.Send(wire.Message{Welcome: &tc.welcome})
+				c.Recv() // hold the channel until the sender hangs up
+			}()
+			send := &Sender{Cfg: testConfig(), Store: fsim.NewSyntheticStore(), Manifest: workload.LargeFiles(1, 64<<10)}
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			// The data address is never dialled: the handshake fails first.
+			_, err = send.Run(ctx, ln.Addr().String(), ln.Addr().String())
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Run error %v, want one saying %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// Stale session ledgers are expired when the endpoint starts serving;
 // fresh ledgers survive.
 func TestEndpointExpiresStaleLedgers(t *testing.T) {
 	dir := t.TempDir()
@@ -492,20 +590,13 @@ func TestEndpointExpiresStaleLedgers(t *testing.T) {
 		t.Fatal(err)
 	}
 	old := time.Now().Add(-60 * 24 * time.Hour)
-	if err := dst.SaveLedger("stale-dir", []byte(`{}`)); err != nil {
+	if err := dst.SaveLedger("stale", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Chtimes(filepath.Join(dir, ".automdt", "stale-dir", "ledger.json"), old, old); err != nil {
+	if err := os.Chtimes(filepath.Join(dir, ".automdt", "stale", "ledger.bin"), old, old); err != nil {
 		t.Fatal(err)
 	}
-	flat := filepath.Join(dir, ".automdt", "stale-flat.ledger")
-	if err := os.WriteFile(flat, []byte(`{}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Chtimes(flat, old, old); err != nil {
-		t.Fatal(err)
-	}
-	if err := dst.SaveLedger("fresh", []byte(`{}`)); err != nil {
+	if err := dst.SaveLedger("fresh", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -517,16 +608,13 @@ func TestEndpointExpiresStaleLedgers(t *testing.T) {
 	cancel() // GC runs before the accept loop; the endpoint exits at once
 	recv.Serve(ctx)
 
-	if _, err := dst.LoadLedger("stale-dir"); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("stale per-session ledger survived GC (err=%v)", err)
-	}
-	if _, err := dst.LoadLedger("stale-flat"); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("stale flat-layout ledger survived GC (err=%v)", err)
+	if _, err := dst.LoadLedger("stale"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("stale ledger survived GC (err=%v)", err)
 	}
 	if _, err := dst.LoadLedger("fresh"); err != nil {
 		t.Fatalf("fresh ledger expired: %v", err)
 	}
-	if got := gauge(t, recv.MetricsSnapshot(), "automdt_endpoint_ledgers_expired_total", ""); got != 2 {
-		t.Fatalf("expired gauge %v, want 2", got)
+	if got := gauge(t, recv.MetricsSnapshot(), "automdt_endpoint_ledgers_expired_total", ""); got != 1 {
+		t.Fatalf("expired gauge %v, want 1", got)
 	}
 }

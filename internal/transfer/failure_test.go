@@ -148,17 +148,25 @@ func TestReceiverRejectsUnknownFileID(t *testing.T) {
 	ctrl := wire.NewConn(ctrlRaw)
 	defer ctrl.Close()
 	if err := ctrl.Send(wire.Message{Hello: &wire.Hello{
-		Files:      []wire.FileInfo{{Name: "only", Size: 1 << 20}},
-		ChunkBytes: 64 << 10,
-		MaxWriters: 4,
+		Files:        []wire.FileInfo{{Name: "only", Size: 1 << 20}},
+		ChunkBytes:   64 << 10,
+		MaxWriters:   4,
+		ProtoVersion: wire.ProtoVersion,
 	}}); err != nil {
 		t.Fatal(err)
+	}
+	welcome := recvReply(t, ctrl).Welcome
+	if welcome == nil {
+		t.Fatal("session rejected")
 	}
 	data, err := net.Dial("tcp", recv.DataAddr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer data.Close()
+	if err := wire.WriteDataPreamble(data, welcome.DataToken); err != nil {
+		t.Fatal(err)
+	}
 	if err := wire.WriteFrame(data, wire.Frame{FileID: 99, Offset: 0, Data: make([]byte, 16)}); err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,6 @@ package transfer
 import (
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math/bits"
@@ -15,12 +13,6 @@ import (
 	"automdt/internal/wire"
 	"automdt/internal/workload"
 )
-
-// ledgerSchema is the JSON (v1) ledger document schema. Schema 2 is the
-// binary snapshot + append-only journal encoding in ledgerv2.go;
-// DecodeLedger sniffs which one it was handed, so a receiver reads both
-// and discards anything else rather than guessing.
-const ledgerSchema = 1
 
 // Ledger is a session's chunk ledger: per file, a bitmap of chunk ranges
 // committed to the destination store, plus (when the session runs with
@@ -48,7 +40,7 @@ type Ledger struct {
 	// order, so a persist tick can journal just the delta instead of
 	// re-serializing the whole document.
 	pending []ledgerOp
-	// gen identifies the most recent v2 snapshot encoding of this ledger;
+	// gen identifies the most recent snapshot encoding of this ledger;
 	// journal records are only replayed over the snapshot they extend.
 	gen uint64
 }
@@ -358,88 +350,10 @@ func (l *Ledger) CommittedChunks() int64 {
 	return n
 }
 
-// ledgerDoc is the persisted JSON shape.
-type ledgerDoc struct {
-	Schema     int           `json:"schema"`
-	Session    string        `json:"session"`
-	ChunkBytes int           `json:"chunk_bytes"`
-	HasSums    bool          `json:"has_sums"`
-	Files      []ledgerEntry `json:"files"`
-}
-
-type ledgerEntry struct {
-	Name   string   `json:"name"`
-	Size   int64    `json:"size"`
-	Bitmap []uint64 `json:"bitmap,omitempty"`
-	Sums   []uint32 `json:"sums,omitempty"`
-}
-
-// Encode serializes the ledger for an fsim.LedgerStore.
-func (l *Ledger) Encode() ([]byte, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	doc := ledgerDoc{
-		Schema:     ledgerSchema,
-		Session:    l.SessionID,
-		ChunkBytes: l.ChunkBytes,
-		HasSums:    l.HasSums,
-		Files:      make([]ledgerEntry, len(l.Files)),
-	}
-	for i, f := range l.Files {
-		doc.Files[i] = ledgerEntry{Name: f.Name, Size: f.Size, Bitmap: f.Bitmap, Sums: f.Sums}
-	}
-	return json.Marshal(doc)
-}
-
-// DecodeLedger parses a persisted ledger document — sniffing the
-// schema, so both the JSON v1 document and the binary v2 snapshot load
-// — recomputing committed byte counts from the bitmaps.
-func DecodeLedger(data []byte) (*Ledger, error) {
-	if LedgerSchema(data) == 2 {
-		return decodeLedgerV2(data)
-	}
-	var doc ledgerDoc
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return nil, fmt.Errorf("transfer: decode ledger: %w", err)
-	}
-	if doc.Schema != ledgerSchema {
-		return nil, fmt.Errorf("transfer: ledger schema %d (want %d)", doc.Schema, ledgerSchema)
-	}
-	if doc.ChunkBytes <= 0 {
-		return nil, errors.New("transfer: ledger has no chunk size")
-	}
-	l := &Ledger{
-		SessionID:  doc.Session,
-		ChunkBytes: doc.ChunkBytes,
-		HasSums:    doc.HasSums,
-		Files:      make([]*FileLedger, len(doc.Files)),
-	}
-	for i, e := range doc.Files {
-		f := &FileLedger{Name: e.Name, Size: e.Size, Bitmap: e.Bitmap, Sums: e.Sums}
-		n := l.chunks(f.Size)
-		if f.Bitmap != nil {
-			if len(f.Bitmap) != (n+63)/64 || (doc.HasSums && len(f.Sums) != n) {
-				return nil, fmt.Errorf("transfer: ledger file %q has inconsistent geometry", e.Name)
-			}
-			if rem := n % 64; rem != 0 {
-				f.Bitmap[len(f.Bitmap)-1] &= (1 << rem) - 1
-			}
-			for c := 0; c < n; c++ {
-				if bitSet(f.Bitmap, c) {
-					f.Committed += l.chunkLen(f.Size, c)
-				}
-			}
-		}
-		l.Files[i] = f
-		l.committed += f.Committed
-	}
-	return l, nil
-}
-
 // AppendSince drains the mutations recorded since the last call,
-// encoded as v2 journal records ready to append to the session journal
+// encoded as journal records ready to append to the session journal
 // (persist-on-tick support). It returns nil when nothing changed. The
-// records extend the ledger's most recent v2 snapshot; replaying them
+// records extend the ledger's most recent snapshot; replaying them
 // over that snapshot — or over any later one, since re-applying an
 // in-order prefix is idempotent — reproduces the live state.
 //

@@ -16,10 +16,11 @@ func fuzzManifest() workload.Manifest {
 	}
 }
 
-// FuzzLedgerV2Decode feeds arbitrary bytes to the schema-sniffing
-// ledger decoder: corrupt or truncated snapshots (either schema) must
-// error — never panic, never over-allocate — and anything accepted must
-// survive a v2 re-encode/re-decode byte-for-byte in observable state.
+// FuzzLedgerV2Decode feeds arbitrary bytes to the ledger decoder:
+// corrupt or truncated snapshots, and anything that is not a snapshot
+// at all (the JSON seed is what pre-floor builds persisted), must error
+// — never panic, never over-allocate — and anything accepted must
+// survive a re-encode/re-decode byte-for-byte in observable state.
 func FuzzLedgerV2Decode(f *testing.F) {
 	m := fuzzManifest()
 	empty := NewLedger("fz-empty", 64<<10, m, true)
@@ -32,9 +33,11 @@ func FuzzLedgerV2Decode(f *testing.F) {
 	nosums := NewLedger("fz-nosums", 64<<10, m, false)
 	nosums.Commit(1, 0, 64<<10, 0)
 	f.Add(nosums.EncodeV2())
-	if v1, err := part.Encode(); err == nil {
-		f.Add(v1)
+	jsonDoc := []byte(`{"schema":1,"session":"fz-part","chunk_bytes":65536,"has_sums":true,"files":[{"name":"f1.bin","size":65536,"bitmap":[1],"sums":[13107]}]}`)
+	if _, err := DecodeLedger(jsonDoc); err == nil {
+		f.Fatal("a JSON document decoded as a ledger snapshot")
 	}
+	f.Add(jsonDoc)
 	full := part.EncodeV2()
 	f.Add(full[:len(full)/2])
 	f.Add(full[:len(full)-1])

@@ -10,9 +10,8 @@ import (
 
 // TestLedgerPersistReloadProperty drives a ledger through long random
 // sequences of Commit / Invalidate / InvalidateFile, interleaved with
-// persistence round trips through every supported encoding — the v1
-// JSON document, the v2 binary snapshot, and the v2 snapshot + journal
-// pair maintained exactly the way the receiver's persister maintains it
+// persistence round trips through the binary snapshot and through the
+// snapshot + journal pair maintained exactly the way the receiver's persister maintains it
 // (delta appends per tick, occasional compaction) — and demands each
 // reload reproduce the in-memory ledger exactly: bitmaps, per-chunk
 // CRCs, per-file committed bytes, and the running totals.
@@ -37,28 +36,18 @@ func TestLedgerPersistReloadProperty(t *testing.T) {
 
 				reloadAll := func(step int) {
 					t.Helper()
-					// v1 document.
-					v1, err := live.Encode()
-					if err != nil {
-						t.Fatalf("step %d: %v", step, err)
-					}
-					got1, err := DecodeLedger(v1)
-					if err != nil {
-						t.Fatalf("step %d: v1 decode: %v", step, err)
-					}
-					assertLedgersEqual(t, live, got1)
-					// v2 snapshot. EncodeV2 rotates the generation, so
+					// Snapshot. EncodeV2 rotates the generation, so
 					// re-pair the journal header with the *persisted*
 					// snapshot, not this probe — decode the probe only.
 					got2, err := DecodeLedger(live.EncodeV2())
 					if err != nil {
-						t.Fatalf("step %d: v2 decode: %v", step, err)
+						t.Fatalf("step %d: snapshot decode: %v", step, err)
 					}
 					assertLedgersEqual(t, live, got2)
-					// v2 snapshot + journal replay.
+					// Snapshot + journal replay.
 					got3, err := DecodeLedger(snapshot)
 					if err != nil {
-						t.Fatalf("step %d: snapshot decode: %v", step, err)
+						t.Fatalf("step %d: persisted snapshot decode: %v", step, err)
 					}
 					got3.ReplayJournal(journal)
 					got3.AppendSince() // replay re-records; discard like compaction

@@ -60,11 +60,7 @@ func TestLedgerEncodeDecodeRoundTrip(t *testing.T) {
 	l.Commit(0, 64<<10, 64<<10, 0x11)
 	l.Commit(0, 256<<10, 17, 0x22)
 	l.Commit(1, 0, 64<<10, 0x33)
-	data, err := l.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeLedger(data)
+	got, err := DecodeLedger(l.EncodeV2())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +84,8 @@ func TestLedgerEncodeDecodeRoundTrip(t *testing.T) {
 	if err := got.Matches(m2, 64<<10); err == nil {
 		t.Fatal("size mismatch accepted")
 	}
-	if _, err := DecodeLedger([]byte(`{"schema":99}`)); err == nil || !strings.Contains(err.Error(), "schema") {
-		t.Fatalf("bad schema accepted: %v", err)
+	if _, err := DecodeLedger([]byte(`{"schema":1,"session":"s1","chunk_bytes":65536,"files":[]}`)); err == nil || !strings.Contains(err.Error(), "not a ledger snapshot") {
+		t.Fatalf("JSON document accepted as a snapshot: %v", err)
 	}
 }
 

@@ -12,16 +12,15 @@ import (
 	"automdt/internal/wire"
 )
 
-// Ledger schema 2 is the binary snapshot + append-only journal encoding
-// that replaces full-document JSON rewrites for large sessions (the
-// paper's 1000×1 GB / 4M-chunk scenario). A probe tick appends only the
-// commits and invalidations since the last tick (Ledger.AppendSince);
-// the snapshot is rewritten only at compaction. The two files are
-// paired by a random generation id: a journal is replayed only over the
-// snapshot carrying the same generation, so a crash anywhere between a
-// compaction's snapshot rename and its journal truncate can never
-// resurrect state the snapshot already folded in or apply records to
-// the wrong base.
+// The persisted ledger is a binary snapshot plus an append-only journal,
+// sized for large sessions (the paper's 1000×1 GB / 4M-chunk scenario):
+// a probe tick appends only the commits and invalidations since the last
+// tick (Ledger.AppendSince); the snapshot is rewritten only at
+// compaction. The two files are paired by a random generation id: a
+// journal is replayed only over the snapshot carrying the same
+// generation, so a crash anywhere between a compaction's snapshot rename
+// and its journal truncate can never resurrect state the snapshot
+// already folded in or apply records to the wrong base.
 //
 // Snapshot layout (integers big-endian, uvarints per encoding/binary):
 //
@@ -50,11 +49,11 @@ import (
 // A torn or corrupt record fails its CRC and truncates replay at the
 // last valid record — later bytes are never trusted.
 
-// ledgerMagicV2 opens a schema-2 snapshot; the first byte is ≥ 0x80 so
-// no JSON document (or file name) can collide with it.
+// ledgerMagicV2 opens a snapshot; the first byte is ≥ 0x80 so no text
+// document (or file name) can collide with it.
 var ledgerMagicV2 = [4]byte{0xAD, 'L', 'S', '2'}
 
-// journalMagic opens a schema-2 journal.
+// journalMagic opens a journal.
 var journalMagic = [4]byte{0xAD, 'L', 'J', '2'}
 
 // journalHeaderLen is the journal's fixed header: magic + generation.
@@ -69,18 +68,6 @@ const (
 // 5-byte uvarints, and the 4-byte sum and record CRC.
 const journalRecordMax = 1 + 3*5 + 4 + 4
 
-// LedgerSchema reports which persisted ledger schema data carries: 2
-// for a binary snapshot, 1 for a JSON document, 0 for neither.
-func LedgerSchema(data []byte) int {
-	if len(data) >= 4 && [4]byte(data[0:4]) == ledgerMagicV2 {
-		return 2
-	}
-	if len(data) > 0 && data[0] == '{' {
-		return 1
-	}
-	return 0
-}
-
 // newGen returns a fresh random snapshot generation id.
 func newGen() uint64 {
 	var b [8]byte
@@ -90,7 +77,7 @@ func newGen() uint64 {
 	return binary.BigEndian.Uint64(b[:])
 }
 
-// EncodeV2 serializes the ledger as a schema-2 binary snapshot under a
+// EncodeV2 serializes the ledger as a binary snapshot under a
 // fresh generation id. Journal records appended after this call (via
 // JournalHeader + AppendSince) extend this snapshot; any journal
 // carrying an older generation is dead the moment the snapshot lands.
@@ -219,20 +206,20 @@ func (c *cursor) uvarint() uint64 {
 
 func (c *cursor) remaining() int { return len(c.data) - c.off }
 
-// decodeLedgerV2 parses a schema-2 snapshot, recomputing committed byte
-// counts from the bitmaps exactly like the JSON decoder. The trailing
-// whole-document CRC is verified first, so a corrupt snapshot errors
-// before any of its content is trusted.
-func decodeLedgerV2(data []byte) (*Ledger, error) {
-	if len(data) < 4+1+8+4 {
-		return nil, errors.New("transfer: ledger snapshot too short")
+// DecodeLedger parses a persisted snapshot, recomputing committed byte
+// counts from the bitmaps. Anything that does not open with the snapshot
+// magic is refused, and the trailing whole-document CRC is verified
+// before any content is trusted.
+func DecodeLedger(data []byte) (*Ledger, error) {
+	if len(data) < 4+1+8+4 || [4]byte(data[:4]) != ledgerMagicV2 {
+		return nil, errors.New("transfer: not a ledger snapshot")
 	}
 	body, trailer := data[:len(data)-4], data[len(data)-4:]
 	if binary.BigEndian.Uint32(trailer) != wire.PayloadCRC(body) {
 		return nil, errors.New("transfer: ledger snapshot CRC mismatch")
 	}
 	c := &cursor{data: body}
-	c.bytes(4) // magic, already sniffed
+	c.bytes(4) // magic, checked above
 	if schema := c.byte(); schema != 2 {
 		return nil, fmt.Errorf("transfer: ledger schema %d (want 2)", schema)
 	}
@@ -320,7 +307,7 @@ func decodeLedgerV2(data []byte) (*Ledger, error) {
 }
 
 // LoadSessionLedger reads a session's persisted state from the store:
-// the ledger document (either schema), plus — when the store keeps an
+// the ledger snapshot, plus — when the store keeps an
 // append-only journal — the journal records folded in. This is the
 // read side of the snapshot+journal layout; every consumer (resume,
 // inspection tooling, tests) should load through it rather than

@@ -54,11 +54,7 @@ func TestLedgerV2EncodeDecodeRoundTrip(t *testing.T) {
 		l.Commit(0, 256<<10, 17, 0x22)
 		l.Commit(1, 0, 64<<10, 0x33)
 		l.Invalidate(0, 0, 1)
-		data := l.EncodeV2()
-		if LedgerSchema(data) != 2 {
-			t.Fatalf("schema sniffed as %d", LedgerSchema(data))
-		}
-		got, err := DecodeLedger(data)
+		got, err := DecodeLedger(l.EncodeV2())
 		if err != nil {
 			t.Fatalf("sums=%v: %v", sums, err)
 		}

@@ -67,7 +67,7 @@ func newLedgerPersister(l *Ledger, store fsim.Store, session string, resumable b
 
 // tick persists the delta since the last call: an fsync'd journal
 // append on appender stores (compacting when the journal has outgrown
-// its threshold), a full v2 snapshot otherwise. No-change ticks write
+// its threshold), a full snapshot otherwise. No-change ticks write
 // nothing.
 func (p *ledgerPersister) tick() {
 	p.mu.Lock()
@@ -105,9 +105,7 @@ func (p *ledgerPersister) tick() {
 	}
 }
 
-// compact writes a fresh v2 snapshot and resets the journal. The first
-// compaction of a session migrates a v1 JSON document in place (the
-// store drops the old document when the binary one lands).
+// compact writes a fresh snapshot and resets the journal.
 func (p *ledgerPersister) compact() {
 	p.mu.Lock()
 	defer p.mu.Unlock()

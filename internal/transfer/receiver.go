@@ -1,7 +1,6 @@
 package transfer
 
 import (
-	"bytes"
 	"context"
 	"encoding/hex"
 	"errors"
@@ -21,20 +20,18 @@ import (
 	"automdt/internal/workload"
 )
 
-// Receiver is the destination-side endpoint: one control listener and one
-// data listener serving many concurrent transfer sessions. Each control
-// connection negotiates one session; data connections are demultiplexed
-// to their session by the token carried in the protocol ≥ 2 preamble
-// (pre-v2 peers, which send no preamble, route to the endpoint's single
-// legacy session slot). Every session owns its own staging buffer, write
-// pool, and chunk ledger, so one session's failure or teardown cannot
-// disturb its siblings. Admission is capped by Config.MaxSessions, and
-// stale session ledgers older than Config.LedgerTTL are expired when the
-// endpoint starts serving.
 // commitBatchChunks caps the receiver's adaptive write batch: at most
 // this many staged chunks drain together into one vectored flush.
 const commitBatchChunks = 16
 
+// Receiver is the destination-side endpoint: one control listener and one
+// data listener serving many concurrent transfer sessions. Each control
+// connection negotiates one session; data connections are demultiplexed
+// to their session by the token carried in their preamble. Every session
+// owns its own staging buffer, write pool, and chunk ledger, so one
+// session's failure or teardown cannot disturb its siblings. Admission is
+// capped by Config.MaxSessions, and stale session ledgers older than
+// Config.LedgerTTL are expired when the endpoint starts serving.
 type Receiver struct {
 	Cfg   Config
 	Store fsim.Store
@@ -50,7 +47,6 @@ type Receiver struct {
 	closed  bool
 	byToken map[string]*rsession
 	byID    map[string]*rsession
-	legacy  *rsession // the active pre-v2 session, owning un-preambled data conns
 	pending map[net.Conn]struct{}
 
 	active    int
@@ -83,8 +79,6 @@ var errSessionBusy = errors.New("session busy")
 // SessionResult summarizes one session served by the endpoint.
 type SessionResult struct {
 	SessionID string
-	// Proto is the negotiated protocol generation.
-	Proto int
 	// Resumed reports whether the session picked up a persisted ledger.
 	Resumed bool
 	// CommittedBytes is the ledger-committed volume when the session
@@ -99,8 +93,7 @@ type SessionResult struct {
 // of its state as locals.
 type rsession struct {
 	id      string
-	token   string // data-preamble routing key; empty below protocol 2
-	proto   int
+	token   string // data-preamble routing key
 	staging *Staging
 	arena   *Arena
 	ledger  atomic.Pointer[Ledger] // set once resume state is known; for gauges
@@ -110,7 +103,6 @@ type rsession struct {
 
 	mu          sync.Mutex
 	err         error
-	cancel      context.CancelFunc // set by runSession; may lag early data conns
 	conns       []net.Conn
 	connsClosed bool
 	readerWG    sync.WaitGroup
@@ -118,27 +110,6 @@ type rsession struct {
 	// released is closed when the endpoint unregisters the session; a
 	// retry Hello for the same session ID waits on it.
 	released chan struct{}
-}
-
-// setCancel installs the session's cancel function once the run loop has
-// a context. A legacy peer's data connections can be routed before that,
-// so abort must tolerate a not-yet-installed cancel.
-func (s *rsession) setCancel(fn context.CancelFunc) {
-	s.mu.Lock()
-	s.cancel = fn
-	s.mu.Unlock()
-}
-
-// abort cancels the session's run loop, if it has started. An abort that
-// races the start is not lost: the failure is already recorded via fail,
-// and the run loop surfaces it on its first status tick.
-func (s *rsession) abort() {
-	s.mu.Lock()
-	fn := s.cancel
-	s.mu.Unlock()
-	if fn != nil {
-		fn()
-	}
 }
 
 func (s *rsession) fail(err error) {
@@ -158,10 +129,8 @@ func (s *rsession) Err() error {
 
 // addConn registers a routed data connection and spawns its reader: the
 // reader leases frame payloads from the session's arena and transfers
-// the lease to the write pool through the session staging buffer. rd is
-// the demuxed stream (for legacy peers it replays the sniffed bytes
-// ahead of the socket).
-func (s *rsession) addConn(conn net.Conn, rd io.Reader) {
+// the lease to the write pool through the session staging buffer.
+func (s *rsession) addConn(conn net.Conn) {
 	s.mu.Lock()
 	if s.connsClosed {
 		s.mu.Unlock()
@@ -182,25 +151,15 @@ func (s *rsession) addConn(conn net.Conn, rd io.Reader) {
 		var fr wire.FrameReader
 		for {
 			pending = nil
-			f, err := fr.Read(rd, alloc)
+			f, err := fr.Read(conn, alloc)
 			if err != nil {
 				if pending != nil {
 					pending.Release()
 				}
-				if !errors.Is(err, io.EOF) {
-					// A protocol ≥ 3 sender stripes the session across
-					// several data connections and survives losing one: it
-					// pulls the ledger and re-plans the lost chunks over the
-					// survivors. Losing this connection is therefore the
-					// sender's to repair, not a session failure. Older
-					// senders abort themselves on connection loss, so for
-					// them the error is surfaced here.
-					if s.proto >= 3 {
-						return
-					}
-					s.fail(err)
-					s.abort()
-				}
+				// Not a session failure, EOF or otherwise: the sender
+				// stripes the session across several data connections and
+				// repairs the loss of one itself — it pulls the ledger and
+				// re-plans the lost chunks over the survivors.
 				return
 			}
 			// The ledger sum is deliberately NOT the wire CRC: the write
@@ -320,8 +279,8 @@ func (r *Receiver) serve(ctx context.Context, maxDone int) error {
 	var wg sync.WaitGroup
 	results := make(chan error)
 
-	// Data acceptor: every connection gets a demux goroutine that sniffs
-	// the preamble (or its absence) and routes the stream to its session.
+	// Data acceptor: every connection gets a demux goroutine that reads
+	// the preamble and routes the stream to its session.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -338,7 +297,7 @@ func (r *Receiver) serve(ctx context.Context, maxDone int) error {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				r.demux(ctx, conn)
+				r.demux(conn)
 			}()
 		}
 	}()
@@ -426,81 +385,24 @@ func (r *Receiver) untrackPending(conn net.Conn) {
 	r.mu.Unlock()
 }
 
-// demux routes one data connection: a protocol ≥ 2 preamble names the
-// session by token; anything else is a pre-v2 frame stream owned by the
-// endpoint's single legacy session. The sniffed bytes of a legacy stream
-// are replayed ahead of the socket so no frame data is lost.
-func (r *Receiver) demux(ctx context.Context, conn net.Conn) {
+// demux routes one data connection to the session its preamble names.
+// A connection that does not open with PreambleMagic and a live token is
+// closed before a single frame is read.
+func (r *Receiver) demux(conn net.Conn) {
 	defer r.untrackPending(conn)
-	// Snapshot the legacy slot up front: an un-preambled connection that
-	// arrived while a legacy session was live belongs to THAT session. If
-	// it is gone by the time the first bytes land, the stream is stale
-	// and must be dropped — never routed into a successor session.
-	r.mu.Lock()
-	legacyAt := r.legacy
-	r.mu.Unlock()
-	var first [4]byte
-	if _, err := io.ReadFull(conn, first[:]); err != nil {
+	var pre [wire.PreambleBytes]byte
+	if _, err := io.ReadFull(conn, pre[:]); err != nil || [4]byte(pre[:4]) != wire.PreambleMagic {
 		conn.Close()
 		return
 	}
-	if first == wire.PreambleMagic {
-		var tok [wire.DataTokenBytes]byte
-		if _, err := io.ReadFull(conn, tok[:]); err != nil {
-			conn.Close()
-			return
-		}
-		r.mu.Lock()
-		sess := r.byToken[hex.EncodeToString(tok[:])]
-		r.mu.Unlock()
-		if sess == nil {
-			conn.Close() // unknown or stale token: never admit the frames
-			return
-		}
-		sess.addConn(conn, conn)
+	r.mu.Lock()
+	sess := r.byToken[hex.EncodeToString(pre[4:])]
+	r.mu.Unlock()
+	if sess == nil {
+		conn.Close() // unknown or stale token: never admit the frames
 		return
 	}
-	// No preamble: a legacy (v0/v1) peer's frame stream, with the sniffed
-	// bytes replayed ahead of the socket.
-	legacyRd := io.MultiReader(bytes.NewReader(first[:]), conn)
-	if legacyAt != nil {
-		r.mu.Lock()
-		sess := r.legacy
-		r.mu.Unlock()
-		if sess != legacyAt {
-			conn.Close() // the owning session ended; stale stream
-			return
-		}
-		sess.addConn(conn, legacyRd)
-		return
-	}
-	// No legacy session existed when the connection arrived. Only a v0
-	// peer can produce this: it dials its data connections right after
-	// sending Hello, so its session's registration may still be in
-	// flight on the control channel (a v1 peer dials only after its
-	// Welcome, by which time its session is registered and the snapshot
-	// above is non-nil). Wait briefly for the registration rather than
-	// resetting the peer's data plane — but route only into a proto-0
-	// session; handing the stream to anything newer could only be
-	// mis-attribution.
-	for wait := 0; ; wait++ {
-		r.mu.Lock()
-		sess, closed := r.legacy, r.closed
-		r.mu.Unlock()
-		if sess != nil {
-			if sess.proto == 0 {
-				sess.addConn(conn, legacyRd)
-			} else {
-				conn.Close()
-			}
-			return
-		}
-		if closed || ctx.Err() != nil || wait >= 1000 {
-			conn.Close()
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	sess.addConn(conn)
 }
 
 // handleControl negotiates and runs one session on a freshly accepted
@@ -546,7 +448,6 @@ func (r *Receiver) handleControl(ctx context.Context, raw net.Conn, results chan
 	err = r.runSession(ctx, sess, ctrl, m.Hello)
 	res := SessionResult{
 		SessionID: sess.id,
-		Proto:     sess.proto,
 		Resumed:   sess.resumed,
 		Err:       err,
 	}
@@ -564,17 +465,15 @@ func (r *Receiver) handleControl(ctx context.Context, raw net.Conn, results chan
 }
 
 // admit applies the endpoint's admission rules to a Hello and registers
-// the resulting session: the MaxSessions cap, one pre-v2 session at a
-// time (their data connections are indistinguishable), and no two live
-// sessions sharing a ledger key. It also creates the session's staging
-// buffer up front, because a legacy peer's data connections can arrive
-// before the session's run loop starts. When the session ID is still held
-// by a previous attempt, held is that holder's released channel and the
-// error is errSessionBusy.
+// the resulting session: this build's protocol generation only, the
+// MaxSessions cap, and no two live sessions sharing a ledger key. The
+// session's staging buffer and routing token exist from here on, so its
+// data connections can be routed the moment the Welcome is out. When the
+// session ID is still held by a previous attempt, held is that holder's
+// released channel and the error is errSessionBusy.
 func (r *Receiver) admit(h *wire.Hello) (sess *rsession, held <-chan struct{}, err error) {
-	proto := h.ProtoVersion
-	if proto > wire.ProtoVersion {
-		proto = wire.ProtoVersion
+	if h.ProtoVersion != wire.ProtoVersion {
+		return nil, nil, fmt.Errorf("transfer: sender speaks protocol %d, this endpoint speaks protocol %d only", h.ProtoVersion, wire.ProtoVersion)
 	}
 	session := h.SessionID
 	if session == "" {
@@ -593,26 +492,16 @@ func (r *Receiver) admit(h *wire.Hello) (sess *rsession, held <-chan struct{}, e
 		return nil, nil, fmt.Errorf("transfer: endpoint at session capacity (%d)", r.Cfg.MaxSessions)
 	}
 	if holder, ok := r.byID[session]; ok {
-		// Checked before the legacy slot so a pre-v2 retry of its own
-		// session reports busy (retryable) rather than slot-taken.
 		return nil, holder.released, fmt.Errorf("transfer: session %q is already active on this endpoint: %w", session, errSessionBusy)
-	}
-	if proto < 2 && r.legacy != nil {
-		return nil, nil, fmt.Errorf("transfer: endpoint already serves a pre-v2 session (%s); one legacy peer at a time", r.legacy.id)
 	}
 	sess = &rsession{
 		id:       session,
-		proto:    proto,
+		token:    wire.NewDataToken(),
 		staging:  NewStaging(bufCap),
 		arena:    r.Cfg.arena(),
 		released: make(chan struct{}),
 	}
-	if proto >= 2 {
-		sess.token = wire.NewDataToken()
-		r.byToken[sess.token] = sess
-	} else {
-		r.legacy = sess
-	}
+	r.byToken[sess.token] = sess
 	r.byID[session] = sess
 	r.active++
 	r.admitted++
@@ -624,12 +513,7 @@ func (r *Receiver) release(sess *rsession, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	delete(r.byID, sess.id)
-	if sess.token != "" {
-		delete(r.byToken, sess.token)
-	}
-	if r.legacy == sess {
-		r.legacy = nil
-	}
+	delete(r.byToken, sess.token)
 	close(sess.released)
 	r.active--
 	if err == nil {
@@ -696,7 +580,6 @@ func (r *Receiver) MetricsSnapshot() metrics.Snapshot {
 	}
 	for _, s := range sessions {
 		id := metrics.L("session", s.id)
-		snap.Add("automdt_endpoint_session_proto", float64(s.proto), id)
 		snap.Add("automdt_endpoint_session_staging_used_bytes", float64(s.staging.Used()), id)
 		if l := s.ledger.Load(); l != nil {
 			snap.Add("automdt_endpoint_session_committed_bytes", float64(l.CommittedBytes()), id)
@@ -750,26 +633,8 @@ func (c *sumChecker) pending() []uint32 {
 func (r *Receiver) runSession(parent context.Context, sess *rsession, ctrl *wire.Conn, h *wire.Hello) error {
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
-	sess.setCancel(cancel)
-	if sess.Err() != nil {
-		cancel() // an early data connection already failed the session
-	}
 	defer ctrl.Close()
-	// Intake teardown, registered before any early return (a failed
-	// Welcome send, say) can fire: data connections may already be routed
-	// into this session — a legacy peer's arrive with its Hello still in
-	// flight — and their readers and arena leases must not outlive it.
-	// The main teardown defer below repeats these steps before the write
-	// pool shuts down; every one of them is idempotent, so running both
-	// is harmless.
-	defer func() {
-		sess.closeConns()
-		sess.staging.Close()
-		sess.readerWG.Wait()
-		sess.staging.ReleaseRemaining()
-	}()
 
-	proto := sess.proto
 	manifest := make(workload.Manifest, len(h.Files))
 	var total int64
 	for i, f := range h.Files {
@@ -812,25 +677,24 @@ func (r *Receiver) runSession(parent context.Context, sess *rsession, ctrl *wire
 	// The persister owns all ledger writes for the session: journaled
 	// O(delta) appends per probe tick, compaction, and the final
 	// teardown persist. The opening compaction snapshots the
-	// verification-adjusted state, folds any replayed journal away, and
-	// migrates a v1 JSON document to the v2 binary layout in place.
+	// verification-adjusted state and folds any replayed journal away.
 	persister := newLedgerPersister(ledger, r.Store, session, resumable, r.Cfg.LedgerCompactBytes)
 	persister.compact()
 	persist := persister.tick
 
-	if proto >= 1 {
-		if err := ctrl.Send(wire.Message{Welcome: &wire.Welcome{
-			ProtoVersion: proto,
-			SessionID:    session,
-			ChunkBytes:   chunkBytes,
-			Ledger:       ledger.WireStates(),
-			DataToken:    sess.token,
-			// Advertising kio invites coalesced multi-chunk frames, which
-			// the write path below splits back into per-chunk commits.
-			Kio: r.Cfg.kioEnabled(),
-		}}); err != nil {
-			return fmt.Errorf("transfer: send welcome: %w", err)
-		}
+	// No data connection can be routed into the session before this
+	// send: the token has not left the process.
+	if err := ctrl.Send(wire.Message{Welcome: &wire.Welcome{
+		ProtoVersion: wire.ProtoVersion,
+		SessionID:    session,
+		ChunkBytes:   chunkBytes,
+		Ledger:       ledger.WireStates(),
+		DataToken:    sess.token,
+		// Advertising kio invites coalesced multi-chunk frames, which
+		// the write path below splits back into per-chunk commits.
+		Kio: r.Cfg.kioEnabled(),
+	}}); err != nil {
+		return fmt.Errorf("transfer: send welcome: %w", err)
 	}
 
 	staging := sess.staging
@@ -1223,10 +1087,10 @@ func (r *Receiver) runSession(parent context.Context, sess *rsession, ctrl *wire
 			chk.want = m.SumsDone.Files
 			chk.mu.Unlock()
 		case m.LedgerPull != nil:
-			// Striping recovery (protocol ≥ 3): answer with the current
-			// committed state so the sender re-plans only the chunks this
-			// endpoint never got. A send error here is a dying control
-			// channel, which ends the session through its own path.
+			// Striping recovery: answer with the current committed state
+			// so the sender re-plans only the chunks this endpoint never
+			// got. A send error here is a dying control channel, which
+			// ends the session through its own path.
 			ctrl.Send(wire.Message{LedgerState: &wire.LedgerState{
 				Seq:    m.LedgerPull.Seq,
 				Ledger: ledger.WireStates(),
@@ -1242,7 +1106,7 @@ func (r *Receiver) runSession(parent context.Context, sess *rsession, ctrl *wire
 	// degradation is counted, and the ledger is kept instead of removed
 	// so re-running the session can still verify retroactively.
 	finishSession := func() error {
-		unverified := h.Checksums && proto >= 1 && !chk.drained()
+		unverified := h.Checksums && !chk.drained()
 		if unverified {
 			metrics.ResumeUnverifiedInc()
 		}
@@ -1283,7 +1147,7 @@ func (r *Receiver) runSession(parent context.Context, sess *rsession, ctrl *wire
 			return ctx.Err()
 		case <-waitDone:
 			waitDone = nil
-			if h.Checksums && proto >= 1 && !chk.drained() {
+			if h.Checksums && !chk.drained() {
 				// Generous: the happy path completes via cmds the moment
 				// the trailing sums land, so the grace only bounds how
 				// long a genuinely lost SumsDone can stall completion.

@@ -282,11 +282,7 @@ func TestResumeAlreadyCompleteSendsNothing(t *testing.T) {
 			l.Commit(uint32(fi), off, int(end-off), wire.PayloadCRC(chunk))
 		}
 	}
-	data, err := l.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dst.SaveLedger(session, data); err != nil {
+	if err := dst.SaveLedger(session, l.EncodeV2()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -330,11 +326,7 @@ func TestResumeSurvivesChunkSizeChange(t *testing.T) {
 		l.Commit(0, off, len(chunk), wire.PayloadCRC(chunk))
 	}
 	w.Close()
-	data, err := l.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dst.SaveLedger(session, data); err != nil {
+	if err := dst.SaveLedger(session, l.EncodeV2()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -349,6 +341,63 @@ func TestResumeSurvivesChunkSizeChange(t *testing.T) {
 	}
 	if res.WireBytes != m[1].Size {
 		t.Fatalf("wire bytes %d want %d (only the uncommitted file)", res.WireBytes, m[1].Size)
+	}
+}
+
+// Ledger files from before the format floor — the schema-1 JSON
+// document and the flat sidecar — are not read: a session that finds
+// only them restarts from byte zero, transfers everything byte-correct,
+// and leaves no session directory behind.
+func TestPreFloorLedgerFilesAreIgnored(t *testing.T) {
+	dir := t.TempDir()
+	const session = "pre-floor"
+	m := workload.LargeFiles(2, 256<<10)
+	src := fsim.NewSyntheticStore()
+	cfg := testConfig() // 64 KiB chunks: 4 per file
+	cfg.SessionID = session
+
+	dst, err := fsim.NewDirStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// What an old build would have left: a document claiming file 0 is
+	// fully committed, in both historical places.
+	doc := []byte(`{"schema":1,"session":"pre-floor","chunk_bytes":65536,"has_sums":false,` +
+		`"files":[{"name":"` + m[0].Name + `","size":262144,"bitmap":[15]},{"name":"` + m[1].Name + `","size":262144}]}`)
+	sessDir := filepath.Join(dir, ".automdt", session)
+	flat := filepath.Join(dir, ".automdt", session+".ledger")
+	if err := os.MkdirAll(sessDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{filepath.Join(sessDir, "ledger.json"), flat} {
+		if err := os.WriteFile(p, doc, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	res, err := Loopback(context.Background(), cfg, m, src, dst, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Resumed || res.SkippedBytes != 0 || res.Bytes != m.TotalBytes() {
+		t.Fatalf("pre-floor ledger files were honoured: %+v", res)
+	}
+	for _, f := range m {
+		got, err := os.ReadFile(filepath.Join(dir, f.Name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]byte, f.Size)
+		fsim.FillContent(f.Name, 0, want)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s corrupt after the fresh restart", f.Name)
+		}
+	}
+	if _, err := os.Stat(sessDir); !os.IsNotExist(err) {
+		t.Fatalf("session directory survived completion: %v", err)
+	}
+	if got, err := os.ReadFile(flat); err != nil || !bytes.Equal(got, doc) {
+		t.Fatalf("flat sidecar was touched (err=%v)", err)
 	}
 }
 

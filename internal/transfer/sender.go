@@ -88,11 +88,6 @@ type Sender struct {
 	Manifest   workload.Manifest
 	Controller env.Controller // nil keeps InitialThreads fixed
 
-	// forceProto, when > 0, advertises that protocol generation in the
-	// Hello instead of wire.ProtoVersion. Tests use it to emulate older
-	// peers against a multi-session endpoint.
-	forceProto int
-
 	mu         sync.Mutex
 	err        error
 	errSymptom bool
@@ -322,17 +317,13 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 	for i, f := range s.Manifest {
 		files[i] = wire.FileInfo{Name: f.Name, Size: f.Size}
 	}
-	helloProto := wire.ProtoVersion
-	if s.forceProto > 0 {
-		helloProto = s.forceProto
-	}
 	if err := ctrl.Send(wire.Message{Hello: &wire.Hello{
 		Files:            files,
 		ChunkBytes:       cfg.ChunkBytes,
 		MaxWriters:       cfg.MaxThreads,
 		InitialWriters:   cfg.InitialThreads,
 		ReceiverBufBytes: cfg.ReceiverBufBytes,
-		ProtoVersion:     helloProto,
+		ProtoVersion:     wire.ProtoVersion,
 		SessionID:        cfg.SessionID,
 		Checksums:        checksums,
 		Kio:              cfg.kioEnabled(),
@@ -340,14 +331,12 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 		return nil, fmt.Errorf("transfer: send hello: %w", err)
 	}
 
-	// Versioned negotiation: the receiver answers with its chunk ledger,
-	// from which this run plans only the missing ranges. A deadline turns
-	// the one unrecoverable mixed-version pairing — a v0 receiver that
-	// will never send a Welcome, only statuses — into a clear error
-	// instead of a silent indefinite hang. A fresh session's Welcome
-	// arrives within one RTT of the Hello; a resume first re-reads and
-	// re-hashes every committed byte at the destination, so the deadline
-	// scales with how much data a ledger could cover.
+	// The receiver answers with its chunk ledger, from which this run
+	// plans only the missing ranges. A deadline bounds a silent peer. A
+	// fresh session's Welcome arrives within one RTT of the Hello; a
+	// resume first re-reads and re-hashes every committed byte at the
+	// destination, so the deadline scales with how much data a ledger
+	// could cover.
 	welcomeTimeout := 30 * time.Second
 	if cfg.SessionID != "" {
 		welcomeTimeout = 10 * time.Minute
@@ -361,7 +350,7 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 				return nil, ctx.Err()
 			}
 			if !hsTimer.Stop() {
-				return nil, fmt.Errorf("transfer: no Welcome within %v — receiver speaks protocol 0? upgrade receivers before senders", welcomeTimeout)
+				return nil, fmt.Errorf("transfer: no Welcome within %v", welcomeTimeout)
 			}
 			return nil, fmt.Errorf("transfer: handshake: %w", err)
 		}
@@ -372,16 +361,18 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 		welcome = m.Welcome
 	}
 	hsTimer.Stop()
+	if welcome.ProtoVersion != wire.ProtoVersion {
+		return nil, fmt.Errorf("transfer: receiver speaks protocol %d, this sender speaks protocol %d only", welcome.ProtoVersion, wire.ProtoVersion)
+	}
+	// Every data connection must open with the endpoint's routing token,
+	// or its frames land nowhere.
+	dataToken := welcome.DataToken
+	if dataToken == "" {
+		return nil, errors.New("transfer: receiver's Welcome carries no data token")
+	}
 	chunkBytes := cfg.ChunkBytes
 	if welcome.ChunkBytes > 0 {
 		chunkBytes = welcome.ChunkBytes // a resumed ledger pins the geometry
-	}
-	// Multi-session demux (protocol ≥ 2): every data connection must open
-	// with the endpoint's routing token, or its frames land nowhere.
-	negotiated := welcome.ProtoVersion
-	dataToken := welcome.DataToken
-	if negotiated >= 2 && dataToken == "" {
-		return nil, fmt.Errorf("transfer: receiver negotiated protocol %d but sent no data token", negotiated)
 	}
 
 	total := s.Manifest.TotalBytes()
@@ -618,14 +609,12 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 			if cfg.WrapConn != nil {
 				conn = cfg.WrapConn("data", conn)
 			}
-			if negotiated >= 2 {
-				// One preamble per connection, before the first frame; the
-				// endpoint demux routes the stream to this session by token.
-				if err := wire.WriteDataPreamble(conn, dataToken); err != nil {
-					conn.Close()
-					lastErr = err
-					continue
-				}
+			// One preamble per connection, before the first frame; the
+			// endpoint demux routes the stream to this session by token.
+			if err := wire.WriteDataPreamble(conn, dataToken); err != nil {
+				conn.Close()
+				lastErr = err
+				continue
 			}
 			return conn, nil
 		}
@@ -636,18 +625,12 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 		}
 		return nil, fmt.Errorf("transfer: dial data: %w", lastErr)
 	}
-	// Peers below protocol 2 get no data preamble, so the receiver has
-	// nothing to demux striped connections by: force one.
-	initialConns := cfg.Conns
-	if negotiated < 2 {
-		initialConns = 1
-	}
-	conns := newConnSet(initialConns, dialData, cfg.Hooks.OnDataConn)
+	conns := newConnSet(cfg.Conns, dialData, cfg.Hooks.OnDataConn)
 
-	// Mid-transfer ledger pulls (protocol ≥ 3): when a striped connection
-	// dies, recovery asks the receiver which chunks already committed so
-	// only the truly lost ones are re-sent. Replies are routed back to
-	// their waiting pull by sequence number.
+	// Mid-transfer ledger pulls: when a striped connection dies, recovery
+	// asks the receiver which chunks already committed so only the truly
+	// lost ones are re-sent. Replies are routed back to their waiting pull
+	// by sequence number.
 	var pullMu sync.Mutex
 	pullWaiters := make(map[uint64]chan []wire.FileState)
 	var pullSeq uint64
@@ -721,17 +704,16 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 		}
 	}
 	// recoverConn re-plans a dead connection's in-flight chunks: pull the
-	// receiver's ledger (protocol ≥ 3; older peers re-send the full
-	// history and rely on receiver-side duplicate dropping), subtract the
-	// committed chunks, re-read the rest straight from the source store,
-	// and re-stripe them over the surviving connections. The staged data
-	// plane is untouched — recovery bypasses the staging buffer, which
-	// may already be closed by the time a loss is noticed.
+	// receiver's ledger, subtract the committed chunks, re-read the rest
+	// straight from the source store, and re-stripe them over the
+	// surviving connections. The staged data plane is untouched —
+	// recovery bypasses the staging buffer, which may already be closed
+	// by the time a loss is noticed.
 	recoverConn = func(c *dataConn, cause error) {
 		defer recoverWG.Done()
 		history := c.takeHistory()
 		lost := history
-		if negotiated >= 3 && len(history) > 0 {
+		if len(history) > 0 {
 			states, err := pullLedger()
 			switch {
 			case err == nil:
@@ -1099,8 +1081,7 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 	}()
 
 	// Initial tuple: Conns connections each carrying InitialThreads
-	// streams (Conns defaults to 1, reproducing the legacy single-socket
-	// start), InitialThreads readers and writers.
+	// streams, InitialThreads readers and writers.
 	readPool.Resize(cfg.InitialThreads)
 	streams := cfg.InitialThreads
 	netPool.Resize(conns.size() * streams)
@@ -1198,9 +1179,6 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 				continue
 			}
 			act := decider.Decide(state).Clamp(cfg.MaxThreads)
-			if negotiated < 2 {
-				act.N[env.StageConns] = 1 // nothing to demux striped conns by
-			}
 			readPool.Resize(act.N[env.StageRead])
 			conns.setWant(act.N[env.StageConns])
 			streams = act.N[env.StageStreams]

@@ -2,7 +2,7 @@ package transfer
 
 // Striped data plane: one transfer session fans its chunks out over a
 // resizable set of parallel data connections (the controller's conns
-// dimension n_c), each opening with the session's protocol ≥ 2 preamble.
+// dimension n_c), each opening with the session's preamble.
 // Network workers (the streams-per-connection dimension n_s; n_c·n_s of
 // them in total) share the connections — a per-connection mutex
 // serializes frame writes — so the two dimensions resize independently:

@@ -5,14 +5,11 @@
 // staging-buffer occupancy reports, and the sender's write-concurrency
 // commands.
 //
-// The control channel is versioned (see ProtoVersion). Generation 0 is
-// the original one-shot Hello-then-statuses exchange; generation 1 adds
-// resumable sessions (the Welcome advertises the receiver's chunk
-// ledger, FileSum/SumsDone stream end-to-end file CRCs); generation 2
-// adds multi-session endpoints (the Welcome carries a DataToken that
-// every data connection echoes in a fixed preamble, letting one receiver
-// demultiplex the data streams of many concurrent sessions). Receivers
-// negotiate down, so newer receivers serve older senders.
+// There is one protocol generation (ProtoVersion): Hello → Welcome with
+// the receiver's chunk ledger and a DataToken → data connections that
+// open with a fixed preamble echoing the token → LedgerPull when a data
+// connection is lost. Either end refuses a peer that announces another
+// version.
 //
 // Data frames are length-prefixed chunks with optional CRC-32C payload
 // checksums; FrameReader and FrameWriter are the allocation-free hot
@@ -20,6 +17,5 @@
 // crc.go file supplies the GF(2) CRC combine used to fold per-chunk sums
 // into whole-file checksums without a second pass over the data.
 //
-// docs/PROTOCOL.md specifies every message, frame layout, and the
-// negotiation rules in full.
+// docs/PROTOCOL.md specifies every message and frame layout in full.
 package wire

@@ -12,39 +12,25 @@ import (
 	"sync"
 )
 
-// ProtoVersion is the control-channel protocol generation this build
-// speaks. Version 0 is the original one-shot handshake (Hello, then
-// statuses). Version 1 adds resumable sessions: the receiver answers
-// Hello with a Welcome carrying its chunk ledger, and the sender streams
-// per-file end-to-end CRCs (FileSum) for commit-time verification.
-// Version 2 adds multi-session endpoints: the Welcome carries a random
-// per-session DataToken, and every data connection opens with a fixed
-// preamble (PreambleMagic + the decoded token) so one receiver can
-// demultiplex the data streams of many concurrent sessions. The receiver
-// negotiates down — a v2 receiver serves v1 and v0 senders, whose
-// un-preambled data connections route to the endpoint's single legacy
-// session slot — but compatibility is one-way: a v1+ sender waits for a
-// Welcome that a v0 receiver will never send, so receivers must be
-// upgraded before senders. Version 3 adds mid-transfer ledger pulls
-// (LedgerPull/LedgerState): a sender striping one session across many
-// data connections asks for the receiver's committed state when one of
-// them dies, and re-plans only the chunks that never landed instead of
-// failing the attempt. docs/PROTOCOL.md specifies all generations.
+// ProtoVersion is the one control-channel protocol generation: Hello →
+// Welcome (chunk ledger + DataToken) → preambled data connections →
+// LedgerPull on connection loss. Both ends carry it in the handshake and
+// refuse any other value; nothing negotiates down. docs/PROTOCOL.md
+// specifies every message.
 const ProtoVersion = 3
 
 // DataTokenBytes is the decoded length of a session's data-routing token
 // (Welcome.DataToken is its hex encoding).
 const DataTokenBytes = 16
 
-// PreambleBytes is the encoded size of the protocol ≥ 2 data-connection
-// preamble: PreambleMagic followed by the decoded DataToken.
+// PreambleBytes is the encoded size of the data-connection preamble:
+// PreambleMagic followed by the decoded DataToken.
 const PreambleBytes = 4 + DataTokenBytes
 
-// PreambleMagic opens every protocol ≥ 2 data connection. The first byte
-// is ≥ 0x80 on purpose: read as a big-endian frame header it would name
-// file id ≥ 0xAD000000 (~2.9 billion files), which no v1 manifest can
-// reach, so a receiver can tell a preambled connection from a legacy
-// frame stream by its first four bytes alone.
+// PreambleMagic opens every data connection. The first byte is ≥ 0x80
+// on purpose: read as a big-endian frame header it would name file id
+// ≥ 0xAD000000 (~2.9 billion files), which no manifest can reach, so a
+// bare frame stream can never be mistaken for a preamble.
 var PreambleMagic = [4]byte{0xAD, 'M', 'T', '2'}
 
 // NewDataToken returns a fresh random session data token, hex-encoded as
@@ -57,8 +43,8 @@ func NewDataToken() string {
 	return hex.EncodeToString(b[:])
 }
 
-// WriteDataPreamble writes the protocol ≥ 2 data-connection preamble:
-// the magic plus the decoded token. Senders call it once per data
+// WriteDataPreamble writes the data-connection preamble: the magic plus
+// the decoded token. Senders call it once per data
 // connection, before the first frame.
 func WriteDataPreamble(w io.Writer, token string) error {
 	raw, err := hex.DecodeString(token)
@@ -336,8 +322,8 @@ type Hello struct {
 	// ReceiverBufBytes requests a staging capacity; zero keeps the
 	// receiver default.
 	ReceiverBufBytes int64
-	// ProtoVersion is the sender's protocol generation (zero for legacy
-	// senders, whose gob encoding omits the field entirely).
+	// ProtoVersion is the sender's protocol generation; the receiver
+	// refuses a Hello whose value is not its own ProtoVersion.
 	ProtoVersion int
 	// SessionID names the resumable session to create or resume. Empty
 	// means a one-shot transfer: the receiver neither persists nor
@@ -348,7 +334,7 @@ type Hello struct {
 	// file verification.
 	Checksums bool
 	// Kio advertises the sender's kernel-assisted I/O capability
-	// (advisory; gob omits it for older builds, which decode as false).
+	// (advisory).
 	Kio bool
 }
 
@@ -363,26 +349,28 @@ type FileState struct {
 	Bitmap []uint64
 }
 
-// Welcome is the receiver's reply to a protocol ≥ 1 Hello: the
-// negotiated version, the authoritative session identity, and the chunk
-// ledger from which the sender plans only the missing ranges.
+// Welcome is the receiver's reply to an admitted Hello: the
+// authoritative session identity, the chunk ledger from which the sender
+// plans only the missing ranges, and the data-routing token.
 type Welcome struct {
+	// ProtoVersion is the receiver's protocol generation; the sender
+	// fails on any value other than its own ProtoVersion.
 	ProtoVersion int
 	SessionID    string
 	// ChunkBytes is the session's chunk size; a resumed ledger pins it.
 	ChunkBytes int
 	// Ledger lists per-file committed state. Empty for fresh sessions.
 	Ledger []FileState
-	// DataToken (protocol ≥ 2) is the hex-encoded routing token the
-	// sender must echo in every data-connection preamble so the endpoint
-	// can demultiplex concurrent sessions. Empty below protocol 2.
+	// DataToken is the hex-encoded routing token the sender must echo in
+	// every data-connection preamble so the endpoint can demultiplex
+	// concurrent sessions. Never empty.
 	DataToken string
 	// Kio reports that this receiver accepts kernel-assisted-I/O frame
 	// geometry: data frames whose payload spans several adjacent chunks
 	// of one file (the receiver splits them back into per-chunk ledger
 	// commits). A sender coalesces frames only after seeing it; absent
-	// (older receivers, or -kio=off) every frame stays one chunk and the
-	// wire is byte-for-byte the portable stream.
+	// (-kio=off) every frame stays one chunk and the wire is
+	// byte-for-byte the portable stream.
 	Kio bool
 }
 
@@ -408,8 +396,8 @@ type SetWriters struct {
 	N int
 }
 
-// LedgerPull asks the receiver for its current chunk ledger mid-transfer
-// (protocol ≥ 3). A sender that loses one of its striped data
+// LedgerPull asks the receiver for its current chunk ledger
+// mid-transfer. A sender that loses one of its striped data
 // connections pulls the committed state and re-sends only the lost
 // chunks. Seq matches the request to its LedgerState reply.
 type LedgerPull struct {
