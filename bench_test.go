@@ -222,19 +222,6 @@ func BenchmarkEngineLoopbackE2E(b *testing.B) { enginebench.LoopbackE2E(true, tr
 // verification disabled, isolating the CRC-32C cost.
 func BenchmarkEngineLoopbackE2ENoCRC(b *testing.B) { enginebench.LoopbackE2E(true, false)(b) }
 
-// BenchmarkEngineLoopbackE2EKioCRC is the synthetic-store lifecycle
-// with the kernel-assisted fast path pinned on and checksums kept:
-// batched run reads, one CRC-32C pass per run, coalesced frames,
-// vectored receiver flushes.
-func BenchmarkEngineLoopbackE2EKioCRC(b *testing.B) { enginebench.LoopbackE2EKio(true, true)(b) }
-
-// BenchmarkEngineLoopbackE2EDisk and ...E2EKio are the disk-backed
-// portable/kernel-assisted pair behind the bench gate's KioSpeedup and
-// KioSyscallRatio: real files at both ends, sendfile(2) on the sender
-// and pwritev(2) on the receiver when kio is on.
-func BenchmarkEngineLoopbackE2EDisk(b *testing.B) { enginebench.DiskLoopbackE2E("off")(b) }
-func BenchmarkEngineLoopbackE2EKio(b *testing.B)  { enginebench.DiskLoopbackE2E("on")(b) }
-
 // BenchmarkEngineLoopbackE2EFlight is the same lifecycle with the
 // decision flight recorder enabled, isolating the stage-span cost.
 func BenchmarkEngineLoopbackE2EFlight(b *testing.B) { enginebench.LoopbackE2EFlight(true)(b) }

@@ -38,7 +38,6 @@ import (
 	"automdt/internal/experiments"
 	"automdt/internal/flight"
 	"automdt/internal/metrics"
-	"automdt/internal/wire"
 )
 
 func main() {
@@ -49,9 +48,6 @@ func main() {
 	benchJSON := flag.String("bench-json", "", "file to write the engine benchmark report (engine experiment)")
 	baseline := flag.String("baseline", "", "baseline report to gate the engine benchmarks against")
 	benchTol := flag.Float64("bench-tolerance", 0.20, "allowed fractional regression before the baseline gate fails")
-	kioMode := flag.String("kio", "auto", "kernel-assisted I/O gates in the engine experiment: auto (arm where the platform supports kio), on (require; fails where unsupported), off (skip)")
-	kioFloor := flag.Float64("kio-speedup-floor", 1.15, "minimum loopback_e2e_kio / loopback_e2e goodput ratio (0 disables)")
-	kioSysCeil := flag.Float64("kio-syscall-ratio", 0.5, "maximum loopback_e2e_kio / loopback_e2e syscalls/op ratio (0 disables)")
 	flightTol := flag.Float64("flight-overhead-tolerance", 0.05, "allowed fractional loopback_e2e slowdown with the flight recorder on, measured within the run (0 disables the check)")
 	flightPath := flag.String("flight", "", "enable the decision flight recorder for the run and dump the trace to this file (\"-\" for stdout; analyze with flightdump)")
 	chaosQuick := flag.Bool("quick", false, "chaos experiment: run the PR-blocking 3×3 sub-matrix (the default)")
@@ -242,39 +238,6 @@ func main() {
 			}
 			if r.SyscallsPerOp > 0 {
 				snap.Add("bench_engine_syscalls_per_op", r.SyscallsPerOp, metrics.L("bench", r.Name))
-			}
-		}
-		// Kernel-assisted fast-path gates: the kio loopback must beat the
-		// portable one by the configured goodput floor and spend at most
-		// the configured fraction of its data-plane ops. "auto" arms them
-		// only where the platform carries the fast path ("on" demands it;
-		// elsewhere kio runs are byte-identical portable runs and the
-		// ratios hover at 1.0 by construction).
-		gateKio := *kioMode == "on" || (*kioMode == "auto" && wire.KioAvailable())
-		if gateKio {
-			if ratio, ok := enginebench.KioSpeedup(rep); ok {
-				if *kioFloor > 0 && ratio < *kioFloor {
-					// One pairing carries scheduling noise; re-measure
-					// before failing the run on it.
-					fmt.Printf("[kio goodput %.2fx below the %.2fx floor; re-measuring]\n", ratio, *kioFloor)
-					if re, ok2 := enginebench.MeasureKioSpeedup(2); ok2 && re > ratio {
-						ratio = re
-					}
-				}
-				fmt.Printf("[kio fast-path goodput: %.2fx portable]\n", ratio)
-				snap.Add("bench_engine_kio_speedup", ratio)
-				if *kioFloor > 0 && ratio < *kioFloor {
-					return fmt.Errorf("kio loopback goodput %.2fx of portable, below the %.2fx floor", ratio, *kioFloor)
-				}
-			} else if *kioMode == "on" {
-				return fmt.Errorf("kio gates required (-kio=on) but the kio scenarios are missing from the report")
-			}
-			if ratio, ok := enginebench.KioSyscallRatio(rep); ok {
-				fmt.Printf("[kio fast-path syscalls/op: %.2fx portable]\n", ratio)
-				snap.Add("bench_engine_kio_syscall_ratio", ratio)
-				if *kioSysCeil > 0 && ratio > *kioSysCeil {
-					return fmt.Errorf("kio loopback spent %.2fx the portable syscalls/op, above the %.2f ceiling", ratio, *kioSysCeil)
-				}
 			}
 		}
 		if ratio, ok := enginebench.MultiConnSpeedup(rep); ok {

@@ -60,7 +60,6 @@ func main() {
 	fleetSize := flag.Int("fleet", 0, "run all jobs against a fleet of N shared multi-session receiver endpoints with consistent-hash placement and failover, instead of one private receiver per job (1 = one shared endpoint; 0 = off)")
 	maxSessions := flag.Int("max-sessions", 0, "per-endpoint admission cap (with -fleet; 0 = default 64)")
 	writeBudget := flag.Float64("write-budget-mbps", 0, "per-endpoint write budget in Mbps, split max-min fair across its sessions (with -fleet; 0 = unarbitrated)")
-	kioMode := flag.String("kio", "auto", "kernel-assisted I/O fast path for the endpoint receiver: auto, on, or off")
 	cc := flag.Int("cc", 4, "static optimizer concurrency")
 	model := flag.String("model", "", "automdt agent checkpoint (from automdt-train)")
 	profilePath := flag.String("profile", "", "automdt probed profile JSON (from automdt-train)")
@@ -113,7 +112,7 @@ func main() {
 		fatal(fmt.Errorf("unknown optimizer %q", *opt))
 	}
 
-	recvCfg := transfer.Config{MaxSessions: *maxSessions, KioMode: *kioMode, WriteBudgetMbps: *writeBudget}
+	recvCfg := transfer.Config{MaxSessions: *maxSessions, WriteBudgetMbps: *writeBudget}
 	var runner sched.Runner = &sched.LoopbackRunner{}
 	if *fleetSize > 0 {
 		fr := &sched.FleetRunner{Size: *fleetSize, Receiver: recvCfg}

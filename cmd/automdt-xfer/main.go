@@ -91,7 +91,6 @@ func engineConfig(fs *flag.FlagSet) *transfer.Config {
 	fs.DurationVar(&cfg.ProbeInterval, "interval", 250*time.Millisecond, "probe interval")
 	fs.IntVar(&cfg.InitialThreads, "initial", 1, "initial concurrency")
 	fs.BoolVar(&cfg.DisableChecksums, "no-checksums", false, "disable frame CRCs and end-to-end file verification")
-	fs.StringVar(&cfg.KioMode, "kio", "auto", "kernel-assisted I/O fast path: auto, on, or off")
 	fs.Float64Var(&cfg.Shaping.ReadPerThreadMbps, "cap-read", 0, "per-thread read cap (Mbps, 0=off)")
 	fs.Float64Var(&cfg.Shaping.NetPerStreamMbps, "cap-net", 0, "per-stream network cap (Mbps, 0=off)")
 	fs.Float64Var(&cfg.Shaping.WritePerThreadMbps, "cap-write", 0, "per-thread write cap (Mbps, 0=off)")

@@ -117,15 +117,14 @@ func ArenaGetRelease(b *testing.B) {
 	}
 }
 
-// loopbackE2E is the shared end-to-end loopback body: the whole
+// LoopbackE2E is the end-to-end loopback body: the whole
 // sender→wire→receiver→staging→writer chunk lifecycle over loopback TCP
 // with no rate shaping, reported in MB/s, allocs/op, and syscalls/op
 // (the wire.IOOps data-plane counter delta — reads, frame writes, frame
 // reads, store writes — per end-to-end op; strace-free, so it runs
 // everywhere CI does). checksums toggles the wire frame CRC-32C and the
-// ledger/file verification built on it; kio pins the kernel-assisted
-// fast path on or off so the two paths gate independently.
-func loopbackE2E(quick, checksums bool, kio string) func(b *testing.B) {
+// ledger/file verification built on it (on is the engine default).
+func LoopbackE2E(quick, checksums bool) func(b *testing.B) {
 	return func(b *testing.B) {
 		cfg := transfer.Config{
 			ChunkBytes:       chunkBytes,
@@ -133,7 +132,6 @@ func loopbackE2E(quick, checksums bool, kio string) func(b *testing.B) {
 			InitialThreads:   8,
 			ProbeInterval:    100 * time.Millisecond,
 			DisableChecksums: !checksums,
-			KioMode:          kio,
 		}
 		m := workload.LargeFiles(16, 4<<20) // 64 MB
 		if quick {
@@ -155,101 +153,6 @@ func loopbackE2E(quick, checksums bool, kio string) func(b *testing.B) {
 	}
 }
 
-// LoopbackE2E measures the portable per-chunk data plane (KioMode
-// "off"), so its baseline numbers stay meaningful on every platform and
-// the kio scenarios below have a same-run denominator. checksums
-// toggles the integrity machinery (on is the engine default).
-func LoopbackE2E(quick, checksums bool) func(b *testing.B) {
-	return loopbackE2E(quick, checksums, "off")
-}
-
-// LoopbackE2EKio is the same dataset and lifecycle with the
-// kernel-assisted fast path pinned on: batched run reads, one CRC-32C
-// pass per run, coalesced multi-chunk frames on the wire, vectored
-// batched receiver flushes. Paired with LoopbackE2E in the same report
-// by KioSpeedup and KioSyscallRatio.
-func LoopbackE2EKio(quick, checksums bool) func(b *testing.B) {
-	return loopbackE2E(quick, checksums, "on")
-}
-
-// DiskLoopbackE2E is the loopback lifecycle over real files at both
-// ends — a DirStore source materialized once outside the timer and a
-// fresh DirStore destination per op — with integrity checksums off, the
-// configuration where the sender may hand unmodified on-disk ranges to
-// sendfile(2) and the receiver lands batches with pwritev(2). kio "on"
-// engages that whole kernel-assisted path; "off" is its portable twin
-// moving identical bytes through identical stores, so the KioSpeedup
-// and KioSyscallRatio pairings isolate exactly the fast path. Always
-// the full 64 MB dataset, quick mode included: the 16 MB quick set is
-// dominated by per-op session setup, which would bury the data-plane
-// difference the pairing exists to measure.
-func DiskLoopbackE2E(kio string) func(b *testing.B) {
-	return func(b *testing.B) {
-		cfg := transfer.Config{
-			ChunkBytes:       chunkBytes,
-			MaxThreads:       16,
-			InitialThreads:   8,
-			ProbeInterval:    100 * time.Millisecond,
-			DisableChecksums: true,
-			KioMode:          kio,
-		}
-		m := workload.LargeFiles(16, 4<<20) // 64 MB
-		srcDir, err := os.MkdirTemp("", "enginebench-src-")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer os.RemoveAll(srcDir)
-		src, err := fsim.NewDirStore(srcDir)
-		if err != nil {
-			b.Fatal(err)
-		}
-		buf := make([]byte, chunkBytes)
-		for _, f := range m {
-			w, err := src.Create(f.Name, f.Size)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for off := int64(0); off < f.Size; off += chunkBytes {
-				n := int64(chunkBytes)
-				if f.Size-off < n {
-					n = f.Size - off
-				}
-				fsim.FillContent(f.Name, off, buf[:n])
-				if _, err := w.WriteAt(buf[:n], off); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := w.Close(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.SetBytes(m.TotalBytes())
-		b.ReportAllocs()
-		b.ResetTimer()
-		ops := wire.IOOps()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			dstDir, err := os.MkdirTemp("", "enginebench-dst-")
-			if err != nil {
-				b.Fatal(err)
-			}
-			dst, derr := fsim.NewDirStore(dstDir)
-			b.StartTimer()
-			if derr == nil {
-				_, derr = transfer.Loopback(context.Background(), cfg, m, src, dst, nil)
-			}
-			b.StopTimer()
-			os.RemoveAll(dstDir)
-			if derr != nil {
-				b.Fatal(derr)
-			}
-			b.StartTimer()
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(wire.IOOps()-ops)/float64(b.N), "syscalls/op")
-	}
-}
-
 // LoopbackE2EMultiConn is the striped data plane end to end: the same
 // dataset and chunk lifecycle as LoopbackE2E, with the sender striping
 // chunks across conns parallel data connections into one receiver
@@ -265,9 +168,6 @@ func LoopbackE2EMultiConn(quick bool, conns int) func(b *testing.B) {
 			InitialThreads: 8,
 			ProbeInterval:  100 * time.Millisecond,
 			Conns:          conns,
-			// Pinned portable so MultiConnSpeedup pairs against
-			// loopback_e2e with striping as the only variable.
-			KioMode: "off",
 		}
 		m := workload.LargeFiles(16, 4<<20) // 64 MB
 		if quick {
@@ -305,49 +205,6 @@ func MultiConnSpeedup(rep Report) (ratio float64, ok bool) {
 		return 0, false
 	}
 	return multi / plain, true
-}
-
-// KioSpeedup returns the kernel-assisted-over-portable goodput ratio
-// within one report: loopback_e2e_kio MB/s ÷ loopback_e2e_disk MB/s —
-// identical datasets, identical DirStores, the fast path the only
-// variable. The fast path must earn its complexity (the CI gate holds
-// it to a floor on Linux). ok is false when either scenario is missing.
-// Same machine, same run — no ThroughputComparable caveat applies.
-func KioSpeedup(rep Report) (ratio float64, ok bool) {
-	var plain, kio float64
-	for _, r := range rep.Results {
-		switch r.Name {
-		case "loopback_e2e_disk":
-			plain = r.MBPerSec
-		case "loopback_e2e_kio":
-			kio = r.MBPerSec
-		}
-	}
-	if plain <= 0 || kio <= 0 {
-		return 0, false
-	}
-	return kio / plain, true
-}
-
-// KioSyscallRatio returns kio syscalls/op ÷ portable syscalls/op over
-// the same disk-backed pairing — the headline economy of the batched
-// data plane, which the CI gate holds to ≤ 0.5. Counter-based and
-// deterministic, so unlike MB/s it needs no same-hardware caveat. ok is
-// false when either scenario is missing or unmeasured.
-func KioSyscallRatio(rep Report) (ratio float64, ok bool) {
-	var plain, kio float64
-	for _, r := range rep.Results {
-		switch r.Name {
-		case "loopback_e2e_disk":
-			plain = r.SyscallsPerOp
-		case "loopback_e2e_kio":
-			kio = r.SyscallsPerOp
-		}
-	}
-	if plain <= 0 || kio <= 0 {
-		return 0, false
-	}
-	return kio / plain, true
 }
 
 // LoopbackE2EFlight is LoopbackE2E(quick, true) with the process-wide
@@ -445,32 +302,6 @@ func MeasureFlightOverhead(quick bool, rounds int) (frac float64, ok bool) {
 		}
 	}
 	if math.IsInf(best, 1) {
-		return 0, false
-	}
-	return best, true
-}
-
-// MeasureKioSpeedup re-runs the portable and kio loopback scenarios
-// back to back `rounds` times and returns the largest goodput ratio
-// observed. Scheduling noise deflates a single pairing by several
-// percent — enough to cross a speedup floor — but it only ever deflates,
-// so the maximum over a few pairs is a sound lower bound on the real
-// win. Callers use this to confirm a suspicious KioSpeedup reading
-// before failing a run on it.
-func MeasureKioSpeedup(rounds int) (ratio float64, ok bool) {
-	const loopBytes = int64(64 << 20) // the disk pair is always full-size
-	var best float64
-	for i := 0; i < rounds; i++ {
-		plain := toResult("loopback_e2e_disk", loopBytes, testing.Benchmark(DiskLoopbackE2E("off")))
-		kio := toResult("loopback_e2e_kio", loopBytes, testing.Benchmark(DiskLoopbackE2E("on")))
-		if plain.MBPerSec <= 0 || kio.MBPerSec <= 0 {
-			continue
-		}
-		if r := kio.MBPerSec / plain.MBPerSec; r > best {
-			best = r
-		}
-	}
-	if best <= 0 {
 		return 0, false
 	}
 	return best, true
@@ -574,10 +405,9 @@ type Result struct {
 	// the baseline gate always arms.
 	PersistedBytesPerOp float64 `json:"persisted_bytes_per_op,omitempty"`
 	// SyscallsPerOp is the wire.IOOps data-plane counter delta per op —
-	// every read, frame write, frame read, sendfile/pwritev call, and
-	// store write the engine issued, counted in-process (strace-free).
-	// Counter-based and hardware-independent, so the baseline gate
-	// always arms; the kio scenarios' headline economy.
+	// every read, frame write, frame read, and store write the engine
+	// issued, counted in-process (strace-free). Counter-based and
+	// hardware-independent, so the baseline gate always arms.
 	SyscallsPerOp float64 `json:"syscalls_per_op,omitempty"`
 }
 
@@ -698,16 +528,6 @@ func Run(quick bool) Report {
 		// journal replay.
 		toResult("ledger_tick_v2", 0, testing.Benchmark(LedgerPersistTick(quick))),
 		toResult("ledger_replay_v2", 0, testing.Benchmark(LedgerJournalReplay(quick))),
-		// Real files at both ends, portable vs kernel-assisted —
-		// KioSpeedup/KioSyscallRatio pair these two within the report.
-		// Always the full 64 MB dataset (see DiskLoopbackE2E). They run
-		// LAST: the dirty pages their on-disk transfers leave behind
-		// have background writeback stealing CPU for a while, which
-		// would depress any paired ratio measured in their wake
-		// (MultiConnSpeedup and FlightOverhead both pair against the
-		// loopback_e2e reading above).
-		toResult("loopback_e2e_disk", 64<<20, testing.Benchmark(DiskLoopbackE2E("off"))),
-		toResult("loopback_e2e_kio", 64<<20, testing.Benchmark(DiskLoopbackE2E("on"))),
 	)
 	return rep
 }
@@ -739,17 +559,6 @@ func (r Regression) String() string {
 // cannot flag a differently-sized CI runner as a regression. A scenario
 // present in only one report is a finding too: a gate that skips what it
 // cannot match would pass a renamed or dropped scenario unmeasured.
-// diskBound names scenarios whose absolute goodput rides the machine's
-// page-cache and writeback state and swings far beyond any useful
-// tolerance run to run. Their throughput is gated by the same-run
-// KioSpeedup pairing instead (in-run ratios cancel the machine state);
-// their deterministic metrics — allocs and syscalls per op — still gate
-// against the baseline below.
-var diskBound = map[string]bool{
-	"loopback_e2e_disk": true,
-	"loopback_e2e_kio":  true,
-}
-
 func Compare(base, cur Report, tol float64) []Regression {
 	baseBy := make(map[string]Result, len(base.Results))
 	for _, r := range base.Results {
@@ -764,7 +573,7 @@ func Compare(base, cur Report, tol float64) []Regression {
 			continue
 		}
 		delete(baseBy, c.Name)
-		if gateThroughput && !diskBound[c.Name] && b.MBPerSec > 0 && c.MBPerSec < b.MBPerSec*(1-tol) {
+		if gateThroughput && b.MBPerSec > 0 && c.MBPerSec < b.MBPerSec*(1-tol) {
 			regs = append(regs, Regression{c.Name, "mb_per_s", b.MBPerSec, c.MBPerSec})
 		}
 		allocGate := b.AllocsPerOp*(1+tol) + 4

@@ -7,7 +7,6 @@ import (
 
 	"automdt/internal/env"
 	"automdt/internal/rate"
-	"automdt/internal/wire"
 )
 
 // Shaping configures the emulated testbed's rate caps in Mbps. Zero
@@ -125,15 +124,6 @@ type Config struct {
 	// state of sessions that were abandoned rather than resumed. Zero
 	// means the 30-day default; negative disables expiry.
 	LedgerTTL time.Duration
-	// KioMode selects the kernel-assisted I/O fast path: "auto" (the
-	// default; on wherever the platform supports it), "on", or "off".
-	// When enabled, the sender batches contiguous chunk runs — one read,
-	// one CRC-32C pass, coalesced frames when the receiver advertises
-	// kio — and sendfile(2)s unmodified on-disk ranges on unchecksummed
-	// file-backed transfers; the receiver flushes adjacent chunks with
-	// one pwritev(2) per batch. "off" (and any non-Linux build) keeps
-	// the portable per-chunk path, byte-for-byte identical on the wire.
-	KioMode string
 	// Shaping holds the emulated rate caps.
 	Shaping Shaping
 	// WriteBudgetMbps is the receiver endpoint's arbitrated write-stage
@@ -152,8 +142,7 @@ type Config struct {
 	// connection (wrapped before the preamble, so the whole stream is
 	// covered). It is the fault-injection seam the chaos harness shapes,
 	// kills, and partitions through; returning the conn unchanged is
-	// always safe. A wrapper that does not implement syscall.Conn
-	// automatically disables the kio zero-copy path for that connection.
+	// always safe.
 	WrapConn func(kind string, c net.Conn) net.Conn
 	// Arena supplies the chunk buffers for both engine ends. nil uses the
 	// process-wide Default() arena, which is what lets back-to-back
@@ -173,13 +162,6 @@ func (c Config) arena() *Arena {
 
 // checksums reports whether the session verifies integrity (the default).
 func (c Config) checksums() bool { return !c.DisableChecksums }
-
-// kioEnabled resolves KioMode against the platform capability: true for
-// "on"/"auto" (the default) where the build carries the kernel-assisted
-// path, false for "off" or any non-Linux build.
-func (c Config) kioEnabled() bool {
-	return c.KioMode != "off" && wire.KioAvailable()
-}
 
 // WithDefaults returns cfg with zero fields replaced by defaults.
 func (c Config) WithDefaults() Config {
@@ -212,9 +194,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.LedgerCompactBytes == 0 {
 		c.LedgerCompactBytes = 1 << 20
-	}
-	if c.KioMode == "" {
-		c.KioMode = "auto"
 	}
 	return c
 }

@@ -115,11 +115,6 @@ func TestCrashRecoveryAtInjectedPoints(t *testing.T) {
 			cfg.ProbeInterval = 10 * time.Millisecond // frequent journal appends
 			cfg.InitialThreads = 4
 			cfg.Shaping.LinkMbps = 150 // keep the crash point mid-flight
-			// The injection counts journal appends, so commits must trickle
-			// in across many probe ticks; kio's coalesced frames would land
-			// them in a handful of lumps and close the mid-flight window.
-			// The ledger protocol under test is data-plane agnostic.
-			cfg.KioMode = "off"
 			if mode != "torn-append" {
 				// Tiny floor: the journal outgrows the (near-empty)
 				// snapshot almost immediately, so a compaction follows

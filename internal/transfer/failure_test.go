@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,8 +17,10 @@ import (
 )
 
 // failingStore wraps a store and fails writes after a byte budget.
+// Concurrent write workers share the budget, so mu guards it.
 type failingStore struct {
 	inner  fsim.Store
+	mu     sync.Mutex
 	budget int64
 }
 
@@ -38,8 +42,11 @@ type failingWriter struct {
 }
 
 func (w *failingWriter) WriteAt(p []byte, off int64) (int, error) {
+	w.store.mu.Lock()
 	w.store.budget -= int64(len(p))
-	if w.store.budget < 0 {
+	full := w.store.budget < 0
+	w.store.mu.Unlock()
+	if full {
 		return 0, errors.New("disk full (injected)")
 	}
 	return w.inner.WriteAt(p, off)
@@ -128,55 +135,99 @@ func TestReceiverSurvivesGarbageConnection(t *testing.T) {
 	}
 }
 
-// A frame addressed to a nonexistent file id must fail the receiver
-// session (and therefore the sender) rather than panic.
-func TestReceiverRejectsUnknownFileID(t *testing.T) {
-	dst := fsim.NewSyntheticStore()
-	recv := NewReceiver(testConfig(), dst)
-	if err := recv.Listen("127.0.0.1:0", "127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	recvErr := make(chan error, 1)
-	go func() { recvErr <- recv.ServeN(ctx, 1) }()
+// countingStore counts the positioned writes that reach its files.
+type countingStore struct {
+	fsim.Store
+	writes atomic.Int64
+}
 
-	ctrlRaw, err := net.Dial("tcp", recv.CtrlAddr())
+func (s *countingStore) Create(name string, size int64) (fsim.FileWriter, error) {
+	w, err := s.Store.Create(name, size)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	ctrl := wire.NewConn(ctrlRaw)
-	defer ctrl.Close()
-	if err := ctrl.Send(wire.Message{Hello: &wire.Hello{
-		Files:        []wire.FileInfo{{Name: "only", Size: 1 << 20}},
-		ChunkBytes:   64 << 10,
-		MaxWriters:   4,
-		ProtoVersion: wire.ProtoVersion,
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	welcome := recvReply(t, ctrl).Welcome
-	if welcome == nil {
-		t.Fatal("session rejected")
-	}
-	data, err := net.Dial("tcp", recv.DataAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer data.Close()
-	if err := wire.WriteDataPreamble(data, welcome.DataToken); err != nil {
-		t.Fatal(err)
-	}
-	if err := wire.WriteFrame(data, wire.Frame{FileID: 99, Offset: 0, Data: make([]byte, 16)}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-recvErr:
-		if err == nil {
-			t.Fatal("receiver accepted frame for unknown file")
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("receiver did not fail on bad frame")
+	return &countingWriter{FileWriter: w, writes: &s.writes}, nil
+}
+
+type countingWriter struct {
+	fsim.FileWriter
+	writes *atomic.Int64
+}
+
+func (w *countingWriter) WriteAt(p []byte, off int64) (int, error) {
+	w.writes.Add(1)
+	return w.FileWriter.WriteAt(p, off)
+}
+
+// A frame that is not exactly one chunk of the session's grid must fail
+// the receiver session (and therefore the sender) before a single byte
+// reaches the destination: no correct sender produces one, and writing
+// it would overwrite committed neighbours or grow the file.
+func TestReceiverRejectsUnknownFileID(t *testing.T) {
+	const chunk = 64 << 10
+	const size = 16*chunk + 100 // chunk 16 is a 100-byte tail
+	for _, tc := range []struct {
+		name string
+		f    wire.Frame
+	}{
+		{"unknown-id", wire.Frame{FileID: 99, Offset: 0, Data: make([]byte, 16)}},
+		{"unaligned-offset", wire.Frame{FileID: 0, Offset: chunk / 2, Data: make([]byte, chunk)}},
+		{"full-chunk-at-tail", wire.Frame{FileID: 0, Offset: 16 * chunk, Data: make([]byte, chunk)}},
+		{"two-chunks", wire.Frame{FileID: 0, Offset: 0, Data: make([]byte, 2*chunk)}},
+		{"past-eof", wire.Frame{FileID: 0, Offset: 17 * chunk, Data: make([]byte, chunk)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dst := &countingStore{Store: fsim.NewSyntheticStore()}
+			recv := NewReceiver(testConfig(), dst)
+			if err := recv.Listen("127.0.0.1:0", "127.0.0.1:0"); err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+			defer cancel()
+			recvErr := make(chan error, 1)
+			go func() { recvErr <- recv.ServeN(ctx, 1) }()
+
+			ctrlRaw, err := net.Dial("tcp", recv.CtrlAddr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctrl := wire.NewConn(ctrlRaw)
+			defer ctrl.Close()
+			if err := ctrl.Send(wire.Message{Hello: &wire.Hello{
+				Files:        []wire.FileInfo{{Name: "only", Size: size}},
+				ChunkBytes:   chunk,
+				MaxWriters:   4,
+				ProtoVersion: wire.ProtoVersion,
+			}}); err != nil {
+				t.Fatal(err)
+			}
+			welcome := recvReply(t, ctrl).Welcome
+			if welcome == nil {
+				t.Fatal("session rejected")
+			}
+			data, err := net.Dial("tcp", recv.DataAddr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer data.Close()
+			if err := wire.WriteDataPreamble(data, welcome.DataToken); err != nil {
+				t.Fatal(err)
+			}
+			if err := wire.WriteFrame(data, tc.f); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case err := <-recvErr:
+				if err == nil || !strings.Contains(err.Error(), "is not a chunk of this session") {
+					t.Fatalf("receiver session ended with %v, want a rejected frame", err)
+				}
+			case <-time.After(15 * time.Second):
+				t.Fatal("receiver did not fail on bad frame")
+			}
+			if n := dst.writes.Load(); n != 0 {
+				t.Fatalf("%d writes reached the store", n)
+			}
+		})
 	}
 }
 

@@ -107,6 +107,32 @@ func (l *Ledger) chunkLen(size int64, idx int) int64 {
 	return n
 }
 
+// chunkIndex returns the grid index of the chunk at (fileID, off) and
+// whether n bytes there are exactly that chunk: a known file, an aligned
+// offset inside it, and the chunk's full length (the file's remainder
+// for the tail). Caller holds mu.
+func (l *Ledger) chunkIndex(fileID uint32, off int64, n int) (int, bool) {
+	if int(fileID) >= len(l.Files) {
+		return 0, false
+	}
+	size := l.Files[fileID].Size
+	cb := int64(l.ChunkBytes)
+	if off < 0 || off%cb != 0 || off >= size {
+		return 0, false
+	}
+	idx := int(off / cb)
+	return idx, int64(n) == l.chunkLen(size, idx)
+}
+
+// isChunk reports whether n bytes at (fileID, off) are exactly one chunk
+// of the session's grid.
+func (l *Ledger) isChunk(fileID uint32, off int64, n int) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	_, ok := l.chunkIndex(fileID, off, n)
+	return ok
+}
+
 // ensure sizes f's bitmap and sums lazily.
 func (l *Ledger) ensure(f *FileLedger) {
 	if f.Bitmap != nil {
@@ -142,18 +168,11 @@ func (l *Ledger) Done(fileID uint32, off int64) bool {
 func (l *Ledger) Commit(fileID uint32, off int64, n int, sum uint32) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if int(fileID) >= len(l.Files) {
-		return false
-	}
-	f := l.Files[fileID]
-	cb := int64(l.ChunkBytes)
-	if off < 0 || off%cb != 0 || off >= f.Size {
-		return false
-	}
-	idx := int(off / cb)
-	if int64(n) != l.chunkLen(f.Size, idx) {
+	idx, ok := l.chunkIndex(fileID, off, n)
+	if !ok {
 		return false // partial or misaligned write is not a chunk commit
 	}
+	f := l.Files[fileID]
 	l.ensure(f)
 	if bitSet(f.Bitmap, idx) {
 		return false

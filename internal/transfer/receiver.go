@@ -9,7 +9,6 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"automdt/internal/flight"
@@ -21,7 +20,7 @@ import (
 )
 
 // commitBatchChunks caps the receiver's adaptive write batch: at most
-// this many staged chunks drain together into one vectored flush.
+// this many staged chunks drain together per write-worker wake-up.
 const commitBatchChunks = 16
 
 // Receiver is the destination-side endpoint: one control listener and one
@@ -103,6 +102,7 @@ type rsession struct {
 
 	mu          sync.Mutex
 	err         error
+	cancel      context.CancelFunc // ends the session's run; set before the Welcome
 	conns       []net.Conn
 	connsClosed bool
 	readerWG    sync.WaitGroup
@@ -127,9 +127,23 @@ func (s *rsession) Err() error {
 	return s.err
 }
 
+// abort fails the session from outside its run loop and ends the run.
+func (s *rsession) abort(err error) {
+	s.mu.Lock()
+	if s.err == nil {
+		s.err = err
+	}
+	cancel := s.cancel
+	s.mu.Unlock()
+	if cancel != nil {
+		cancel()
+	}
+}
+
 // addConn registers a routed data connection and spawns its reader: the
-// reader leases frame payloads from the session's arena and transfers
-// the lease to the write pool through the session staging buffer.
+// reader checks every frame against the session's chunk grid, leases
+// frame payloads from the session's arena, and transfers the lease to
+// the write pool through the session staging buffer.
 func (s *rsession) addConn(conn net.Conn) {
 	s.mu.Lock()
 	if s.connsClosed {
@@ -160,6 +174,18 @@ func (s *rsession) addConn(conn net.Conn) {
 				// stripes the session across several data connections and
 				// repairs the loss of one itself — it pulls the ledger and
 				// re-plans the lost chunks over the survivors.
+				return
+			}
+			// A frame is exactly one chunk of the session's grid. No
+			// correct sender produces anything else, and writing it would
+			// overwrite committed neighbours or grow the file, so unlike a
+			// checksum failure it fails the session.
+			if l := s.ledger.Load(); l == nil || !l.isChunk(f.FileID, f.Offset, len(f.Data)) {
+				if pending != nil {
+					pending.Release()
+				}
+				s.abort(fmt.Errorf("transfer: frame %d@%d+%d is not a chunk of this session",
+					f.FileID, f.Offset, len(f.Data)))
 				return
 			}
 			// The ledger sum is deliberately NOT the wire CRC: the write
@@ -634,6 +660,9 @@ func (r *Receiver) runSession(parent context.Context, sess *rsession, ctrl *wire
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
 	defer ctrl.Close()
+	sess.mu.Lock()
+	sess.cancel = cancel
+	sess.mu.Unlock()
 
 	manifest := make(workload.Manifest, len(h.Files))
 	var total int64
@@ -690,9 +719,6 @@ func (r *Receiver) runSession(parent context.Context, sess *rsession, ctrl *wire
 		ChunkBytes:   chunkBytes,
 		Ledger:       ledger.WireStates(),
 		DataToken:    sess.token,
-		// Advertising kio invites coalesced multi-chunk frames, which
-		// the write path below splits back into per-chunk commits.
-		Kio: r.Cfg.kioEnabled(),
 	}}); err != nil {
 		return fmt.Errorf("transfer: send welcome: %w", err)
 	}
@@ -702,9 +728,6 @@ func (r *Receiver) runSession(parent context.Context, sess *rsession, ctrl *wire
 	writers := make([]fsim.FileWriter, len(h.Files))
 	var writerMu sync.Mutex
 	writerFor := func(id uint32) (fsim.FileWriter, error) {
-		if int(id) >= len(h.Files) {
-			return nil, fmt.Errorf("transfer: frame for unknown file id %d", id)
-		}
 		writerMu.Lock()
 		defer writerMu.Unlock()
 		if writers[id] == nil {
@@ -784,104 +807,52 @@ func (r *Receiver) runSession(parent context.Context, sess *rsession, ctrl *wire
 		// complete): the session is done as soon as it starts.
 		writeOnce.Do(func() { close(writeDone) })
 	}
-	// chunkCommitted reports whether every ledger chunk a staged payload
-	// covers is already committed (a staged chunk spans several when a
-	// kio sender coalesced a run into one frame).
-	chunkCommitted := func(c *Chunk) bool {
-		for off := c.Offset; off < c.Offset+int64(len(c.Data)); off += int64(chunkBytes) {
-			if !ledger.Done(c.FileID, off) {
-				return false
-			}
+	// commit records one written chunk in the ledger. The payload is
+	// hashed at this last stage, before its arena lease is returned: the
+	// sum reflects what actually reached the store, so the FileSum
+	// compare is end-to-end, not an echo of the already-verified wire CRC.
+	commit := func(c *Chunk) {
+		var sum uint32
+		if h.Checksums {
+			sum = wire.PayloadCRC(c.Data)
 		}
-		return true
-	}
-	// commitPrefix splits the first limit written bytes of a payload back
-	// into per-chunk ledger commits (limit < len(Data) after a short
-	// write: only the pieces wholly on disk commit). Each piece is hashed
-	// at this last stage before the lease is returned: the sum reflects
-	// what actually reached the store, so the FileSum compare is
-	// end-to-end, not an echo of the already-verified wire CRC.
-	commitPrefix := func(c *Chunk, limit int) {
-		if limit > len(c.Data) {
-			limit = len(c.Data)
+		if !ledger.Commit(c.FileID, c.Offset, len(c.Data), sum) {
+			return
 		}
-		data, offset := c.Data, c.Offset
-		for len(data) > 0 {
-			n := chunkBytes
-			if len(data) < n {
-				n = len(data)
-			}
-			if n > limit {
-				return // the rest of the payload never reached the store
-			}
-			limit -= n
-			if !ledger.Done(c.FileID, offset) {
-				var sum uint32
-				if h.Checksums {
-					sum = wire.PayloadCRC(data[:n])
-				}
-				if ledger.Commit(c.FileID, offset, n, sum) {
-					if h.Checksums {
-						checkFile(c.FileID)
-					}
-					if ledger.CommittedBytes() >= total {
-						writeOnce.Do(func() { close(writeDone) })
-					}
-				}
-			}
-			data = data[n:]
-			offset += int64(n)
+		if h.Checksums {
+			checkFile(c.FileID)
+		}
+		if ledger.CommittedBytes() >= total {
+			writeOnce.Do(func() { close(writeDone) })
 		}
 	}
-	// kioBatch turns on the vectored flush: adjacent staged chunks drain
-	// together and land with one pwritev when the destination file
-	// exposes a raw descriptor. Off (or for a destination without
-	// descriptors), every chunk takes the portable one-WriteAt path.
-	// Shaped write stages keep chunk-at-a-time flushes: a rate-bound
-	// stage gains nothing from syscall batching, and batching would lump
-	// the paced writes into end-of-window bursts.
-	kioBatch := r.Cfg.kioEnabled() &&
-		r.Cfg.Shaping.WritePerThreadMbps <= 0 && r.Cfg.Shaping.WriteAggMbps <= 0 &&
+	// writeChunk lands one chunk with one positioned write.
+	writeChunk := func(c *Chunk) error {
+		w, err := writerFor(c.FileID)
+		if err != nil {
+			return err
+		}
+		span := flight.StageStart()
+		wire.CountIOOps(1)
+		n, err := w.WriteAt(c.Data, c.Offset)
+		flight.StageEnd(flight.StageWrite, span)
+		if err == nil && n < len(c.Data) {
+			err = io.ErrShortWrite
+		}
+		return err
+	}
+	// An unshaped write stage drains batches sized from the env's
+	// write-stage dimension: a deep backlog shared over few writers
+	// drains in large batches, a keeping-up pool degenerates to
+	// chunk-at-a-time. A shaped stage always moves one chunk at a time:
+	// it gains nothing from batching, which would lump the paced writes
+	// into end-of-window bursts.
+	batched := r.Cfg.Shaping.WritePerThreadMbps <= 0 && r.Cfg.Shaping.WriteAggMbps <= 0 &&
 		r.Cfg.WriteBudgetMbps <= 0
-	// flushGroup writes one adjacent same-file group and reports how many
-	// leading bytes are durably on disk — on a short write or mid-group
-	// error the caller still commits the chunk-grid pieces inside that
-	// prefix, so the failure loses no resume granularity. A pwritev
-	// refusal (no descriptor) falls back to per-chunk WriteAt —
-	// positioned writes are idempotent, so a partially applied vector is
-	// simply rewritten.
-	flushGroup := func(w fsim.FileWriter, group []Chunk, iovs [][]byte) (int64, error) {
-		if kioBatch && len(group) > 1 {
-			if fd, ok := w.(syscall.Conn); ok {
-				iovs = iovs[:0]
-				for i := range group {
-					iovs = append(iovs, group[i].Data)
-				}
-				written, err := wire.Pwritev(fd, iovs, group[0].Offset)
-				if err == nil || !errors.Is(err, wire.ErrKioUnsupported) {
-					return written, err
-				}
-			}
-		}
-		var written int64
-		for i := range group {
-			wire.CountIOOps(1)
-			n, err := w.WriteAt(group[i].Data, group[i].Offset)
-			written += int64(n)
-			if err != nil {
-				return written, err
-			}
-			if n < len(group[i].Data) {
-				return written, io.ErrShortWrite
-			}
-		}
-		return written, nil
-	}
 	var pool *Pool
 	pool = NewPool(func(stop <-chan struct{}, id int) {
 		lim := perThread.get(id)
 		var batch []Chunk
-		var iovs [][]byte
 		for {
 			select {
 			case <-stop:
@@ -890,16 +861,10 @@ func (r *Receiver) runSession(parent context.Context, sess *rsession, ctrl *wire
 				return
 			default:
 			}
-			// Batch size adapts to the env's write-stage dimension: a
-			// deep backlog shared over few writers drains in large
-			// vectors, a keeping-up pool degenerates to chunk-at-a-time.
 			k := 1
-			if kioBatch {
+			if batched {
 				if w := pool.Size(); w > 0 {
-					k = 1 + staging.Len()/w
-				}
-				if k > commitBatchChunks {
-					k = commitBatchChunks
+					k = min(1+staging.Len()/w, commitBatchChunks)
 				}
 			}
 			// An empty buffer parks the worker (no timer) until a Put or
@@ -908,91 +873,29 @@ func (r *Receiver) runSession(parent context.Context, sess *rsession, ctrl *wire
 			if len(batch) == 0 {
 				return
 			}
-			// Drop duplicates of committed chunks (resume overlap or a
-			// replayed frame) without touching the disk.
-			keep := batch[:0]
 			for i := range batch {
-				if chunkCommitted(&batch[i]) {
-					batch[i].Release()
+				c := &batch[i]
+				// Drop duplicates of committed chunks (resume overlap or a
+				// replayed frame) without touching the disk.
+				if ledger.Done(c.FileID, c.Offset) {
+					c.Release()
 					continue
 				}
-				keep = append(keep, batch[i])
-			}
-			batch = keep
-			if len(batch) == 0 {
-				continue
-			}
-			// Reserve shaping tokens chunk by chunk so a shaped write
-			// stage paces a batched flush the same as per-chunk writes.
-			aborted := false
-			for i := range batch {
-				sz := len(batch[i].Data)
-				if err := lim.WaitN(ctx, sz); err != nil {
-					aborted = true
-					break
+				sz := len(c.Data)
+				if lim.WaitN(ctx, sz) != nil || agg.WaitN(ctx, sz) != nil || budget.WaitN(ctx, sz) != nil {
+					releaseAll(batch[i:])
+					return // limiter wait cancelled: the session is coming down
 				}
-				if err := agg.WaitN(ctx, sz); err != nil {
-					aborted = true
-					break
-				}
-				if err := budget.WaitN(ctx, sz); err != nil {
-					aborted = true
-					break
-				}
-			}
-			if aborted { // limiter wait cancelled: the session is coming down
-				for i := range batch {
-					batch[i].Release()
-				}
-				return
-			}
-			// Flush adjacent same-file groups, then split each written
-			// payload into per-chunk commits. The arena lease ends only
-			// once its chunk has committed (or failed): the commit path
-			// re-hashes the payload, so the buffer must still be live.
-			i := 0
-			for i < len(batch) {
-				j := i + 1
-				for j < len(batch) &&
-					batch[j].FileID == batch[i].FileID &&
-					batch[j].Offset == batch[j-1].Offset+int64(len(batch[j-1].Data)) {
-					j++
-				}
-				group := batch[i:j]
-				var wrote int64
-				w, err := writerFor(group[0].FileID)
-				if err == nil {
-					span := flight.StageStart()
-					wrote, err = flushGroup(w, group, iovs)
-					flight.StageEnd(flight.StageWrite, span)
-				}
-				// Commit every chunk-grid piece inside the durably written
-				// prefix — a short write or mid-group failure must not
-				// forfeit ledger granularity, or a retry would re-send
-				// bytes that are already on disk.
-				for d := range group {
-					c := &group[d]
-					lim := int64(len(c.Data))
-					if lim > wrote {
-						lim = wrote
-					}
-					if lim > 0 {
-						commitPrefix(c, int(lim))
-						writeCounter.Add(lim)
-						written.Add(lim)
-					}
-					wrote -= lim
-					c.Release()
-				}
-				if err != nil {
-					for i = j; i < len(batch); i++ {
-						batch[i].Release()
-					}
+				if err := writeChunk(c); err != nil {
+					releaseAll(batch[i:])
 					sess.fail(err)
 					cancel()
 					return
 				}
-				i = j
+				commit(c)
+				writeCounter.Add(int64(sz))
+				written.Add(int64(sz))
+				c.Release()
 			}
 		}
 	})

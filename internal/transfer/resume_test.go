@@ -177,10 +177,6 @@ func TestResumeRevalidatesCorruptRegion(t *testing.T) {
 	cfg.SessionID = session
 	cfg.ProbeInterval = 25 * time.Millisecond
 	cfg.Shaping.LinkMbps = 100
-	// The kill poller waits for the third chunk of file 0 to commit, so
-	// commits must land chunk by chunk; kio's coalesced frames would
-	// commit whole runs at once and race the window shut.
-	cfg.KioMode = "off"
 
 	dst1, err := fsim.NewDirStore(dir)
 	if err != nil {
@@ -212,11 +208,19 @@ func TestResumeRevalidatesCorruptRegion(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := loadSessionLedger(t, dst2, session)
-	if !before.Done(0, 0) {
-		t.Skip("first chunk not committed before the kill; nothing to corrupt")
+	// Flip a byte inside the first committed chunk of file 0. Chunks
+	// commit out of order under load, so that need not be chunk 0.
+	corruptAt := int64(-1)
+	for off := int64(0); off < m[0].Size; off += int64(cfg.ChunkBytes) {
+		if before.Done(0, off) {
+			corruptAt = off + 100
+			break
+		}
 	}
-	// Flip a byte inside the first committed chunk of file 0.
-	corruptStoreFile(t, dir, m[0].Name, 100)
+	if corruptAt < 0 {
+		t.Skip("no chunk of file 0 committed before the kill; nothing to corrupt")
+	}
+	corruptStoreFile(t, dir, m[0].Name, corruptAt)
 
 	cfg2 := cfg
 	cfg2.Shaping = Shaping{}

@@ -7,7 +7,6 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"automdt/internal/env"
@@ -58,23 +57,14 @@ var errRunDone = errors.New("transfer: run already complete")
 // watch — not a failed write — notices a data connection is gone.
 var errConnClosedByPeer = errors.New("transfer: data connection closed by peer")
 
-// kioRunChunks bounds a kio read run in chunks: 16 is 4 MiB at the
-// default chunk size, an exact arena size class, so a run's lease
-// wastes nothing.
-const kioRunChunks = 16
+// errPullTimeout reports a mid-transfer ledger pull the receiver did not
+// answer.
+var errPullTimeout = errors.New("transfer: ledger pull timed out")
 
-// sendBatchChunks bounds how many staged chunks a kio network worker
-// drains per iteration: the batch shares one vectored frame write and
-// one rate-limiter reservation.
+// sendBatchChunks bounds how many staged chunks an unshaped network
+// worker drains per iteration: the batch's frames share one vectored
+// write.
 const sendBatchChunks = 8
-
-// isKioRefusal classifies data-plane errors that mean "this file or
-// filesystem cannot be spliced" rather than "the connection died".
-func isKioRefusal(err error) bool {
-	return errors.Is(err, syscall.EINVAL) ||
-		errors.Is(err, syscall.ENOSYS) ||
-		errors.Is(err, syscall.EOPNOTSUPP)
-}
 
 // Sender is the source-side engine: a resizable read pool stages chunks
 // from the source store into a bounded buffer, and a resizable network
@@ -160,17 +150,6 @@ func newChunker(m workload.Manifest, chunkBytes int, skip *Ledger) *chunker {
 // next returns the next planned chunk reference, or ok=false when
 // exhausted.
 func (c *chunker) next() (fileID uint32, off int64, n int, ok bool) {
-	fid, off64, n64, _, ok := c.nextRun(0)
-	return fid, off64, int(n64), ok
-}
-
-// nextRun returns the next planned contiguous run: one or more adjacent
-// chunks of a single file, none skipped by the resume ledger, totalling
-// at most maxBytes (maxBytes below one chunk degenerates to next()'s
-// single-chunk behavior). The kio read stage leases and reads a whole
-// run at once — one ReadAt and one CRC-32C pass over pieces chunks
-// instead of pieces of each.
-func (c *chunker) nextRun(maxBytes int64) (fileID uint32, off int64, n int64, pieces int, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for {
@@ -179,7 +158,7 @@ func (c *chunker) nextRun(maxBytes int64) (fileID uint32, off int64, n int64, pi
 			c.off = 0
 		}
 		if c.fi >= len(c.files) {
-			return 0, 0, 0, 0, false
+			return 0, 0, 0, false
 		}
 		f := c.files[c.fi]
 		size := c.chunk
@@ -191,25 +170,7 @@ func (c *chunker) nextRun(maxBytes int64) (fileID uint32, off int64, n int64, pi
 		if c.skip != nil && c.skip.Done(fileID, off) {
 			continue // committed in a previous attempt; not re-read
 		}
-		n, pieces = size, 1
-		// Extend through adjacent planned chunks while they fit. A skipped
-		// chunk ends the run: the wire frame must stay one unbroken range.
-		for c.off < f.Size {
-			size = c.chunk
-			if c.off+size > f.Size {
-				size = f.Size - c.off
-			}
-			if n+size > maxBytes {
-				break
-			}
-			if c.skip != nil && c.skip.Done(fileID, c.off) {
-				break
-			}
-			n += size
-			pieces++
-			c.off += size
-		}
-		return fileID, off, n, pieces, true
+		return fileID, off, int(size), true
 	}
 }
 
@@ -326,7 +287,6 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 		ProtoVersion:     wire.ProtoVersion,
 		SessionID:        cfg.SessionID,
 		Checksums:        checksums,
-		Kio:              cfg.kioEnabled(),
 	}}); err != nil {
 		return nil, fmt.Errorf("transfer: send hello: %w", err)
 	}
@@ -394,28 +354,6 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 	}
 	planned := total - skipped
 
-	// Kernel-assisted I/O plan. kio alone batches work without changing
-	// the wire: runs of adjacent chunks are leased, read, and CRC'd
-	// together, and per-chunk frames go out in one vectored write per
-	// batch. kioFrames (the receiver advertised the capability) further
-	// coalesces each run into a single multi-chunk frame, which the
-	// receiver splits back into per-chunk ledger commits. On
-	// unchecksummed file-backed transfers, runs become kernel-owned:
-	// the payload never enters userspace — the network stage emits the
-	// header and sendfile(2)s the range. kioBroken latches a runtime
-	// refusal (filesystem without sendfile support) and drops the
-	// session back to buffered sends.
-	kio := cfg.kioEnabled()
-	kioFrames := kio && welcome.Kio
-	var kioBroken atomic.Bool
-	runBytes := int64(chunkBytes)
-	if kioFrames {
-		runBytes = int64(chunkBytes) * kioRunChunks
-		if runBytes > wire.MaxChunk {
-			runBytes = wire.MaxChunk
-		}
-	}
-
 	staging := NewStaging(cfg.SenderBufBytes)
 	src := newChunker(s.Manifest, chunkBytes, resume)
 
@@ -471,25 +409,8 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 	netPerStream := newLimiterSet(cfg.Shaping.NetPerStreamMbps, cfg.ChunkBytes)
 	link := newLimiter(cfg.Shaping.LinkMbps, cfg.ChunkBytes)
 
-	// kioOwnedFile reports whether a file's runs can be kernel-owned:
-	// unchecksummed session, kio enabled and not runtime-refused, and a
-	// source reader exposing a raw descriptor for sendfile (DirStore's
-	// *os.File does; synthetic stores don't).
-	kioOwnedFile := func(id uint32) bool {
-		if !kio || checksums || kioBroken.Load() {
-			return false
-		}
-		r, err := readerFor(id)
-		if err != nil {
-			return false // the buffered read path surfaces the error
-		}
-		_, ok := r.(syscall.Conn)
-		return ok
-	}
-
 	readPool := NewPool(func(stop <-chan struct{}, id int) {
 		lim := readPerThread.get(id)
-		var sums []uint32
 		for {
 			select {
 			case <-stop:
@@ -498,29 +419,15 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 				return
 			default:
 			}
-			fileID, off, n64, pieces, ok := src.nextRun(runBytes)
+			fileID, off, n, ok := src.next()
 			if !ok {
 				return
 			}
-			n := int(n64)
 			if err := lim.WaitN(ctx, n); err != nil {
 				return
 			}
 			if err := readAgg.WaitN(ctx, n); err != nil {
 				return
-			}
-			if kioOwnedFile(fileID) {
-				// Kernel-owned run: no lease, no read, no copy. The network
-				// stage emits the header and sendfile(2)s the range straight
-				// from the source file into the socket.
-				if !staging.Put(Chunk{FileID: fileID, Offset: off, Kio: true, N: n}) {
-					return
-				}
-				if chunksStaged.Add(int64(pieces)) == src.total {
-					sendSumsDone()
-					staging.Close() // all chunks staged; network drains the rest
-				}
-				continue
 			}
 			r, err := readerFor(fileID)
 			if err != nil {
@@ -528,10 +435,9 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 				cancel()
 				return
 			}
-			// One arena lease per run (a run is a single chunk outside kio),
-			// full and tail sizes alike; the lease rides the chunk through
-			// staging and is released by the network worker after the frame
-			// hits the wire.
+			// One arena lease per chunk, full and tail sizes alike; the
+			// lease rides the chunk through staging and is released by the
+			// network worker after the frame hits the wire.
 			buf := arena.Get(n)
 			span := flight.StageStart()
 			if _, err := r.ReadAt(buf.Bytes(), off); err != nil {
@@ -542,30 +448,21 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 			}
 			flight.StageEnd(flight.StageRead, span)
 			wire.CountIOOps(1)
-			readCounter.Add(n64)
+			readCounter.Add(int64(n))
 			var sum uint32
 			if checksums {
-				// Hash the whole run in one pass. The per-chunk sums feed
-				// the file fold (and, on the receiver, per-chunk ledger
-				// entries); the frame checksum is their combination, so the
-				// run is never hashed twice.
-				sums = wire.BatchCRC(sums[:0], buf.Bytes(), chunkBytes)
-				for i, cs := range sums {
-					if crc, done := summer.add(fileID, off+int64(i)*int64(chunkBytes), cs); done {
-						ctrl.Send(wire.Message{FileSum: &wire.FileSum{FileID: fileID, CRC: crc}})
-					}
-				}
-				if len(sums) == 1 {
-					sum = sums[0]
-				} else {
-					sum = wire.FoldChunkCRCs(sums, int64(chunkBytes), n64)
+				// One hash per chunk: it is the frame checksum and feeds the
+				// file fold, so the payload is never hashed twice here.
+				sum = wire.PayloadCRC(buf.Bytes())
+				if crc, done := summer.add(fileID, off, sum); done {
+					ctrl.Send(wire.Message{FileSum: &wire.FileSum{FileID: fileID, CRC: crc}})
 				}
 			}
 			if !staging.Put(Chunk{FileID: fileID, Offset: off, Data: buf.Bytes(), Buf: buf, Sum: sum}) {
 				buf.Release()
 				return
 			}
-			if chunksStaged.Add(int64(pieces)) == src.total {
+			if chunksStaged.Add(1) == src.total {
 				sendSumsDone()
 				staging.Close() // all chunks staged; network drains the rest
 			}
@@ -657,16 +554,18 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		case <-time.After(30 * time.Second):
-			return nil, errors.New("transfer: ledger pull timed out")
+			return nil, errPullTimeout
 		}
 	}
 
-	// sendFrame stripes one frame across the live connections: a write
-	// failure retires the failed connection, hands its sent history to a
-	// recovery goroutine, and retries the in-hand frame on a surviving
-	// connection. Only a session with no live connection left fails.
+	// sendFrames stripes a batch of frames, as one vectored write, onto
+	// one of the live connections: a write failure retires the failed
+	// connection, hands its sent history to a recovery goroutine, and
+	// retries the whole in-hand batch on a surviving connection (the
+	// receiver drops any duplicate that did land). Only a session with no
+	// live connection left fails.
 	var recoverWG sync.WaitGroup
-	var sendFrame func(f wire.Frame, hint int) error
+	var sendFrames func(frames []wire.Frame, hint int) error
 	var recoverConn func(c *dataConn, cause error)
 	// spawnRecovery starts a recovery goroutine unless the run is already
 	// winding down — the read-side death watch can fire while closeAll
@@ -682,13 +581,13 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 		recoverWG.Add(1)
 		go recoverConn(c, cause)
 	}
-	sendFrame = func(f wire.Frame, hint int) error {
+	sendFrames = func(frames []wire.Frame, hint int) error {
 		for {
 			c := conns.pick(hint)
 			if c == nil {
 				return errConnsExhausted
 			}
-			err := conns.write(c, f)
+			err := conns.writeBatch(c, frames)
 			if err == nil {
 				return nil
 			}
@@ -721,26 +620,23 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 				committed.ApplyWire(states)
 				kept := history[:0]
 				for _, cr := range history {
-					// A kio frame spans several chunks; the run is lost
-					// unless every piece committed (the receiver drops the
-					// committed pieces of a re-sent run).
-					done := true
-					for p := int64(0); p < int64(cr.n); p += int64(chunkBytes) {
-						if !committed.Done(cr.fileID, cr.off+p) {
-							done = false
-							break
-						}
-					}
-					if !done {
+					if !committed.Done(cr.fileID, cr.off) {
 						kept = append(kept, cr)
 					}
 				}
 				lost = kept
-			case errors.Is(err, errRunDone) || ctx.Err() != nil:
-				return
+			case errors.Is(err, errPullTimeout):
+				// A live session that did not answer falls back to
+				// re-sending the whole history; the receiver's ledger drops
+				// duplicates.
 			default:
-				// A failed pull on a live session falls back to re-sending
-				// the whole history; the receiver's ledger drops duplicates.
+				// The run is done or cancelled, or the control channel is
+				// gone, which ends the session either way: the control
+				// reader delivers the receiver's Done or fails the run. A
+				// completed receiver closes its control channel right after
+				// its data connections, so this is also how a finished
+				// session's last death-watch recovery ends.
+				return
 			}
 		}
 		if flight.Active() {
@@ -778,12 +674,12 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 				cancel()
 				return
 			}
-			f := wire.Frame{FileID: cr.fileID, Offset: cr.off, Data: buf.Bytes()}
+			f := [1]wire.Frame{{FileID: cr.fileID, Offset: cr.off, Data: buf.Bytes()}}
 			if checksums {
-				f.Checksum, f.Sum, f.SumKnown = true, wire.PayloadCRC(buf.Bytes()), true
+				f[0].Checksum, f[0].Sum, f[0].SumKnown = true, wire.PayloadCRC(buf.Bytes()), true
 			}
-			err = sendFrame(f, -1)
-			n := int64(len(f.Data))
+			err = sendFrames(f[:], -1)
+			n := int64(cr.n)
 			buf.Release()
 			if err != nil {
 				if errors.Is(err, errRunDone) {
@@ -825,108 +721,13 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 		}
 	}
 
-	// sendFrameBatch stripes a batch of frames as one vectored write on
-	// one connection, with sendFrame's retry discipline: a write failure
-	// retires the connection and the whole batch retries on a survivor
-	// (the receiver drops any duplicate that did land).
-	sendFrameBatch := func(frames []wire.Frame, hint int) error {
-		if len(frames) == 0 {
-			return nil
-		}
-		for {
-			c := conns.pick(hint)
-			if c == nil {
-				return errConnsExhausted
-			}
-			err := conns.writeBatch(c, frames)
-			if err == nil {
-				return nil
-			}
-			if errors.Is(err, errRunDone) {
-				return err
-			}
-			if conns.markDead(c) {
-				spawnRecovery(c, err)
-			}
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-		}
-	}
-
-	// resendBuffered ships a kernel-owned chunk through the buffered
-	// path after a sendfile refusal: read the range into a lease and
-	// send a plain frame (kernel-owned chunks only exist unchecksummed).
-	resendBuffered := func(ch Chunk, hint int) error {
-		r, err := readerFor(ch.FileID)
-		if err != nil {
-			return err
-		}
-		buf := arena.Get(ch.N)
-		if _, err := r.ReadAt(buf.Bytes(), ch.Offset); err != nil {
-			buf.Release()
-			return fmt.Errorf("transfer: read %s@%d: %w", s.Manifest[ch.FileID].Name, ch.Offset, err)
-		}
-		wire.CountIOOps(1)
-		err = sendFrame(wire.Frame{FileID: ch.FileID, Offset: ch.Offset, Data: buf.Bytes()}, hint)
-		buf.Release()
-		return err
-	}
-
-	// sendKio emits a kernel-owned chunk: header from userspace, payload
-	// by sendfile. A capability refusal before any byte hits the wire
-	// falls back to the buffered path (and latches kioBroken so the read
-	// stage stops planning kernel-owned runs); a refusal mid-frame
-	// desyncs the stream, so the connection is retired and recovery
-	// re-plans it like any other write failure.
-	sendKio := func(ch Chunk, hint int) error {
-		r, err := readerFor(ch.FileID)
-		if err != nil {
-			return err
-		}
-		fileSrc, ok := r.(syscall.Conn)
-		if !ok {
-			kioBroken.Store(true)
-			return resendBuffered(ch, hint)
-		}
-		for {
-			c := conns.pick(hint)
-			if c == nil {
-				return errConnsExhausted
-			}
-			err := conns.writeKio(c, ch.FileID, ch.Offset, ch.N, fileSrc)
-			if err == nil {
-				return nil
-			}
-			if errors.Is(err, errRunDone) {
-				return err
-			}
-			if errors.Is(err, wire.ErrKioUnsupported) {
-				// Nothing was written on the slot; take the buffered path.
-				kioBroken.Store(true)
-				return resendBuffered(ch, hint)
-			}
-			if isKioRefusal(err) {
-				kioBroken.Store(true)
-			}
-			if conns.markDead(c) {
-				spawnRecovery(c, err)
-			}
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-		}
-	}
-
-	// The kio network stage drains batches so adjacent frames share one
-	// vectored write; outside kio the drain is a single chunk and the
-	// wire path is the untouched portable one. A shaped network stage
-	// also stays chunk-at-a-time: rate-bound sends gain nothing from
-	// syscall batching, and batching would lump the paced writes into
-	// end-of-window bursts.
-	drain := 1
-	if kio && cfg.Shaping.NetPerStreamMbps <= 0 && cfg.Shaping.LinkMbps <= 0 {
-		drain = sendBatchChunks
+	// The network stage drains batches so their frames share one vectored
+	// write. A shaped network stage stays chunk-at-a-time: rate-bound
+	// sends gain nothing from syscall batching, and batching would lump
+	// the paced writes into end-of-window bursts.
+	drain := sendBatchChunks
+	if cfg.Shaping.NetPerStreamMbps > 0 || cfg.Shaping.LinkMbps > 0 {
+		drain = 1
 	}
 
 	netPool := NewPool(func(stop <-chan struct{}, id int) {
@@ -947,56 +748,27 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 			if len(batch) == 0 {
 				return
 			}
-			// Reserve shaping tokens chunk by chunk (not one batch-sized
-			// debt) so a shaped link paces a batched sender the same as a
-			// portable one; only the writes are batched.
+			// Reserve shaping tokens chunk by chunk, not one batch-sized
+			// debt; only the writes are batched.
 			var total int64
-			aborted := false
-			for i := range batch {
-				sz := int(batch[i].size())
-				if err := lim.WaitN(ctx, sz); err != nil {
-					aborted = true
-					break
-				}
-				if err := link.WaitN(ctx, sz); err != nil {
-					aborted = true
-					break
-				}
-				total += int64(sz)
-			}
-			if aborted { // limiter wait cancelled: the run is coming down
-				for i := range batch {
-					batch[i].Release()
-				}
-				return
-			}
-			span := flight.StageStart()
 			frames = frames[:0]
-			var err error
 			for i := range batch {
 				ch := &batch[i]
-				if ch.Kio {
-					if err = sendFrameBatch(frames, id); err != nil {
-						break
-					}
-					frames = frames[:0]
-					if err = sendKio(*ch, id); err != nil {
-						break
-					}
-					continue
+				sz := len(ch.Data)
+				if lim.WaitN(ctx, sz) != nil || link.WaitN(ctx, sz) != nil {
+					releaseAll(batch)
+					return // limiter wait cancelled: the run is coming down
 				}
+				total += int64(sz)
 				frames = append(frames, wire.Frame{
 					FileID: ch.FileID, Offset: ch.Offset, Data: ch.Data,
 					Checksum: checksums, Sum: ch.Sum, SumKnown: checksums,
 				})
 			}
-			if err == nil {
-				err = sendFrameBatch(frames, id)
-			}
+			span := flight.StageStart()
+			err := sendFrames(frames, id)
 			flight.StageEnd(flight.StageNet, span)
-			for i := range batch {
-				batch[i].Release()
-			}
+			releaseAll(batch)
 			if err != nil {
 				if errors.Is(err, errRunDone) {
 					return
@@ -1017,6 +789,15 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 	// as a clean end-of-stream at the receiver, so no EndStream marker is
 	// needed (one would wrongly end a shared connection that recovery
 	// might still write to).
+	//
+	// The wire counters are read last, once every network worker and
+	// recovery has exited: the receiver's Done can overtake the counter
+	// update of the batch that completed the session.
+	defer func() {
+		if res != nil {
+			res.WireBytes, res.ResentBytes = netTotal.Load(), resentTotal.Load()
+		}
+	}()
 	defer conns.closeAll()
 	defer func() {
 		staging.Close()
@@ -1169,8 +950,6 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 				SessionID:    sess.ID,
 				Resumed:      sess.Resumed,
 				SkippedBytes: skipped,
-				WireBytes:    netTotal.Load(),
-				ResentBytes:  resentTotal.Load(),
 				Recorder:     rec,
 			}, s.Err()
 		case <-ticker.C:

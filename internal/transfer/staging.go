@@ -20,26 +20,10 @@ type Chunk struct {
 	// taken at the write stage, keeping file verification end-to-end.
 	// Zero and meaningless when the session runs unchecksummed.
 	Sum uint32
-	// Kio marks a kernel-owned chunk: the payload stays in the source
-	// file and never enters userspace. Data and Buf are nil — the arena
-	// never sees the bytes — and N carries the payload length for
-	// capacity accounting; the network stage emits the frame header from
-	// userspace and sendfile(2)s the payload range straight into the
-	// socket.
-	Kio bool
-	// N is the payload length of a kernel-owned chunk (len(Data)
-	// otherwise).
-	N int
 }
 
-// size returns the chunk's payload length regardless of where the bytes
-// live (userspace Data or a kernel-owned on-disk range).
-func (c *Chunk) size() int64 {
-	if c.Kio {
-		return int64(c.N)
-	}
-	return int64(len(c.Data))
-}
+// size returns the chunk's payload length.
+func (c *Chunk) size() int64 { return int64(len(c.Data)) }
 
 // Release returns the chunk's arena lease, if any. Safe to call more
 // than once on the same Chunk value (the second call is a no-op).
@@ -47,6 +31,13 @@ func (c *Chunk) Release() {
 	if c.Buf != nil {
 		c.Buf.Release()
 		c.Buf = nil
+	}
+}
+
+// releaseAll releases every chunk of a batch.
+func releaseAll(cs []Chunk) {
+	for i := range cs {
+		cs[i].Release()
 	}
 }
 
@@ -135,9 +126,9 @@ func (s *Staging) takeLocked(dst []Chunk, max int) []Chunk {
 // empty buffer it parks — no timer — until a Put or Close, or until stop
 // or done fires. It returns no chunks with closed set once the buffer is
 // closed and fully drained, and no chunks with closed unset when stop or
-// done fired first. The network and write stages drain batches: adjacent
-// chunks popped together can share one vectored frame write or one
-// pwritev flush.
+// done fired first. The network and write stages drain batches: chunks
+// popped together share one vectored frame write or one write-worker
+// wake-up.
 //
 // No wake-up is lost: a Put leaves its token even when nobody is parked
 // yet, the consumer that receives a token always takes before it looks at

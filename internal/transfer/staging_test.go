@@ -119,6 +119,37 @@ func TestTryGet(t *testing.T) {
 	}
 }
 
+// TryGetN must drain up to max staged chunks without blocking, keep
+// accounting exact, and report closure only when the buffer is empty.
+func TestStagingTryGetN(t *testing.T) {
+	s := NewStaging(1 << 20)
+	for i := 0; i < 5; i++ {
+		if !s.Put(Chunk{FileID: 1, Offset: int64(i) * 64, Data: make([]byte, 64)}) {
+			t.Fatal("staging closed early")
+		}
+	}
+	batch, closed := s.TryGetN(nil, 3)
+	if closed || len(batch) != 3 {
+		t.Fatalf("first drain got %d closed=%v, want 3 false", len(batch), closed)
+	}
+	for i, c := range batch {
+		if c.Offset != int64(i)*64 {
+			t.Fatalf("chunk %d offset %d, want FIFO order", i, c.Offset)
+		}
+	}
+	batch, closed = s.TryGetN(batch[:0], 10)
+	if closed || len(batch) != 2 {
+		t.Fatalf("second drain got %d closed=%v, want 2 false", len(batch), closed)
+	}
+	if got := s.Used(); got != 0 {
+		t.Fatalf("staging holds %d bytes after full drain", got)
+	}
+	s.Close()
+	if batch, closed = s.TryGetN(batch[:0], 1); !closed || len(batch) != 0 {
+		t.Fatalf("drained closed staging got %d closed=%v, want 0 true", len(batch), closed)
+	}
+}
+
 func TestStagingConcurrentProducersConsumers(t *testing.T) {
 	s := NewStaging(64 << 10)
 	const producers, perProducer = 4, 200

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"net"
 	"sync"
-	"syscall"
 
 	"automdt/internal/wire"
 )
@@ -178,21 +177,6 @@ func (cs *connSet) ensure(c *dataConn) error {
 	return nil
 }
 
-// write sends one frame on slot c, dialing the socket on first use, and
-// records the chunk in the slot's history once it is on the wire.
-func (cs *connSet) write(c *dataConn, f wire.Frame) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := cs.ensure(c); err != nil {
-		return err
-	}
-	if err := c.fw.Write(c.conn, f); err != nil {
-		return err
-	}
-	c.sent = append(c.sent, chunkRef{fileID: f.FileID, off: f.Offset, n: int32(len(f.Data))})
-	return nil
-}
-
 // writeBatch sends a batch of frames on slot c as one vectored write
 // (header and payload iovecs of every frame in a single writev),
 // dialing the socket on first use and recording each chunk in the
@@ -212,35 +196,6 @@ func (cs *connSet) writeBatch(c *dataConn, frames []wire.Frame) error {
 	for _, f := range frames {
 		c.sent = append(c.sent, chunkRef{fileID: f.FileID, off: f.Offset, n: int32(len(f.Data))})
 	}
-	return nil
-}
-
-// writeKio sends one kernel-owned frame on slot c: the header from
-// userspace, then the n payload bytes by sendfile straight from src
-// into the socket. Returns wire.ErrKioUnsupported — with nothing
-// written, so the slot stays usable — when either descriptor is
-// unavailable; any error after the header desyncs the stream and the
-// caller must retire the slot.
-func (cs *connSet) writeKio(c *dataConn, fileID uint32, off int64, n int, src syscall.Conn) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := cs.ensure(c); err != nil {
-		return err
-	}
-	sock, ok := c.conn.(syscall.Conn)
-	if !ok {
-		return wire.ErrKioUnsupported
-	}
-	if _, err := src.SyscallConn(); err != nil {
-		return wire.ErrKioUnsupported
-	}
-	if err := c.fw.WriteKioHeader(c.conn, fileID, off, n); err != nil {
-		return err
-	}
-	if err := wire.SendfilePayload(sock, src, off, n); err != nil {
-		return err
-	}
-	c.sent = append(c.sent, chunkRef{fileID: fileID, off: off, n: int32(n)})
 	return nil
 }
 

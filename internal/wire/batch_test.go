@@ -8,8 +8,7 @@ import (
 
 // BatchCRC hashes a contiguous run in one pass; the per-piece sums must
 // match chunk-at-a-time PayloadCRC calls exactly, and folding them must
-// reproduce the whole-run CRC, or the kio read path would announce file
-// sums the portable receiver rejects.
+// reproduce the whole-run CRC.
 func TestBatchCRCMatchesPerChunk(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, total := range []int{0, 1, 64, 100, 256, 1000, 64<<10 + 13} {
@@ -118,26 +117,5 @@ func TestWriteBatchByteIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(one.Bytes(), oneSeq.Bytes()) {
 		t.Fatal("singleton batch differs from Write")
-	}
-}
-
-// A kio header announces a kernel-owned payload the sender streams
-// separately; on the wire it must be indistinguishable from the header
-// of an equivalent userspace frame, so a portable receiver needs no
-// special case.
-func TestKioHeaderMatchesPlainFrameHeader(t *testing.T) {
-	var kio, plain [FrameHeaderSize]byte
-	data := make([]byte, 999)
-	if err := EncodeKioHeader(&kio, 42, 1<<30, len(data)); err != nil {
-		t.Fatal(err)
-	}
-	if err := EncodeHeader(&plain, Frame{FileID: 42, Offset: 1 << 30, Data: data}); err != nil {
-		t.Fatal(err)
-	}
-	if kio != plain {
-		t.Fatalf("kio header % x differs from plain header % x", kio, plain)
-	}
-	if err := EncodeKioHeader(&kio, 1, 0, MaxChunk+1); err == nil {
-		t.Fatal("oversize kio header accepted")
 	}
 }

@@ -109,11 +109,8 @@ func CombineCRC(crcA, crcB uint32, lenB int64) uint32 {
 
 // BatchCRC appends to dst the per-chunk CRC-32C sums of p tiled into
 // chunk-sized pieces (the last piece may be short) and returns the
-// extended slice. The kio read path hashes a whole contiguous run of
-// chunks in one call — one pass over one buffer with the hardware
-// CRC-32C kernel, instead of one PayloadCRC call per chunk — and the
-// per-piece sums still feed the session ledger and FileSum fold
-// unchanged.
+// extended slice: one call over a contiguous run yields exactly the sums
+// one PayloadCRC call per piece would.
 func BatchCRC(dst []uint32, p []byte, chunk int) []uint32 {
 	if chunk <= 0 {
 		if len(p) == 0 {

@@ -10,6 +10,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 )
 
 // ProtoVersion is the one control-channel protocol generation: Hello →
@@ -117,20 +118,20 @@ func EncodeHeader(hdr *[FrameHeaderSize]byte, f Frame) error {
 	return nil
 }
 
-// EncodeKioHeader encodes a plain (unchecksummed) frame header for a
-// payload of n bytes that never enters userspace: the kernel-I/O sender
-// writes this header from userspace and then sendfile(2)s the payload
-// straight from the source file into the socket.
-func EncodeKioHeader(hdr *[FrameHeaderSize]byte, fileID uint32, off int64, n int) error {
-	if n < 0 || n > MaxChunk {
-		return fmt.Errorf("wire: frame payload %d exceeds limit %d", n, MaxChunk)
-	}
-	binary.BigEndian.PutUint32(hdr[0:4], fileID)
-	binary.BigEndian.PutUint64(hdr[4:12], uint64(off))
-	binary.BigEndian.PutUint32(hdr[12:16], uint32(n))
-	binary.BigEndian.PutUint32(hdr[16:20], 0)
-	return nil
-}
+// ioOps counts data-plane I/O operations: every socket read, frame
+// write (one per vectored batch) and store ReadAt/WriteAt on the hot
+// path bumps it by one. It is a strace-free would-be-syscall counter —
+// self-instrumented at the call sites the engine owns, so it is exact,
+// cheap, and works under `go test`.
+var ioOps atomic.Int64
+
+// CountIOOps records n data-plane I/O operations.
+func CountIOOps(n int64) { ioOps.Add(n) }
+
+// IOOps returns the process-lifetime data-plane operation count.
+// Benchmarks snapshot it before and after a scenario and report the
+// delta per op.
+func IOOps() int64 { return ioOps.Load() }
 
 // frameWriterPool and frameReaderPool back the one-shot WriteFrame and
 // ReadFrame helpers so their header scratch is reused instead of
@@ -195,8 +196,7 @@ func (fw *FrameWriter) Write(w io.Writer, f Frame) error {
 // headers are encoded into persistent per-slot scratch and the
 // header/payload iovecs go out in a single writev when w is a
 // *net.TCPConn. One batch costs one data-plane operation regardless of
-// frame count, which is where the kio sender's syscalls-per-op win on
-// checksummed (non-sendfile) traffic comes from.
+// frame count.
 func (fw *FrameWriter) WriteBatch(w io.Writer, frames []Frame) error {
 	if len(frames) == 0 {
 		return nil
@@ -230,18 +230,6 @@ func (fw *FrameWriter) WriteBatch(w io.Writer, frames []Frame) error {
 // WriteEnd writes the end-of-stream marker to w.
 func (fw *FrameWriter) WriteEnd(w io.Writer) error {
 	return fw.Write(w, Frame{FileID: EndStream})
-}
-
-// WriteKioHeader writes a plain header for a kernel-owned payload of n
-// bytes using the writer's persistent scratch; the caller streams the
-// payload itself (SendfilePayload) immediately after.
-func (fw *FrameWriter) WriteKioHeader(w io.Writer, fileID uint32, off int64, n int) error {
-	if err := EncodeKioHeader(&fw.hdr, fileID, off, n); err != nil {
-		return err
-	}
-	CountIOOps(1)
-	_, err := w.Write(fw.hdr[:])
-	return err
 }
 
 // ReadFrame reads one frame from r into a buffer obtained from alloc
@@ -333,9 +321,6 @@ type Hello struct {
 	// the session records per-chunk sums in its ledger for end-to-end
 	// file verification.
 	Checksums bool
-	// Kio advertises the sender's kernel-assisted I/O capability
-	// (advisory).
-	Kio bool
 }
 
 // FileState is one file's ledger entry advertised in a Welcome: which
@@ -365,13 +350,6 @@ type Welcome struct {
 	// every data-connection preamble so the endpoint can demultiplex
 	// concurrent sessions. Never empty.
 	DataToken string
-	// Kio reports that this receiver accepts kernel-assisted-I/O frame
-	// geometry: data frames whose payload spans several adjacent chunks
-	// of one file (the receiver splits them back into per-chunk ledger
-	// commits). A sender coalesces frames only after seeing it; absent
-	// (-kio=off) every frame stays one chunk and the wire is
-	// byte-for-byte the portable stream.
-	Kio bool
 }
 
 // FileSum carries the sender's end-to-end CRC-32C of one fully read
