@@ -1,11 +1,13 @@
 package automdt
 
 // Benchmark harness: one benchmark per table/figure of the paper's
-// evaluation, plus engine micro-benchmarks. Each figure benchmark runs
-// the corresponding experiment (training is memoized per process, so the
-// first iteration pays it once) and reports the headline metrics the
-// paper's figure conveys via b.ReportMetric. The printable artifacts come
-// from `go run automdt/cmd/automdt-bench`.
+// evaluation, plus a raw loopback goodput benchmark and the simulator and
+// PPO inner loops. Each figure benchmark runs the corresponding
+// experiment (training is memoized per process, so the first iteration
+// pays it once) and reports the headline metrics the paper's figure
+// conveys via b.ReportMetric. The printable artifacts come from
+// `go run automdt/cmd/automdt-bench`. The engine itself is measured by
+// the repo benchmark in benchmark/.
 //
 // Set AUTOMDT_MODE=paper for full-fidelity runs (the paper's 256-wide
 // networks and 30000-episode budget; expect ~45 minutes of training per
@@ -17,7 +19,6 @@ import (
 	"testing"
 	"time"
 
-	"automdt/internal/enginebench"
 	"automdt/internal/experiments"
 	"automdt/internal/metrics"
 	"automdt/internal/rl"
@@ -194,46 +195,6 @@ func BenchmarkAblationK(b *testing.B) {
 		}
 	}
 }
-
-// Engine micro-benchmarks: the same bodies back `automdt-bench -exp
-// engine`, which emits the BENCH_engine.json artifact the CI bench job
-// diffs against the committed baseline.
-
-// BenchmarkEngineFrameEncode measures checksummed frame encoding through
-// the vectored FrameWriter.
-func BenchmarkEngineFrameEncode(b *testing.B) { enginebench.FrameEncode(b) }
-
-// BenchmarkEngineFrameDecode measures frame decoding with arena-backed
-// payload allocation.
-func BenchmarkEngineFrameDecode(b *testing.B) { enginebench.FrameDecode(b) }
-
-// BenchmarkEngineStagingHandoff measures the staging ownership transfer
-// of one arena lease.
-func BenchmarkEngineStagingHandoff(b *testing.B) { enginebench.StagingHandoff(b) }
-
-// BenchmarkEngineArena measures the raw arena lease/release cycle.
-func BenchmarkEngineArena(b *testing.B) { enginebench.ArenaGetRelease(b) }
-
-// BenchmarkEngineLoopbackE2E measures the end-to-end chunk lifecycle at
-// the quick (CI) dataset size with frame checksums on (the default).
-func BenchmarkEngineLoopbackE2E(b *testing.B) { enginebench.LoopbackE2E(true, true)(b) }
-
-// BenchmarkEngineLoopbackE2ENoCRC is the same lifecycle with integrity
-// verification disabled, isolating the CRC-32C cost.
-func BenchmarkEngineLoopbackE2ENoCRC(b *testing.B) { enginebench.LoopbackE2E(true, false)(b) }
-
-// BenchmarkEngineLoopbackE2EFlight is the same lifecycle with the
-// decision flight recorder enabled, isolating the stage-span cost.
-func BenchmarkEngineLoopbackE2EFlight(b *testing.B) { enginebench.LoopbackE2EFlight(true)(b) }
-
-// BenchmarkEngineLedgerTickV2 measures one steady-state probe-tick
-// persist of the quick-scale session ledger as journal records
-// (O(delta) per tick) — the ledger-scalability headline.
-func BenchmarkEngineLedgerTickV2(b *testing.B) { enginebench.LedgerPersistTick(true)(b) }
-
-// BenchmarkEngineLedgerReplay measures crash-recovery journal replay at
-// the quick scenario scale (one commit record per chunk).
-func BenchmarkEngineLedgerReplay(b *testing.B) { enginebench.LedgerJournalReplay(true)(b) }
 
 // BenchmarkLoopbackEngine measures raw engine goodput over loopback TCP
 // with no rate shaping (GC and syscall overhead are the ceiling here).

@@ -6,18 +6,14 @@
 //
 //	automdt-bench -exp all                 # everything, quick fidelity
 //	automdt-bench -exp fig3 -mode paper    # one experiment, full fidelity
-//	automdt-bench -exp engine -bench-json BENCH_engine.json \
-//	    -baseline bench/BENCH_baseline.json   # CI regression gate
+//	automdt-bench -exp chaos -quick -chaos-json BENCH_chaos.json
 //
 // Experiments: fig3, fig4, fig5-read, fig5-network, fig5-write, table1,
-// finetune, adaptation, ablation-joint, ablation-k, engine, chaos, all.
+// finetune, ablation-joint, adaptation, ablation-k, chaos, all. Any other
+// -exp value exits 2 and lists these.
 //
-// The engine experiment runs the transfer-engine micro-benchmark suite
-// (frame encode/decode, staging hand-off, arena lease cycle, loopback
-// end-to-end) and, with -bench-json, writes a machine-readable report.
-// With -baseline it exits non-zero when throughput drops or allocs/op
-// rise by more than -bench-tolerance against the baseline report, or
-// when a scenario is present in only one of the two.
+// The transfer engine's own performance is measured by the repo
+// benchmark in benchmark/, not here.
 //
 // The chaos experiment runs the adversarial scenario matrix over the
 // live loopback engine: `-exp chaos -quick` is the PR-blocking 3×3
@@ -32,9 +28,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
-	"automdt/internal/enginebench"
 	"automdt/internal/experiments"
 	"automdt/internal/flight"
 	"automdt/internal/metrics"
@@ -45,10 +41,6 @@ func main() {
 	modeStr := flag.String("mode", "quick", "fidelity: quick or paper")
 	csvDir := flag.String("csv", "", "directory to write per-experiment trace CSVs (optional)")
 	metricsPath := flag.String("metrics", "", "file to write a text-format metrics snapshot of the run (optional)")
-	benchJSON := flag.String("bench-json", "", "file to write the engine benchmark report (engine experiment)")
-	baseline := flag.String("baseline", "", "baseline report to gate the engine benchmarks against")
-	benchTol := flag.Float64("bench-tolerance", 0.20, "allowed fractional regression before the baseline gate fails")
-	flightTol := flag.Float64("flight-overhead-tolerance", 0.05, "allowed fractional loopback_e2e slowdown with the flight recorder on, measured within the run (0 disables the check)")
 	flightPath := flag.String("flight", "", "enable the decision flight recorder for the run and dump the trace to this file (\"-\" for stdout; analyze with flightdump)")
 	chaosQuick := flag.Bool("quick", false, "chaos experiment: run the PR-blocking 3×3 sub-matrix (the default)")
 	chaosFull := flag.Bool("full", false, "chaos experiment: run the full nightly robustness battery")
@@ -74,10 +66,16 @@ func main() {
 	// scheduler daemon serves at /metrics.
 	var snap metrics.Snapshot
 
+	// names collects every experiment run() is offered, in order, so an
+	// -exp that matched none of them can be refused with the valid list.
+	var names []string
+	ran := false
 	run := func(name string, f func() error) {
+		names = append(names, name)
 		if *exp != "all" && *exp != name {
 			return
 		}
+		ran = true
 		start := time.Now()
 		fmt.Printf("\n########## %s ##########\n", name)
 		if err := f(); err != nil {
@@ -143,14 +141,17 @@ func main() {
 		experiments.PrintFig4(os.Stdout, r)
 		return nil
 	})
-	for name, f := range map[string]func(experiments.Mode) (*experiments.CompareResult, error){
-		"fig5-read":    experiments.Fig5Read,
-		"fig5-network": experiments.Fig5Network,
-		"fig5-write":   experiments.Fig5Write,
+	for _, e := range []struct {
+		name string
+		f    func(experiments.Mode) (*experiments.CompareResult, error)
+	}{
+		{"fig5-read", experiments.Fig5Read},
+		{"fig5-network", experiments.Fig5Network},
+		{"fig5-write", experiments.Fig5Write},
 	} {
-		name, f := name, f
+		name := e.name
 		run(name, func() error {
-			r, err := f(mode)
+			r, err := e.f(mode)
 			if err != nil {
 				return err
 			}
@@ -213,106 +214,6 @@ func main() {
 		}
 		return nil
 	})
-	run("engine", func() error {
-		rep := enginebench.Run(mode == experiments.Quick)
-		fmt.Printf("%-22s %14s %12s %12s %12s %14s %12s\n", "benchmark", "ns/op", "MB/s", "allocs/op", "B/op", "persist B/op", "syscalls/op")
-		for _, r := range rep.Results {
-			mbs, pb, sys := "-", "-", "-"
-			if r.MBPerSec > 0 {
-				mbs = fmt.Sprintf("%.1f", r.MBPerSec)
-			}
-			if r.PersistedBytesPerOp > 0 {
-				pb = fmt.Sprintf("%.0f", r.PersistedBytesPerOp)
-			}
-			if r.SyscallsPerOp > 0 {
-				sys = fmt.Sprintf("%.0f", r.SyscallsPerOp)
-			}
-			fmt.Printf("%-22s %14.0f %12s %12.0f %12.0f %14s %12s\n", r.Name, r.NsPerOp, mbs, r.AllocsPerOp, r.BytesPerOp, pb, sys)
-			snap.Add("bench_engine_ns_per_op", r.NsPerOp, metrics.L("bench", r.Name))
-			snap.Add("bench_engine_allocs_per_op", r.AllocsPerOp, metrics.L("bench", r.Name))
-			if r.MBPerSec > 0 {
-				snap.Add("bench_engine_mb_per_s", r.MBPerSec, metrics.L("bench", r.Name))
-			}
-			if r.PersistedBytesPerOp > 0 {
-				snap.Add("bench_engine_persisted_bytes_per_op", r.PersistedBytesPerOp, metrics.L("bench", r.Name))
-			}
-			if r.SyscallsPerOp > 0 {
-				snap.Add("bench_engine_syscalls_per_op", r.SyscallsPerOp, metrics.L("bench", r.Name))
-			}
-		}
-		if ratio, ok := enginebench.MultiConnSpeedup(rep); ok {
-			if ratio < 1-*benchTol {
-				// One pairing carries scheduling noise; re-measure
-				// before failing the run on it.
-				fmt.Printf("[multi-conn goodput %.2fx below tolerance; re-measuring]\n", ratio)
-				if re, ok2 := enginebench.MeasureMultiConnSpeedup(mode == experiments.Quick, 2); ok2 && re > ratio {
-					ratio = re
-				}
-			}
-			fmt.Printf("[multi-conn striping goodput: %.2fx single-connection]\n", ratio)
-			snap.Add("bench_engine_multiconn_speedup", ratio)
-			if ratio < 1-*benchTol {
-				return fmt.Errorf("striped data plane goodput %.2fx of single-connection, below the %.0f%% tolerance",
-					ratio, *benchTol*100)
-			}
-		}
-		if frac, ok := enginebench.FlightOverhead(rep); ok {
-			if *flightTol > 0 && frac > *flightTol {
-				// A single pairing carries several percent of scheduling
-				// noise; re-measure before failing the run on it.
-				fmt.Printf("[flight recorder overhead %+.1f%% above tolerance; re-measuring]\n", 100*frac)
-				if re, ok2 := enginebench.MeasureFlightOverhead(mode == experiments.Quick, 2); ok2 && re < frac {
-					frac = re
-				}
-			}
-			fmt.Printf("[flight recorder overhead on loopback_e2e: %+.1f%%]\n", 100*frac)
-			snap.Add("bench_engine_flight_overhead_frac", frac)
-			if *flightTol > 0 && frac > *flightTol {
-				return fmt.Errorf("flight recorder overhead %.1f%% exceeds %.0f%% on loopback_e2e",
-					100*frac, *flightTol*100)
-			}
-		}
-		if *benchJSON != "" {
-			data, err := json.MarshalIndent(rep, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*benchJSON, append(data, '\n'), 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("[wrote %s]\n", *benchJSON)
-		}
-		if *baseline != "" {
-			data, err := os.ReadFile(*baseline)
-			if err != nil {
-				return fmt.Errorf("read baseline: %w", err)
-			}
-			var base enginebench.Report
-			if err := json.Unmarshal(data, &base); err != nil {
-				return fmt.Errorf("parse baseline: %w", err)
-			}
-			if base.Quick != rep.Quick {
-				// loopback_e2e allocs/op scales with the dataset size, so
-				// cross-fidelity comparison would report bogus regressions.
-				return fmt.Errorf("baseline fidelity (quick=%v) differs from this run (quick=%v); regenerate the baseline or use a matching -mode",
-					base.Quick, rep.Quick)
-			}
-			if !enginebench.ThroughputComparable(base, rep) {
-				fmt.Printf("[baseline CPU differs (%q vs %q): gating allocs/op only]\n", base.CPU, rep.CPU)
-			}
-			regs := enginebench.Compare(base, rep, *benchTol)
-			for _, reg := range regs {
-				fmt.Fprintf(os.Stderr, "REGRESSION %s\n", reg)
-			}
-			if len(regs) > 0 {
-				return fmt.Errorf("engine benchmarks regressed beyond %.0f%% against %s, or the scenario sets differ",
-					*benchTol*100, *baseline)
-			}
-			fmt.Printf("[baseline gate passed: %s, tolerance %.0f%%]\n", *baseline, *benchTol*100)
-		}
-		return nil
-	})
-
 	run("chaos", func() error {
 		matrix := experiments.QuickChaosMatrix(*chaosSeed)
 		matrixMode := "quick"
@@ -354,6 +255,10 @@ func main() {
 		return nil
 	})
 
+	if !ran {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q; valid: %s, all\n", *exp, strings.Join(names, ", "))
+		os.Exit(2)
+	}
 	if *metricsPath != "" {
 		if err := os.WriteFile(*metricsPath, []byte(snap.Text()), 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, err)

@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"automdt/internal/chaos"
-	"automdt/internal/enginebench"
 	"automdt/internal/env"
 	"automdt/internal/flight"
 	"automdt/internal/fsim"
@@ -115,12 +114,48 @@ type ChaosCellResult struct {
 
 // ChaosReport is the BENCH_chaos.json document.
 type ChaosReport struct {
-	Schema int                  `json:"schema"`
-	Host   enginebench.HostInfo `json:"host"`
-	Mode   string               `json:"mode"`
-	Seed   int64                `json:"seed"`
-	Pass   bool                 `json:"pass"`
-	Cells  []ChaosCellResult    `json:"cells"`
+	Schema int               `json:"schema"`
+	Host   HostInfo          `json:"host"`
+	Mode   string            `json:"mode"`
+	Seed   int64             `json:"seed"`
+	Pass   bool              `json:"pass"`
+	Cells  []ChaosCellResult `json:"cells"`
+}
+
+// HostInfo identifies the machine a BENCH_chaos.json report came from,
+// so reports from different hosts can be told apart.
+type HostInfo struct {
+	Go     string `json:"go"`
+	GOOS   string `json:"goos"`
+	GOARCH string `json:"goarch"`
+	CPU    string `json:"cpu,omitempty"`
+	Cores  int    `json:"cores,omitempty"`
+}
+
+// thisHost snapshots the current machine's identity for the report header.
+func thisHost() HostInfo {
+	return HostInfo{
+		Go:     runtime.Version(),
+		GOOS:   runtime.GOOS,
+		GOARCH: runtime.GOARCH,
+		CPU:    cpuModel(),
+		Cores:  runtime.NumCPU(),
+	}
+}
+
+// cpuModel best-effort identifies the host CPU (linux only); empty when
+// unknown.
+func cpuModel() string {
+	data, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return ""
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if name, ok := strings.CutPrefix(line, "model name"); ok {
+			return strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(name), ":"))
+		}
+	}
+	return ""
 }
 
 // ChaosMatrix is a named set of cells plus the seed their per-cell
@@ -709,7 +744,7 @@ func goroutinesSettle(max int) bool {
 func RunChaosMatrix(ctx context.Context, m ChaosMatrix, mode string, log io.Writer) ChaosReport {
 	rep := ChaosReport{
 		Schema: 1,
-		Host:   enginebench.Host(),
+		Host:   thisHost(),
 		Mode:   mode,
 		Seed:   m.Seed,
 		Pass:   true,

@@ -127,14 +127,22 @@ func TestResetClearsEventsKeepsEnabled(t *testing.T) {
 	}
 }
 
+// A stage span is on the per-chunk path, so its cost is held exactly:
+// no heap allocation with the recorder off or on.
 func TestStageSpansRecordOnlyWhenEnabled(t *testing.T) {
 	r := NewRecorder()
 	if start := r.StageStart(); !start.IsZero() {
 		t.Fatal("disabled StageStart returned a live clock reading")
 	}
-	r.StageEnd(StageRead, r.StageStart())
+	span := func() { r.StageEnd(StageRead, r.StageStart()) }
+	if a := testing.AllocsPerRun(100, span); a != 0 {
+		t.Fatalf("span with the recorder off: %v allocs, want 0", a)
+	}
+	if n := r.Hist(StageRead).Count(); n != 0 {
+		t.Fatalf("disabled spans recorded %d observations", n)
+	}
 	r.Enable(0)
-	r.StageEnd(StageRead, r.StageStart())
+	span()
 	if n := r.Hist(StageRead).Count(); n != 1 {
 		t.Fatalf("enabled span count=%d, want 1", n)
 	}
@@ -144,6 +152,10 @@ func TestStageSpansRecordOnlyWhenEnabled(t *testing.T) {
 	r.StageEnd(StageRead, start)
 	if n := r.Hist(StageRead).Count(); n != 1 {
 		t.Fatalf("span across Disable leaked: count=%d", n)
+	}
+	r.Enable(0)
+	if a := testing.AllocsPerRun(100, span); a != 0 {
+		t.Fatalf("span with the recorder on: %v allocs, want 0", a)
 	}
 }
 

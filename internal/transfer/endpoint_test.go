@@ -299,6 +299,63 @@ func TestEndpointAdmissionCap(t *testing.T) {
 	}
 }
 
+// The Hello is outside input: one asking for a million write workers
+// gets at most MaxThreads, the bound SetWriters already applies, and the
+// session still completes.
+func TestEndpointClampsHelloWriters(t *testing.T) {
+	cfg := testConfig()
+	recv := NewReceiver(cfg, fsim.NewSyntheticStore())
+	if err := recv.Listen("127.0.0.1:0", "127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	go recv.Serve(ctx)
+
+	const size, asked = 64 << 10, 1 << 20
+	c := helloConn(t, recv.CtrlAddr(), wire.Hello{
+		Files:          []wire.FileInfo{{Name: "w.dat", Size: size}},
+		ChunkBytes:     size,
+		InitialWriters: asked,
+		ProtoVersion:   wire.ProtoVersion,
+	})
+	defer c.Close()
+	m := recvReply(t, c)
+	if m.Welcome == nil {
+		t.Fatalf("session rejected: %+v", m)
+	}
+	data, err := net.Dial("tcp", recv.DataAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer data.Close()
+	if err := wire.WriteDataPreamble(data, m.Welcome.DataToken); err != nil {
+		t.Fatal(err)
+	}
+	if err := wire.WriteFrame(data, wire.Frame{FileID: 0, Offset: 0, Data: make([]byte, size)}); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		m, err := c.Recv()
+		if err != nil {
+			t.Fatalf("control channel died before the session completed: %v", err)
+		}
+		st := m.Status
+		if st == nil {
+			continue
+		}
+		if st.Error != "" {
+			t.Fatalf("session failed: %s", st.Error)
+		}
+		if st.Writers < 1 || st.Writers > cfg.MaxThreads {
+			t.Fatalf("Hello asked for %d writers and the endpoint runs %d, want 1..%d", asked, st.Writers, cfg.MaxThreads)
+		}
+		if st.Done {
+			return
+		}
+	}
+}
+
 // There is one protocol generation: a Hello announcing any other is
 // answered with an errored Status naming both versions, counted as
 // rejected, and registers nothing.

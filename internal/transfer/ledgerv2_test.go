@@ -210,3 +210,35 @@ func TestLoadSessionLedgerFoldsJournal(t *testing.T) {
 	live.AppendSince()
 	assertLedgersEqual(t, live, got)
 }
+
+// At steady state a journaled probe tick persists at least 10× fewer
+// bytes than the full-snapshot rewrite of the same session (the live
+// fallback for stores without fsim.LedgerAppender).
+func TestLedgerTickDeltaIsTenthOfDocument(t *testing.T) {
+	const (
+		chunkBytes    = 256 << 10
+		chunksPerFile = 4096     // 1 GiB per file
+		tickChunks    = 1024     // ≈256 MB freshly committed per probe tick
+		chunks        = 64 << 10 // 16 files
+	)
+	m := workload.LargeFiles(chunks/chunksPerFile, chunksPerFile*chunkBytes)
+	l := NewLedger("tick-ratio", chunkBytes, m, true)
+	cb := int64(chunkBytes)
+	for g := 0; g < chunks; g++ {
+		l.Commit(uint32(g/chunksPerFile), int64(g%chunksPerFile)*cb, chunkBytes, uint32(g))
+	}
+	l.AppendSince()
+	// One steady-state tick's worth of fresh commits.
+	for j := 0; j < tickChunks; j++ {
+		fid := uint32(j / chunksPerFile)
+		off := int64(j%chunksPerFile) * cb
+		l.Invalidate(fid, off, cb)
+		l.Commit(fid, off, chunkBytes, uint32(j))
+	}
+	delta := l.AppendSince()
+	doc := l.EncodeV2()
+	if len(delta) == 0 || len(doc) < 10*len(delta) {
+		t.Fatalf("snapshot tick writes %d bytes, journal tick %d: want ≥10× reduction", len(doc), len(delta))
+	}
+	t.Logf("snapshot tick %d B, journal tick %d B (%.0f×) at %d chunks", len(doc), len(delta), float64(len(doc))/float64(len(delta)), chunks)
+}

@@ -247,6 +247,10 @@ func (r *Receiver) Listen(dataAddr, ctrlAddr string) error {
 	return nil
 }
 
+// clampWriters bounds a peer-chosen write-pool size to [1, MaxThreads]:
+// the Hello's InitialWriters and every SetWriters are outside input.
+func (r *Receiver) clampWriters(n int) int { return max(1, min(n, r.Cfg.MaxThreads)) }
+
 // DataAddr returns the bound data listener address.
 func (r *Receiver) DataAddr() string { return r.dataLn.Addr().String() }
 
@@ -903,7 +907,7 @@ func (r *Receiver) runSession(parent context.Context, sess *rsession, ctrl *wire
 	if n <= 0 {
 		n = r.Cfg.InitialThreads
 	}
-	pool.Resize(n)
+	pool.Resize(r.clampWriters(n))
 	// Shutdown discipline: stop this session's intake first (every data
 	// connection, then wait for the readers those connections fed), close
 	// staging so a reader still mid-Put fails and releases its own lease,
@@ -970,14 +974,7 @@ func (r *Receiver) runSession(parent context.Context, sess *rsession, ctrl *wire
 	handleCmd := func(m wire.Message) {
 		switch {
 		case m.SetWriters != nil:
-			n := m.SetWriters.N
-			if n > r.Cfg.MaxThreads {
-				n = r.Cfg.MaxThreads
-			}
-			if n < 1 {
-				n = 1
-			}
-			pool.Resize(n)
+			pool.Resize(r.clampWriters(m.SetWriters.N))
 		case m.FileSum != nil:
 			chk.mu.Lock()
 			chk.expected[m.FileSum.FileID] = m.FileSum.CRC
