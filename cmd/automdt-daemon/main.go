@@ -105,8 +105,9 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		// The mean-action controller is stateless, so one trained system
-		// safely drives every concurrent job.
+		// The mean-action controller keeps no per-job state and ActMean is
+		// safe for concurrent use, so one trained system drives every
+		// concurrent job.
 		newController = func() env.Controller { return sys.DeterministicController() }
 	default:
 		fatal(fmt.Errorf("unknown optimizer %q", *opt))

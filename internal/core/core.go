@@ -32,8 +32,8 @@ type Options struct {
 	Net rl.NetConfig
 	// Train parameterizes Algorithm 2; zero values use paper defaults
 	// (30000 episode cap, 10 steps/episode, early stop at 90% Rmax +
-	// 1000 stagnant episodes). Rmax and RewardScale are filled in from
-	// the probe profile automatically.
+	// 1000 stagnant episodes). Rmax, which also scales the rewards, is
+	// filled in from the probe profile automatically.
 	Train rl.TrainConfig
 	// Jitter roughens the training simulator's task rates (default 0.05).
 	Jitter float64

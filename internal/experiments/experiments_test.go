@@ -100,6 +100,7 @@ func TestAblationJointShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment skipped in -short mode")
 	}
+	t.Parallel() // beside TestFig4Pinned: the two longest trainings share the CPUs
 	res, err := AblationJoint(testMode())
 	if err != nil {
 		t.Fatal(err)
@@ -197,6 +198,35 @@ func TestTrainingTrajectoryPinned(t *testing.T) {
 			t.Errorf("seed %d: %d episodes, converged at %d, rewards %#x; pinned %d, %d, %#x",
 				pin.seed, r.Episodes, r.ConvergedAt, h.Sum64(), pin.episodes, pin.convergedAt, pin.rewards)
 		}
+	}
+}
+
+// TestFig4Pinned pins both Fig. 4 learning curves of a 50-episode budget
+// bit for bit: an FNV-64a over the IEEE-754 bits of the continuous
+// agent's episode rewards and then the discrete agent's. It is the only
+// whole-training check of the categorical head, and its 160 000-way
+// joint action space makes it the dearest training in the package
+// (≈50 s on 2 vCPUs). The value was computed on commit 21b0090, the last
+// one that trained on the tape-based autograd.
+func TestFig4Pinned(t *testing.T) {
+	if testing.Short() || testMode() != Quick {
+		t.Skip("trains the discrete ablation; skipped with -short and in paper mode")
+	}
+	t.Parallel()
+	res, err := Fig4Budget(Quick, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	for _, r := range [][]float64{res.Continuous.EpisodeRewards, res.Discrete.EpisodeRewards} {
+		for _, x := range r {
+			var b [8]byte
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
+			h.Write(b[:])
+		}
+	}
+	if h.Sum64() != 0x984c94b139bbd16a {
+		t.Errorf("Fig. 4 rewards %#x; pinned 0x984c94b139bbd16a", h.Sum64())
 	}
 }
 

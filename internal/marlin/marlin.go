@@ -111,7 +111,12 @@ func (o *Optimizer) Decide(s env.State) env.Action {
 			switch {
 			case dn == 0:
 				// Our previous request was clamped or unchanged; probe in
-				// the current direction.
+				// the current direction, bouncing off the floor: at n = 1 a
+				// downward request is clamped back to 1, so asking again
+				// would hold the climber there forever.
+				if n+st.dir < 1 {
+					st.dir = -st.dir
+				}
 				next = n + st.dir
 			case rel > o.tol():
 				// Utility moved with the step: keep going, accelerate.

@@ -178,3 +178,38 @@ func TestJointGDStallsOnWanPipeline(t *testing.T) {
 		t.Fatalf("joint GD rate %v", joint)
 	}
 }
+
+// TestLaggedThroughputLeavesFloor drives Marlin against the simulator on
+// the conns-bottleneck testbed (100 Mbps per connection on a 1 Gbps path)
+// and hands it each tick's throughput one tick late, as the live engine
+// reports it. The lagged samples show each step's thread penalty before
+// its gain, so the climbers reverse down to n = 1, where a downward
+// request is clamped. A climber must then bounce back up rather than ask
+// for 0 forever: without the bounce every decision from tick 14 on is
+// ⟨1,1,1,1⟩.
+func TestLaggedThroughputLeavesFloor(t *testing.T) {
+	s := sim.New(sim.Config{
+		TPT:            [3]float64{200, 150, 200},
+		Bandwidth:      [3]float64{1000, 1000, 1000},
+		ConnMbps:       100,
+		SenderBufCap:   500,
+		ReceiverBufCap: 500,
+		ChunkMb:        8,
+	})
+	o := New()
+	act := env.ActionOf(1, 1, 1, 1)
+	var lagged env.StageVec
+	left := 0
+	for tick := 1; tick <= 60; tick++ {
+		res := s.Step(act.N[env.StageRead], act.N[env.StageConns], act.N[env.StageStreams], act.N[env.StageWrite])
+		st := state(act.N, lagged)
+		lagged = env.ThroughputVec(res.Throughput[sim.Read], res.Throughput[sim.Network], res.Throughput[sim.Write])
+		act = o.Decide(st).Clamp(20)
+		if tick > 30 && act.N != [env.StageCount]int{1, 1, 1, 1} {
+			left++
+		}
+	}
+	if left == 0 {
+		t.Fatal("Marlin sat at ⟨1,1,1,1⟩ for the last 30 ticks under one tick of lag")
+	}
+}

@@ -1,82 +1,65 @@
 package nn
 
-import (
-	"math"
+import "math"
 
-	"automdt/internal/tensor"
+// Adam's moment decay rates and denominator floor.
+const (
+	beta1, beta2 = 0.9, 0.999
+	adamEps      = 1e-8
 )
 
-// Adam implements the Adam optimizer (Kingma & Ba) over a fixed set of
-// parameter tensors, as used by Algorithm 2 of the paper.
+// Adam implements the Adam optimizer (Kingma & Ba) over one flat
+// parameter slab, as used by Algorithm 2 of the paper.
 type Adam struct {
 	LR      float64
-	Beta1   float64
-	Beta2   float64
-	Eps     float64
 	MaxNorm float64 // if >0, global gradient-norm clipping threshold
 
-	params []*tensor.Tensor
-	m      [][]float64
-	v      [][]float64
-	t      int
+	m, v []float64
+	t    int
 }
 
-// NewAdam creates an Adam optimizer with the standard moment decay rates
-// (0.9, 0.999) and the given learning rate.
-func NewAdam(params []*tensor.Tensor, lr float64) *Adam {
-	a := &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, params: params}
-	a.m = make([][]float64, len(params))
-	a.v = make([][]float64, len(params))
-	for i, p := range params {
-		a.m[i] = make([]float64, p.Len())
-		a.v[i] = make([]float64, p.Len())
-	}
-	return a
+// NewAdam creates an Adam optimizer over n parameters.
+func NewAdam(n int, lr float64) *Adam {
+	return &Adam{LR: lr, m: make([]float64, n), v: make([]float64, n)}
 }
 
-// ZeroGrad clears the gradients of all managed parameters.
-func (a *Adam) ZeroGrad() {
-	for _, p := range a.params {
-		p.ZeroGrad()
-	}
+// Reset restarts the optimizer with learning rate lr: zero moments, step 0.
+func (a *Adam) Reset(lr float64) {
+	a.LR, a.t = lr, 0
+	clear(a.m)
+	clear(a.v)
 }
 
-// GradNorm returns the global L2 norm of all parameter gradients.
-func (a *Adam) GradNorm() float64 {
+// GradNorm returns the global L2 norm of grad.
+func GradNorm(grad []float64) float64 {
 	s := 0.0
-	for _, p := range a.params {
-		for _, g := range p.Grad {
-			s += g * g
-		}
+	for _, g := range grad {
+		s += g * g
 	}
 	return math.Sqrt(s)
 }
 
-// Step applies one Adam update using the gradients currently accumulated
-// on the parameters. If MaxNorm is set, gradients are first rescaled so
-// their global norm does not exceed it.
-func (a *Adam) Step() {
+// Step applies one Adam update of params from grad, first rescaling grad
+// so its global norm does not exceed MaxNorm, if set.
+func (a *Adam) Step(params, grad []float64) {
 	scale := 1.0
 	if a.MaxNorm > 0 {
-		if n := a.GradNorm(); n > a.MaxNorm {
+		if n := GradNorm(grad); n > a.MaxNorm {
 			scale = a.MaxNorm / (n + 1e-12)
 		}
 	}
 	a.t++
-	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
-	for i, p := range a.params {
-		if p.Grad == nil {
-			continue
-		}
-		m, v := a.m[i], a.v[i]
-		for j := range p.Data {
-			g := p.Grad[j] * scale
-			m[j] = a.Beta1*m[j] + (1-a.Beta1)*g
-			v[j] = a.Beta2*v[j] + (1-a.Beta2)*g*g
-			mHat := m[j] / bc1
-			vHat := v[j] / bc2
-			p.Data[j] -= a.LR * mHat / (math.Sqrt(vHat) + a.Eps)
-		}
+	// Variables, not constants: 1−β must round in float64 as it always
+	// has, not be folded exactly at compile time.
+	b1, b2 := float64(beta1), float64(beta2)
+	bc1 := 1 - math.Pow(b1, float64(a.t))
+	bc2 := 1 - math.Pow(b2, float64(a.t))
+	for j, g := range grad {
+		g *= scale
+		a.m[j] = b1*a.m[j] + (1-b1)*g
+		a.v[j] = b2*a.v[j] + (1-b2)*g*g
+		mHat := a.m[j] / bc1
+		vHat := a.v[j] / bc2
+		params[j] -= a.LR * mHat / (math.Sqrt(vHat) + adamEps)
 	}
 }

@@ -1,94 +1,39 @@
 package nn
 
 import (
-	"bytes"
 	"encoding/gob"
 	"fmt"
 	"io"
-	"os"
-
-	"automdt/internal/tensor"
 )
 
-// ParamList groups arbitrary parameter tensors so they can be saved,
-// loaded, and copied with the Module-based helpers. Forward is the
-// identity; ParamList exists purely for parameter management (e.g. a PPO
-// agent checkpointing its policy and value networks together).
-type ParamList []*tensor.Tensor
-
-// Forward implements Module as the identity.
-func (p ParamList) Forward(x *tensor.Tensor) *tensor.Tensor { return x }
-
-// Params implements Module.
-func (p ParamList) Params() []*tensor.Tensor { return p }
-
-// snapshot is the gob wire format for a parameter checkpoint.
+// snapshot is the gob wire format of a parameter checkpoint: one slice
+// per parameter tensor.
 type snapshot struct {
 	Params [][]float64
 }
 
-// SaveParams writes the parameter data of m to w in gob format.
-func SaveParams(w io.Writer, m Module) error {
-	ps := m.Params()
-	s := snapshot{Params: make([][]float64, len(ps))}
-	for i, p := range ps {
-		s.Params[i] = append([]float64(nil), p.Data...)
-	}
-	return gob.NewEncoder(w).Encode(&s)
+// SaveParams writes the parameter tensors ts to w in gob format.
+func SaveParams(w io.Writer, ts [][]float64) error {
+	return gob.NewEncoder(w).Encode(&snapshot{Params: ts})
 }
 
-// LoadParams reads a checkpoint written by SaveParams into m's
-// parameters. The module must have the same architecture (same parameter
-// count and sizes) as the one that was saved.
-func LoadParams(r io.Reader, m Module) error {
+// LoadParams reads a checkpoint written by SaveParams into ts, which must
+// have the saved tensor count and sizes.
+func LoadParams(r io.Reader, ts [][]float64) error {
 	var s snapshot
 	if err := gob.NewDecoder(r).Decode(&s); err != nil {
 		return fmt.Errorf("nn: decode checkpoint: %w", err)
 	}
-	ps := m.Params()
-	if len(s.Params) != len(ps) {
-		return fmt.Errorf("nn: checkpoint has %d parameter tensors, module has %d", len(s.Params), len(ps))
+	if len(s.Params) != len(ts) {
+		return fmt.Errorf("nn: checkpoint has %d parameter tensors, module has %d", len(s.Params), len(ts))
 	}
-	for i, p := range ps {
-		if len(s.Params[i]) != p.Len() {
-			return fmt.Errorf("nn: parameter %d size mismatch: checkpoint %d, module %d", i, len(s.Params[i]), p.Len())
+	for i, t := range ts {
+		if len(s.Params[i]) != len(t) {
+			return fmt.Errorf("nn: parameter %d size mismatch: checkpoint %d, module %d", i, len(s.Params[i]), len(t))
 		}
-		copy(p.Data, s.Params[i])
 	}
-	return nil
-}
-
-// SaveParamsFile writes a checkpoint to the named file.
-func SaveParamsFile(path string, m Module) error {
-	var buf bytes.Buffer
-	if err := SaveParams(&buf, m); err != nil {
-		return err
-	}
-	return os.WriteFile(path, buf.Bytes(), 0o644)
-}
-
-// LoadParamsFile reads a checkpoint from the named file.
-func LoadParamsFile(path string, m Module) error {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	return LoadParams(bytes.NewReader(b), m)
-}
-
-// CopyParams copies parameter values from src to dst. Both modules must
-// share the same architecture. Used to maintain the "old policy" π_θold
-// in PPO.
-func CopyParams(dst, src Module) error {
-	dp, sp := dst.Params(), src.Params()
-	if len(dp) != len(sp) {
-		return fmt.Errorf("nn: module parameter count mismatch: %d vs %d", len(dp), len(sp))
-	}
-	for i := range dp {
-		if dp[i].Len() != sp[i].Len() {
-			return fmt.Errorf("nn: parameter %d size mismatch: %d vs %d", i, dp[i].Len(), sp[i].Len())
-		}
-		copy(dp[i].Data, sp[i].Data)
+	for i, t := range ts {
+		copy(t, s.Params[i])
 	}
 	return nil
 }

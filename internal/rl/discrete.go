@@ -5,106 +5,84 @@ import (
 
 	"automdt/internal/env"
 	"automdt/internal/nn"
-	"automdt/internal/tensor"
 )
 
 // DiscreteAgent is the discrete-action-space PPO variant used for the
-// Fig. 4 ablation. Its training loop mirrors Algorithm 2 with categorical
-// heads instead of the Gaussian head; the paper reports that it fails to
-// converge because the four-dimensional discrete concurrency space is
-// too large for the simple state representation.
+// Fig. 4 ablation (§V-A). The paper defines "the concurrency values
+// directly as actions"; in the discrete formulation that is a single
+// categorical distribution over every concurrency tuple ⟨n_r, n_c, n_s,
+// n_w⟩ ∈ [1, MaxActions]⁴ — a MaxActions⁴-way choice. This combinatorial
+// action space is exactly why the discrete agent "failed miserably": the
+// paper notes it would need a far richer state space and far longer
+// training to work, and the extra connection dimension makes it another
+// MaxActions× worse. Its training loop is Algorithm 2's with the
+// categorical head in place of the Gaussian one.
 type DiscreteAgent struct {
-	Cfg    NetConfig
-	Policy *DiscretePolicy
-	Value  *ValueNet
+	Cfg NetConfig
 
-	oldPolicy *DiscretePolicy
-	rng       *rand.Rand
+	ppo   *nn.PPO
+	batch nn.Batch
+	rng   *rand.Rand
 }
 
 // NewDiscreteAgent builds a discrete PPO agent.
 func NewDiscreteAgent(cfg NetConfig, seed int64) *DiscreteAgent {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(seed))
-	a := &DiscreteAgent{
-		Cfg:       cfg,
-		Policy:    NewDiscretePolicy(cfg, rng),
-		Value:     NewValueNet(cfg, rng),
-		oldPolicy: NewDiscretePolicy(cfg, rng),
-		rng:       rng,
+	joint := 1
+	for i := 0; i < env.ActionDim; i++ {
+		joint *= cfg.MaxActions
 	}
-	a.syncOld()
-	return a
-}
-
-func (a *DiscreteAgent) allParams() nn.ParamList {
-	return append(nn.ParamList{}, append(a.Policy.Params(), a.Value.Params()...)...)
-}
-
-func (a *DiscreteAgent) syncOld() {
-	if err := nn.CopyParams(modOf(a.oldPolicy), modOf(a.Policy)); err != nil {
-		panic(err)
+	return &DiscreteAgent{
+		Cfg: cfg,
+		ppo: nn.NewPPO(env.StateDim, cfg.Hidden, cfg.PolicyBlocks, cfg.ValueBlocks, joint, true, rng),
+		rng: rng,
 	}
 }
 
-// discreteRollout is one episode of experience with integer actions.
-type discreteRollout struct {
-	states  [][]float64
-	actions [][env.StageCount]int
-	rewards []float64
-	rawSum  float64
+// encode maps a 1-based concurrency tuple to its joint action index.
+func (a *DiscreteAgent) encode(t [env.StageCount]int) int {
+	idx := 0
+	for _, v := range t {
+		idx = idx*a.Cfg.MaxActions + (v - 1)
+	}
+	return idx
 }
 
-func (a *DiscreteAgent) collect(e env.Environment, m int, scale float64) discreteRollout {
-	var ro discreteRollout
+// decode maps a joint action index back to the 1-based tuple.
+func (a *DiscreteAgent) decode(idx int) [env.StageCount]int {
+	var t [env.StageCount]int
+	for i := len(t) - 1; i >= 0; i-- {
+		t[i] = idx%a.Cfg.MaxActions + 1
+		idx /= a.Cfg.MaxActions
+	}
+	return t
+}
+
+// sample draws a concurrency tuple (1-based) for a single state.
+func (a *DiscreteAgent) sample(state []float64) [env.StageCount]int {
+	return a.decode(a.ppo.Choose(state, a.rng))
+}
+
+func (a *DiscreteAgent) collect(e env.Environment, cfg TrainConfig) float64 {
+	b := &a.batch
+	b.Resize(cfg.StepsPerEpisode, env.StateDim, 0)
 	rate, buf := e.Scales()
 	maxT := e.MaxThreads()
+	rawSum := 0.0
 	s := e.Reset()
-	for step := 0; step < m; step++ {
+	for step := 0; step < b.N; step++ {
 		vec := s.Vector(maxT, rate, buf)
-		tuple := a.Policy.Sample(vec, a.rng)
-		act := env.Action{N: tuple}.Clamp(maxT)
+		copy(b.States[step*env.StateDim:], vec)
+		act := env.Action{N: a.sample(vec)}.Clamp(maxT)
 		next, r := e.Step(act)
-		ro.states = append(ro.states, vec)
-		ro.actions = append(ro.actions, act.N)
-		ro.rewards = append(ro.rewards, r/scale)
-		ro.rawSum += r
+		b.Choices[step] = a.encode(act.N)
+		b.Returns[step] = r / cfg.rewardScale()
+		rawSum += r
 		s = next
 	}
-	return ro
-}
-
-func (a *DiscreteAgent) update(ro discreteRollout, opt *nn.Adam, cfg TrainConfig) {
-	n := len(ro.states)
-	states := tensor.FromRows(ro.states)
-
-	returns := make([]float64, n)
-	g := 0.0
-	for t := n - 1; t >= 0; t-- {
-		g = ro.rewards[t] + cfg.Gamma*g
-		returns[t] = g
-	}
-	returnsT := tensor.New(append([]float64(nil), returns...), n, 1)
-	oldLP := a.oldPolicy.LogProb(states, ro.actions).Clone()
-
-	for epoch := 0; epoch < cfg.UpdateEpochs; epoch++ {
-		opt.ZeroGrad()
-		newLP := a.Policy.LogProb(states, ro.actions)
-		values := a.Value.Forward(states)
-		adv := tensor.Sub(returnsT, values.Detach().Clone())
-
-		ratio := tensor.Exp(tensor.Sub(newLP, oldLP))
-		surr1 := tensor.Mul(ratio, adv)
-		surr2 := tensor.Mul(tensor.Clamp(ratio, 1-cfg.Clip, 1+cfg.Clip), adv)
-		actorLoss := tensor.Neg(tensor.Mean(tensor.Min(surr1, surr2)))
-		criticLoss := tensor.Scale(tensor.Mean(tensor.Square(tensor.Sub(returnsT, values))), cfg.CriticCoef)
-		entropy := a.Policy.Entropy(states)
-
-		loss := tensor.Sub(tensor.Add(actorLoss, criticLoss), tensor.Scale(entropy, cfg.EntropyCoef))
-		loss.Backward()
-		opt.Step()
-	}
-	a.syncOld()
+	discount(b)
+	return rawSum
 }
 
 // Train runs the Algorithm 2 loop with the discrete policy.
@@ -113,34 +91,5 @@ func (a *DiscreteAgent) Train(e env.Environment, cfg TrainConfig) *TrainResult {
 	if cfg.Seed != 0 {
 		a.rng = rand.New(rand.NewSource(cfg.Seed))
 	}
-	opt := nn.NewAdam(a.allParams(), cfg.LR)
-	opt.MaxNorm = 5
-
-	res := &TrainResult{ConvergedAt: -1}
-	target := cfg.ConvergeFrac * cfg.Rmax * float64(cfg.StepsPerEpisode)
-	best := 0.0
-	stagnant := 0
-	for ep := 0; ep < cfg.Episodes; ep++ {
-		ro := a.collect(e, cfg.StepsPerEpisode, cfg.RewardScale)
-		a.update(ro, opt, cfg)
-		res.EpisodeRewards = append(res.EpisodeRewards, ro.rawSum)
-		res.Episodes = ep + 1
-		if ro.rawSum > best {
-			best = ro.rawSum
-			stagnant = 0
-		} else {
-			stagnant++
-		}
-		if cfg.Rmax > 0 && best >= target {
-			if res.ConvergedAt < 0 {
-				res.ConvergedAt = ep
-			}
-			if stagnant >= cfg.StagnantLimit {
-				res.Converged = true
-				break
-			}
-		}
-	}
-	res.BestReward = best
-	return res
+	return train(a.ppo, &a.batch, cfg, func() float64 { return a.collect(e, cfg) }, nil)
 }

@@ -2,14 +2,17 @@ package rl
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"sync"
 	"testing"
 
 	"automdt/internal/env"
 	"automdt/internal/metrics"
+	"automdt/internal/nn"
 	"automdt/internal/sim"
-	"automdt/internal/tensor"
 )
 
 // tinyNet keeps unit tests fast.
@@ -31,28 +34,24 @@ func testEnv(seed int64) *env.SimEnv {
 }
 
 func TestGaussianPolicyShapes(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	p := NewGaussianPolicy(tinyNet(), rng)
-	states := tensor.Zeros(4, env.StateDim)
-	mean, std := p.MeanStd(states)
-	if mean.Rows() != 4 || mean.Cols() != env.ActionDim {
-		t.Fatalf("mean shape %v", mean.Shape())
+	p := NewAgent(tinyNet(), 1).ppo
+	if p.Policy.In != env.StateDim || p.Policy.Out != env.ActionDim || p.Value.Out != 1 {
+		t.Fatalf("policy %d→%d, value →%d", p.Policy.In, p.Policy.Out, p.Value.Out)
 	}
-	if std.Len() != env.ActionDim {
-		t.Fatalf("std len %d", std.Len())
+	// The policy's parameters end with one log-std per action.
+	if len(p.Params) != p.Policy.Size()+env.ActionDim+p.Value.Size() || len(p.Old) != p.Policy.Size()+env.ActionDim {
+		t.Fatalf("%d parameters, %d in π_θold", len(p.Params), len(p.Old))
 	}
-	lp := p.LogProb(states, tensor.Zeros(4, env.ActionDim))
-	if lp.Rows() != 4 || lp.Cols() != 1 {
-		t.Fatalf("logprob shape %v", lp.Shape())
-	}
-	if p.Entropy().Len() != 1 {
-		t.Fatal("entropy should be scalar")
+	var b nn.Batch
+	b.Resize(4, env.StateDim, env.ActionDim)
+	if lp := p.LogProbs(&b); len(lp) != 4 {
+		t.Fatalf("%d log-probabilities for 4 rows", len(lp))
 	}
 }
 
 func TestGaussianPolicySampleFinite(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	p := NewGaussianPolicy(tinyNet(), rng)
+	p := NewAgent(tinyNet(), 2).ppo
 	for i := 0; i < 20; i++ {
 		a := p.Sample(make([]float64, env.StateDim), rng)
 		if len(a) != env.ActionDim {
@@ -67,10 +66,9 @@ func TestGaussianPolicySampleFinite(t *testing.T) {
 }
 
 func TestDiscretePolicySampleRange(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	d := NewDiscretePolicy(tinyNet(), rng)
+	d := NewDiscreteAgent(tinyNet(), 3)
 	for i := 0; i < 50; i++ {
-		a := d.Sample(make([]float64, env.StateDim), rng)
+		a := d.sample(make([]float64, env.StateDim))
 		for _, n := range a {
 			if n < 1 || n > 16 {
 				t.Fatalf("discrete action %v out of [1,16]", a)
@@ -80,14 +78,19 @@ func TestDiscretePolicySampleRange(t *testing.T) {
 }
 
 func TestDiscreteLogProbNegative(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	d := NewDiscretePolicy(tinyNet(), rng)
-	states := tensor.Zeros(3, env.StateDim)
-	lp := d.LogProb(states, [][env.StageCount]int{{1, 2, 3, 4}, {4, 5, 6, 7}, {16, 1, 8, 2}})
-	if lp.Rows() != 3 {
-		t.Fatalf("shape %v", lp.Shape())
+	d := NewDiscreteAgent(tinyNet(), 4)
+	var b nn.Batch
+	b.Resize(3, env.StateDim, 0)
+	for i, a := range [][env.StageCount]int{{1, 2, 3, 4}, {4, 5, 6, 7}, {16, 1, 8, 2}} {
+		if b.Choices[i] = d.encode(a); d.decode(b.Choices[i]) != a {
+			t.Fatalf("tuple %v does not survive its joint index", a)
+		}
 	}
-	for _, v := range lp.Data {
+	lp := d.ppo.LogProbs(&b)
+	if len(lp) != 3 {
+		t.Fatalf("%d log-probabilities for 3 rows", len(lp))
+	}
+	for _, v := range lp {
 		if v > 0 {
 			t.Fatalf("log-probability %v > 0", v)
 		}
@@ -104,11 +107,10 @@ func TestAgentSaveLoadRoundTrip(t *testing.T) {
 	if err := b.Load(&buf); err != nil {
 		t.Fatal(err)
 	}
-	states := tensor.Zeros(2, env.StateDim)
-	ma, _ := a.Policy.MeanStd(states)
-	mb, _ := b.Policy.MeanStd(states)
-	for i := range ma.Data {
-		if ma.Data[i] != mb.Data[i] {
+	state := make([]float64, env.StateDim)
+	ma := append([]float64(nil), a.ppo.Mean(state)...)
+	for i, v := range b.ppo.Mean(state) {
+		if v != ma[i] {
 			t.Fatal("loaded agent differs")
 		}
 	}
@@ -206,18 +208,18 @@ func TestRestoreBest(t *testing.T) {
 		t.Fatal("no best checkpoint recorded")
 	}
 	// Corrupt the live policy, restore, and check it matches best.
-	for _, p := range agent.Policy.Params() {
-		for i := range p.Data {
-			p.Data[i] = 99
-		}
+	for i := range agent.ppo.Old {
+		agent.ppo.Params[i] = 99
 	}
 	agent.RestoreBest()
-	all := agent.allParams()
-	for i, p := range all {
-		for j := range p.Data {
-			if p.Data[j] != agent.best[i].Data[j] {
-				t.Fatal("RestoreBest did not restore parameters")
-			}
+	for i, v := range agent.ppo.Params {
+		if v != agent.best[i] {
+			t.Fatal("RestoreBest did not restore parameters")
+		}
+	}
+	for i, v := range agent.ppo.Old {
+		if v != agent.best[i] {
+			t.Fatal("RestoreBest did not reset π_θold")
 		}
 	}
 }
@@ -252,6 +254,45 @@ func TestActMeanIsDeterministic(t *testing.T) {
 	}
 }
 
+// One deployed agent drives every concurrent job: simultaneous ActMean
+// calls each get the answer a lone call gets.
+func TestActMeanConcurrent(t *testing.T) {
+	a := NewAgent(tinyNet(), 53)
+	rng := rand.New(rand.NewSource(53))
+	vecs := make([][]float64, 16)
+	want := make([]env.Action, len(vecs))
+	for i := range vecs {
+		vecs[i] = make([]float64, env.StateDim)
+		for j := range vecs[i] {
+			vecs[i][j] = rng.Float64()
+		}
+		want[i] = a.ActMean(vecs[i], 64)
+	}
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for r := 0; r < 2000; r++ {
+				i := (g + r) % len(vecs)
+				if got := a.ActMean(vecs[i], 64); got != want[i] {
+					errs <- fmt.Errorf("goroutine %d: ActMean(vec %d) = %v, alone %v", g, i, got, want[i])
+					return
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+}
+
 func TestActVecSamplesVary(t *testing.T) {
 	a := NewAgent(tinyNet(), 52)
 	vec := make([]float64, env.StateDim)
@@ -277,20 +318,94 @@ func TestOOBPenaltyDefaultAndDisable(t *testing.T) {
 
 func TestTrainConfigDefaults(t *testing.T) {
 	c := TrainConfig{}.withDefaults()
-	if c.Episodes != 30000 || c.StepsPerEpisode != 10 || c.Gamma != 0.99 ||
-		c.Clip != 0.2 || c.EntropyCoef != 0.1 || c.CriticCoef != 0.5 ||
-		c.StagnantLimit != 1000 || c.ConvergeFrac != 0.9 {
+	if c.Episodes != 30000 || c.StepsPerEpisode != 10 || c.EntropyCoef != 0.1 || c.StagnantLimit != 1000 {
 		t.Fatalf("defaults: %+v", c)
 	}
-	c2 := TrainConfig{Rmax: 50}.withDefaults()
-	if c2.RewardScale != 50 {
-		t.Fatalf("RewardScale default should track Rmax, got %v", c2.RewardScale)
+	if gamma != 0.99 || nn.Clip != 0.2 || nn.CriticCoef != 0.5 || convergeFrac != 0.9 {
+		t.Fatalf("γ=%v ϵ=%v critic=%v converge=%v", gamma, nn.Clip, nn.CriticCoef, convergeFrac)
+	}
+	if s := (TrainConfig{Rmax: 50}).rewardScale(); s != 50 {
+		t.Fatalf("reward scale should track Rmax, got %v", s)
+	}
+	if s := c.rewardScale(); s != 1 {
+		t.Fatalf("reward scale without Rmax %v", s)
 	}
 }
 
 func TestNetConfigDefaultsMatchPaper(t *testing.T) {
 	c := NetConfig{}.withDefaults()
-	if c.Hidden != 256 || c.PolicyBlocks != 3 || c.ValueBlocks != 2 {
+	if c.Hidden != 256 || c.PolicyBlocks != 3 || c.ValueBlocks != 2 || c.MaxActions != 32 {
 		t.Fatalf("paper architecture defaults wrong: %+v", c)
+	}
+	if nn.InitLogStd != math.Log(0.3) {
+		t.Fatalf("initial log-std %v, want log 0.3", nn.InitLogStd)
+	}
+	p := NewAgent(NetConfig{}, 1).ppo
+	if p.Policy.Hidden != 256 || p.Policy.Blocks != 3 || p.Value.Blocks != 2 {
+		t.Fatalf("agent networks: hidden %d, blocks %d/%d", p.Policy.Hidden, p.Policy.Blocks, p.Value.Blocks)
+	}
+	for _, ls := range p.Params[p.Policy.Size():len(p.Old)] {
+		if ls != nn.InitLogStd {
+			t.Fatalf("initial log-std %v", ls)
+		}
+	}
+}
+
+// A checkpoint written by the tape-based agent (Hidden 8, one block per
+// trunk, five training episodes) still loads: the same tensors in the same
+// order, giving the same deployed actions and the same raw means, bit for
+// bit.
+func TestTapeEraCheckpointLoads(t *testing.T) {
+	f, err := os.Open("testdata/agent_h8.gob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	a := NewAgent(NetConfig{Hidden: 8, PolicyBlocks: 1, ValueBlocks: 1}, 1)
+	if err := a.Load(f); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		vec   []float64
+		act   [env.StageCount]int
+		means [env.ActionDim]uint64
+	}{
+		{[]float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}, [4]int{16, 1, 1, 1},
+			[4]uint64{0x400093ce2fdc29be, 0xbff2ecaee57063f7, 0xbf65a2edf728e6e8, 0x3fb43b076440829e}},
+		{make([]float64, env.StateDim), [4]int{1, 1, 6, 1},
+			[4]uint64{0xbfe08fb9b8b51262, 0x3f56bcd2fcaa43d8, 0x3fd69dd2200ca3b8, 0xbfdd5b106770cea9}},
+		{[]float64{1.5, -0.25, 0.75, 0.05, 0.33, 0.9, 0.12, 0.6, 0.4, 0.2}, [4]int{16, 1, 16, 1},
+			[4]uint64{0x3ff384ce2b125f6b, 0xbfe0ea8abd71e9a8, 0x3ffa495c13e01a02, 0xbfe00b00ad35ed0e}},
+	} {
+		if got := a.ActMean(c.vec, 16); got.N != c.act {
+			t.Fatalf("ActMean(%v) = %v, tape-era agent chose %v", c.vec, got.N, c.act)
+		}
+		for j, m := range a.ppo.Mean(c.vec) {
+			if math.Float64bits(m) != c.means[j] {
+				t.Fatalf("mean[%d] of %v = %#x, tape-era agent had %#x", j, c.vec, math.Float64bits(m), c.means[j])
+			}
+		}
+	}
+}
+
+// A warmed-up update and a deployed decision allocate nothing.
+func TestUpdateAndActMeanAllocateNothing(t *testing.T) {
+	a := NewAgent(tinyNet(), 61)
+	e := testEnv(61)
+	cfg := TrainConfig{StepsPerEpisode: 10, UpdateEpochs: 2}.withDefaults()
+	a.collect(e, cfg)
+	update := func() { a.ppo.Update(&a.batch, cfg.UpdateEpochs, cfg.EntropyCoef) }
+	update()
+	if n := testing.AllocsPerRun(20, update); n != 0 {
+		t.Fatalf("update allocates %v times", n)
+	}
+	vec := make([]float64, env.StateDim)
+	if n := testing.AllocsPerRun(20, func() { a.ActMean(vec, 16) }); n != 0 {
+		t.Fatalf("ActMean allocates %v times", n)
+	}
+	d := NewDiscreteAgent(NetConfig{Hidden: 8, PolicyBlocks: 1, ValueBlocks: 1, MaxActions: 4}, 62)
+	d.collect(e, cfg)
+	if n := testing.AllocsPerRun(5, func() { d.ppo.Update(&d.batch, 1, cfg.EntropyCoef) }); n != 0 {
+		t.Fatalf("discrete update allocates %v times", n)
 	}
 }

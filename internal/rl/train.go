@@ -1,14 +1,57 @@
+// Package rl implements the Proximal Policy Optimization agent of
+// AutoMDT (§IV-D and Algorithm 2): a continuous Gaussian policy over the
+// concurrency tuple ⟨n_r, n_c, n_s, n_w⟩ with the residual policy/value
+// network architectures the paper describes, plus the discrete-action
+// variant used as the failed ablation of Fig. 4. The networks and their
+// PPO update are internal/nn's fixed-shape kernels; this package collects
+// episodes, discounts their rewards, and runs Algorithm 2's outer loop.
 package rl
 
 import (
-	"fmt"
 	"io"
 	"math/rand"
+	"sync"
 
 	"automdt/internal/env"
 	"automdt/internal/nn"
-	"automdt/internal/tensor"
 )
+
+const (
+	// gamma is the discount factor γ.
+	gamma = 0.99
+	// convergeFrac is the fraction of the episode-level maximum reward
+	// that counts as converged (paper: 0.9).
+	convergeFrac = 0.9
+)
+
+// NetConfig sizes the policy and value networks. The zero value is
+// replaced by the paper's architecture: 256-wide embedding, three
+// residual blocks in the policy trunk, two tanh residual blocks in the
+// value trunk.
+type NetConfig struct {
+	Hidden       int
+	PolicyBlocks int
+	ValueBlocks  int
+	// MaxActions is the number of discrete choices per dimension for the
+	// discrete policy (thread counts 1..MaxActions).
+	MaxActions int
+}
+
+func (c NetConfig) withDefaults() NetConfig {
+	if c.Hidden <= 0 {
+		c.Hidden = 256
+	}
+	if c.PolicyBlocks <= 0 {
+		c.PolicyBlocks = 3
+	}
+	if c.ValueBlocks <= 0 {
+		c.ValueBlocks = 2
+	}
+	if c.MaxActions <= 0 {
+		c.MaxActions = 32
+	}
+	return c
+}
 
 // TrainConfig parameterizes Algorithm 2.
 type TrainConfig struct {
@@ -16,31 +59,21 @@ type TrainConfig struct {
 	Episodes int
 	// StepsPerEpisode is M; the paper uses 10.
 	StepsPerEpisode int
-	// Gamma is the discount factor γ.
-	Gamma float64
-	// Clip is the PPO clipping threshold ϵ.
-	Clip float64
 	// LR is the Adam learning rate α.
 	LR float64
 	// EntropyCoef weights the entropy bonus (paper: 0.1).
 	EntropyCoef float64
-	// CriticCoef weights the value loss (paper: 0.5).
-	CriticCoef float64
 	// UpdateEpochs is the number of gradient updates per episode over the
 	// collected batch. Algorithm 2 performs one.
 	UpdateEpochs int
 	// Rmax is the theoretical maximum *per-step* reward from the probe
-	// phase; the episode-level target is StepsPerEpisode·Rmax.
+	// phase; the episode-level target is StepsPerEpisode·Rmax. Rewards
+	// are divided by it (or by 1 when unset) before learning, so returns
+	// are O(1).
 	Rmax float64
-	// ConvergeFrac is the fraction of the episode-level maximum that
-	// counts as converged (paper: 0.9).
-	ConvergeFrac float64
 	// StagnantLimit is the number of non-improving episodes to wait after
 	// convergence before stopping (paper: 1000).
 	StagnantLimit int
-	// RewardScale divides raw rewards before learning so returns are
-	// O(1). If zero it defaults to Rmax (when set) or 1.
-	RewardScale float64
 	// OOBPenalty is the coefficient of the quadratic training penalty on
 	// raw (pre-clamp) actions outside the normalized range [0, 1]. The
 	// production rule rounds and clamps actions (§IV-F), which erases the
@@ -51,10 +84,6 @@ type TrainConfig struct {
 	OOBPenalty float64
 	// Seed drives action sampling and environment resets.
 	Seed int64
-	// Progress, if non-nil, receives one line every ProgressEvery
-	// episodes.
-	Progress      io.Writer
-	ProgressEvery int
 }
 
 func (c TrainConfig) withDefaults() TrainConfig {
@@ -64,44 +93,30 @@ func (c TrainConfig) withDefaults() TrainConfig {
 	if c.StepsPerEpisode <= 0 {
 		c.StepsPerEpisode = 10
 	}
-	if c.Gamma == 0 {
-		c.Gamma = 0.99
-	}
-	if c.Clip == 0 {
-		c.Clip = 0.2
-	}
 	if c.LR == 0 {
 		c.LR = 3e-4
 	}
 	if c.EntropyCoef == 0 {
 		c.EntropyCoef = 0.1
 	}
-	if c.CriticCoef == 0 {
-		c.CriticCoef = 0.5
-	}
 	if c.UpdateEpochs <= 0 {
 		c.UpdateEpochs = 1
-	}
-	if c.ConvergeFrac == 0 {
-		c.ConvergeFrac = 0.9
 	}
 	if c.StagnantLimit <= 0 {
 		c.StagnantLimit = 1000
 	}
-	if c.RewardScale <= 0 {
-		if c.Rmax > 0 {
-			c.RewardScale = c.Rmax
-		} else {
-			c.RewardScale = 1
-		}
-	}
 	if c.OOBPenalty == 0 {
 		c.OOBPenalty = 0.5
 	}
-	if c.ProgressEvery <= 0 {
-		c.ProgressEvery = 1000
-	}
 	return c
+}
+
+// rewardScale divides raw rewards before learning.
+func (c TrainConfig) rewardScale() float64 {
+	if c.Rmax > 0 {
+		return c.Rmax
+	}
+	return 1
 }
 
 // TrainResult reports a training run.
@@ -121,59 +136,41 @@ type TrainResult struct {
 	ConvergedAt int
 }
 
-// Agent couples the policy and value networks with their optimizer state.
+// Agent is the continuous PPO agent: the Gaussian policy and the value
+// network with their optimizer state.
 type Agent struct {
-	Cfg    NetConfig
-	Policy *GaussianPolicy
-	Value  *ValueNet
+	Cfg NetConfig
 
-	// oldPolicy holds π_θold for the PPO ratio.
-	oldPolicy *GaussianPolicy
-	// best holds the best checkpoint parameters (policy then value).
-	best nn.ParamList
-	rng  *rand.Rand
+	ppo *nn.PPO
+	// best holds the best checkpoint's parameters, once training found one.
+	best  []float64
+	batch nn.Batch
+	rng   *rand.Rand
+	// act serializes ActVec and ActMean: both run the policy in buffers
+	// the network owns, and one deployed agent drives concurrent jobs.
+	act sync.Mutex
 }
 
 // NewAgent builds a PPO agent with freshly initialized networks.
 func NewAgent(cfg NetConfig, seed int64) *Agent {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(seed))
-	a := &Agent{
-		Cfg:       cfg,
-		Policy:    NewGaussianPolicy(cfg, rng),
-		Value:     NewValueNet(cfg, rng),
-		oldPolicy: NewGaussianPolicy(cfg, rng),
-		rng:       rng,
+	return &Agent{
+		Cfg: cfg,
+		ppo: nn.NewPPO(env.StateDim, cfg.Hidden, cfg.PolicyBlocks, cfg.ValueBlocks, env.ActionDim, false, rng),
+		rng: rng,
 	}
-	a.syncOld()
-	return a
-}
-
-// allParams returns policy+value parameters, in stable order.
-func (a *Agent) allParams() nn.ParamList {
-	return append(nn.ParamList{}, append(a.Policy.Params(), a.Value.Params()...)...)
-}
-
-func (a *Agent) syncOld() {
-	if err := nn.CopyParams(modOf(a.oldPolicy), modOf(a.Policy)); err != nil {
-		panic(err)
-	}
-}
-
-// modOf adapts anything with Params to nn.Module for the copy helpers.
-func modOf(p interface{ Params() []*tensor.Tensor }) nn.Module {
-	return nn.ParamList(p.Params())
 }
 
 // Save writes a checkpoint of the agent's current parameters.
-func (a *Agent) Save(w io.Writer) error { return nn.SaveParams(w, a.allParams()) }
+func (a *Agent) Save(w io.Writer) error { return nn.SaveParams(w, a.ppo.Tensors()) }
 
 // Load restores a checkpoint written by Save into the agent.
 func (a *Agent) Load(r io.Reader) error {
-	if err := nn.LoadParams(r, a.allParams()); err != nil {
+	if err := nn.LoadParams(r, a.ppo.Tensors()); err != nil {
 		return err
 	}
-	a.syncOld()
+	a.ppo.SyncOld()
 	return nil
 }
 
@@ -183,10 +180,8 @@ func (a *Agent) RestoreBest() {
 	if a.best == nil {
 		return
 	}
-	if err := nn.CopyParams(a.allParams(), a.best); err != nil {
-		panic(err)
-	}
-	a.syncOld()
+	copy(a.ppo.Params, a.best)
+	a.ppo.SyncOld()
 }
 
 // Act samples a concurrency action for the given environment state,
@@ -200,113 +195,75 @@ func (a *Agent) Act(s env.State, e env.Environment) env.Action {
 // ActVec is Act for callers that assemble the normalized state vector
 // themselves (e.g. the live-engine controller in internal/core).
 func (a *Agent) ActVec(vec []float64, maxThreads int) env.Action {
-	raw := a.Policy.Sample(vec, a.rng)
-	// The policy outputs normalized thread counts; rescale to [0,max].
-	for i := range raw {
-		raw[i] *= float64(maxThreads)
-	}
-	return env.FromContinuous(raw, maxThreads)
+	a.act.Lock()
+	defer a.act.Unlock()
+	return scaled(a.ppo.Sample(vec, a.rng), maxThreads)
 }
 
 // ActMean is ActVec with the distribution mean instead of a sample — the
 // deterministic deployment mode. A fully annealed policy's samples
 // concentrate at the mean anyway; with shorter training budgets the mean
-// avoids residual exploration noise during production transfers.
+// avoids residual exploration noise during production transfers. It is
+// safe to call from several goroutines at once.
 func (a *Agent) ActMean(vec []float64, maxThreads int) env.Action {
-	mean, _ := a.Policy.MeanStd(tensor.New(append([]float64(nil), vec...), 1, len(vec)))
-	raw := append([]float64(nil), mean.Data...)
-	for i := range raw {
-		raw[i] *= float64(maxThreads)
-	}
-	return env.FromContinuous(raw, maxThreads)
+	a.act.Lock()
+	defer a.act.Unlock()
+	return scaled(a.ppo.Mean(vec), maxThreads)
 }
 
-// rollout is one episode's collected experience.
-type rollout struct {
-	states  [][]float64
-	actions [][]float64 // raw continuous samples, normalized units
-	rewards []float64   // scaled
-	rawSum  float64     // unscaled episode reward
+// scaled turns normalized policy outputs into thread counts in
+// [1, maxThreads].
+func scaled(raw []float64, maxThreads int) env.Action {
+	var v [env.ActionDim]float64
+	for i, x := range raw {
+		v[i] = x * float64(maxThreads)
+	}
+	return env.FromContinuous(v[:], maxThreads)
 }
 
-// collect runs one episode of M steps in e under the current policy.
-func (a *Agent) collect(e env.Environment, m int, scale, oobPenalty float64) rollout {
-	ro := rollout{
-		states:  make([][]float64, 0, m),
-		actions: make([][]float64, 0, m),
-		rewards: make([]float64, 0, m),
-	}
+// collect runs one episode of M steps in e under the current policy into
+// the batch, and returns its raw reward.
+func (a *Agent) collect(e env.Environment, cfg TrainConfig) float64 {
+	b := &a.batch
+	b.Resize(cfg.StepsPerEpisode, env.StateDim, env.ActionDim)
 	rate, buf := e.Scales()
 	maxT := e.MaxThreads()
+	rawSum := 0.0
 	s := e.Reset()
-	for step := 0; step < m; step++ {
+	for step := 0; step < b.N; step++ {
 		vec := s.Vector(maxT, rate, buf)
-		raw := a.Policy.Sample(vec, a.rng)
-		scaled := make([]float64, len(raw))
+		copy(b.States[step*env.StateDim:], vec)
+		raw := a.ppo.Sample(vec, a.rng)
+		copy(b.Actions[step*env.ActionDim:], raw)
 		oob := 0.0
-		for i := range raw {
-			scaled[i] = raw[i] * float64(maxT)
-			if raw[i] < 0 {
-				oob += raw[i] * raw[i]
-			} else if raw[i] > 1 {
-				oob += (raw[i] - 1) * (raw[i] - 1)
+		for _, x := range raw {
+			if x < 0 {
+				oob += x * x
+			} else if x > 1 {
+				oob += (x - 1) * (x - 1)
 			}
 		}
-		act := env.FromContinuous(scaled, maxT)
-		next, r := e.Step(act)
-		shaped := r / scale
-		if oobPenalty > 0 {
-			shaped -= oobPenalty * oob
+		next, r := e.Step(scaled(raw, maxT))
+		shaped := r / cfg.rewardScale()
+		if cfg.OOBPenalty > 0 {
+			shaped -= cfg.OOBPenalty * oob
 		}
-		ro.states = append(ro.states, vec)
-		ro.actions = append(ro.actions, raw)
-		ro.rewards = append(ro.rewards, shaped)
-		ro.rawSum += r
+		b.Returns[step] = shaped
+		rawSum += r
 		s = next
 	}
-	return ro
+	discount(b)
+	return rawSum
 }
 
-// update performs the Algorithm 2 policy/value update on one rollout.
-func (a *Agent) update(ro rollout, opt *nn.Adam, cfg TrainConfig) {
-	n := len(ro.states)
-	states := tensor.FromRows(ro.states)
-	actions := tensor.FromRows(ro.actions)
-
-	// Discounted returns Gt = rt + γ·G_{t+1}.
-	returns := make([]float64, n)
+// discount turns the batch's rewards into discounted returns
+// Gt = rt + γ·G_{t+1}.
+func discount(b *nn.Batch) {
 	g := 0.0
-	for t := n - 1; t >= 0; t-- {
-		g = ro.rewards[t] + cfg.Gamma*g
-		returns[t] = g
+	for t := b.N - 1; t >= 0; t-- {
+		g = b.Returns[t] + gamma*g
+		b.Returns[t] = g
 	}
-	returnsT := tensor.New(append([]float64(nil), returns...), n, 1)
-
-	// Old-policy log-probs (no gradient).
-	oldLP := a.oldPolicy.LogProb(states, actions).Clone()
-
-	for epoch := 0; epoch < cfg.UpdateEpochs; epoch++ {
-		opt.ZeroGrad()
-
-		newLP := a.Policy.LogProb(states, actions)
-		values := a.Value.Forward(states)
-
-		// Advantages At = Gt − V(st); treated as constants for the actor.
-		adv := tensor.Sub(returnsT, values.Detach().Clone())
-
-		ratio := tensor.Exp(tensor.Sub(newLP, oldLP))
-		surr1 := tensor.Mul(ratio, adv)
-		surr2 := tensor.Mul(tensor.Clamp(ratio, 1-cfg.Clip, 1+cfg.Clip), adv)
-		actorLoss := tensor.Neg(tensor.Mean(tensor.Min(surr1, surr2)))
-
-		criticLoss := tensor.Scale(tensor.Mean(tensor.Square(tensor.Sub(returnsT, values))), cfg.CriticCoef)
-		entropy := a.Policy.Entropy()
-
-		loss := tensor.Sub(tensor.Add(actorLoss, criticLoss), tensor.Scale(entropy, cfg.EntropyCoef))
-		loss.Backward()
-		opt.Step()
-	}
-	a.syncOld()
 }
 
 // Train runs Algorithm 2 against e and returns the learning curve. The
@@ -317,57 +274,50 @@ func (a *Agent) Train(e env.Environment, cfg TrainConfig) *TrainResult {
 	if cfg.Seed != 0 {
 		a.rng = rand.New(rand.NewSource(cfg.Seed))
 	}
-	params := a.allParams()
-	opt := nn.NewAdam(params, cfg.LR)
-	opt.MaxNorm = 5
+	return train(a.ppo, &a.batch, cfg, func() float64 { return a.collect(e, cfg) }, func() {
+		// One checkpoint buffer per agent, overwritten in place: a noisy
+		// episode beats the best hundreds of times in a run.
+		if a.best == nil {
+			a.best = make([]float64, len(a.ppo.Params))
+		}
+		copy(a.best, a.ppo.Params)
+	})
+}
 
+// train is Algorithm 2's outer loop for either agent: each episode
+// collects a batch and updates p on it; improved, if set, runs on every
+// new best episode. Training stops StagnantLimit episodes after the best
+// episode reached convergeFrac of the episode-level maximum.
+func train(p *nn.PPO, b *nn.Batch, cfg TrainConfig, collect func() float64, improved func()) *TrainResult {
+	p.Adam.Reset(cfg.LR)
 	res := &TrainResult{ConvergedAt: -1}
-	targetEpisode := cfg.ConvergeFrac * cfg.Rmax * float64(cfg.StepsPerEpisode)
+	target := convergeFrac * cfg.Rmax * float64(cfg.StepsPerEpisode)
 	best := 0.0
 	stagnant := 0
-
 	for ep := 0; ep < cfg.Episodes; ep++ {
-		ro := a.collect(e, cfg.StepsPerEpisode, cfg.RewardScale, cfg.OOBPenalty)
-		a.update(ro, opt, cfg)
-
-		res.EpisodeRewards = append(res.EpisodeRewards, ro.rawSum)
+		raw := collect()
+		p.Update(b, cfg.UpdateEpochs, cfg.EntropyCoef)
+		res.EpisodeRewards = append(res.EpisodeRewards, raw)
 		res.Episodes = ep + 1
-		if ro.rawSum > best {
-			best = ro.rawSum
+		if raw > best {
+			best = raw
 			stagnant = 0
-			// One checkpoint buffer per agent, overwritten in place: a noisy
-			// episode beats the best hundreds of times in a run.
-			if a.best == nil {
-				a.best = cloneParams(params)
-			} else if err := nn.CopyParams(a.best, params); err != nil {
-				panic(err)
+			if improved != nil {
+				improved()
 			}
 		} else {
 			stagnant++
 		}
-		if cfg.Rmax > 0 && best >= targetEpisode {
+		if cfg.Rmax > 0 && best >= target {
 			if res.ConvergedAt < 0 {
 				res.ConvergedAt = ep
 			}
 			if stagnant >= cfg.StagnantLimit {
 				res.Converged = true
-				res.Episodes = ep + 1
 				break
 			}
-		}
-		if cfg.Progress != nil && (ep+1)%cfg.ProgressEvery == 0 {
-			fmt.Fprintf(cfg.Progress, "episode %d: reward %.1f (best %.1f, target %.1f)\n",
-				ep+1, ro.rawSum, best, targetEpisode)
 		}
 	}
 	res.BestReward = best
 	return res
-}
-
-func cloneParams(ps nn.ParamList) nn.ParamList {
-	out := make(nn.ParamList, len(ps))
-	for i, p := range ps {
-		out[i] = p.Clone()
-	}
-	return out
 }

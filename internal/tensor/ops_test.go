@@ -175,25 +175,6 @@ func Min(a, b *Tensor) *Tensor {
 		})
 }
 
-// Max returns the elementwise maximum of a and b. Gradient flows to the
-// larger operand (to a on ties).
-func Max(a, b *Tensor) *Tensor {
-	return binary(a, b,
-		math.Max,
-		func(x, y float64) float64 {
-			if x >= y {
-				return 1
-			}
-			return 0
-		},
-		func(x, y float64) float64 {
-			if x >= y {
-				return 0
-			}
-			return 1
-		})
-}
-
 // unary applies an elementwise op; bwd returns dOut/dIn given (in, out).
 func unary(a *Tensor, fwd func(x float64) float64, bwd func(x, y float64) float64) *Tensor {
 	data := make([]float64, len(a.Data))
@@ -480,47 +461,5 @@ func GatherCols(x *Tensor, idx []int) *Tensor {
 			gx[i*d+j] += out.Grad[i]
 		}
 	}, x)
-	return out
-}
-
-// Concat stacks rank-2 tensors with equal row counts side by side
-// (along columns).
-func Concat(ts ...*Tensor) *Tensor {
-	if len(ts) == 0 {
-		panic("tensor: Concat of nothing")
-	}
-	b := ts[0].Rows()
-	total := 0
-	for _, t := range ts {
-		if t.Rank() != 2 || t.Rows() != b {
-			panic("tensor: Concat requires rank-2 tensors with equal rows")
-		}
-		total += t.Cols()
-	}
-	data := make([]float64, b*total)
-	off := 0
-	for _, t := range ts {
-		d := t.Cols()
-		for i := 0; i < b; i++ {
-			copy(data[i*total+off:i*total+off+d], t.Data[i*d:(i+1)*d])
-		}
-		off += d
-	}
-	var out *Tensor
-	out = child(data, []int{b, total}, func() {
-		off := 0
-		for _, t := range ts {
-			d := t.Cols()
-			if needsTape(t) {
-				gt := t.ensureGrad()
-				for i := 0; i < b; i++ {
-					for j := 0; j < d; j++ {
-						gt[i*d+j] += out.Grad[i*total+off+j]
-					}
-				}
-			}
-			off += d
-		}
-	}, ts...)
 	return out
 }

@@ -1,11 +1,11 @@
-// Package tensor implements a small dense float64 tensor library with
-// reverse-mode automatic differentiation.
-//
-// It provides exactly the operations needed by AutoMDT's PPO agent
-// (internal/rl): matrix multiplication, broadcast arithmetic, tanh, ReLU,
-// layer normalization, log-softmax, Gaussian log-probability building
-// blocks, clipping, and reductions. Tensors are row-major and at most
-// rank 2; scalars are rank-0 tensors with a single element.
+// Package tensor is a test-only, tape-based reverse-mode autograd over
+// small dense float64 tensors: the reference that internal/nn's
+// fixed-shape PPO kernels are compared against, bit for bit, by
+// TestKernelsMatchTape. It has exactly the operations those networks
+// use: matrix multiplication, broadcast arithmetic, tanh, ReLU, layer
+// normalization, log-softmax, Gaussian log-probability building blocks,
+// clipping, and reductions. Tensors are row-major and at most rank 2;
+// scalars are rank-0 tensors with a single element.
 //
 // Autograd is tape-based: every differentiable operation records its
 // parents and a backward closure on the output tensor. Calling
@@ -15,11 +15,7 @@
 // differentiable ops.
 package tensor
 
-import (
-	"fmt"
-	"math"
-	"strings"
-)
+import "fmt"
 
 // Tensor is a dense row-major float64 tensor of rank 0, 1, or 2.
 type Tensor struct {
@@ -61,9 +57,6 @@ func Full(v float64, shape ...int) *Tensor {
 	return t
 }
 
-// Scalar creates a rank-0 tensor holding v.
-func Scalar(v float64) *Tensor { return New([]float64{v}) }
-
 // FromRows creates a rank-2 tensor from a slice of equal-length rows.
 func FromRows(rows [][]float64) *Tensor {
 	if len(rows) == 0 {
@@ -86,9 +79,6 @@ func (t *Tensor) Param() *Tensor {
 	t.requiresGrad = true
 	return t
 }
-
-// RequiresGrad reports whether gradients are accumulated for this tensor.
-func (t *Tensor) RequiresGrad() bool { return t.requiresGrad }
 
 // Shape returns the tensor's dimensions. The returned slice must not be
 // modified.
@@ -114,22 +104,6 @@ func (t *Tensor) Cols() int {
 		return 1
 	}
 	return t.shape[len(t.shape)-1]
-}
-
-// At returns the element at row i, column j of a rank-2 tensor.
-func (t *Tensor) At(i, j int) float64 {
-	if len(t.shape) != 2 {
-		panic("tensor: At requires rank 2")
-	}
-	return t.Data[i*t.shape[1]+j]
-}
-
-// Set assigns the element at row i, column j of a rank-2 tensor.
-func (t *Tensor) Set(i, j int, v float64) {
-	if len(t.shape) != 2 {
-		panic("tensor: Set requires rank 2")
-	}
-	t.Data[i*t.shape[1]+j] = v
 }
 
 // Item returns the single element of a one-element tensor.
@@ -226,30 +200,6 @@ func (t *Tensor) Backward() {
 			n.backward()
 		}
 	}
-}
-
-// String renders the tensor for debugging.
-func (t *Tensor) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Tensor%v ", t.shape)
-	if len(t.Data) <= 16 {
-		fmt.Fprintf(&b, "%.4g", t.Data)
-	} else {
-		fmt.Fprintf(&b, "[%.4g %.4g ... %.4g]", t.Data[0], t.Data[1], t.Data[len(t.Data)-1])
-	}
-	return b.String()
-}
-
-// MaxAbs returns the largest absolute element value, or 0 for an empty
-// tensor.
-func (t *Tensor) MaxAbs() float64 {
-	m := 0.0
-	for _, v := range t.Data {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
 }
 
 func numElems(shape []int) int {
