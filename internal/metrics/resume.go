@@ -10,7 +10,6 @@ var (
 	resumeSkipped     atomic.Int64 // bytes found committed and not re-sent
 	resumeReplayed    atomic.Int64 // chunk ranges re-sent after verification cleared them
 	resumeInvalidated atomic.Int64 // ledger ranges invalidated by CRC mismatch
-	resumeUnverified  atomic.Int64 // sessions completed with sums missing
 	resumeExpired     atomic.Int64 // stale ledgers removed by age-based GC
 )
 
@@ -30,12 +29,6 @@ func ResumeReplayedAdd(ranges int64) { resumeReplayed.Add(ranges) }
 // end-to-end file CRC disagreed with the sender's.
 func ResumeInvalidatedAdd(ranges int64) { resumeInvalidated.Add(ranges) }
 
-// ResumeUnverifiedInc records a checksummed session that completed
-// without receiving every announced file sum (verification degraded to
-// "verify what arrived") — zero in healthy operation, so worth alerting
-// on.
-func ResumeUnverifiedInc() { resumeUnverified.Add(1) }
-
 // ResumeExpiredAdd records session ledgers removed by the receiver's
 // age-based GC: sessions that were abandoned in a long-lived destination
 // instead of being resumed or completed.
@@ -48,7 +41,6 @@ func ResumeSnapshot() Snapshot {
 	snap.Add("automdt_resume_bytes_skipped_total", float64(resumeSkipped.Load()))
 	snap.Add("automdt_resume_ranges_replayed_total", float64(resumeReplayed.Load()))
 	snap.Add("automdt_resume_ranges_invalidated_total", float64(resumeInvalidated.Load()))
-	snap.Add("automdt_resume_sessions_unverified_total", float64(resumeUnverified.Load()))
 	snap.Add("automdt_resume_ledgers_expired_total", float64(resumeExpired.Load()))
 	return snap
 }

@@ -299,11 +299,11 @@ func TestEndpointAdmissionCap(t *testing.T) {
 	}
 }
 
-// The Hello is outside input: one asking for a million write workers
-// gets at most MaxThreads, the bound SetWriters already applies, and the
-// session still completes.
-func TestEndpointClampsHelloWriters(t *testing.T) {
-	cfg := testConfig()
+// oneChunkSession runs a one-chunk session from a raw peer whose Hello
+// asks for what the caller sets, and hands every Status the endpoint
+// sends to check until the session completes.
+func oneChunkSession(t *testing.T, cfg Config, ask func(*wire.Hello), check func(*wire.Status)) {
+	t.Helper()
 	recv := NewReceiver(cfg, fsim.NewSyntheticStore())
 	if err := recv.Listen("127.0.0.1:0", "127.0.0.1:0"); err != nil {
 		t.Fatal(err)
@@ -312,13 +312,14 @@ func TestEndpointClampsHelloWriters(t *testing.T) {
 	defer cancel()
 	go recv.Serve(ctx)
 
-	const size, asked = 64 << 10, 1 << 20
-	c := helloConn(t, recv.CtrlAddr(), wire.Hello{
-		Files:          []wire.FileInfo{{Name: "w.dat", Size: size}},
-		ChunkBytes:     size,
-		InitialWriters: asked,
-		ProtoVersion:   wire.ProtoVersion,
-	})
+	const size = 64 << 10
+	h := wire.Hello{
+		Files:        []wire.FileInfo{{Name: "w.dat", Size: size}},
+		ChunkBytes:   size,
+		ProtoVersion: wire.ProtoVersion,
+	}
+	ask(&h)
+	c := helloConn(t, recv.CtrlAddr(), h)
 	defer c.Close()
 	m := recvReply(t, c)
 	if m.Welcome == nil {
@@ -347,13 +348,36 @@ func TestEndpointClampsHelloWriters(t *testing.T) {
 		if st.Error != "" {
 			t.Fatalf("session failed: %s", st.Error)
 		}
-		if st.Writers < 1 || st.Writers > cfg.MaxThreads {
-			t.Fatalf("Hello asked for %d writers and the endpoint runs %d, want 1..%d", asked, st.Writers, cfg.MaxThreads)
-		}
+		check(st)
 		if st.Done {
 			return
 		}
 	}
+}
+
+// The Hello is outside input: one asking for a million write workers
+// gets at most MaxThreads, the bound SetWriters already applies, and the
+// session still completes.
+func TestEndpointClampsHelloWriters(t *testing.T) {
+	cfg := testConfig()
+	const asked = 1 << 20
+	oneChunkSession(t, cfg, func(h *wire.Hello) { h.InitialWriters = asked }, func(st *wire.Status) {
+		if st.Writers < 1 || st.Writers > cfg.MaxThreads {
+			t.Fatalf("Hello asked for %d writers and the endpoint runs %d, want 1..%d", asked, st.Writers, cfg.MaxThreads)
+		}
+	})
+}
+
+// A Hello may shrink the endpoint's staging buffer but not grow it: one
+// asking for a terabyte gets the endpoint's own capacity.
+func TestEndpointClampsHelloBuffer(t *testing.T) {
+	cfg := testConfig()
+	const asked = 1 << 40
+	oneChunkSession(t, cfg, func(h *wire.Hello) { h.ReceiverBufBytes = asked }, func(st *wire.Status) {
+		if st.BufFree > cfg.ReceiverBufBytes {
+			t.Fatalf("Hello asked for %d staging bytes and the endpoint reports %d free, want ≤ %d", int64(asked), st.BufFree, cfg.ReceiverBufBytes)
+		}
+	})
 }
 
 // There is one protocol generation: a Hello announcing any other is
@@ -368,7 +392,12 @@ func TestEndpointRefusesOtherGenerations(t *testing.T) {
 	defer cancel()
 	go recv.Serve(ctx)
 
-	others := []int{0, 1, 2, wire.ProtoVersion + 1}
+	// Every earlier generation and the next one.
+	var others []int
+	for v := 0; v < wire.ProtoVersion; v++ {
+		others = append(others, v)
+	}
+	others = append(others, wire.ProtoVersion+1)
 	for _, v := range others {
 		c := helloConn(t, recv.CtrlAddr(), wire.Hello{
 			Files:        []wire.FileInfo{{Name: "pin.dat", Size: 1 << 20}},

@@ -196,7 +196,6 @@ func TestReceiverRejectsUnknownFileID(t *testing.T) {
 			if err := ctrl.Send(wire.Message{Hello: &wire.Hello{
 				Files:        []wire.FileInfo{{Name: "only", Size: size}},
 				ChunkBytes:   chunk,
-				MaxWriters:   4,
 				ProtoVersion: wire.ProtoVersion,
 			}}); err != nil {
 				t.Fatal(err)

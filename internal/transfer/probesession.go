@@ -32,6 +32,8 @@ type probeController struct {
 	want env.Action
 	last env.State
 	seen int
+	// decided is closed and replaced by every Decide, waking Probe.
+	decided chan struct{}
 }
 
 func (p *probeController) Name() string { return "probe" }
@@ -41,19 +43,25 @@ func (p *probeController) Decide(s env.State) env.Action {
 	defer p.mu.Unlock()
 	p.last = s
 	p.seen++
+	close(p.decided)
+	p.decided = make(chan struct{})
 	return p.want
 }
 
-func (p *probeController) set(a env.Action) {
-	p.mu.Lock()
-	p.want = a
-	p.mu.Unlock()
-}
-
-func (p *probeController) state() (env.State, int) {
+// set applies a tuple and returns how many decisions preceded it.
+func (p *probeController) set(a env.Action) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.last, p.seen
+	p.want = a
+	return p.seen
+}
+
+// state returns the latest observation, the decision count, and a
+// channel the next decision closes.
+func (p *probeController) state() (env.State, int, <-chan struct{}) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.last, p.seen, p.decided
 }
 
 // NewProbeSession starts a loopback probe transfer: a synthetic source
@@ -68,7 +76,7 @@ func NewProbeSession(ctx context.Context, cfg Config) (*ProbeSession, error) {
 	manifest := workload.LargeFiles(1024, 1<<30)
 
 	ctx, cancel := context.WithCancel(ctx)
-	pc := &probeController{want: env.ActionOf(1, 1, 1, 1)}
+	pc := &probeController{want: env.ActionOf(1, 1, 1, 1), decided: make(chan struct{})}
 	ps := &ProbeSession{
 		interval: cfg.ProbeInterval,
 		ctrl:     pc,
@@ -95,22 +103,23 @@ func NewProbeSession(ctx context.Context, cfg Config) (*ProbeSession, error) {
 }
 
 // Probe implements probe.Runner: apply the stage tuple, wait for the
-// engine to settle (two probe intervals), and report the measured
-// physical stage rates in Mbps.
+// engine to settle, and report the measured physical stage rates in
+// Mbps. It returns at the third decision after the tuple is applied —
+// the first may still observe the old tuple, so two fresh observations
+// follow it — or after ten probe intervals if the engine stalls.
 func (ps *ProbeSession) Probe(a env.Action) (tr, tn, tw float64) {
-	ps.ctrl.set(a)
-	_, before := ps.ctrl.state()
-	deadline := time.Now().Add(10 * ps.interval)
-	// Wait until at least two fresh controller observations arrive with
-	// the new tuple in effect.
-	for {
-		time.Sleep(ps.interval / 2)
-		st, seen := ps.ctrl.state()
-		if seen >= before+3 || time.Now().After(deadline) {
-			return st.Throughput[env.StageRead], st.Throughput[env.StageConns],
-				st.Throughput[env.StageWrite]
+	before := ps.ctrl.set(a)
+	deadline := time.NewTimer(10 * ps.interval)
+	defer deadline.Stop()
+	st, seen, next := ps.ctrl.state()
+	for timedOut := false; seen < before+3 && !timedOut; st, seen, next = ps.ctrl.state() {
+		select {
+		case <-next:
+		case <-deadline.C:
+			timedOut = true
 		}
 	}
+	return st.Throughput[env.StageRead], st.Throughput[env.StageConns], st.Throughput[env.StageWrite]
 }
 
 // Err returns a fatal engine error, if any occurred.

@@ -509,9 +509,10 @@ func (r *Receiver) admit(h *wire.Hello) (sess *rsession, held <-chan struct{}, e
 	if session == "" {
 		session = NewSessionID()
 	}
+	// The Hello may shrink the endpoint's staging capacity, never grow it.
 	bufCap := r.Cfg.ReceiverBufBytes
 	if h.ReceiverBufBytes > 0 {
-		bufCap = h.ReceiverBufBytes
+		bufCap = min(h.ReceiverBufBytes, bufCap)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -618,39 +619,67 @@ func (r *Receiver) MetricsSnapshot() metrics.Snapshot {
 	return snap
 }
 
-// sumChecker tracks the sender-announced end-to-end file CRCs and which
-// of them have been verified against the ledger.
+// sumChecker holds the end-to-end file sums a checksummed session is
+// owed: one for every non-empty file with no committed chunk in the
+// ledger the Welcome advertised, the sender's fileSummer rule. An entry
+// leaves owed once its verdict has landed, and settled closes when the
+// last one does.
 type sumChecker struct {
-	mu       sync.Mutex
-	expected map[uint32]uint32
-	checked  map[uint32]bool
-	finished bool // SumsDone received
-	want     int  // announced FileSum count
-	got      int
+	mu      sync.Mutex
+	owed    map[uint32]owedSum
+	settled chan struct{}
 }
 
-func newSumChecker() *sumChecker {
-	return &sumChecker{expected: make(map[uint32]uint32), checked: make(map[uint32]bool)}
+type owedSum struct {
+	crc       uint32
+	announced bool
 }
 
-// drained reports whether every announced sum has arrived.
-func (c *sumChecker) drained() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.finished && c.got >= c.want
-}
-
-// pending returns the announced files not yet verified.
-func (c *sumChecker) pending() []uint32 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var ids []uint32
-	for id := range c.expected {
-		if !c.checked[id] {
-			ids = append(ids, id)
+func newSumChecker(checksums bool, m workload.Manifest, l *Ledger) *sumChecker {
+	c := &sumChecker{owed: make(map[uint32]owedSum), settled: make(chan struct{})}
+	if checksums {
+		for i, f := range m {
+			if f.Size > 0 && l.FileCommitted(uint32(i)) == 0 {
+				c.owed[uint32(i)] = owedSum{}
+			}
 		}
 	}
-	return ids
+	if len(c.owed) == 0 {
+		close(c.settled)
+	}
+	return c
+}
+
+// announce records the sender's sum for an owed file; a sum nothing is
+// owed for is ignored.
+func (c *sumChecker) announce(fileID, crc uint32) {
+	c.mu.Lock()
+	if _, ok := c.owed[fileID]; ok {
+		c.owed[fileID] = owedSum{crc: crc, announced: true}
+	}
+	c.mu.Unlock()
+}
+
+// want returns the announced sum of an owed file still awaiting its
+// verdict.
+func (c *sumChecker) want(fileID uint32) (uint32, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	o, ok := c.owed[fileID]
+	return o.crc, ok && o.announced
+}
+
+// verified retires an owed file once its verdict has landed.
+func (c *sumChecker) verified(fileID uint32) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.owed[fileID]; !ok {
+		return
+	}
+	delete(c.owed, fileID)
+	if len(c.owed) == 0 {
+		close(c.settled)
+	}
 }
 
 // runSession executes one admitted session to completion or failure: the
@@ -715,6 +744,10 @@ func (r *Receiver) runSession(parent context.Context, sess *rsession, ctrl *wire
 	persister.compact()
 	persist := persister.tick
 
+	// End-to-end file verification: the sums owed are fixed by the ledger
+	// the Welcome advertises, before any chunk can commit.
+	chk := newSumChecker(h.Checksums, manifest, ledger)
+
 	// No data connection can be routed into the session before this
 	// send: the token has not left the process.
 	if err := ctrl.Send(wire.Message{Welcome: &wire.Welcome{
@@ -753,25 +786,20 @@ func (r *Receiver) runSession(parent context.Context, sess *rsession, ctrl *wire
 		writerMu.Unlock()
 	}()
 
-	// End-to-end file verification state (checksummed sessions).
-	chk := newSumChecker()
-	// checkFile verifies one announced file once it is fully committed:
-	// the ledger's per-chunk sums are folded into the whole-file CRC and
-	// compared against the sender's. A mismatch invalidates exactly that
-	// file's ledger range — the next resume replans it — and fails the
-	// session. A file is marked checked only AFTER the verdict lands:
-	// finishSession re-verifies anything still pending, so a mismatch
-	// discovered by a write worker can never race session completion
-	// into reporting success (duplicate concurrent verifications are
-	// harmless — same sums, same verdict, idempotent invalidation).
+	// checkFile verifies one owed, announced file once it is fully
+	// committed: the ledger's per-chunk sums are folded into the
+	// whole-file CRC and compared against the sender's. A mismatch
+	// invalidates exactly that file's ledger range — the next resume
+	// replans it — and fails the session. The file leaves the owed set
+	// only AFTER the verdict lands, so a mismatch found by a write worker
+	// can never race session completion into reporting success (duplicate
+	// concurrent verifications are harmless — same sums, same verdict,
+	// idempotent invalidation).
 	checkFile := func(fileID uint32) {
-		chk.mu.Lock()
-		want, announced := chk.expected[fileID]
-		if !announced || chk.checked[fileID] || !ledger.FileComplete(fileID) {
-			chk.mu.Unlock()
+		want, ok := chk.want(fileID)
+		if !ok || !ledger.FileComplete(fileID) {
 			return
 		}
-		chk.mu.Unlock()
 		got, ok := ledger.FileCRC(fileID)
 		if !ok {
 			return
@@ -784,15 +812,12 @@ func (r *Receiver) runSession(parent context.Context, sess *rsession, ctrl *wire
 				manifest[fileID].Name, got, want, n))
 			cancel()
 		}
-		chk.mu.Lock()
-		chk.checked[fileID] = true
-		chk.mu.Unlock()
+		chk.verified(fileID)
 	}
 
 	// Write pool. Completion is ledger-driven: the session is done when
 	// every chunk — freshly written or inherited from a resumed ledger —
-	// is committed.
-	var written atomic.Int64
+	// is committed and every owed sum is verified.
 	var writeCounter metrics.Counter
 	perThread := newLimiterSet(r.Cfg.Shaping.WritePerThreadMbps, r.Cfg.ChunkBytes)
 	agg := newLimiter(r.Cfg.Shaping.WriteAggMbps, r.Cfg.ChunkBytes)
@@ -898,7 +923,6 @@ func (r *Receiver) runSession(parent context.Context, sess *rsession, ctrl *wire
 				}
 				commit(c)
 				writeCounter.Add(int64(sz))
-				written.Add(int64(sz))
 				c.Release()
 			}
 		}
@@ -930,11 +954,12 @@ func (r *Receiver) runSession(parent context.Context, sess *rsession, ctrl *wire
 		persist()
 	}()
 
-	// Control loop: periodic status out; SetWriters commands and session
-	// sums in. A dead control channel ends the session immediately: the
-	// sender can neither steer nor learn the outcome without it, and a
-	// prompt teardown frees the session's ledger key for the retry that
-	// typically follows (after completion the cancel is a no-op).
+	// Control loop: periodic status out; SetWriters commands, file sums
+	// and ledger pulls in. A dead control channel ends the session
+	// immediately: the sender can neither steer nor learn the outcome
+	// without it, and a prompt teardown frees the session's ledger key for
+	// the retry that typically follows (after completion the cancel is a
+	// no-op).
 	cmds := make(chan wire.Message, 8)
 	go func() {
 		for {
@@ -957,9 +982,7 @@ func (r *Receiver) runSession(parent context.Context, sess *rsession, ctrl *wire
 		wBytes := writeCounter.Reset()
 		mbps := bytesToMb(wBytes) / r.Cfg.ProbeInterval.Seconds()
 		st := wire.Status{
-			WrittenBytes:   written.Load(),
 			CommittedBytes: ledger.CommittedBytes(),
-			BufUsed:        staging.Used(),
 			BufFree:        staging.Free(),
 			WriteMbps:      mbps,
 			Writers:        pool.Size(),
@@ -976,16 +999,8 @@ func (r *Receiver) runSession(parent context.Context, sess *rsession, ctrl *wire
 		case m.SetWriters != nil:
 			pool.Resize(r.clampWriters(m.SetWriters.N))
 		case m.FileSum != nil:
-			chk.mu.Lock()
-			chk.expected[m.FileSum.FileID] = m.FileSum.CRC
-			chk.got++
-			chk.mu.Unlock()
+			chk.announce(m.FileSum.FileID, m.FileSum.CRC)
 			checkFile(m.FileSum.FileID)
-		case m.SumsDone != nil:
-			chk.mu.Lock()
-			chk.finished = true
-			chk.want = m.SumsDone.Files
-			chk.mu.Unlock()
 		case m.LedgerPull != nil:
 			// Striping recovery: answer with the current committed state
 			// so the sender re-plans only the chunks this endpoint never
@@ -998,46 +1013,27 @@ func (r *Receiver) runSession(parent context.Context, sess *rsession, ctrl *wire
 		}
 	}
 
-	// finishSession concludes a fully committed session: verify every
-	// announced file sum, then either persist the (invalidated) ledger
-	// and fail, or drop the ledger and confirm completion. A checksummed
-	// session whose sums never fully arrived (lost control messages)
-	// still completes — the data passed the per-frame CRCs — but the
-	// degradation is counted, and the ledger is kept instead of removed
-	// so re-running the session can still verify retroactively.
+	// finishSession concludes a fully committed session whose owed sums
+	// are all verified: either persist the (invalidated) ledger and fail,
+	// or drop the ledger and confirm completion.
 	finishSession := func() error {
-		unverified := h.Checksums && !chk.drained()
-		if unverified {
-			metrics.ResumeUnverifiedInc()
-		}
-		for _, id := range chk.pending() {
-			checkFile(id)
-		}
 		if e := sess.Err(); e != nil {
 			persist()
 			sendStatus(false)
 			return e
 		}
-		if unverified {
-			persist()
-		}
 		persister.markDone()
-		if resumable && !unverified {
+		if resumable {
 			ls.RemoveLedger(session)
 		}
-		if err := sendStatus(true); err != nil {
-			return err
-		}
-		return nil
+		return sendStatus(true)
 	}
 
-	// waitDone is nil-ed after firing so the select can keep serving
-	// control messages while late FileSums drain (the control and data
-	// channels are separate TCP connections, so the last sums can trail
-	// the last frame).
-	waitDone := writeDone
-	var sumGrace <-chan time.Time
-	for {
+	// Each wait is nil-ed after it fires so the select keeps serving
+	// control messages until both have: the last sums can trail the last
+	// frame, since control and data are separate TCP connections.
+	waitDone, waitSums := writeDone, chk.settled
+	for waitDone != nil || waitSums != nil {
 		select {
 		case <-ctx.Done():
 			sendStatus(false)
@@ -1047,21 +1043,10 @@ func (r *Receiver) runSession(parent context.Context, sess *rsession, ctrl *wire
 			return ctx.Err()
 		case <-waitDone:
 			waitDone = nil
-			if h.Checksums && !chk.drained() {
-				// Generous: the happy path completes via cmds the moment
-				// the trailing sums land, so the grace only bounds how
-				// long a genuinely lost SumsDone can stall completion.
-				sumGrace = time.After(30 * time.Second)
-				continue
-			}
-			return finishSession()
-		case <-sumGrace:
-			return finishSession() // sender never closed out its sums; verify what arrived
+		case <-waitSums:
+			waitSums = nil
 		case m := <-cmds:
 			handleCmd(m)
-			if waitDone == nil && chk.drained() {
-				return finishSession()
-			}
 		case <-ticker.C:
 			persist()
 			if err := sendStatus(false); err != nil {
@@ -1069,4 +1054,5 @@ func (r *Receiver) runSession(parent context.Context, sess *rsession, ctrl *wire
 			}
 		}
 	}
+	return finishSession()
 }

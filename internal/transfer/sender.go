@@ -57,10 +57,6 @@ var errRunDone = errors.New("transfer: run already complete")
 // watch — not a failed write — notices a data connection is gone.
 var errConnClosedByPeer = errors.New("transfer: data connection closed by peer")
 
-// errPullTimeout reports a mid-transfer ledger pull the receiver did not
-// answer.
-var errPullTimeout = errors.New("transfer: ledger pull timed out")
-
 // sendBatchChunks bounds how many staged chunks an unshaped network
 // worker drains per iteration: the batch's frames share one vectored
 // write.
@@ -80,34 +76,19 @@ type Sender struct {
 
 	mu         sync.Mutex
 	err        error
-	errSymptom bool
 	lastStatus wire.Status
 }
 
-// fail records a root-cause error: the first one wins and overrides a
-// previously recorded connection symptom.
-func (s *Sender) fail(err error) { s.failWith(err, false) }
-
-// failSymptom records a data/control-plane plumbing error (connection
-// reset, dial failure). Symptoms lose to a root cause reported later —
-// when the receiver dies mid-transfer, the sender's sockets fail with
-// resets before the control channel delivers the receiver's actual
-// error, and the actual error is the one worth surfacing.
-func (s *Sender) failSymptom(err error) { s.failWith(err, true) }
-
-func (s *Sender) failWith(err error, symptom bool) {
+// fail records a fatal error; the first one wins. A data-plane failure is
+// recorded only after a LedgerPull round-trip has shown the receiver
+// alive with no verdict of its own queued, so the first error is the
+// root cause.
+func (s *Sender) fail(err error) {
 	s.mu.Lock()
-	if err != nil && (s.err == nil || (s.errSymptom && !symptom)) {
+	if s.err == nil && err != nil {
 		s.err = err
-		s.errSymptom = symptom
 	}
 	s.mu.Unlock()
-}
-
-func (s *Sender) errIsSymptom() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err != nil && s.errSymptom
 }
 
 // Err returns the first fatal sender-side error.
@@ -205,17 +186,6 @@ func newFileSummer(m workload.Manifest, chunkBytes int, resume *Ledger) *fileSum
 	return fs
 }
 
-// expected returns how many FileSum messages this session will emit.
-func (fs *fileSummer) expected() int {
-	n := 0
-	for i := range fs.files {
-		if fs.files[i].sums != nil {
-			n++
-		}
-	}
-	return n
-}
-
 // add records one chunk's CRC. When the chunk completes its file, the
 // whole-file CRC (per-chunk sums folded in order through CombineCRC) is
 // returned with done=true.
@@ -281,7 +251,6 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 	if err := ctrl.Send(wire.Message{Hello: &wire.Hello{
 		Files:            files,
 		ChunkBytes:       cfg.ChunkBytes,
-		MaxWriters:       cfg.MaxThreads,
 		InitialWriters:   cfg.InitialThreads,
 		ReceiverBufBytes: cfg.ReceiverBufBytes,
 		ProtoVersion:     wire.ProtoVersion,
@@ -357,22 +326,11 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 	staging := NewStaging(cfg.SenderBufBytes)
 	src := newChunker(s.Manifest, chunkBytes, resume)
 
-	// End-to-end file sums: announced as reads complete, closed out with
-	// a SumsDone marker so the receiver knows when commit-time
-	// verification can conclude.
+	// End-to-end file sums, announced as reads complete. The receiver
+	// derives the same set of owed files from the ledger it advertised.
 	var summer *fileSummer
-	var sumsDoneOnce sync.Once
-	sendSumsDone := func() {}
 	if checksums {
 		summer = newFileSummer(s.Manifest, chunkBytes, resume)
-		expect := summer.expected()
-		sendSumsDone = func() {
-			sumsDoneOnce.Do(func() {
-				// Send errors here are symptoms of a dying session; the
-				// data plane surfaces the root cause.
-				ctrl.Send(wire.Message{SumsDone: &wire.SumsDone{Files: expect}})
-			})
-		}
 	}
 
 	// Per-file reader cache.
@@ -455,6 +413,8 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 				// file fold, so the payload is never hashed twice here.
 				sum = wire.PayloadCRC(buf.Bytes())
 				if crc, done := summer.add(fileID, off, sum); done {
+					// A failed send ends the control reader, which owns the
+					// verdict.
 					ctrl.Send(wire.Message{FileSum: &wire.FileSum{FileID: fileID, CRC: crc}})
 				}
 			}
@@ -463,7 +423,6 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 				return
 			}
 			if chunksStaged.Add(1) == src.total {
-				sendSumsDone()
 				staging.Close() // all chunks staged; network drains the rest
 			}
 		}
@@ -472,14 +431,15 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 		// Nothing left to plan (empty dataset or a fully committed
 		// resume): close the intake so the data plane drains to the end
 		// markers immediately.
-		sendSumsDone()
 		staging.Close()
 	}
 
-	// doneCh closes when the receiver confirms completion. Declared before
-	// the data plane because every dial and recovery path consults it.
+	// doneCh closes when the receiver confirms completion; ctrlDone closes
+	// when the control reader exits, by which time it has either closed
+	// doneCh or recorded the session's error. Declared before the data
+	// plane because every dial and recovery path consults them.
 	doneCh := make(chan struct{})
-	var doneOnce sync.Once
+	ctrlDone := make(chan struct{})
 
 	// Striped data plane: the chunk stream fans out over a resizable set
 	// of parallel data connections. dialData carries the listener-race
@@ -527,7 +487,11 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 	// Mid-transfer ledger pulls: when a striped connection dies, recovery
 	// asks the receiver which chunks already committed so only the truly
 	// lost ones are re-sent. Replies are routed back to their waiting pull
-	// by sequence number.
+	// by sequence number. The receiver answers from the loop that sends
+	// its verdict and stops answering once it has, so on the ordered
+	// control channel a reply proves the receiver alive with no Done or
+	// error queued ahead of it. Without a reply the pull returns the
+	// control reader's verdict: errRunDone or the recorded error.
 	var pullMu sync.Mutex
 	pullWaiters := make(map[uint64]chan []wire.FileState)
 	var pullSeq uint64
@@ -543,18 +507,21 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 			delete(pullWaiters, seq)
 			pullMu.Unlock()
 		}()
-		if err := ctrl.Send(wire.Message{LedgerPull: &wire.LedgerPull{Seq: seq}}); err != nil {
-			return nil, err
-		}
+		// A failed send needs no handling of its own: a broken channel
+		// always ends the control reader.
+		ctrl.Send(wire.Message{LedgerPull: &wire.LedgerPull{Seq: seq}})
 		select {
 		case states := <-ch:
 			return states, nil
-		case <-doneCh:
-			return nil, errRunDone
+		case <-ctrlDone:
+			select {
+			case <-doneCh:
+				return nil, errRunDone
+			default:
+				return nil, s.Err()
+			}
 		case <-ctx.Done():
 			return nil, ctx.Err()
-		case <-time.After(30 * time.Second):
-			return nil, errPullTimeout
 		}
 	}
 
@@ -563,7 +530,9 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 	// connection, hands its sent history to a recovery goroutine, and
 	// retries the whole in-hand batch on a surviving connection (the
 	// receiver drops any duplicate that did land). Only a session with no
-	// live connection left fails.
+	// live connection left fails, and only after a ledger pull: every
+	// connection closing is also how a finished or failed receiver looks
+	// from the data plane, and the pull lets its verdict land first.
 	var recoverWG sync.WaitGroup
 	var sendFrames func(frames []wire.Frame, hint int) error
 	var recoverConn func(c *dataConn, cause error)
@@ -585,6 +554,9 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 		for {
 			c := conns.pick(hint)
 			if c == nil {
+				if _, err := pullLedger(); err != nil {
+					return err
+				}
 				return errConnsExhausted
 			}
 			err := conns.writeBatch(c, frames)
@@ -614,30 +586,22 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 		lost := history
 		if len(history) > 0 {
 			states, err := pullLedger()
-			switch {
-			case err == nil:
-				committed := NewLedger(sess.ID, chunkBytes, s.Manifest, false)
-				committed.ApplyWire(states)
-				kept := history[:0]
-				for _, cr := range history {
-					if !committed.Done(cr.fileID, cr.off) {
-						kept = append(kept, cr)
-					}
-				}
-				lost = kept
-			case errors.Is(err, errPullTimeout):
-				// A live session that did not answer falls back to
-				// re-sending the whole history; the receiver's ledger drops
-				// duplicates.
-			default:
-				// The run is done or cancelled, or the control channel is
-				// gone, which ends the session either way: the control
-				// reader delivers the receiver's Done or fails the run. A
-				// completed receiver closes its control channel right after
-				// its data connections, so this is also how a finished
-				// session's last death-watch recovery ends.
+			if err != nil {
+				// The run is done or cancelled, or the control reader has
+				// recorded the verdict. A completed receiver sends Done
+				// before it closes its data connections, so this is also
+				// how a finished session's death-watch recoveries end.
 				return
 			}
+			committed := NewLedger(sess.ID, chunkBytes, s.Manifest, false)
+			committed.ApplyWire(states)
+			kept := history[:0]
+			for _, cr := range history {
+				if !committed.Done(cr.fileID, cr.off) {
+					kept = append(kept, cr)
+				}
+			}
+			lost = kept
 		}
 		if flight.Active() {
 			var bytes int64
@@ -684,21 +648,6 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 			if err != nil {
 				if errors.Is(err, errRunDone) {
 					return
-				}
-				if errors.Is(err, errConnsExhausted) {
-					// Every connection vanishing at once is also how a
-					// completed session looks from the data plane: the
-					// receiver confirms Done on the control channel and
-					// closes its data sockets, and the death watch can see
-					// the closes before the control reader delivers the
-					// Done. Give that report a moment before failing.
-					select {
-					case <-doneCh:
-						return
-					case <-ctx.Done():
-						return
-					case <-time.After(500 * time.Millisecond):
-					}
 				}
 				s.fail(fmt.Errorf("transfer: data connection %d lost (%v) and re-plan failed: %w",
 					c.index, cause, err))
@@ -773,7 +722,7 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 				if errors.Is(err, errRunDone) {
 					return
 				}
-				s.failSymptom(fmt.Errorf("transfer: send frame: %w", err))
+				s.fail(fmt.Errorf("transfer: send frame: %w", err))
 				cancel()
 				return
 			}
@@ -817,21 +766,17 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 		recMu.Unlock()
 	}()
 
-	// Control reader: receiver statuses and completion. ctrlDone lets the
-	// shutdown path wait for a final receiver-reported root cause before
-	// surfacing a connection symptom.
-	ctrlDone := make(chan struct{})
+	// Control reader: receiver statuses, ledger-pull replies and the
+	// session's verdict. It is the only place a receiver-side outcome is
+	// decided: Done, an errored Status, or a channel that ends with
+	// neither.
 	go func() {
 		defer close(ctrlDone)
 		for {
 			m, err := ctrl.Recv()
 			if err != nil {
-				select {
-				case <-doneCh:
-				default:
-					s.failSymptom(fmt.Errorf("transfer: control channel: %w", err))
-					cancel()
-				}
+				s.fail(fmt.Errorf("transfer: control channel: %w", err))
+				cancel()
 				return
 			}
 			if m.LedgerState != nil {
@@ -855,7 +800,7 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 				return
 			}
 			if m.Status.Done {
-				doneOnce.Do(func() { close(doneCh) })
+				close(doneCh)
 				return
 			}
 		}
@@ -926,15 +871,6 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 	for {
 		select {
 		case <-ctx.Done():
-			if s.errIsSymptom() {
-				// The data plane failed with a plumbing error. The usual
-				// cause is the receiver dying, and its control channel
-				// status names why; give that report a moment to land.
-				select {
-				case <-ctrlDone:
-				case <-time.After(500 * time.Millisecond):
-				}
-			}
 			if err := s.Err(); err != nil {
 				return nil, err
 			}
@@ -964,26 +900,10 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 			netPool.Resize(act.N[env.StageConns] * streams)
 			if act.N[env.StageWrite] != writers {
 				writers = act.N[env.StageWrite]
-				if err := ctrl.Send(wire.Message{SetWriters: &wire.SetWriters{N: writers}}); err != nil {
-					// The receiver tears the control channel down the
-					// moment it confirms completion, so a probe tick can
-					// lose this race and hit a reset on a finished
-					// transfer. Give the control reader a moment to
-					// deliver the final Done before calling it a failure.
-					select {
-					case <-doneCh:
-					case <-ctrlDone:
-						select {
-						case <-doneCh:
-						default:
-							s.failSymptom(fmt.Errorf("transfer: send SetWriters: %w", err))
-							cancel()
-						}
-					case <-time.After(500 * time.Millisecond):
-						s.failSymptom(fmt.Errorf("transfer: send SetWriters: %w", err))
-						cancel()
-					}
-				}
+				// A failed send ends the control reader, which owns the
+				// verdict: a finished receiver may already have closed
+				// the channel after its Done.
+				ctrl.Send(wire.Message{SetWriters: &wire.SetWriters{N: writers}})
 			}
 		}
 	}

@@ -11,6 +11,12 @@
 // connection is lost. Either end refuses a peer that announces another
 // version.
 //
+// The control channel is one ordered TCP stream, and that order settles
+// how a session ends: the receiver's last message is a Status carrying
+// Done or an Error, so a reply to a LedgerPull proves no verdict was
+// queued ahead of it, and a channel that closes with neither fails the
+// session. No timer stands in for a message.
+//
 // Data frames are length-prefixed chunks with optional CRC-32C payload
 // checksums; FrameReader and FrameWriter are the allocation-free hot
 // path (vectored header+payload writes, persistent header scratch). The

@@ -15,10 +15,10 @@ import (
 
 // ProtoVersion is the one control-channel protocol generation: Hello →
 // Welcome (chunk ledger + DataToken) → preambled data connections →
-// LedgerPull on connection loss. Both ends carry it in the handshake and
-// refuse any other value; nothing negotiates down. docs/PROTOCOL.md
-// specifies every message.
-const ProtoVersion = 3
+// LedgerPull on connection loss → one Status{Done} or Status{Error}.
+// Both ends carry it in the handshake and refuse any other value;
+// nothing negotiates down. docs/PROTOCOL.md specifies every message.
+const ProtoVersion = 4
 
 // DataTokenBytes is the decoded length of a session's data-routing token
 // (Welcome.DataToken is its hex encoding).
@@ -305,10 +305,9 @@ type FileInfo struct {
 type Hello struct {
 	Files          []FileInfo
 	ChunkBytes     int
-	MaxWriters     int
 	InitialWriters int
-	// ReceiverBufBytes requests a staging capacity; zero keeps the
-	// receiver default.
+	// ReceiverBufBytes requests a staging capacity. The receiver grants
+	// at most its own; zero keeps the receiver default.
 	ReceiverBufBytes int64
 	// ProtoVersion is the sender's protocol generation; the receiver
 	// refuses a Hello whose value is not its own ProtoVersion.
@@ -354,18 +353,12 @@ type Welcome struct {
 
 // FileSum carries the sender's end-to-end CRC-32C of one fully read
 // file, combined from per-chunk sums. The receiver verifies it against
-// its own combined ledger sums when the file commits.
+// its own combined ledger sums when the file commits. A checksummed
+// session owes one for every non-empty file the Welcome's ledger shows
+// no committed chunk of, and completes only once each is verified.
 type FileSum struct {
 	FileID uint32
 	CRC    uint32
-}
-
-// SumsDone tells the receiver no further FileSum messages will follow
-// (every file the sender will verify has been announced). Files is how
-// many FileSum messages were sent in total; the receiver uses it to
-// finish commit-time verification before reporting completion.
-type SumsDone struct {
-	Files int
 }
 
 // SetWriters commands the receiver to resize its write pool (the
@@ -389,16 +382,14 @@ type LedgerState struct {
 	Ledger []FileState
 }
 
-// Status is the receiver's periodic report: written bytes, staging
-// occupancy, and write throughput — the sender-side agent's view of the
-// far end.
+// Status is the receiver's periodic report: free staging space and write
+// throughput — the sender-side agent's view of the far end. Done or
+// Error is the session's verdict and the receiver's last message.
 type Status struct {
-	WrittenBytes int64
-	BufUsed      int64
-	BufFree      int64
-	WriteMbps    float64
-	Writers      int
-	Done         bool
+	BufFree   int64
+	WriteMbps float64
+	Writers   int
+	Done      bool
 	// CommittedBytes is the ledger-committed payload volume, including
 	// ranges inherited from previous attempts of a resumed session —
 	// the per-job resume progress the daemon exposes.
@@ -413,7 +404,6 @@ type Message struct {
 	Welcome     *Welcome
 	SetWriters  *SetWriters
 	FileSum     *FileSum
-	SumsDone    *SumsDone
 	Status      *Status
 	LedgerPull  *LedgerPull
 	LedgerState *LedgerState

@@ -95,12 +95,12 @@ func TestControlChannelMessages(t *testing.T) {
 
 	go func() {
 		ca.Send(Message{Hello: &Hello{
-			Files:      []FileInfo{{Name: "x", Size: 10}},
-			ChunkBytes: 1024,
-			MaxWriters: 8,
+			Files:          []FileInfo{{Name: "x", Size: 10}},
+			ChunkBytes:     1024,
+			InitialWriters: 8,
 		}})
 		ca.Send(Message{SetWriters: &SetWriters{N: 5}})
-		ca.Send(Message{Status: &Status{WrittenBytes: 10, Done: true}})
+		ca.Send(Message{Status: &Status{CommittedBytes: 10, Done: true}})
 	}()
 
 	m1, err := cb.Recv()
@@ -124,7 +124,7 @@ func TestControlChannelBidirectional(t *testing.T) {
 	defer cb.Close()
 	errCh := make(chan error, 1)
 	go func() {
-		if err := cb.Send(Message{Status: &Status{WrittenBytes: 1}}); err != nil {
+		if err := cb.Send(Message{Status: &Status{CommittedBytes: 1}}); err != nil {
 			errCh <- err
 			return
 		}
