@@ -1,7 +1,10 @@
 // Command automdt-daemon is the multi-tenant transfer scheduler service:
 // a long-running daemon that accepts transfer jobs over HTTP, queues them
 // by priority, and runs them concurrently under a global per-stage worker
-// budget split fair-share across active jobs (internal/sched).
+// budget split fair-share across active jobs (internal/sched). Every job
+// runs as a sender session against a fleet of shared multi-session
+// receiver endpoints (-fleet N, default 1) with consistent-hash placement
+// and failover; GET /v1/fleet shows them.
 //
 // Start it with a host-wide budget:
 //
@@ -49,6 +52,12 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
+// usage reports a flag combination the daemon cannot run with.
+func usage(err error) {
+	fmt.Fprintln(os.Stderr, "automdt-daemon:", err)
+	os.Exit(2)
+}
+
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "HTTP listen address")
 	budgetRead := flag.Int("budget-read", 32, "global read worker budget")
@@ -57,9 +66,9 @@ func main() {
 	budgetWrite := flag.Int("budget-write", 32, "global write worker budget")
 	maxActive := flag.Int("max-active", 0, "max concurrent jobs (0 = min stage budget)")
 	opt := flag.String("optimizer", "marlin", "per-job optimizer: marlin, static, automdt")
-	fleetSize := flag.Int("fleet", 0, "run all jobs against a fleet of N shared multi-session receiver endpoints with consistent-hash placement and failover, instead of one private receiver per job (1 = one shared endpoint; 0 = off)")
-	maxSessions := flag.Int("max-sessions", 0, "per-endpoint admission cap (with -fleet; 0 = default 64)")
-	writeBudget := flag.Float64("write-budget-mbps", 0, "per-endpoint write budget in Mbps, split max-min fair across its sessions (with -fleet; 0 = unarbitrated)")
+	fleetSize := flag.Int("fleet", 1, "number of shared multi-session receiver endpoints every job runs against, with consistent-hash placement and failover (≥ 1)")
+	maxSessions := flag.Int("max-sessions", 0, "per-endpoint admission cap (0 = default 64)")
+	writeBudget := flag.Float64("write-budget-mbps", 0, "per-endpoint write budget in Mbps, split max-min fair across its sessions (0 = unarbitrated)")
 	cc := flag.Int("cc", 4, "static optimizer concurrency")
 	model := flag.String("model", "", "automdt agent checkpoint (from automdt-train)")
 	profilePath := flag.String("profile", "", "automdt probed profile JSON (from automdt-train)")
@@ -68,6 +77,9 @@ func main() {
 	flightCap := flag.Int("flight-capacity", 0, "flight ring capacity per source (0 = default)")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the HTTP listener")
 	flag.Parse()
+	if *fleetSize < 1 {
+		usage(fmt.Errorf("-fleet must be ≥ 1, got %d", *fleetSize))
+	}
 
 	if *flightOn {
 		flight.Enable(*flightCap)
@@ -114,29 +126,29 @@ func main() {
 	}
 
 	recvCfg := transfer.Config{MaxSessions: *maxSessions, WriteBudgetMbps: *writeBudget}
-	var runner sched.Runner = &sched.LoopbackRunner{}
-	if *fleetSize > 0 {
-		fr := &sched.FleetRunner{Size: *fleetSize, Receiver: recvCfg}
-		defer fr.Close()
-		runner = fr
-	}
+	fr := &sched.FleetRunner{Size: *fleetSize, Receiver: recvCfg}
+	defer fr.Close()
 	s, err := sched.New(sched.Config{
 		Budget:        [env.StageCount]int{*budgetRead, *budgetConns, *budgetNet, *budgetWrite},
 		MaxActive:     *maxActive,
 		NewController: newController,
-		Runner:        runner,
+		Runner:        fr,
 	})
 	if err != nil {
 		fatal(err)
 	}
-	if fr, ok := runner.(*sched.FleetRunner); ok {
-		eps, err := fr.Endpoints()
-		if err != nil {
-			fatal(err)
-		}
-		for _, ep := range eps {
-			fmt.Printf("automdt-daemon: fleet endpoint %s serving data %s, control %s\n", ep.ID, ep.DataAddr, ep.CtrlAddr)
-		}
+	// Every active job holds one session on the fleet, so more active
+	// jobs than the endpoints admit would be refused at the handshake.
+	if perEndpoint := recvCfg.WithDefaults().MaxSessions; s.MaxActive() > *fleetSize*perEndpoint {
+		usage(fmt.Errorf("max active jobs %d exceed the fleet's admission (-fleet %d × -max-sessions %d); lower -max-active or raise -fleet/-max-sessions",
+			s.MaxActive(), *fleetSize, perEndpoint))
+	}
+	eps, err := fr.Endpoints()
+	if err != nil {
+		fatal(err)
+	}
+	for _, ep := range eps {
+		fmt.Printf("automdt-daemon: fleet endpoint %s serving data %s, control %s\n", ep.ID, ep.DataAddr, ep.CtrlAddr)
 	}
 
 	handler := sched.NewHandler(s)

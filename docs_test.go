@@ -1,11 +1,21 @@
 package automdt
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
+	"time"
+
+	"automdt/internal/env"
+	"automdt/internal/flight"
+	"automdt/internal/sched"
+	"automdt/internal/transfer"
+	"automdt/internal/workload"
 )
 
 // mdLink matches inline markdown links and images: [text](target).
@@ -80,5 +90,96 @@ func TestDocsLinkedFromReadme(t *testing.T) {
 		if !strings.Contains(string(readme), "docs/"+doc) {
 			t.Errorf("README.md does not link to docs/%s", doc)
 		}
+	}
+}
+
+// metricToken matches a metric name in prose, including a trailing
+// wildcard such as automdt_endpoint_*.
+var metricToken = regexp.MustCompile(`automdt_[a-z0-9_]+\*?`)
+
+// TestDocsMetricGlossary checks OPERATIONS.md's /v1/metrics glossary
+// against what the daemon's scheduler actually emits, both ways: every
+// sample name of a scheduler running one job on a two-endpoint fleet
+// with a write budget and the flight recorder on is in the glossary, and
+// every name the glossary lists is emitted. Snapshots are taken while
+// the job runs (per-job and per-session series exist only then) and
+// after it is done.
+func TestDocsMetricGlossary(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("docs", "OPERATIONS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, glossary, ok := strings.Cut(string(doc), "## /v1/metrics glossary")
+	if !ok {
+		t.Fatal("OPERATIONS.md has no /v1/metrics glossary section")
+	}
+	glossary, _, _ = strings.Cut(glossary, "\n## ")
+	documented := make(map[string]bool)
+	for _, tok := range metricToken.FindAllString(glossary, -1) {
+		if !strings.HasSuffix(tok, "*") {
+			documented[tok] = true
+		}
+	}
+
+	flight.Enable(0)
+	t.Cleanup(func() {
+		flight.Disable()
+		flight.Default().Reset()
+	})
+	fr := &sched.FleetRunner{Size: 2, Receiver: transfer.Config{WriteBudgetMbps: 100}}
+	t.Cleanup(fr.Close)
+	s, err := sched.New(sched.Config{Budget: [env.StageCount]int{4, 4, 4, 4}, Runner: fr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	var mu sync.Mutex
+	emitted := make(map[string]bool)
+	collect := func() {
+		for _, smp := range s.Snapshot().Samples() {
+			name := strings.TrimSuffix(strings.TrimSuffix(smp.Name, "_count"), "_sum")
+			mu.Lock()
+			emitted[name] = true
+			mu.Unlock()
+		}
+	}
+	id, err := s.Submit(sched.JobSpec{
+		Name:     "glossary",
+		Manifest: workload.LargeFiles(2, 1<<20),
+		Transfer: transfer.Config{
+			ProbeInterval: 20 * time.Millisecond,
+			Shaping:       transfer.Shaping{LinkMbps: 100},
+			Hooks:         transfer.Hooks{OnTick: func(env.State) { collect() }},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if st, err := s.Wait(ctx, id); err != nil || st.State != "done" {
+		t.Fatalf("job: %+v, %v", st, err)
+	}
+	collect()
+
+	var undocumented, unemitted []string
+	for name := range emitted {
+		if !documented[name] {
+			undocumented = append(undocumented, name)
+		}
+	}
+	for name := range documented {
+		if !emitted[name] {
+			unemitted = append(unemitted, name)
+		}
+	}
+	sort.Strings(undocumented)
+	sort.Strings(unemitted)
+	if len(undocumented) > 0 {
+		t.Errorf("emitted but missing from the OPERATIONS.md glossary: %v", undocumented)
+	}
+	if len(unemitted) > 0 {
+		t.Errorf("in the OPERATIONS.md glossary but never emitted: %v", unemitted)
 	}
 }

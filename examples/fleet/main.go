@@ -1,8 +1,8 @@
 // Fleet: drive two hundred transfer sessions through the scheduler
 // daemon against a THREE-endpoint receiver fleet, then kill one endpoint
 // mid-run and watch the fleet absorb it. Sessions are placed on
-// endpoints by a consistent-hash ring with bounded loads, endpoint
-// liveness comes from a heartbeat registry, and every endpoint shares
+// endpoints by a consistent-hash ring with bounded loads, each endpoint
+// reports its own liveness, and every endpoint shares
 // one destination store — so when ep-2 dies, the sessions it was serving
 // are retried by the scheduler, placed on a live sibling, and resume
 // from the ledger the victim persisted in the shared store instead of
@@ -121,8 +121,8 @@ func main() {
 	// The fault injector runs alongside the submission burst: as soon as
 	// the victim endpoint demonstrably hosts a handful of in-flight
 	// sessions, it is killed outright — its serve loop dies, its
-	// sessions abort, and its heartbeats stop, so the registry declares
-	// it dead one TTL later. Victim sessions fail over: the scheduler's
+	// sessions abort, and it reports itself dead at once, so placement
+	// drops it from the ring. Victim sessions fail over: the scheduler's
 	// retry re-places them on a live sibling, which resumes from the
 	// ledger in the shared store. The watcher reads the fleet's status
 	// directly because an HTTP poll can lag seconds behind on a

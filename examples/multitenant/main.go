@@ -33,9 +33,10 @@ import (
 const jobs = 12
 
 func main() {
-	// One shared destination endpoint for the whole tenant fleet: every
-	// job runs as a sender session against this receiver, verified
-	// against the deterministic synthetic content.
+	// One shared destination endpoint for the whole tenant fleet — the
+	// daemon's default -fleet 1: every job runs as a sender session
+	// against this receiver, verified against the deterministic synthetic
+	// content.
 	endpoint := &sched.FleetRunner{
 		Size:     1,
 		Receiver: transfer.Config{MaxSessions: jobs},

@@ -453,10 +453,6 @@ func runFleetChaosCell(ctx context.Context, c ChaosCell) ChaosCellResult {
 		Size:     c.Fleet,
 		Store:    store,
 		Receiver: transfer.Config{Arena: arena},
-		// A short beat so the kill surfaces quickly, with TTL headroom so
-		// a loaded sibling's stalled heartbeat doesn't flap the registry.
-		HeartbeatEvery: 20 * time.Millisecond,
-		HeartbeatTTL:   200 * time.Millisecond,
 	}
 	s, err := sched.New(sched.Config{
 		Budget:    [env.StageCount]int{16, 16, 16, 16},

@@ -3,7 +3,7 @@
 // receiver endpoints (internal/transfer.Receiver) serve one logical
 // destination.
 //
-// It has three pieces, each independently testable:
+// It has two pieces, each independently testable:
 //
 //   - Ring: consistent-hash session→endpoint placement with bounded
 //     loads. Every endpoint projects a fixed set of virtual nodes onto a
@@ -13,21 +13,18 @@
 //     changes therefore remap only ≈1/n of the sessions, and no endpoint
 //     can be herded far past its fair share.
 //
-//   - Registry: endpoint membership and heartbeat liveness. An endpoint
-//     registers its data/control addresses and heartbeats periodically;
-//     it is live while its last heartbeat is within the TTL, turns dead
-//     when the TTL lapses, and revives on the next heartbeat. Every
-//     liveness transition bumps the membership epoch so placement layers
-//     know when to resync their rings.
-//
 //   - WriteArbiter semantics live receiver-side (see
 //     transfer.Config.WriteBudgetMbps): each endpoint splits its write
 //     budget max-min fair across its active sessions so one greedy
 //     session cannot starve siblings on the shared disks.
 //
-// The daemon-side composition — spawning N endpoints, heartbeating them,
-// routing jobs through the ring, and resuming a dead endpoint's sessions
-// on a sibling via the portable binary ledger — is sched.FleetRunner.
-// docs/FLEET.md describes the placement ring, the liveness rules, and
-// the failover sequence.
+// The daemon-side composition — spawning N endpoints, taking an endpoint
+// off the ring once its own state says it is dead, routing jobs through
+// the ring, and resuming a dead endpoint's sessions on a sibling via the
+// portable binary ledger — is sched.FleetRunner. docs/FLEET.md describes
+// the placement ring, the liveness rules, and the failover sequence.
+//
+// Registry (heartbeat membership with a TTL) is a standalone library
+// with no runtime caller; it stays because the repo benchmark measures
+// it.
 package fleet

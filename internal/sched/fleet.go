@@ -23,11 +23,12 @@ const FleetSource = "sched:fleet"
 
 // FleetRunner executes every job attempt as a sender against a FLEET of
 // shared multi-session receiver endpoints (Size 1 is the single shared
-// endpoint), instead of spawning a private receiver per job the way
-// LoopbackRunner does. Sessions are placed on endpoints by a
-// consistent-hash ring with bounded loads (internal/fleet.Ring), endpoint
-// liveness comes from a heartbeat registry (internal/fleet.Registry), and
-// every endpoint shares one destination Store — which is what makes
+// endpoint); it is the scheduler's runner. Sessions are placed on
+// endpoints by a consistent-hash ring with bounded loads
+// (internal/fleet.Ring). An endpoint is live until its own state says
+// otherwise — it stopped accepting, or its serve loop exited — and
+// placement drops it from the ring the first time it finds it dead.
+// Every endpoint shares one destination Store, which is what makes
 // failover work: when an endpoint dies mid-transfer, the scheduler's
 // ordinary retry re-runs the job with the same session ID, placement
 // lands it on a live sibling, and the sibling finds the victim's ledger
@@ -36,8 +37,7 @@ const FleetSource = "sched:fleet"
 //
 // Job manifests must not write conflicting content to the same file
 // names (synthetic content is name-derived, so same-named synthetic
-// files agree by construction). Jobs carrying a DestDir are rejected:
-// the fleet has one fixed destination store.
+// files agree by construction).
 type FleetRunner struct {
 	// Size is the number of endpoints to spawn (≤ 0 means 1).
 	Size int
@@ -53,27 +53,18 @@ type FleetRunner struct {
 	// Verify makes the default synthetic sink check written bytes
 	// against the expected deterministic content.
 	Verify bool
-	// HeartbeatEvery is the endpoint heartbeat period (default 50 ms);
-	// HeartbeatTTL is the registry liveness horizon (default 3×
-	// HeartbeatEvery). An endpoint that dies turns registry-dead one TTL
-	// after its last beat.
-	HeartbeatEvery time.Duration
-	HeartbeatTTL   time.Duration
-	// Replicas and LoadFactor tune the placement ring; zero values take
-	// the fleet package defaults (128 vnodes, c = 1.25).
-	Replicas   int
-	LoadFactor float64
 
 	mu       sync.Mutex
 	started  bool
 	startErr error
-	reg      *fleet.Registry
 	ring     *fleet.Ring
-	ringSeen int64 // registry epoch the ring last synced to
 	eps      map[string]*fleetEndpoint
 	order    []string // endpoint ids in spawn order
 	sess     map[string]*sessTrack
 
+	// epoch counts membership changes: spawns plus observed deaths.
+	epoch      int64
+	deaths     int64
 	placements int64
 	failovers  int64
 }
@@ -89,6 +80,9 @@ type fleetEndpoint struct {
 	// The listeners close well before done does (sessions tear down in
 	// between), and placement must not hand the endpoint out in that window.
 	closing atomic.Bool
+	// dropped records that the runner has observed the death and taken
+	// the endpoint off the ring. Guarded by FleetRunner.mu.
+	dropped bool
 }
 
 // dead reports whether the endpoint has stopped accepting sessions.
@@ -131,37 +125,27 @@ func (f *FleetRunner) start() error {
 	if size <= 0 {
 		size = 1
 	}
-	every := f.HeartbeatEvery
-	if every <= 0 {
-		every = 50 * time.Millisecond
-	}
-	ttl := f.HeartbeatTTL
-	if ttl <= 0 {
-		ttl = 3 * every
-	}
 	if f.Store == nil {
 		ss := fsim.NewSyntheticStore()
 		ss.Verify = f.Verify
 		f.Store = ss
 	}
-	f.reg = fleet.NewRegistry(ttl)
-	f.ring = fleet.NewRing(f.Replicas, f.LoadFactor)
+	f.ring = fleet.NewRing(0, 0)
 	f.eps = make(map[string]*fleetEndpoint, size)
 	f.sess = make(map[string]*sessTrack)
 	for i := 0; i < size; i++ {
 		id := fmt.Sprintf("ep-%d", i)
-		if err := f.spawn(id, every); err != nil {
+		if err := f.spawn(id); err != nil {
 			f.startErr = err
 			return err
 		}
 	}
-	f.ringSeen = -1 // force the first sync
 	return nil
 }
 
-// spawn boots one endpoint: listen, serve, register, heartbeat. Caller
-// holds mu.
-func (f *FleetRunner) spawn(id string, every time.Duration) error {
+// spawn boots one endpoint — listen, serve — and adds it to the ring.
+// Caller holds mu.
+func (f *FleetRunner) spawn(id string) error {
 	recv := transfer.NewReceiver(f.Receiver, f.Store)
 	if err := recv.Listen("127.0.0.1:0", "127.0.0.1:0"); err != nil {
 		return fmt.Errorf("sched: fleet endpoint %s listen: %w", id, err)
@@ -171,22 +155,11 @@ func (f *FleetRunner) spawn(id string, every time.Duration) error {
 	recv.OnSessionDone = func(res transfer.SessionResult) { f.sessionDone(id, res) }
 	f.eps[id] = ep
 	f.order = append(f.order, id)
-	f.reg.Register(fleet.EndpointInfo{ID: id, DataAddr: recv.DataAddr(), CtrlAddr: recv.CtrlAddr()})
+	f.ring.Add(id)
+	f.epoch++
 	go func() {
 		defer close(ep.done)
 		recv.Serve(ctx)
-	}()
-	go func() {
-		t := time.NewTicker(every)
-		defer t.Stop()
-		for {
-			select {
-			case <-ep.done:
-				return
-			case <-t.C:
-				f.reg.Heartbeat(id) //nolint:errcheck
-			}
-		}
 	}()
 	return nil
 }
@@ -204,66 +177,46 @@ func (f *FleetRunner) sessionDone(epID string, res transfer.SessionResult) {
 	}
 }
 
-// syncRingLocked reconciles ring membership with registry liveness when
-// the membership epoch moved. Caller holds mu.
-func (f *FleetRunner) syncRingLocked() {
-	epoch := f.reg.Epoch()
-	if epoch == f.ringSeen {
+// dropLocked takes a dead endpoint off the ring and counts the
+// membership change, once. Caller holds mu.
+func (f *FleetRunner) dropLocked(ep *fleetEndpoint) {
+	if ep.dropped {
 		return
 	}
-	f.ringSeen = epoch
-	live := make(map[string]bool)
-	for _, info := range f.reg.Live() {
-		live[info.ID] = true
-	}
-	for _, id := range f.ring.Members() {
-		if !live[id] {
-			f.ring.Remove(id)
+	ep.dropped = true
+	f.ring.Remove(ep.id)
+	f.epoch++
+	f.deaths++
+}
+
+// sweepLocked drops every endpoint whose own state says it is dead, so
+// the status surfaces count a death as soon as they can see it. Caller
+// holds mu.
+func (f *FleetRunner) sweepLocked() {
+	for _, id := range f.order {
+		if ep := f.eps[id]; ep.dead() {
+			f.dropLocked(ep)
 		}
-	}
-	for id := range live {
-		f.ring.Add(id)
 	}
 }
 
-// place acquires a live endpoint for the session. The registry drives
-// membership; the in-process dead() check additionally catches endpoints
-// that stopped accepting but whose heartbeat TTL has not lapsed yet, so
-// a retry never routes to a corpse just because the registry is a
-// heartbeat behind.
+// place acquires a live endpoint for the session, dropping any endpoint
+// the ring hands out that has stopped accepting.
 func (f *FleetRunner) place(session string) (*fleetEndpoint, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.syncRingLocked()
 	for {
 		id, err := f.ring.Acquire(session)
 		if err != nil {
-			// A heartbeat flap (an overloaded endpoint missing its TTL,
-			// then reviving) can transiently drain the registry-driven
-			// ring even though endpoints are demonstrably alive in this
-			// process. Routing to nothing while live endpoints exist is
-			// strictly worse than routing past a stale registry view, so
-			// fall back to in-process ground truth before failing.
-			revived := false
-			for eid, ep := range f.eps {
-				if !ep.dead() {
-					f.ring.Add(eid)
-					revived = true
-				}
-			}
-			if !revived {
-				return nil, fmt.Errorf("sched: fleet placement for session %s: %w", session, err)
-			}
-			continue
+			return nil, fmt.Errorf("sched: fleet placement for session %s: %w", session, err)
 		}
 		ep := f.eps[id]
-		if ep == nil || ep.dead() {
-			f.ring.Release(id)
-			f.ring.Remove(id)
-			continue
+		if !ep.dead() {
+			f.placements++
+			return ep, nil
 		}
-		f.placements++
-		return ep, nil
+		f.ring.Release(id)
+		f.dropLocked(ep)
 	}
 }
 
@@ -274,9 +227,6 @@ func (f *FleetRunner) place(session string) (*fleetEndpoint, error) {
 // negotiated nothing, so Run marks the endpoint dead and re-places here
 // instead of spending one of the scheduler's attempts on it.
 func (f *FleetRunner) Run(ctx context.Context, spec JobSpec, ctrl env.Controller) (*transfer.Result, error) {
-	if spec.DestDir != "" {
-		return nil, errors.New("sched: fleet runner has a fixed shared destination; DestDir is not supported")
-	}
 	f.mu.Lock()
 	err := f.start()
 	f.mu.Unlock()
@@ -413,9 +363,9 @@ func (f *FleetRunner) EndpointOf(session string) string {
 }
 
 // KillEndpoint cancels one endpoint's serve loop and waits for its
-// teardown — the fault the failover battery injects. The endpoint stays
-// registered, so its registry liveness decays through the genuine
-// missed-heartbeat path rather than an explicit deregister.
+// teardown — the fault the failover battery injects. The endpoint is
+// dead from its own state the moment this returns; placement and the
+// status surfaces drop it from the ring when they next look.
 func (f *FleetRunner) KillEndpoint(id string) error {
 	f.mu.Lock()
 	ep := f.eps[id]
@@ -453,14 +403,11 @@ func (f *FleetRunner) Status() FleetStatus {
 	if err := f.start(); err != nil {
 		return FleetStatus{}
 	}
-	live := make(map[string]bool)
-	for _, info := range f.reg.Live() {
-		live[info.ID] = true
-	}
+	f.sweepLocked()
 	loads := f.ring.Loads()
 	st := FleetStatus{
 		Size:       len(f.order),
-		Epoch:      f.reg.Epoch(),
+		Epoch:      f.epoch,
 		Placements: f.placements,
 		Failovers:  f.failovers,
 	}
@@ -468,7 +415,7 @@ func (f *FleetRunner) Status() FleetStatus {
 		ep := f.eps[id]
 		st.Endpoints = append(st.Endpoints, EndpointStatus{
 			EndpointInfo: fleet.EndpointInfo{ID: id, DataAddr: ep.recv.DataAddr(), CtrlAddr: ep.recv.CtrlAddr()},
-			Live:         live[id] && !ep.dead(),
+			Live:         !ep.dead(),
 			Sessions:     loads[id],
 		})
 	}
@@ -485,16 +432,24 @@ func (f *FleetRunner) Snapshot() metrics.Snapshot {
 		f.mu.Unlock()
 		return metrics.Snapshot{}
 	}
+	f.sweepLocked()
 	eps := make([]*fleetEndpoint, 0, len(f.order))
 	for _, id := range f.order {
 		eps = append(eps, f.eps[id])
 	}
+	live := len(eps) - int(f.deaths)
+	epoch, deaths := f.epoch, f.deaths
 	placements, failovers := f.placements, f.failovers
-	reg, ring := f.reg, f.ring
+	ring := f.ring
 	f.mu.Unlock()
 
 	var snap metrics.Snapshot
-	snap.Merge(reg.Snapshot())
+	snap.Add("automdt_fleet_endpoints", float64(live), metrics.L("state", "live"))
+	snap.Add("automdt_fleet_endpoints", float64(len(eps)-live), metrics.L("state", "dead"))
+	snap.Add("automdt_fleet_membership_epoch", float64(epoch))
+	// The name predates endpoint-reported liveness; it counts endpoints
+	// found dead.
+	snap.Add("automdt_fleet_heartbeat_expirations_total", float64(deaths))
 	snap.Add("automdt_fleet_placements_total", float64(placements))
 	snap.Add("automdt_fleet_failovers_total", float64(failovers))
 	loads := ring.Loads()

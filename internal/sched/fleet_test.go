@@ -14,8 +14,8 @@ import (
 )
 
 // A Size-1 fleet is the single shared endpoint: every job lands on one
-// multi-session receiver, its gauges ride the scheduler snapshot
-// unlabeled, and a job naming its own DestDir is refused.
+// multi-session receiver and its gauges ride the scheduler snapshot
+// unlabeled.
 func TestFleetSizeOneSharesOneReceiver(t *testing.T) {
 	fr := &FleetRunner{Size: 1, Verify: true}
 	defer fr.Close()
@@ -73,22 +73,6 @@ func TestFleetSizeOneSharesOneReceiver(t *testing.T) {
 		}
 	}
 
-	// A DestDir job cannot target a shared endpoint.
-	id, err := s.Submit(JobSpec{
-		Name:     "bad",
-		Manifest: workload.LargeFiles(1, 64<<10),
-		DestDir:  t.TempDir(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := s.Wait(ctx, id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.State != "failed" || !strings.Contains(st.Error, "DestDir") {
-		t.Fatalf("DestDir job against shared endpoint: state=%s err=%q", st.State, st.Error)
-	}
 }
 
 // TestFleetRunnerSpreadsSessions drives jobs through a 3-endpoint fleet
@@ -174,11 +158,6 @@ func TestFleetFailoverResumesOnSibling(t *testing.T) {
 		Size:     3,
 		Store:    store,
 		Receiver: transfer.Config{Arena: arena},
-		// A short beat so the kill surfaces quickly, but a generous TTL:
-		// under the race detector a healthy endpoint's heartbeat
-		// goroutine can stall past a tight TTL and flap the registry.
-		HeartbeatEvery: 20 * time.Millisecond,
-		HeartbeatTTL:   200 * time.Millisecond,
 	}
 	s, err := New(Config{
 		Budget:    [env.StageCount]int{16, 16, 16, 16},
@@ -255,6 +234,30 @@ func TestFleetFailoverResumesOnSibling(t *testing.T) {
 	if err := fr.KillEndpoint(victim); err != nil {
 		t.Fatal(err)
 	}
+	// The endpoint reports its own death: the moment the kill returns,
+	// the status surfaces show the victim dead and both siblings live.
+	live := 0
+	for _, ep := range fr.Status().Endpoints {
+		if ep.Live {
+			live++
+		}
+		if ep.ID == victim && ep.Live {
+			t.Fatalf("victim %s still live after KillEndpoint returned", victim)
+		}
+	}
+	if live != 2 {
+		t.Fatalf("%d live endpoints after killing %s, want 2", live, victim)
+	}
+	text := s.Snapshot().Text()
+	for _, want := range []string{
+		`automdt_fleet_endpoints{state="live"} 2`,
+		`automdt_fleet_endpoints{state="dead"} 1`,
+		"automdt_fleet_heartbeat_expirations_total 1",
+	} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("snapshot right after the kill missing %q:\n%s", want, text)
+		}
+	}
 
 	if err := s.Drain(ctx); err != nil {
 		t.Fatal(err)
@@ -305,36 +308,6 @@ func TestFleetFailoverResumesOnSibling(t *testing.T) {
 
 	if st := fr.Status(); st.Failovers < 1 {
 		t.Fatalf("fleet failovers = %d, want ≥ 1", st.Failovers)
-	}
-
-	// The registry marks the victim dead once its heartbeat TTL lapses,
-	// and a momentarily stalled sibling can flap; poll for the settled
-	// picture — victim dead, both siblings live — rather than racing the
-	// sweep.
-	gaugeDeadline := time.Now().Add(5 * time.Second)
-	for {
-		st := fr.Status()
-		liveCount := 0
-		victimLive := false
-		for _, ep := range st.Endpoints {
-			if ep.Live {
-				liveCount++
-				if ep.ID == victim {
-					victimLive = true
-				}
-			}
-		}
-		text := s.Snapshot().Text()
-		if !victimLive && liveCount == 2 &&
-			strings.Contains(text, `automdt_fleet_endpoints{state="dead"} 1`) &&
-			strings.Contains(text, "automdt_fleet_failovers_total") &&
-			strings.Contains(text, "automdt_fleet_heartbeat_expirations_total") {
-			break
-		}
-		if time.Now().After(gaugeDeadline) {
-			t.Fatalf("fleet never settled at 2 live + 1 dead (victim %s): %+v\n%s", victim, st, text)
-		}
-		time.Sleep(20 * time.Millisecond)
 	}
 
 	// Byte-correctness and leak discipline: the shared verified store saw

@@ -18,7 +18,7 @@ import (
 	"automdt/internal/workload"
 )
 
-// TestFlightEndToEnd runs loopback jobs under a scheduler with the flight
+// TestFlightEndToEnd runs jobs on one shared endpoint under a scheduler with the flight
 // recorder enabled and asserts, through the HTTP surface, that the trace
 // holds the full decision record: arbiter admissions and rebalances,
 // per-session controller decisions with scored alternatives, and the
@@ -32,11 +32,13 @@ func TestFlightEndToEnd(t *testing.T) {
 		flight.Default().Reset()
 	})
 
+	fr := &FleetRunner{Size: 1}
+	t.Cleanup(fr.Close)
 	s, err := New(Config{
 		Budget:        [env.StageCount]int{8, 8, 8, 8},
 		MaxActive:     2,
 		NewController: func() env.Controller { return static.New(32) },
-		Runner:        &LoopbackRunner{},
+		Runner:        fr,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +163,7 @@ func TestFlightEndToEnd(t *testing.T) {
 	}
 
 	// The scheduler metrics page carries the recorder gauges and the
-	// stage histograms the loopback run populated.
+	// stage histograms the run populated.
 	mresp, err := http.Get(srv.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)

@@ -20,7 +20,9 @@ type SubmitRequest struct {
 	MaxRetries int    `json:"max_retries,omitempty"`
 	// Dataset declares the files to transfer.
 	Dataset workload.Spec `json:"dataset"`
-	// DestDir writes into a real directory; empty uses a synthetic sink.
+	// DestDir is refused when non-empty: every job writes into the
+	// fleet's one shared destination store. The field stays so the
+	// refusal can name it.
 	DestDir string `json:"dest_dir,omitempty"`
 	// Engine knobs (zero values take transfer.Config defaults).
 	ChunkBytes      int `json:"chunk_bytes,omitempty"`
@@ -37,6 +39,9 @@ type SubmitRequest struct {
 
 // spec converts the request into a JobSpec.
 func (r SubmitRequest) spec() (JobSpec, error) {
+	if r.DestDir != "" {
+		return JobSpec{}, errors.New("dest_dir is not supported: every job writes into the fleet's shared destination store")
+	}
 	m, err := r.Dataset.Build()
 	if err != nil {
 		return JobSpec{}, err
@@ -46,7 +51,6 @@ func (r SubmitRequest) spec() (JobSpec, error) {
 		Manifest:   m,
 		Priority:   r.Priority,
 		MaxRetries: r.MaxRetries,
-		DestDir:    r.DestDir,
 		Transfer: transfer.Config{
 			ChunkBytes:       r.ChunkBytes,
 			MaxThreads:       r.MaxThreads,
@@ -71,8 +75,8 @@ func (r SubmitRequest) spec() (JobSpec, error) {
 //	GET    /v1/metrics          text-format metrics snapshot
 //	GET    /v1/healthz          liveness probe
 //
-// GET /v1/fleet answers 404 when the scheduler's runner is not a fleet
-// (e.g. the per-job loopback runner).
+// GET /v1/fleet answers 404 only when the scheduler's runner is not a
+// fleet (a test's RunnerFunc); the daemon always runs one.
 func NewHandler(s *Scheduler) http.Handler {
 	mux := http.NewServeMux()
 

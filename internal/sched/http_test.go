@@ -21,8 +21,15 @@ func dataset(count int, size int64) workload.Spec {
 	return workload.Spec{Kind: "large", Count: count, SizeBytes: size}
 }
 
+// newTestServer serves a scheduler over HTTP; a config without a runner
+// gets the daemon's default, a one-endpoint fleet.
 func newTestServer(t *testing.T, cfg Config) (*Scheduler, *httptest.Server) {
 	t.Helper()
+	if cfg.Runner == nil {
+		fr := &FleetRunner{Size: 1, Verify: true}
+		t.Cleanup(fr.Close)
+		cfg.Runner = fr
+	}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -176,6 +183,15 @@ func TestHTTPErrors(t *testing.T) {
 	}
 	resp.Body.Close()
 
+	// A destination directory: every job writes into the fleet's store.
+	resp = postJSON(t, srv.URL+"/v1/jobs", SubmitRequest{Name: "dir", Dataset: dataset(1, 1024), DestDir: t.TempDir()})
+	var body map[string]string
+	json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body["error"], "dest_dir") {
+		t.Fatalf("dest_dir submit: status %d body %v, want 400 naming dest_dir", resp.StatusCode, body)
+	}
+
 	// Malformed id.
 	r, err = http.Get(srv.URL + "/v1/jobs/banana")
 	if err != nil {
@@ -278,8 +294,13 @@ func TestHTTPFleetStatus(t *testing.T) {
 		}
 	}
 
-	// A non-fleet runner answers 404.
-	_, plain := newTestServer(t, Config{Budget: [env.StageCount]int{8, 8, 8, 8}})
+	// A runner that is not a fleet answers 404.
+	_, plain := newTestServer(t, Config{
+		Budget: [env.StageCount]int{8, 8, 8, 8},
+		Runner: RunnerFunc(func(context.Context, JobSpec, env.Controller) (*transfer.Result, error) {
+			return &transfer.Result{}, nil
+		}),
+	})
 	r, err := http.Get(plain.URL + "/v1/fleet")
 	if err != nil {
 		t.Fatal(err)

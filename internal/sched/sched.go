@@ -7,13 +7,11 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"time"
-
 	"sync"
+	"time"
 
 	"automdt/internal/env"
 	"automdt/internal/flight"
-	"automdt/internal/fsim"
 	"automdt/internal/metrics"
 	"automdt/internal/transfer"
 	"automdt/internal/workload"
@@ -89,9 +87,6 @@ type JobSpec struct {
 	// Transfer parameterizes the engine for this job. Job-scoped hooks in
 	// Transfer.Hooks are preserved; the scheduler chains its own.
 	Transfer transfer.Config
-	// DestDir, for the loopback runner, is the directory to write into;
-	// empty means a synthetic sink (no disk).
-	DestDir string
 }
 
 // Job is the scheduler's record of one submitted transfer. All mutable
@@ -177,76 +172,6 @@ func (f RunnerFunc) Run(ctx context.Context, spec JobSpec, ctrl env.Controller) 
 	return f(ctx, spec, ctrl)
 }
 
-// LoopbackRunner runs each job as an in-process sender→receiver transfer
-// over 127.0.0.1 TCP: synthetic source content, destination a real
-// directory when DestDir is set, else a synthetic sink. Synthetic sinks
-// are cached per session so a retry resumes from the previous attempt's
-// in-memory ledger the same way DestDir jobs resume from disk.
-type LoopbackRunner struct {
-	// Verify makes synthetic sinks check written bytes against the
-	// expected deterministic content.
-	Verify bool
-
-	mu    sync.Mutex
-	sinks map[string]*fsim.SyntheticStore
-}
-
-// maxCachedSinks bounds the per-session sink cache: sinks of sessions
-// that never complete (jobs that exhaust retries or are cancelled)
-// would otherwise accumulate for the life of the daemon.
-const maxCachedSinks = 128
-
-// sink returns the destination store for a sessionful synthetic job,
-// reusing the store across attempts of the same session.
-func (r *LoopbackRunner) sink(session string) *fsim.SyntheticStore {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s, ok := r.sinks[session]; ok {
-		return s
-	}
-	s := fsim.NewSyntheticStore()
-	s.Verify = r.Verify
-	if session != "" {
-		if r.sinks == nil {
-			r.sinks = make(map[string]*fsim.SyntheticStore)
-		}
-		// Evict arbitrary stale entries at the cap — losing one only
-		// costs a dead session its resume, never correctness.
-		for k := range r.sinks {
-			if len(r.sinks) < maxCachedSinks {
-				break
-			}
-			delete(r.sinks, k)
-		}
-		r.sinks[session] = s
-	}
-	return s
-}
-
-// Run implements Runner.
-func (r *LoopbackRunner) Run(ctx context.Context, spec JobSpec, ctrl env.Controller) (*transfer.Result, error) {
-	src := fsim.NewSyntheticStore()
-	session := spec.Transfer.SessionID
-	var dst fsim.Store
-	if spec.DestDir != "" {
-		d, err := fsim.NewDirStore(spec.DestDir)
-		if err != nil {
-			return nil, err
-		}
-		dst = d
-	} else {
-		dst = r.sink(session)
-	}
-	res, err := transfer.Loopback(ctx, spec.Transfer, spec.Manifest, src, dst, ctrl)
-	if err == nil && session != "" && spec.DestDir == "" {
-		// The session completed; drop the cached sink.
-		r.mu.Lock()
-		delete(r.sinks, session)
-		r.mu.Unlock()
-	}
-	return res, err
-}
-
 // Config parameterizes a Scheduler.
 type Config struct {
 	// Budget is the host-wide worker budget per stage dimension ⟨read,
@@ -261,7 +186,8 @@ type Config struct {
 	// env.BudgetCap by the scheduler). nil holds jobs at their initial
 	// concurrency, still budget-capped.
 	NewController func() env.Controller
-	// Runner executes job attempts. Default: &LoopbackRunner{}.
+	// Runner executes job attempts. Required: a *FleetRunner in service,
+	// any Runner (e.g. a RunnerFunc) in tests.
 	Runner Runner
 	// History is how many terminal jobs to retain for List/Status/
 	// Snapshot before evicting the oldest (the daemon would otherwise
@@ -318,7 +244,7 @@ func New(cfg Config) (*Scheduler, error) {
 		}
 	}
 	if cfg.Runner == nil {
-		cfg.Runner = &LoopbackRunner{}
+		return nil, errors.New("sched: Config.Runner is required")
 	}
 	maxActive := cfg.MaxActive
 	if maxActive <= 0 || maxActive > minBudget {

@@ -385,7 +385,9 @@ func TestRetryThenSucceed(t *testing.T) {
 }
 
 func TestSubmitValidation(t *testing.T) {
-	s, err := New(Config{Budget: [env.StageCount]int{1, 1, 1, 1}})
+	fr := &FleetRunner{Size: 1}
+	t.Cleanup(fr.Close)
+	s, err := New(Config{Budget: [env.StageCount]int{1, 1, 1, 1}, Runner: fr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,8 +398,17 @@ func TestSubmitValidation(t *testing.T) {
 	if _, err := s.Submit(JobSpec{Name: "late", Manifest: manifest1()}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Submit after Close = %v, want ErrClosed", err)
 	}
-	if _, err := New(Config{Budget: [env.StageCount]int{1, 0, 0, 1}}); err == nil {
+	if _, err := New(Config{Budget: [env.StageCount]int{1, 0, 0, 1}, Runner: fr}); err == nil {
 		t.Fatal("zero stage budget accepted")
+	}
+}
+
+// A scheduler without a runner has no way to run a job; New refuses it
+// rather than pick one.
+func TestNewRequiresRunner(t *testing.T) {
+	_, err := New(Config{Budget: [env.StageCount]int{1, 1, 1, 1}})
+	if err == nil || !strings.Contains(err.Error(), "Runner") {
+		t.Fatalf("New without a runner: err = %v, want a refusal naming Runner", err)
 	}
 }
 
@@ -487,7 +498,7 @@ func TestHistoryEviction(t *testing.T) {
 }
 
 // TestGlobalBudgetCompliance is the acceptance test: ten concurrent
-// loopback transfer jobs, each driven by a greedy controller that wants
+// transfer jobs on one shared endpoint, each driven by a greedy controller that wants
 // 32 workers per stage, scheduled under a global budget of 16 per stage.
 // Every arbiter allocation must keep the summed per-job caps within the
 // budget, with all ten jobs simultaneously active at some point.
@@ -495,11 +506,13 @@ func TestGlobalBudgetCompliance(t *testing.T) {
 	const jobs = 10
 	budget := [env.StageCount]int{16, 16, 16, 16}
 	rec := &allocRecorder{}
+	fr := &FleetRunner{Size: 1}
+	t.Cleanup(fr.Close)
 	s, err := New(Config{
 		Budget:        budget,
 		MaxActive:     jobs,
 		NewController: func() env.Controller { return static.New(32) },
-		Runner:        &LoopbackRunner{},
+		Runner:        fr,
 		onRebalance:   rec.record,
 	})
 	if err != nil {
@@ -748,12 +761,17 @@ func TestRetryResumesSession(t *testing.T) {
 	}
 }
 
-// Sessionful jobs without a DestDir must also resume on retry: the
-// loopback runner reuses the synthetic sink (and its in-memory ledger)
-// across attempts of the same session.
-func TestLoopbackRunnerReusesSinkAcrossAttempts(t *testing.T) {
-	r := &LoopbackRunner{}
-	const session = "sink-reuse"
+// A retried attempt on a size-1 fleet resumes on the same endpoint: the
+// endpoint's shared store keeps the cancelled attempt's ledger, and the
+// second attempt skips what the first committed.
+func TestFleetRetryResumesOnSameEndpoint(t *testing.T) {
+	store := fsim.NewSyntheticStore()
+	store.Verify = true
+	// The endpoint's own probe tick paces ledger persistence, so it must
+	// tick within attempt 1's lifetime.
+	fr := &FleetRunner{Size: 1, Store: store, Receiver: transfer.Config{ProbeInterval: 25 * time.Millisecond}}
+	t.Cleanup(fr.Close)
+	const session = "same-endpoint"
 	spec := JobSpec{
 		Manifest: workload.LargeFiles(4, 1<<20),
 		Transfer: transfer.Config{
@@ -765,12 +783,11 @@ func TestLoopbackRunnerReusesSinkAcrossAttempts(t *testing.T) {
 			Shaping:        transfer.Shaping{LinkMbps: 200},
 		},
 	}
-	sink := r.sink(session) // the store attempt 1 will write into
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		deadline := time.Now().Add(15 * time.Second)
 		for time.Now().Before(deadline) {
-			if l, err := transfer.LoadSessionLedger(sink, session); err == nil && l.CommittedBytes() > 0 {
+			if l, err := transfer.LoadSessionLedger(store, session); err == nil && l.CommittedBytes() > 0 {
 				cancel() // kill attempt 1 mid-flight
 				return
 			}
@@ -778,25 +795,24 @@ func TestLoopbackRunnerReusesSinkAcrossAttempts(t *testing.T) {
 		}
 		cancel()
 	}()
-	if _, err := r.Run(ctx, spec, nil); err == nil {
+	if _, err := fr.Run(ctx, spec, nil); err == nil {
 		t.Fatal("cancelled attempt succeeded")
 	}
 	cancel()
 
 	spec2 := spec
 	spec2.Transfer.Shaping = transfer.Shaping{}
-	res, err := r.Run(context.Background(), spec2, nil)
+	res, err := fr.Run(context.Background(), spec2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Resumed || res.SkippedBytes <= 0 {
-		t.Fatalf("synthetic-sink retry did not resume: %+v", res)
+		t.Fatalf("retry on the same endpoint did not resume: %+v", res)
 	}
-	// Completion must evict the cached sink.
-	r.mu.Lock()
-	_, still := r.sinks[session]
-	r.mu.Unlock()
-	if still {
-		t.Fatal("completed session's sink not evicted")
+	if ep := fr.EndpointOf(session); ep != "ep-0" {
+		t.Fatalf("retry ran on %q, want ep-0", ep)
+	}
+	if errs := store.Errors(); len(errs) > 0 {
+		t.Fatalf("shared store verification errors: %v", errs)
 	}
 }

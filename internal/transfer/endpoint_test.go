@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"path/filepath"
@@ -299,19 +300,66 @@ func TestEndpointAdmissionCap(t *testing.T) {
 	}
 }
 
-// oneChunkSession runs a one-chunk session from a raw peer whose Hello
-// asks for what the caller sets, and hands every Status the endpoint
-// sends to check until the session completes.
-func oneChunkSession(t *testing.T, cfg Config, ask func(*wire.Hello), check func(*wire.Status)) {
+// startEndpoint serves a multi-session endpoint until the test ends.
+func startEndpoint(t *testing.T, cfg Config) *Receiver {
 	t.Helper()
 	recv := NewReceiver(cfg, fsim.NewSyntheticStore())
 	if err := recv.Listen("127.0.0.1:0", "127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
+	t.Cleanup(cancel)
 	go recv.Serve(ctx)
+	return recv
+}
 
+// The Hello is outside input that sizes the session. One whose manifest
+// breaks a bound is refused before the Welcome, with an errored Status
+// naming the field, and the endpoint goes on serving. The MaxInt64 row
+// is the one that matters most: admitted, its first frame would make the
+// ledger size a chunk bitmap no process can allocate, and the panic
+// would take every sibling session with it.
+func TestEndpointRefusesHostileHello(t *testing.T) {
+	recv := startEndpoint(t, testConfig())
+	one := []wire.FileInfo{{Name: "h.dat", Size: 1 << 20}}
+	rows := []struct {
+		name  string
+		chunk int
+		files []wire.FileInfo
+		want  string
+	}{
+		{"chunk below the floor", minHelloChunk - 1, one, "ChunkBytes"},
+		{"chunk above MaxChunk", wire.MaxChunk + 1, one, "ChunkBytes"},
+		{"negative size", 64 << 10, []wire.FileInfo{{Name: "neg.dat", Size: -1}}, "Size"},
+		{"too many files", 64 << 10, make([]wire.FileInfo, maxHelloFiles+1), "Files"},
+		{"too many chunks", minHelloChunk, []wire.FileInfo{{Name: "big.dat", Size: (maxHelloChunks + 1) * minHelloChunk}}, "chunks"},
+		{"MaxInt64 size", 64 << 10, []wire.FileInfo{{Name: "max.dat", Size: math.MaxInt64}}, "chunks"},
+	}
+	for i, row := range rows {
+		c := helloConn(t, recv.CtrlAddr(), wire.Hello{Files: row.files, ChunkBytes: row.chunk, ProtoVersion: wire.ProtoVersion})
+		m := recvReply(t, c)
+		c.Close()
+		if m.Welcome != nil || !strings.Contains(m.Status.Error, row.want) {
+			t.Fatalf("%s: welcomed=%v status=%+v, want an errored Status naming %s", row.name, m.Welcome != nil, m.Status, row.want)
+		}
+		if got := gauge(t, recv.MetricsSnapshot(), "automdt_endpoint_sessions_total", "rejected"); got != float64(i+1) {
+			t.Fatalf("%s: rejected gauge %v, want %d", row.name, got, i+1)
+		}
+		oneChunkOn(t, recv, func(*wire.Hello) {}, func(*wire.Status) {})
+	}
+}
+
+// oneChunkSession runs a one-chunk session from a raw peer whose Hello
+// asks for what the caller sets, and hands every Status the endpoint
+// sends to check until the session completes.
+func oneChunkSession(t *testing.T, cfg Config, ask func(*wire.Hello), check func(*wire.Status)) {
+	t.Helper()
+	oneChunkOn(t, startEndpoint(t, cfg), ask, check)
+}
+
+// oneChunkOn is oneChunkSession against an endpoint already serving.
+func oneChunkOn(t *testing.T, recv *Receiver, ask func(*wire.Hello), check func(*wire.Status)) {
+	t.Helper()
 	const size = 64 << 10
 	h := wire.Hello{
 		Files:        []wire.FileInfo{{Name: "w.dat", Size: size}},

@@ -494,9 +494,50 @@ func (r *Receiver) handleControl(ctx context.Context, raw net.Conn, results chan
 	}
 }
 
+// Bounds on the manifest a Hello may ask an endpoint to ledger. They cap
+// what one session can make the endpoint allocate; every transfer this
+// repository runs fits well inside them.
+const (
+	minHelloChunk  = 4 << 10
+	maxHelloFiles  = 1 << 20
+	maxHelloChunks = 1 << 24
+)
+
+// checkHello refuses a Hello whose manifest breaks the bounds above: a
+// chunk size outside [minHelloChunk, wire.MaxChunk] (≤ 0 takes the
+// endpoint's), a negative file size, too many files, or too many chunks.
+func (r *Receiver) checkHello(h *wire.Hello) error {
+	cb := int64(h.ChunkBytes)
+	if cb <= 0 {
+		cb = int64(r.Cfg.ChunkBytes)
+	}
+	if cb < minHelloChunk || cb > wire.MaxChunk {
+		return fmt.Errorf("transfer: Hello ChunkBytes %d outside [%d, %d]", cb, minHelloChunk, wire.MaxChunk)
+	}
+	if len(h.Files) > maxHelloFiles {
+		return fmt.Errorf("transfer: Hello lists %d Files, limit %d", len(h.Files), maxHelloFiles)
+	}
+	var chunks int64
+	for i, f := range h.Files {
+		if f.Size < 0 {
+			return fmt.Errorf("transfer: Hello file %d has Size %d", i, f.Size)
+		}
+		// Divide before rounding up: Size+cb-1 overflows near MaxInt64.
+		chunks += f.Size / cb
+		if f.Size%cb != 0 {
+			chunks++
+		}
+		if chunks > maxHelloChunks {
+			return fmt.Errorf("transfer: Hello Files need more than %d chunks of %d bytes", maxHelloChunks, cb)
+		}
+	}
+	return nil
+}
+
 // admit applies the endpoint's admission rules to a Hello and registers
-// the resulting session: this build's protocol generation only, the
-// MaxSessions cap, and no two live sessions sharing a ledger key. The
+// the resulting session: this build's protocol generation only, a
+// manifest within the Hello bounds, the MaxSessions cap, and no two live
+// sessions sharing a ledger key. The
 // session's staging buffer and routing token exist from here on, so its
 // data connections can be routed the moment the Welcome is out. When the
 // session ID is still held by a previous attempt, held is that holder's
@@ -504,6 +545,9 @@ func (r *Receiver) handleControl(ctx context.Context, raw net.Conn, results chan
 func (r *Receiver) admit(h *wire.Hello) (sess *rsession, held <-chan struct{}, err error) {
 	if h.ProtoVersion != wire.ProtoVersion {
 		return nil, nil, fmt.Errorf("transfer: sender speaks protocol %d, this endpoint speaks protocol %d only", h.ProtoVersion, wire.ProtoVersion)
+	}
+	if err := r.checkHello(h); err != nil {
+		return nil, nil, err
 	}
 	session := h.SessionID
 	if session == "" {
