@@ -1,10 +1,12 @@
 package fsim
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"sync"
@@ -132,13 +134,59 @@ func NewSyntheticStore() *SyntheticStore {
 	}
 }
 
-// contentByte returns the deterministic content byte of file h at
-// position i. It must be fast: it is called for every generated byte.
-func contentByte(h uint64, i int64) byte {
-	x := h + uint64(i)*0x9E3779B97F4A7C15
+// contentWord returns the deterministic content of file h at bytes
+// [8w, 8w+8), little-endian: byte 8w+k is bits 8k..8k+7. One mix per
+// eight bytes is what keeps generating and verifying content off the
+// profile; every content path works a word at a time and goes byte by
+// byte only over the unaligned head and tail of a range.
+func contentWord(h uint64, w int64) uint64 {
+	x := h + uint64(w)*0x9E3779B97F4A7C15
 	x ^= x >> 33
 	x *= 0xFF51AFD7ED558CCD
-	return byte(x >> 56)
+	x ^= x >> 33
+	return x
+}
+
+// contentByte returns the content byte of file h at position i: one
+// byte of its word, for the unaligned ends of a range.
+func contentByte(h uint64, i int64) byte {
+	return byte(contentWord(h, i>>3) >> (8 * (i & 7)))
+}
+
+// fillContent writes the content of file h for [off, off+len(p)) into p.
+func fillContent(h uint64, off int64, p []byte) {
+	i := 0
+	for ; i < len(p) && (off+int64(i))&7 != 0; i++ {
+		p[i] = contentByte(h, off+int64(i))
+	}
+	for w := (off + int64(i)) >> 3; len(p)-i >= 8; i, w = i+8, w+1 {
+		binary.LittleEndian.PutUint64(p[i:], contentWord(h, w))
+	}
+	for ; i < len(p); i++ {
+		p[i] = contentByte(h, off+int64(i))
+	}
+}
+
+// firstMismatch returns the index of the first byte of p that differs
+// from the content of file h at off, or -1 when p matches.
+func firstMismatch(h uint64, off int64, p []byte) int {
+	i := 0
+	for ; i < len(p) && (off+int64(i))&7 != 0; i++ {
+		if p[i] != contentByte(h, off+int64(i)) {
+			return i
+		}
+	}
+	for w := (off + int64(i)) >> 3; len(p)-i >= 8; i, w = i+8, w+1 {
+		if diff := binary.LittleEndian.Uint64(p[i:]) ^ contentWord(h, w); diff != 0 {
+			return i + bits.TrailingZeros64(diff)/8
+		}
+	}
+	for ; i < len(p); i++ {
+		if p[i] != contentByte(h, off+int64(i)) {
+			return i
+		}
+	}
+	return -1
 }
 
 // nameHash hashes a file name to a content seed.
@@ -152,10 +200,7 @@ func nameHash(name string) uint64 {
 // [off, off+len(p)) into p. Exposed so tests and writers can recompute
 // expected bytes.
 func FillContent(name string, off int64, p []byte) {
-	h := nameHash(name)
-	for i := range p {
-		p[i] = contentByte(h, off+int64(i))
-	}
+	fillContent(nameHash(name), off, p)
 }
 
 // Open implements Store.
@@ -305,9 +350,7 @@ func (r *synthReader) ReadAt(p []byte, off int64) (int, error) {
 	if off+int64(n) > r.size {
 		n = int(r.size - off)
 	}
-	for i := 0; i < n; i++ {
-		p[i] = contentByte(r.h, off+int64(i))
-	}
+	fillContent(r.h, off, p[:n])
 	if n < len(p) {
 		return n, io.EOF
 	}
@@ -329,15 +372,14 @@ func (w *synthWriter) WriteAt(p []byte, off int64) (int, error) {
 			off, off+int64(len(p)), w.name, w.size)
 	}
 	if w.store.Verify {
-		for i, b := range p {
-			if want := contentByte(w.h, off+int64(i)); b != want {
-				err := fmt.Errorf("fsim: corruption in %q at offset %d: got %#x want %#x",
-					w.name, off+int64(i), b, want)
-				w.store.mu.Lock()
-				w.store.errs = append(w.store.errs, err)
-				w.store.mu.Unlock()
-				return 0, err
-			}
+		if i := firstMismatch(w.h, off, p); i >= 0 {
+			at := off + int64(i)
+			err := fmt.Errorf("fsim: corruption in %q at offset %d: got %#x want %#x",
+				w.name, at, p[i], contentByte(w.h, at))
+			w.store.mu.Lock()
+			w.store.errs = append(w.store.errs, err)
+			w.store.mu.Unlock()
+			return 0, err
 		}
 	}
 	w.store.mu.Lock()

@@ -3,9 +3,11 @@ package fsim
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -81,18 +83,42 @@ func TestSyntheticWriterVerifyAcceptsCorrectContent(t *testing.T) {
 	}
 }
 
+// Verification works a word at a time, so a corruption is named by its
+// exact first offset wherever it falls — in the unaligned head, inside
+// an aligned word, or in the unaligned tail — for every alignment of the
+// write. A second corruption later in the write must not be reported
+// instead of the first.
 func TestSyntheticWriterVerifyCatchesCorruption(t *testing.T) {
-	s := NewSyntheticStore()
-	s.Verify = true
-	w, _ := s.Create("v.dat", 100)
-	buf := make([]byte, 100)
-	FillContent("v.dat", 0, buf)
-	buf[50] ^= 0xFF
-	if _, err := w.WriteAt(buf, 0); err == nil {
-		t.Fatal("corruption not detected")
-	}
-	if len(s.Errors()) == 0 {
-		t.Fatal("error not recorded")
+	for off := int64(0); off < 16; off++ {
+		n := 40 + int(off%7)
+		aligned := int((8 - off%8) % 8) // first index of p on a word boundary
+		for _, pos := range []struct {
+			name string
+			i    int
+		}{
+			{"head", 0},
+			{"body", aligned + 8 + 5},
+			{"tail", n - 1},
+		} {
+			s := NewSyntheticStore()
+			s.Verify = true
+			w, _ := s.Create("v.dat", 128)
+			buf := make([]byte, n)
+			FillContent("v.dat", off, buf)
+			want := buf[pos.i]
+			buf[pos.i] ^= 0x5A
+			if pos.i < n-1 {
+				buf[n-1] ^= 0xFF
+			}
+			_, err := w.WriteAt(buf, off)
+			msg := fmt.Sprintf("at offset %d: got %#x want %#x", off+int64(pos.i), buf[pos.i], want)
+			if err == nil || !strings.Contains(err.Error(), msg) {
+				t.Fatalf("write at %d, corrupt %s byte %d: err %v, want it to say %q", off, pos.name, pos.i, err, msg)
+			}
+			if errs := s.Errors(); len(errs) != 1 || errs[0].Error() != err.Error() {
+				t.Fatalf("write at %d, corrupt %s byte %d: recorded %v", off, pos.name, pos.i, errs)
+			}
+		}
 	}
 }
 
@@ -178,26 +204,70 @@ func TestDirStoreRejectsEscapes(t *testing.T) {
 	}
 }
 
-// Property: synthetic reader output always matches FillContent at any
-// offset/length.
+// Property: synthetic reader output always matches FillContent, and
+// both match the content taken one byte at a time, at any alignment and
+// length: every offset 0..23 × every length 0..17 exhaustively (the
+// unaligned head, whole words and the tail in every combination), then
+// random offsets and lengths.
 func TestQuickReaderMatchesFill(t *testing.T) {
 	s := NewSyntheticStore()
-	f := func(off uint16, n uint8) bool {
-		size := int64(1 << 16)
-		r, _ := s.Open("q.dat", size)
-		defer r.Close()
-		length := int(n)%128 + 1
-		o := int64(off) % (size - 200)
+	const size = 1 << 16
+	r, _ := s.Open("q.dat", size)
+	defer r.Close()
+	h := nameHash("q.dat")
+	match := func(o int64, length int) bool {
 		got := make([]byte, length)
 		want := make([]byte, length)
-		if _, err := r.ReadAt(got, o); err != nil {
+		if n, err := r.ReadAt(got, o); n != length || err != nil {
 			return false
 		}
 		FillContent("q.dat", o, want)
+		for i := range want {
+			if want[i] != contentByte(h, o+int64(i)) {
+				return false
+			}
+		}
 		return bytes.Equal(got, want)
+	}
+	for o := int64(0); o < 24; o++ {
+		for length := 0; length <= 17; length++ {
+			if !match(o, length) {
+				t.Fatalf("offset %d length %d: reader, FillContent and contentByte disagree", o, length)
+			}
+		}
+	}
+	f := func(off uint16, n uint8) bool {
+		return match(int64(off)%(size-300), int(n))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkSyntheticFill measures generating one 256 KiB chunk of
+// synthetic content, the read stage's cost per chunk.
+func BenchmarkSyntheticFill(b *testing.B) {
+	r, _ := NewSyntheticStore().Open("bench.dat", 1<<30)
+	buf := make([]byte, 256<<10)
+	b.SetBytes(int64(len(buf)))
+	for i := 0; i < b.N; i++ {
+		r.ReadAt(buf, int64(i%1024)*int64(len(buf)))
+	}
+}
+
+// BenchmarkSyntheticVerify measures checking one 256 KiB chunk against
+// the generator, the verifying write stage's cost per chunk.
+func BenchmarkSyntheticVerify(b *testing.B) {
+	s := NewSyntheticStore()
+	s.Verify = true
+	w, _ := s.Create("bench.dat", 1<<30)
+	buf := make([]byte, 256<<10)
+	FillContent("bench.dat", 0, buf)
+	b.SetBytes(int64(len(buf)))
+	for i := 0; i < b.N; i++ {
+		if _, err := w.WriteAt(buf, 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -3,12 +3,15 @@ package transfer
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -318,9 +321,16 @@ func startEndpoint(t *testing.T, cfg Config) *Receiver {
 // naming the field, and the endpoint goes on serving. The MaxInt64 row
 // is the one that matters most: admitted, its first frame would make the
 // ledger size a chunk bitmap no process can allocate, and the panic
-// would take every sibling session with it.
+// would take every sibling session with it. Bytes that are not a control
+// message at all — a length above wire.MaxControlBytes, a header
+// announcing just under it and then EOF, a stray HTTP request — get the
+// connection closed before admission, with no reply. Every refusal
+// leaves nothing behind (expectRefusal).
 func TestEndpointRefusesHostileHello(t *testing.T) {
-	recv := startEndpoint(t, testConfig())
+	cfg := testConfig()
+	cfg.Arena = NewArena(64 << 20)
+	recv := startEndpoint(t, cfg)
+	idle := idleGoroutines(t, recv)
 	one := []wire.FileInfo{{Name: "h.dat", Size: 1 << 20}}
 	rows := []struct {
 		name  string
@@ -336,16 +346,130 @@ func TestEndpointRefusesHostileHello(t *testing.T) {
 		{"MaxInt64 size", 64 << 10, []wire.FileInfo{{Name: "max.dat", Size: math.MaxInt64}}, "chunks"},
 	}
 	for i, row := range rows {
-		c := helloConn(t, recv.CtrlAddr(), wire.Hello{Files: row.files, ChunkBytes: row.chunk, ProtoVersion: wire.ProtoVersion})
-		m := recvReply(t, c)
-		c.Close()
-		if m.Welcome != nil || !strings.Contains(m.Status.Error, row.want) {
-			t.Fatalf("%s: welcomed=%v status=%+v, want an errored Status naming %s", row.name, m.Welcome != nil, m.Status, row.want)
+		// The manifest of 2²⁰+1 files is 2 MiB on the wire and 24 MiB
+		// decoded; the endpoint must read it to count it.
+		maxAlloc := uint64(1 << 20)
+		if len(row.files) > maxHelloFiles {
+			maxAlloc = math.MaxUint64
 		}
+		expectRefusal(t, recv, cfg.Arena, idle, row.name, maxAlloc, func() {
+			c := helloConn(t, recv.CtrlAddr(), wire.Hello{Files: row.files, ChunkBytes: row.chunk, ProtoVersion: wire.ProtoVersion})
+			m := recvReply(t, c)
+			c.Close()
+			if m.Welcome != nil || !strings.Contains(m.Status.Error, row.want) {
+				t.Fatalf("%s: welcomed=%v status=%+v, want an errored Status naming %s", row.name, m.Welcome != nil, m.Status, row.want)
+			}
+		})
 		if got := gauge(t, recv.MetricsSnapshot(), "automdt_endpoint_sessions_total", "rejected"); got != float64(i+1) {
 			t.Fatalf("%s: rejected gauge %v, want %d", row.name, got, i+1)
 		}
 		oneChunkOn(t, recv, func(*wire.Hello) {}, func(*wire.Status) {})
+	}
+
+	tag := controlBytes(t, wire.Message{Hello: &wire.Hello{}})[0]
+	raws := []struct {
+		name     string
+		raw      []byte
+		closeOut bool // end the stream after raw
+	}{
+		{"length above the cap", binary.AppendUvarint([]byte{tag}, wire.MaxControlBytes+1), false},
+		{"just under the cap, then EOF", binary.AppendUvarint([]byte{tag}, wire.MaxControlBytes-1), true},
+		{"unknown tag", []byte("GET / HTTP/1.1\r\n\r\n"), false},
+	}
+	for _, row := range raws {
+		expectRefusal(t, recv, cfg.Arena, idle, row.name, 1<<20, func() {
+			sendRawControl(t, recv.CtrlAddr(), row.name, row.raw, row.closeOut)
+		})
+		if got := gauge(t, recv.MetricsSnapshot(), "automdt_endpoint_sessions_total", "rejected"); got != float64(len(rows)) {
+			t.Fatalf("%s: rejected gauge %v, want %d: bytes that are no Hello never reach admission", row.name, got, len(rows))
+		}
+		oneChunkOn(t, recv, func(*wire.Hello) {}, func(*wire.Status) {})
+	}
+}
+
+// expectRefusal runs one hostile exchange against recv and requires it
+// to leave nothing behind: no session admitted, no staging leased from
+// the endpoint's arena, every goroutine it spawned gone (back to idle,
+// the count with the endpoint serving and no session), and at most
+// maxAlloc bytes allocated by the whole process.
+func expectRefusal(t *testing.T, recv *Receiver, arena *Arena, idle int, name string, maxAlloc uint64, exchange func()) {
+	t.Helper()
+	waitFor(t, func() bool { return runtime.NumGoroutine() <= idle })
+	admitted := gauge(t, recv.MetricsSnapshot(), "automdt_endpoint_sessions_total", "admitted")
+	leases := func() int64 { st := arena.Stats(); return st.Hits + st.Misses + st.Overflow }
+	gets := leases()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	exchange()
+	for i := 0; runtime.NumGoroutine() > idle; i++ {
+		if i == 500 {
+			t.Fatalf("%s: %d goroutines after the refusal, %d before", name, runtime.NumGoroutine(), idle)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	runtime.ReadMemStats(&after)
+	if got := gauge(t, recv.MetricsSnapshot(), "automdt_endpoint_sessions_total", "admitted"); got != admitted {
+		t.Fatalf("%s: admitted gauge went from %v to %v", name, admitted, got)
+	}
+	if got := leases(); got != gets {
+		t.Fatalf("%s: the refusal leased %d staging buffers", name, got-gets)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > maxAlloc {
+		t.Fatalf("%s: the refusal allocated %d bytes, limit %d", name, grew, maxAlloc)
+	}
+}
+
+// idleGoroutines runs one session on recv, so every listener's accept
+// loop is up, and returns the goroutine count once it has held still
+// for 50 ms: the endpoint serving with no session.
+func idleGoroutines(t *testing.T, recv *Receiver) int {
+	t.Helper()
+	oneChunkOn(t, recv, func(*wire.Hello) {}, func(*wire.Status) {})
+	n := runtime.NumGoroutine()
+	for still := 0; still < 25; still++ {
+		time.Sleep(2 * time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, still = m, 0
+		}
+	}
+	return n
+}
+
+// controlBytes returns m as the control channel puts it on the wire.
+func controlBytes(t *testing.T, m wire.Message) []byte {
+	t.Helper()
+	var rwc bufferConn
+	if err := wire.NewConn(&rwc).Send(m); err != nil {
+		t.Fatal(err)
+	}
+	return rwc.Bytes()
+}
+
+// bufferConn is an in-memory io.ReadWriteCloser for encoding messages.
+type bufferConn struct{ bytes.Buffer }
+
+func (*bufferConn) Close() error { return nil }
+
+// sendRawControl writes raw to a fresh control connection, optionally
+// ends the stream, and requires the endpoint to close the connection
+// without sending a byte.
+func sendRawControl(t *testing.T, addr, name string, raw []byte, closeOut bool) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(raw); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if closeOut {
+		conn.(*net.TCPConn).CloseWrite()
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	var reply [1]byte
+	if n, err := conn.Read(reply[:]); n != 0 || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("%s: the endpoint replied %d bytes (err %v), want the connection closed with no reply", name, n, err)
 	}
 }
 
@@ -430,15 +554,15 @@ func TestEndpointClampsHelloBuffer(t *testing.T) {
 
 // There is one protocol generation: a Hello announcing any other is
 // answered with an errored Status naming both versions, counted as
-// rejected, and registers nothing.
+// rejected, and registers nothing. A protocol 4 peer speaks gob, whose
+// stream never opens with a control tag: its Hello is closed at the
+// first byte, before admission, with no reply. Every refusal leaves
+// nothing behind (expectRefusal).
 func TestEndpointRefusesOtherGenerations(t *testing.T) {
-	recv := NewReceiver(testConfig(), fsim.NewSyntheticStore())
-	if err := recv.Listen("127.0.0.1:0", "127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	go recv.Serve(ctx)
+	cfg := testConfig()
+	cfg.Arena = NewArena(64 << 20)
+	recv := startEndpoint(t, cfg)
+	idle := idleGoroutines(t, recv)
 
 	// Every earlier generation and the next one.
 	var others []int
@@ -447,27 +571,40 @@ func TestEndpointRefusesOtherGenerations(t *testing.T) {
 	}
 	others = append(others, wire.ProtoVersion+1)
 	for _, v := range others {
-		c := helloConn(t, recv.CtrlAddr(), wire.Hello{
-			Files:        []wire.FileInfo{{Name: "pin.dat", Size: 1 << 20}},
-			ChunkBytes:   64 << 10,
-			ProtoVersion: v,
+		name := fmt.Sprintf("protocol %d", v)
+		expectRefusal(t, recv, cfg.Arena, idle, name, 1<<20, func() {
+			c := helloConn(t, recv.CtrlAddr(), wire.Hello{
+				Files:        []wire.FileInfo{{Name: "pin.dat", Size: 1 << 20}},
+				ChunkBytes:   64 << 10,
+				ProtoVersion: v,
+			})
+			m := recvReply(t, c)
+			c.Close()
+			want := fmt.Sprintf("sender speaks protocol %d, this endpoint speaks protocol %d only", v, wire.ProtoVersion)
+			if m.Status == nil || !strings.Contains(m.Status.Error, want) {
+				t.Fatalf("Hello with protocol %d: reply %+v, want an error saying %q", v, m, want)
+			}
 		})
-		m := recvReply(t, c)
-		c.Close()
-		want := fmt.Sprintf("sender speaks protocol %d, this endpoint speaks protocol %d only", v, wire.ProtoVersion)
-		if m.Status == nil || !strings.Contains(m.Status.Error, want) {
-			t.Fatalf("Hello with protocol %d: reply %+v, want an error saying %q", v, m, want)
-		}
 	}
+
+	var v4 bytes.Buffer
+	if err := gob.NewEncoder(&v4).Encode(&wire.Message{Hello: &wire.Hello{
+		Files:        []wire.FileInfo{{Name: "pin.dat", Size: 1 << 20}},
+		ChunkBytes:   64 << 10,
+		ProtoVersion: 4,
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	expectRefusal(t, recv, cfg.Arena, idle, "protocol 4 gob Hello", 1<<20, func() {
+		sendRawControl(t, recv.CtrlAddr(), "protocol 4 gob Hello", v4.Bytes(), false)
+	})
+
 	snap := recv.MetricsSnapshot()
 	if got := gauge(t, snap, "automdt_endpoint_sessions_total", "rejected"); got != float64(len(others)) {
 		t.Fatalf("rejected gauge %v, want %d", got, len(others))
 	}
 	if got := gauge(t, snap, "automdt_endpoint_sessions_active", ""); got != 0 {
 		t.Fatalf("%v sessions active after refusals, want 0", got)
-	}
-	if got := gauge(t, snap, "automdt_endpoint_sessions_total", "admitted"); got != 0 {
-		t.Fatalf("%v sessions admitted, want 0", got)
 	}
 }
 

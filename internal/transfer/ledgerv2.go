@@ -155,57 +155,6 @@ func appendJournalRecord(dst []byte, op ledgerOp) []byte {
 	return binary.BigEndian.AppendUint32(dst, wire.PayloadCRC(dst[start:]))
 }
 
-// cursor is a bounds-checked byte reader for the v2 decoders. Every
-// read fails cleanly at the end of input so corrupt or truncated
-// documents error instead of panicking.
-type cursor struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (c *cursor) fail() {
-	if c.err == nil {
-		c.err = errors.New("transfer: truncated ledger document")
-	}
-}
-
-func (c *cursor) bytes(n int) []byte {
-	if c.err != nil {
-		return nil
-	}
-	if n < 0 || c.off+n > len(c.data) || c.off+n < c.off {
-		c.fail()
-		return nil
-	}
-	b := c.data[c.off : c.off+n]
-	c.off += n
-	return b
-}
-
-func (c *cursor) byte() byte {
-	b := c.bytes(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (c *cursor) uvarint() uint64 {
-	if c.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(c.data[c.off:])
-	if n <= 0 {
-		c.fail()
-		return 0
-	}
-	c.off += n
-	return v
-}
-
-func (c *cursor) remaining() int { return len(c.data) - c.off }
-
 // DecodeLedger parses a persisted snapshot, recomputing committed byte
 // counts from the bitmaps. Anything that does not open with the snapshot
 // magic is refused, and the trailing whole-document CRC is verified
@@ -218,27 +167,24 @@ func DecodeLedger(data []byte) (*Ledger, error) {
 	if binary.BigEndian.Uint32(trailer) != wire.PayloadCRC(body) {
 		return nil, errors.New("transfer: ledger snapshot CRC mismatch")
 	}
-	c := &cursor{data: body}
-	c.bytes(4) // magic, checked above
-	if schema := c.byte(); schema != 2 {
+	c := wire.NewCursor(body)
+	c.Bytes(4) // magic, checked above
+	if schema := c.Byte(); schema != 2 {
 		return nil, fmt.Errorf("transfer: ledger schema %d (want 2)", schema)
 	}
-	gen := binary.BigEndian.Uint64(c.bytes(8))
-	session := string(c.bytes(int(c.uvarint())))
-	chunkBytes := c.uvarint()
-	if c.err == nil && (chunkBytes == 0 || chunkBytes > 1<<40) {
+	gen := binary.BigEndian.Uint64(c.Bytes(8))
+	session := c.String()
+	chunkBytes := c.Uvarint()
+	if c.Err() == nil && (chunkBytes == 0 || chunkBytes > 1<<40) {
 		return nil, errors.New("transfer: ledger has no chunk size")
 	}
-	flags := c.byte()
+	flags := c.Byte()
 	hasSums := flags&1 != 0
-	nFiles := c.uvarint()
-	if c.err == nil && nFiles > uint64(c.remaining()) {
-		// Each file costs at least one byte; anything claiming more is
-		// corrupt, and this bound caps the Files allocation.
-		c.fail()
-	}
-	if c.err != nil {
-		return nil, c.err
+	// Each file costs at least one byte; anything claiming more is
+	// corrupt, and this bound caps the Files allocation.
+	nFiles := c.Count(1)
+	if err := c.Err(); err != nil {
+		return nil, fmt.Errorf("transfer: ledger snapshot: %w", err)
 	}
 	l := &Ledger{
 		SessionID:  session,
@@ -247,23 +193,23 @@ func DecodeLedger(data []byte) (*Ledger, error) {
 		Files:      make([]*FileLedger, 0, nFiles),
 		gen:        gen,
 	}
-	for fi := uint64(0); fi < nFiles; fi++ {
-		f := &FileLedger{Name: string(c.bytes(int(c.uvarint())))}
-		f.Size = int64(c.uvarint())
+	for fi := 0; fi < nFiles; fi++ {
+		f := &FileLedger{Name: c.String()}
+		f.Size = int64(c.Uvarint())
 		if f.Size < 0 {
-			c.fail()
+			c.Fail(wire.ErrMalformed)
 		}
-		words := c.uvarint()
-		if c.err != nil {
-			return nil, c.err
+		words := c.Count(8)
+		if err := c.Err(); err != nil {
+			return nil, fmt.Errorf("transfer: ledger snapshot: %w", err)
 		}
 		n := l.chunks(f.Size)
 		if words > 0 {
-			if words != uint64((n+63)/64) || int(words)*8 > c.remaining() {
+			if words != (n+63)/64 {
 				return nil, fmt.Errorf("transfer: ledger file %q has inconsistent geometry", f.Name)
 			}
 			f.Bitmap = make([]uint64, words)
-			raw := c.bytes(int(words) * 8)
+			raw := c.Bytes(words * 8)
 			for i := range f.Bitmap {
 				f.Bitmap[i] = binary.BigEndian.Uint64(raw[i*8:])
 			}
@@ -275,11 +221,11 @@ func DecodeLedger(data []byte) (*Ledger, error) {
 				set += bits.OnesCount64(w)
 			}
 			if hasSums {
-				if set*4 > c.remaining() {
+				if set*4 > c.Remaining() {
 					return nil, fmt.Errorf("transfer: ledger file %q has truncated sums", f.Name)
 				}
 				f.Sums = make([]uint32, n)
-				raw := c.bytes(set * 4)
+				raw := c.Bytes(set * 4)
 				j := 0
 				for i := 0; i < n; i++ {
 					if bitSet(f.Bitmap, i) {
@@ -297,10 +243,10 @@ func DecodeLedger(data []byte) (*Ledger, error) {
 		l.Files = append(l.Files, f)
 		l.committed += f.Committed
 	}
-	if c.err != nil {
-		return nil, c.err
+	if err := c.Err(); err != nil {
+		return nil, fmt.Errorf("transfer: ledger snapshot: %w", err)
 	}
-	if c.remaining() != 0 {
+	if c.Remaining() != 0 {
 		return nil, errors.New("transfer: trailing bytes after ledger snapshot")
 	}
 	return l, nil
@@ -348,34 +294,35 @@ func (l *Ledger) ReplayJournal(journal []byte) int {
 	if binary.BigEndian.Uint64(journal[4:12]) != gen {
 		return 0
 	}
-	c := &cursor{data: journal, off: journalHeaderLen}
+	c := wire.NewCursor(journal)
+	c.Bytes(journalHeaderLen) // checked above
 	cb := int64(l.ChunkBytes)
 	applied := 0
-	for c.remaining() > 0 {
-		start := c.off
-		kind := c.byte()
-		file := c.uvarint()
+	for c.Remaining() > 0 {
+		start := c.Off()
+		kind := c.Byte()
+		file := c.Uvarint()
 		var lo, count uint64
 		var sum uint32
 		switch kind {
 		case jKindCommit:
-			lo = c.uvarint()
-			raw := c.bytes(4)
-			if c.err != nil {
+			lo = c.Uvarint()
+			raw := c.Bytes(4)
+			if c.Err() != nil {
 				return applied
 			}
 			sum = binary.BigEndian.Uint32(raw)
 		case jKindInvalidate:
-			lo = c.uvarint()
-			count = c.uvarint()
+			lo = c.Uvarint()
+			count = c.Uvarint()
 		default:
 			return applied
 		}
-		crcRaw := c.bytes(4)
-		if c.err != nil {
+		crcRaw := c.Bytes(4)
+		if c.Err() != nil {
 			return applied
 		}
-		if binary.BigEndian.Uint32(crcRaw) != wire.PayloadCRC(journal[start:c.off-4]) {
+		if binary.BigEndian.Uint32(crcRaw) != wire.PayloadCRC(journal[start:c.Off()-4]) {
 			return applied
 		}
 		if file > 1<<31 || lo > 1<<31 || count > 1<<31 {

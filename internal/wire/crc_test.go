@@ -83,43 +83,6 @@ func TestCombineCRCChunkFold(t *testing.T) {
 
 // The resumable-session handshake messages must survive the gob channel,
 // including ledger bitmaps and per-file sums.
-func TestControlChannelSessionMessages(t *testing.T) {
-	a, b := pipePair(t)
-	go func() {
-		a.Send(Message{Hello: &Hello{
-			ProtoVersion: ProtoVersion,
-			SessionID:    "sess-1",
-			Checksums:    true,
-			Files:        []FileInfo{{Name: "x", Size: 1 << 20}},
-			ChunkBytes:   64 << 10,
-		}})
-		a.Send(Message{Welcome: &Welcome{
-			ProtoVersion: ProtoVersion,
-			SessionID:    "sess-1",
-			ChunkBytes:   64 << 10,
-			Ledger: []FileState{{
-				FileID: 0, CommittedBytes: 128 << 10, Bitmap: []uint64{0b11},
-			}},
-		}})
-		a.Send(Message{FileSum: &FileSum{FileID: 0, CRC: 0xDEADBEEF}})
-	}()
-	m, err := b.Recv()
-	if err != nil || m.Hello == nil || m.Hello.SessionID != "sess-1" ||
-		m.Hello.ProtoVersion != ProtoVersion || !m.Hello.Checksums {
-		t.Fatalf("hello: %+v err=%v", m, err)
-	}
-	m, err = b.Recv()
-	if err != nil || m.Welcome == nil || len(m.Welcome.Ledger) != 1 ||
-		m.Welcome.Ledger[0].Bitmap[0] != 0b11 ||
-		m.Welcome.Ledger[0].CommittedBytes != 128<<10 {
-		t.Fatalf("welcome: %+v err=%v", m, err)
-	}
-	m, err = b.Recv()
-	if err != nil || m.FileSum == nil || m.FileSum.CRC != 0xDEADBEEF {
-		t.Fatalf("filesum: %+v err=%v", m, err)
-	}
-}
-
 // A checksummed frame written with a precomputed Sum must be identical to
 // one whose CRC the encoder derives itself, and reads must surface the
 // verified sum.

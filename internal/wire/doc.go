@@ -1,9 +1,11 @@
 // Package wire defines the on-the-wire protocol between the sender and
 // receiver DTN processes: a binary chunk framing for the parallel data
-// connections, and a gob-encoded control channel (the "RPC channel" of
-// §IV-D-1) carrying the session handshake, the receiver's
-// staging-buffer occupancy reports, and the sender's write-concurrency
-// commands.
+// connections, and a control channel (the "RPC channel" of §IV-D-1)
+// carrying the session handshake, the receiver's staging-buffer
+// occupancy reports, and the sender's write-concurrency commands. Each
+// control message is a tag byte, a uvarint body length and explicit
+// fields; Cursor is the one bounds-checked decoder behind it and behind
+// the persisted ledger in internal/transfer.
 //
 // There is one protocol generation (ProtoVersion): Hello → Welcome with
 // the receiver's chunk ledger and a DataToken → data connections that

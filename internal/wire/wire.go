@@ -3,7 +3,6 @@ package wire
 import (
 	"crypto/rand"
 	"encoding/binary"
-	"encoding/gob"
 	"encoding/hex"
 	"fmt"
 	"hash/crc32"
@@ -18,7 +17,7 @@ import (
 // LedgerPull on connection loss → one Status{Done} or Status{Error}.
 // Both ends carry it in the handshake and refuse any other value;
 // nothing negotiates down. docs/PROTOCOL.md specifies every message.
-const ProtoVersion = 4
+const ProtoVersion = 5
 
 // DataTokenBytes is the decoded length of a session's data-routing token
 // (Welcome.DataToken is its hex encoding).
@@ -408,28 +407,3 @@ type Message struct {
 	LedgerPull  *LedgerPull
 	LedgerState *LedgerState
 }
-
-// Conn wraps a control connection with gob encoding in both directions.
-type Conn struct {
-	enc *gob.Encoder
-	dec *gob.Decoder
-	c   io.Closer
-}
-
-// NewConn wraps rw as a control channel.
-func NewConn(rw io.ReadWriteCloser) *Conn {
-	return &Conn{enc: gob.NewEncoder(rw), dec: gob.NewDecoder(rw), c: rw}
-}
-
-// Send writes one control message.
-func (c *Conn) Send(m Message) error { return c.enc.Encode(&m) }
-
-// Recv reads the next control message.
-func (c *Conn) Recv() (Message, error) {
-	var m Message
-	err := c.dec.Decode(&m)
-	return m, err
-}
-
-// Close closes the underlying connection.
-func (c *Conn) Close() error { return c.c.Close() }

@@ -87,36 +87,6 @@ func TestOversizeFrameRejected(t *testing.T) {
 	}
 }
 
-func TestControlChannelMessages(t *testing.T) {
-	a, b := net.Pipe()
-	ca, cb := NewConn(a), NewConn(b)
-	defer ca.Close()
-	defer cb.Close()
-
-	go func() {
-		ca.Send(Message{Hello: &Hello{
-			Files:          []FileInfo{{Name: "x", Size: 10}},
-			ChunkBytes:     1024,
-			InitialWriters: 8,
-		}})
-		ca.Send(Message{SetWriters: &SetWriters{N: 5}})
-		ca.Send(Message{Status: &Status{CommittedBytes: 10, Done: true}})
-	}()
-
-	m1, err := cb.Recv()
-	if err != nil || m1.Hello == nil || m1.Hello.Files[0].Name != "x" {
-		t.Fatalf("hello: %+v err=%v", m1, err)
-	}
-	m2, err := cb.Recv()
-	if err != nil || m2.SetWriters == nil || m2.SetWriters.N != 5 {
-		t.Fatalf("setwriters: %+v err=%v", m2, err)
-	}
-	m3, err := cb.Recv()
-	if err != nil || m3.Status == nil || !m3.Status.Done {
-		t.Fatalf("status: %+v err=%v", m3, err)
-	}
-}
-
 func TestControlChannelBidirectional(t *testing.T) {
 	a, b := net.Pipe()
 	ca, cb := NewConn(a), NewConn(b)
