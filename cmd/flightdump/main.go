@@ -2,16 +2,17 @@
 // by `automdt-xfer send -flight`, `automdt-bench -flight`, or fetched
 // from a daemon's GET /v1/debug/flight.
 //
-//	flightdump trace.json            # per-source regret summary + top moments
+//	flightdump trace.json            # per-source summary + top moments
 //	flightdump -top 20 trace.json
 //	flightdump -source sched:arbiter trace.json
 //	flightdump -json trace.json      # filtered events back out as JSON
 //	curl -s localhost:8080/v1/debug/flight | flightdump -
 //
-// The per-source summary ranks controllers by cumulative counterfactual
-// regret; the moments view names the individual decisions that cost the
-// most, which is where "fleet P99 was bad" turns into "the arbiter
-// starved job 7".
+// The per-source summary ranks the sources with scored events (the
+// scheduler arbiter's admissions and rebalances) by cumulative regret
+// and lists every other source's event counts by kind; the moments view
+// names the individual scored decisions that cost the most, which is
+// where "fleet P99 was bad" turns into "the arbiter starved job 7".
 package main
 
 import (
@@ -27,7 +28,7 @@ import (
 func main() {
 	top := flag.Int("top", 10, "how many top-regret moments to show")
 	source := flag.String("source", "", "restrict to one source (e.g. sched:arbiter)")
-	kind := flag.String("kind", "", "restrict to one event kind (decision, admission, rebalance, cap)")
+	kind := flag.String("kind", "", "restrict to one event kind (decision, admission, rebalance, cap, replan, place, replace)")
 	asJSON := flag.Bool("json", false, "emit the filtered events as JSON instead of the report")
 	flag.Parse()
 	if flag.NArg() != 1 {

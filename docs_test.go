@@ -2,8 +2,10 @@ package automdt
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"sort"
 	"strings"
@@ -181,5 +183,86 @@ func TestDocsMetricGlossary(t *testing.T) {
 	}
 	if len(unemitted) > 0 {
 		t.Errorf("in the OPERATIONS.md glossary but never emitted: %v", unemitted)
+	}
+}
+
+// docKey matches a backquoted JSON key in a markdown table's first cell.
+var docKey = regexp.MustCompile("`([a-z_]+)`")
+
+// jsonKeys returns the JSON keys of a struct type, read from its tags.
+func jsonKeys(t reflect.Type) []string {
+	var keys []string
+	for i := 0; i < t.NumField(); i++ {
+		name, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ",")
+		if name != "" && name != "-" {
+			keys = append(keys, name)
+		}
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// TestDocsFlightSchema checks FLIGHT.md's "Event schema" section against
+// the trace the binaries emit: its first key table lists exactly the
+// JSON keys of flight.Event and its second exactly those of flight.Alt,
+// both ways, and its JSON example decodes into flight.Trace with no
+// unknown field.
+func TestDocsFlightSchema(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("docs", "FLIGHT.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(doc), "## Event schema")
+	if !ok {
+		t.Fatal("FLIGHT.md has no Event schema section")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+
+	// Tables are runs of "|" lines; the first two rows of each are the
+	// header and the separator.
+	var tables [][]string
+	inTable := false
+	for _, line := range strings.Split(section, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			inTable = false
+			continue
+		}
+		if !inTable {
+			tables = append(tables, nil)
+			inTable = true
+		}
+		tables[len(tables)-1] = append(tables[len(tables)-1], line)
+	}
+	types := []reflect.Type{reflect.TypeOf(flight.Event{}), reflect.TypeOf(flight.Alt{})}
+	if len(tables) != len(types) {
+		t.Fatalf("Event schema has %d key tables, want %d (Event, Alt)", len(tables), len(types))
+	}
+	for i, typ := range types {
+		var documented []string
+		for _, row := range tables[i][2:] {
+			first := strings.Split(row, "|")[1]
+			for _, m := range docKey.FindAllStringSubmatch(first, -1) {
+				documented = append(documented, m[1])
+			}
+		}
+		sort.Strings(documented)
+		if want := jsonKeys(typ); !reflect.DeepEqual(documented, want) {
+			t.Errorf("FLIGHT.md's %s table lists keys %v, the struct tags are %v", typ.Name(), documented, want)
+		}
+	}
+
+	_, example, ok := strings.Cut(section, "```json\n")
+	if !ok {
+		t.Fatal("Event schema has no JSON example")
+	}
+	example, _, _ = strings.Cut(example, "```")
+	dec := json.NewDecoder(strings.NewReader(example))
+	dec.DisallowUnknownFields()
+	var tr flight.Trace
+	if err := dec.Decode(&tr); err != nil {
+		t.Fatalf("FLIGHT.md's JSON example does not decode into flight.Trace: %v", err)
+	}
+	if len(tr.Events) == 0 {
+		t.Fatal("FLIGHT.md's JSON example has no events")
 	}
 }

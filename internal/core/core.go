@@ -182,29 +182,6 @@ func (c *agentController) Decide(st env.State) env.Action {
 	return c.agent.ActVec(vec, c.maxThreads)
 }
 
-// ScoredAlternatives implements env.AlternativeScorer: the policy mean —
-// what a fully annealed agent would have done — plus holding the current
-// tuple. For a sampling controller the gap between sample and mean is
-// the exploration noise the flight recorder's regret makes visible; a
-// deterministic controller contributes only the hold candidate.
-func (c *agentController) ScoredAlternatives(st env.State) []env.ScoredAction {
-	k := env.DefaultK
-	out := []env.ScoredAction{{
-		Action: env.Action{N: st.N},
-		Score:  env.Utility(st.Throughput, env.Action{N: st.N}, k),
-		Label:  "hold",
-	}}
-	if !c.deterministic {
-		mean := c.agent.ActMean(st.Vector(c.maxThreads, c.rateScale, c.bufScale), c.maxThreads)
-		out = append(out, env.ScoredAction{
-			Action: mean,
-			Score:  env.Utility(st.Throughput, mean, k),
-			Label:  "mean",
-		})
-	}
-	return out
-}
-
 // FineTune continues PPO training online against e for the given number
 // of episodes (the §V-C experiment; the paper found ≈1% concurrency
 // improvement and excluded it from the final design).

@@ -73,7 +73,7 @@ func (st *SimTransfer) Run() *SimTransferResult {
 	if controller != nil && flight.Active() {
 		// Simulated runs trace like live ones, under a "sim:" source so a
 		// dump distinguishes rehearsal decisions from production ones.
-		controller = flight.WrapController(controller, flight.Default(), "sim:"+controller.Name(), env.DefaultK, 0)
+		controller = flight.WrapController(controller, flight.Default(), "sim:"+controller.Name())
 	}
 
 	s := sim.New(st.Cfg)

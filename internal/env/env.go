@@ -196,30 +196,6 @@ type Controller interface {
 	Decide(State) Action
 }
 
-// ScoredAction is one candidate action with the score its controller
-// assigned when weighing it — the currency of the decision flight
-// recorder's counterfactual-regret accounting. Scores need only be
-// comparable within one Decide call; the label names the candidate's
-// role ("hold", "reverse:conns", "mean").
-type ScoredAction struct {
-	Action Action
-	Score  float64
-	Label  string
-}
-
-// AlternativeScorer is an optional Controller extension. Controllers
-// that internally weigh several candidate moves (Marlin's per-stage
-// directions, JointGD's probes, the policy's mean vs. sampled action)
-// expose them here so the flight recorder can log what the controller
-// actually considered instead of reconstructing generic neighbors. The
-// returned slice includes the chosen action (matching the last Decide
-// for the same state) among its candidates.
-type AlternativeScorer interface {
-	// ScoredAlternatives returns the candidates weighed for state s,
-	// each scored by the controller's own objective.
-	ScoredAlternatives(s State) []ScoredAction
-}
-
 // Environment is the PPO-facing interface (E in Algorithm 2).
 type Environment interface {
 	// Reset starts a new episode and returns the initial state.

@@ -10,24 +10,27 @@ import (
 	"automdt/internal/metrics"
 )
 
-// SourceSummary is one source's regret profile over a trace.
+// SourceSummary is one source's profile over a trace: its event counts
+// and, over its scored events only (admissions and rebalances), its
+// regret.
 type SourceSummary struct {
 	Source string
 	// Kinds counts events by kind.
 	Kinds map[string]int
-	// Regret summarizes the per-decision regret distribution (N, mean,
-	// P50/P95/P99, max).
+	// Regret summarizes the per-decision regret distribution of the
+	// scored events (N, mean, P50/P95/P99, max); N is 0 for a source
+	// that records only unscored kinds.
 	Regret metrics.Summary
 	// CumRegret is the final cumulative regret of the source's trace.
 	CumRegret float64
-	// ZeroRegret is the fraction of decisions whose regret was 0 — ticks
-	// where no scored alternative beat the chosen action.
+	// ZeroRegret is the fraction of scored decisions whose regret was 0 —
+	// ones where no alternative beat the chosen action.
 	ZeroRegret float64
 }
 
 // Summarize groups a trace's events by source and computes each source's
-// regret profile, sorted by descending cumulative regret so the most
-// regretful controller leads the report.
+// regret profile over its scored events, sorted by descending cumulative
+// regret so the most regretful decider leads the report.
 func Summarize(events []Event) []SourceSummary {
 	bySource := make(map[string]*SourceSummary)
 	regrets := make(map[string][]float64)
@@ -40,6 +43,9 @@ func Summarize(events []Event) []SourceSummary {
 			order = append(order, ev.Source)
 		}
 		s.Kinds[ev.Kind]++
+		if !scored(ev.Kind) {
+			continue
+		}
 		regrets[ev.Source] = append(regrets[ev.Source], ev.Regret)
 		if ev.CumRegret > s.CumRegret {
 			s.CumRegret = ev.CumRegret
@@ -65,10 +71,16 @@ func Summarize(events []Event) []SourceSummary {
 	return out
 }
 
-// TopRegret returns the n highest-regret events of a trace, descending —
-// the "moments" view: which specific decisions cost the most.
+// TopRegret returns the n highest-regret scored events of a trace,
+// descending — the "moments" view: which specific decisions cost the
+// most.
 func TopRegret(events []Event, n int) []Event {
-	top := append([]Event(nil), events...)
+	var top []Event
+	for _, ev := range events {
+		if scored(ev.Kind) {
+			top = append(top, ev)
+		}
+	}
 	sort.SliceStable(top, func(i, j int) bool { return top[i].Regret > top[j].Regret })
 	if len(top) > n {
 		top = top[:n]
@@ -76,8 +88,9 @@ func TopRegret(events []Event, n int) []Event {
 	return top
 }
 
-// Render formats a trace as the flightdump report: one regret-summary
-// block per source plus the topN highest-regret moments.
+// Render formats a trace as the flightdump report: a regret summary per
+// source with scored events, event counts by kind for every other
+// source, plus the topN highest-regret moments.
 func Render(t Trace, topN int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "flight trace: %d events, %d sources, recorder enabled=%v\n",
@@ -87,16 +100,21 @@ func Render(t Trace, topN int) string {
 		b.WriteString("no events recorded (was the recorder enabled during the run?)\n")
 		return b.String()
 	}
-	b.WriteString("\nper-source regret:\n")
+	var regret, counts strings.Builder
 	for _, s := range sums {
-		kinds := make([]string, 0, len(s.Kinds))
-		for k, n := range s.Kinds {
-			kinds = append(kinds, fmt.Sprintf("%s=%d", k, n))
+		if s.Regret.N == 0 {
+			fmt.Fprintf(&counts, "  %-32s %s\n", s.Source, kindCounts(s.Kinds))
+			continue
 		}
-		sort.Strings(kinds)
-		fmt.Fprintf(&b, "  %-32s events=%-6d cum=%-10.3f mean=%-8.4f p95=%-8.4f p99=%-8.4f max=%-8.4f zero=%.0f%%  (%s)\n",
+		fmt.Fprintf(&regret, "  %-32s events=%-6d cum=%-10.3f mean=%-8.4f p95=%-8.4f p99=%-8.4f max=%-8.4f zero=%.0f%%  (%s)\n",
 			s.Source, s.Regret.N, s.CumRegret, s.Regret.Mean, s.Regret.P95,
-			s.Regret.P99, s.Regret.Max, 100*s.ZeroRegret, strings.Join(kinds, " "))
+			s.Regret.P99, s.Regret.Max, 100*s.ZeroRegret, kindCounts(s.Kinds))
+	}
+	if regret.Len() > 0 {
+		b.WriteString("\nper-source regret:\n" + regret.String())
+	}
+	if counts.Len() > 0 {
+		b.WriteString("\nunscored sources (events by kind):\n" + counts.String())
 	}
 	if topN > 0 {
 		b.WriteString("\ntop-regret moments:\n")
@@ -117,6 +135,15 @@ func Render(t Trace, topN int) string {
 		}
 	}
 	return b.String()
+}
+
+func kindCounts(kinds map[string]int) string {
+	out := make([]string, 0, len(kinds))
+	for k, n := range kinds {
+		out = append(out, fmt.Sprintf("%s=%d", k, n))
+	}
+	sort.Strings(out)
+	return strings.Join(out, " ")
 }
 
 func chosenLabel(a Alt) string {

@@ -1,56 +1,33 @@
 package flight
 
 import (
-	"sort"
 	"time"
 
 	"automdt/internal/env"
 )
 
-// DefaultTopK is how many unchosen alternatives a decision event keeps.
-const DefaultTopK = 3
-
 // instrumented wraps an env.Controller so every Decide tick emits a
-// decision event: the chosen tuple, the top-K alternatives with their
-// counterfactual scores, and the regret against the best unchosen
-// candidate. It is installed only when the recorder is active (the
-// Active check happens once at wrap time, not per tick), so an idle
-// recorder costs the engine nothing.
+// decision event: the observed state and the chosen tuple. It records
+// what happened and scores nothing: a controller's objective is the
+// utility realised on the next interval, which no tick can know. It is
+// installed only when the recorder is active (the Active check happens
+// once at wrap time, not per tick), so an idle recorder costs the engine
+// nothing.
 type instrumented struct {
 	inner  env.Controller
 	rec    *Recorder
 	source string
-	k      float64
-	topK   int
-
-	cum float64 // cumulative regret across this source's trace
-	now func() time.Time
 }
 
 // WrapController returns inner instrumented to record each decision into
-// rec under the given source. k is the utility penalty base (DefaultK if
-// <= 0) used to score counterfactual candidates; topK bounds the
-// alternatives kept per event (DefaultTopK if <= 0).
-//
-// If the source already has trace events — a resumed attempt of the same
-// session appends to the same ring — the wrapper continues the prior
-// attempt's cumulative regret instead of starting from zero, which is
-// what makes a multi-attempt session read as one episode.
-func WrapController(inner env.Controller, rec *Recorder, source string, k float64, topK int) env.Controller {
+// rec under the given source. A resumed attempt of the same session
+// wraps under the same source, so its events continue the prior
+// attempt's seq numbering in one ring.
+func WrapController(inner env.Controller, rec *Recorder, source string) env.Controller {
 	if inner == nil || rec == nil {
 		return inner
 	}
-	if k <= 0 {
-		k = env.DefaultK
-	}
-	if topK <= 0 {
-		topK = DefaultTopK
-	}
-	w := &instrumented{inner: inner, rec: rec, source: source, k: k, topK: topK, now: time.Now}
-	if last, ok := rec.Last(source); ok {
-		w.cum = last.CumRegret
-	}
-	return w
+	return &instrumented{inner: inner, rec: rec, source: source}
 }
 
 // Name implements env.Controller, passing the inner name through so
@@ -63,82 +40,14 @@ func (w *instrumented) Decide(s env.State) env.Action {
 	if !w.rec.Active() {
 		return chosen
 	}
-
-	cands := w.candidates(s, chosen)
-	chosenScore := Utility(s, chosen, w.k)
-	best := chosenScore
-	alts := make([]Alt, 0, len(cands))
-	for _, c := range cands {
-		if c.Action.N == chosen.N {
-			// The chosen action may appear among the self-reported
-			// candidates under the controller's own score; keep the
-			// counterfactual score for regret consistency.
-			continue
-		}
-		alts = append(alts, Alt{N: c.Action.N, Score: c.Score, Label: c.Label})
-		if c.Score > best {
-			best = c.Score
-		}
-	}
-	sort.SliceStable(alts, func(i, j int) bool { return alts[i].Score > alts[j].Score })
-	if len(alts) > w.topK {
-		alts = alts[:w.topK]
-	}
-	regret := best - chosenScore
-	if regret < 0 {
-		regret = 0
-	}
-	w.cum += regret
 	w.rec.Record(Event{
-		UnixNano:   w.now().UnixNano(),
+		UnixNano:   time.Now().UnixNano(),
 		Source:     w.source,
 		Kind:       KindDecision,
 		N:          s.N,
 		Throughput: s.Throughput,
-		Chosen:     Alt{N: chosen.N, Score: chosenScore},
-		Alts:       alts,
-		Regret:     regret,
-		CumRegret:  w.cum,
+		Chosen:     Alt{N: chosen.N},
 		Note:       w.inner.Name(),
 	})
 	return chosen
-}
-
-// candidates collects the alternatives to score against the chosen
-// action. Controllers that implement env.AlternativeScorer report the
-// moves they actually weighed, rescored counterfactually so every
-// candidate in one event shares a scale; everything else gets generic
-// neighbors — hold, plus ±1 on each dimension — scored by the same one-step
-// counterfactual utility.
-func (w *instrumented) candidates(s env.State, chosen env.Action) []env.ScoredAction {
-	if as, ok := w.inner.(env.AlternativeScorer); ok {
-		if cands := as.ScoredAlternatives(s); len(cands) > 0 {
-			for i := range cands {
-				cands[i].Score = Utility(s, cands[i].Action, w.k)
-			}
-			return cands
-		}
-	}
-	cands := make([]env.ScoredAction, 0, 2*int(env.StageCount)+1)
-	add := func(t [env.StageCount]int, label string) {
-		for i := range t {
-			if t[i] < 1 {
-				return
-			}
-		}
-		cands = append(cands, env.ScoredAction{
-			Action: env.Action{N: t},
-			Score:  Utility(s, env.Action{N: t}, w.k),
-			Label:  label,
-		})
-	}
-	add(s.N, "hold")
-	for i := env.Stage(0); i < env.StageCount; i++ {
-		up, down := chosen.N, chosen.N
-		up[i]++
-		down[i]--
-		add(up, i.String()+"+1")
-		add(down, i.String()+"-1")
-	}
-	return cands
 }

@@ -1,17 +1,17 @@
 // Package flight is the decision flight recorder: a lock-cheap,
 // ring-buffered structured event log of every decision the transfer
-// system makes, with the alternatives each decision scored and a
-// counterfactual regret metric, plus per-stage latency histograms at the
-// pipeline seams.
+// system makes, plus per-stage latency histograms at the pipeline seams.
 //
 // Two event families flow through one Recorder:
 //
 //   - Decision events. Every env.Controller tick (marlin, joint-gd,
-//     static, the trained AutoMDT policy), every scheduler admission and
-//     rebalance, and every budget-cap clamp records the chosen action,
-//     the top-K alternatives with their counterfactual scores, and the
-//     regret (best unchosen score minus chosen score). "Fleet P99 was
-//     bad" becomes "the arbiter starved job 7 at tick 5000".
+//     static, the trained AutoMDT policy) records the observed state and
+//     the chosen tuple; every budget-cap clamp records the wanted and the
+//     granted tuple; the fleet records placements. Only the scheduler
+//     arbiter's admissions and rebalances, whose objective is known,
+//     carry scored alternatives and a regret (best unchosen score minus
+//     chosen score). "Fleet P99 was bad" becomes "the arbiter starved
+//     job 7 at tick 5000".
 //
 //   - Stage spans. The read/net/write stage seams in internal/transfer
 //     and the queue wait in internal/sched time their per-chunk service
@@ -23,13 +23,9 @@
 // is read, or any lock is taken. Rings are per source, so concurrent
 // writers (one per live session plus the scheduler) rarely contend, and
 // a full ring overwrites its oldest events rather than blocking or
-// growing.
-//
-// Ring tails double as the substrate for controller warm start on
-// resume: a retried attempt of the same session appends to the same ring
-// (sources are keyed by session), so the new attempt's wrapper continues
-// the previous attempt's cumulative regret and the offline trainer
-// (internal/rl) can fold the whole multi-attempt trace into one episode.
+// growing. Controller sources are keyed by session, so a retried attempt
+// appends to the same ring and a multi-attempt session reads as one
+// sequence.
 package flight
 
 import (
@@ -65,17 +61,25 @@ const (
 	KindReplace = "replace"
 )
 
-// Alt is one scored candidate action. For controller decisions the score
-// is the counterfactual utility U = Σ tᵢ/k^{nᵢ} of holding the observed
-// per-stage throughput at the candidate concurrency; for arbiter events
-// it is the weighted proportional-fairness objective of the candidate
-// allocation.
+// scored reports whether events of a kind carry scores and a regret:
+// only the arbiter's admissions and rebalances, whose objective is
+// known. A zero score or regret is omitted from the JSON, so on these
+// kinds an absent "regret" means zero; on every other kind it means
+// unscored.
+func scored(kind string) bool { return kind == KindAdmission || kind == KindRebalance }
+
+// Alt is one candidate action. On the scored kinds, admission and
+// rebalance, the score is the arbiter's objective for the candidate:
+// job priority for an admission, weighted proportional fairness for a
+// rebalance. Other kinds score nothing, with two markers: a replan's
+// chosen score is the bytes it re-sends, and a replace marks its dead
+// victim −1. A zero score is omitted from the JSON.
 type Alt struct {
 	// N is the candidate concurrency tuple (decision/cap events), one
 	// value per env.Stage dimension ⟨read, conns, streams, write⟩.
 	N [env.StageCount]int `json:"threads"`
-	// Score is the candidate's counterfactual score (higher is better).
-	Score float64 `json:"score"`
+	// Score is the candidate's score (higher is better).
+	Score float64 `json:"score,omitempty"`
 	// Label names non-tuple candidates (arbiter allocation policies).
 	Label string `json:"label,omitempty"`
 }
@@ -97,17 +101,18 @@ type Event struct {
 	// by env.Stage ⟨read, conns, streams, write⟩.
 	N          [env.StageCount]int `json:"state_threads,omitempty"`
 	Throughput env.StageVec        `json:"state_throughput,omitempty"`
-	// Chosen is the action taken, with its counterfactual score.
+	// Chosen is the action taken, with its score on scored kinds.
 	Chosen Alt `json:"chosen"`
-	// Alts are the top-K unchosen alternatives, best first.
+	// Alts are the unchosen alternatives: a rebalance's rejected
+	// policies, an admission's queued jobs (best first), the uncapped
+	// tuple on a cap event, the victim on a replace.
 	Alts []Alt `json:"alts,omitempty"`
-	// Regret is max(0, best unchosen score − chosen score): how much
-	// better the best alternative looked under the same counterfactual
-	// scoring.
-	Regret float64 `json:"regret"`
-	// CumRegret is the source's regret accumulated over its whole trace
-	// (continued across resumed attempts of the same session).
-	CumRegret float64 `json:"cum_regret"`
+	// Regret is max(0, best unchosen score − chosen score) on scored
+	// kinds: how much better the best alternative was by the arbiter's
+	// own objective.
+	Regret float64 `json:"regret,omitempty"`
+	// CumRegret is the source's regret accumulated over its whole trace.
+	CumRegret float64 `json:"cum_regret,omitempty"`
 	// Note carries decision-specific context (job ids, queue wait,
 	// allocation summaries).
 	Note string `json:"note,omitempty"`
@@ -153,16 +158,6 @@ func (r *ring) events(since uint64) []Event {
 		out = append(out, r.buf[int((seq-1)%uint64(cap(r.buf)))])
 	}
 	return out
-}
-
-// last returns the most recent event, if any.
-func (r *ring) last() (Event, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.buf) == 0 {
-		return Event{}, false
-	}
-	return r.buf[int((r.next-1)%uint64(cap(r.buf)))], true
 }
 
 // DefaultCapacity is the per-source ring capacity used when Enable is
@@ -275,9 +270,7 @@ func (r *Recorder) Dump(source string, since uint64) []Event {
 }
 
 // Tail returns the last n events of a source (fewer if the ring holds
-// fewer). n <= 0 returns nil. This is the resume warm-start read path: a
-// retried session's controller seeds itself from the prior attempt's
-// trace tail.
+// fewer). n <= 0 returns nil.
 func (r *Recorder) Tail(source string, n int) []Event {
 	if n <= 0 {
 		return nil
@@ -293,17 +286,6 @@ func (r *Recorder) Tail(source string, n int) []Event {
 		evs = evs[len(evs)-n:]
 	}
 	return evs
-}
-
-// Last returns a source's most recent event.
-func (r *Recorder) Last(source string) (Event, bool) {
-	r.mu.RLock()
-	rg := r.sources[source]
-	r.mu.RUnlock()
-	if rg == nil {
-		return Event{}, false
-	}
-	return rg.last()
 }
 
 // Reset drops every recorded event and zeroes the stage histograms and
@@ -385,15 +367,3 @@ func Active() bool { return defaultRecorder.Active() }
 
 // Record appends to the process-wide recorder.
 func Record(ev Event) { defaultRecorder.Record(ev) }
-
-// Utility is the counterfactual score shared by decision instrumentation:
-// the paper's U = Σ tᵢ/k^{nᵢ} evaluated at the observed throughput and a
-// candidate concurrency. Holding throughput fixed is the one-step
-// counterfactual: "had we run candidate n instead, same flow, what would
-// the utility have been".
-func Utility(s env.State, a env.Action, k float64) float64 {
-	if k <= 0 {
-		k = env.DefaultK
-	}
-	return env.Utility(s.Throughput, a, k)
-}

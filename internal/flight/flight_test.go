@@ -1,8 +1,8 @@
 package flight
 
 import (
+	"encoding/json"
 	"fmt"
-	"math"
 	"strings"
 	"testing"
 
@@ -102,9 +102,6 @@ func TestTailReturnsLastN(t *testing.T) {
 	if got := r.Tail("nope", 3); got != nil {
 		t.Fatalf("Tail unknown source = %v", got)
 	}
-	if last, ok := r.Last("s"); !ok || last.CumRegret != 5 {
-		t.Fatalf("Last = %+v ok=%v", last, ok)
-	}
 }
 
 func TestResetClearsEventsKeepsEnabled(t *testing.T) {
@@ -188,141 +185,96 @@ type scripted struct {
 func (s scripted) Name() string                { return "scripted" }
 func (s scripted) Decide(env.State) env.Action { return s.act }
 
-// scriptedScorer additionally self-reports scored alternatives, like the
-// real controllers' AlternativeScorer implementations.
-type scriptedScorer struct {
-	scripted
-	alts []env.ScoredAction
-}
-
-func (s scriptedScorer) ScoredAlternatives(env.State) []env.ScoredAction { return s.alts }
-
-func TestWrapControllerRegretHandScored(t *testing.T) {
-	// Observed flow: 10 Mbps per stage at ⟨2,2,2⟩. The controller jumps to
-	// ⟨4,4,4⟩. Candidates are the hold ⟨2,2,2⟩ plus each ±1 neighbor of the
-	// chosen tuple; with throughput held fixed, utility decreases in
-	// concurrency, so the best alternative is the hold and the regret is
-	// the hand-computed utility gap U(2,2,2) − U(4,4,4).
+// TestWrapControllerRecordsStateAndChoice: a decision event is a plain
+// record of what happened — the observed state, the chosen tuple and the
+// controller's name — with no score and no regret, and a second wrapper
+// on the same source (a resumed attempt of the same session) continues
+// the source's seq numbering.
+func TestWrapControllerRecordsStateAndChoice(t *testing.T) {
 	r := newEnabled(8)
 	state := env.State{N: [env.StageCount]int{2, 2, 2, 2}, Throughput: env.StageVec{10, 10, 10, 10}}
 	chosen := env.ActionOf(4, 4, 4, 4)
-	w := WrapController(scripted{act: chosen}, r, "t", env.DefaultK, 3)
-	if got := w.Decide(state); got != chosen {
-		t.Fatalf("wrapper changed the decision: %v", got)
-	}
-	evs := r.Dump("t", 0)
-	if len(evs) != 1 {
-		t.Fatalf("%d events, want 1", len(evs))
-	}
-	ev := evs[0]
-	u := func(a env.Action) float64 { return env.Utility(state.Throughput, a, env.DefaultK) }
-	wantRegret := u(env.ActionOf(2, 2, 2, 2)) - u(chosen)
-	if math.Abs(ev.Regret-wantRegret) > 1e-12 {
-		t.Fatalf("regret=%.9f, want %.9f", ev.Regret, wantRegret)
-	}
-	if math.Abs(ev.Chosen.Score-u(chosen)) > 1e-12 {
-		t.Fatalf("chosen score=%.9f, want %.9f", ev.Chosen.Score, u(chosen))
-	}
-	if ev.Kind != KindDecision || ev.Source != "t" || ev.Note != "scripted" {
-		t.Fatalf("event metadata: %+v", ev)
-	}
-	if ev.N != state.N || ev.Throughput != state.Throughput {
-		t.Fatalf("event state: %+v", ev)
-	}
-	if len(ev.Alts) != 3 {
-		t.Fatalf("kept %d alts, want topK=3", len(ev.Alts))
-	}
-	if ev.Alts[0].N != [env.StageCount]int{2, 2, 2, 2} {
-		t.Fatalf("best alt=%v, want hold [2 2 2 2]", ev.Alts[0].N)
-	}
-	for i := 1; i < len(ev.Alts); i++ {
-		if ev.Alts[i].Score > ev.Alts[i-1].Score {
-			t.Fatal("alternatives not sorted by descending score")
+	w := WrapController(scripted{act: chosen}, r, "sess")
+	for i := 0; i < 2; i++ {
+		if got := w.Decide(state); got != chosen {
+			t.Fatalf("wrapper changed the decision: %v", got)
 		}
 	}
-	if ev.CumRegret != ev.Regret {
-		t.Fatalf("first-event CumRegret=%v, want regret %v", ev.CumRegret, ev.Regret)
-	}
-}
+	WrapController(scripted{act: chosen}, r, "sess").Decide(state)
 
-func TestWrapControllerZeroRegretWhenChosenIsBest(t *testing.T) {
-	// Holding at minimal concurrency: every candidate scores lower, so the
-	// regret clamps to zero rather than going negative.
-	r := newEnabled(8)
-	state := env.State{N: [env.StageCount]int{1, 1, 1, 1}, Throughput: env.StageVec{5, 5, 5, 5}}
-	w := WrapController(scripted{act: env.ActionOf(1, 1, 1, 1)}, r, "t", 0, 0)
-	w.Decide(state)
-	ev := r.Dump("t", 0)[0]
-	if ev.Regret != 0 {
-		t.Fatalf("regret=%v, want 0", ev.Regret)
-	}
-}
-
-func TestWrapControllerUsesSelfReportedAlternatives(t *testing.T) {
-	r := newEnabled(8)
-	state := env.State{N: [env.StageCount]int{3, 3, 3, 3}, Throughput: env.StageVec{10, 10, 10, 10}}
-	chosen := env.ActionOf(4, 4, 4, 4)
-	alt := env.ActionOf(2, 2, 2, 2)
-	w := WrapController(scriptedScorer{
-		scripted: scripted{act: chosen},
-		alts: []env.ScoredAction{
-			{Action: chosen, Score: 99, Label: "chosen"},
-			{Action: alt, Score: -1, Label: "reverse"},
-		},
-	}, r, "t", env.DefaultK, 3)
-	w.Decide(state)
-	ev := r.Dump("t", 0)[0]
-	if len(ev.Alts) != 1 || ev.Alts[0].Label != "reverse" {
-		t.Fatalf("alts=%+v, want only the self-reported non-chosen candidate", ev.Alts)
-	}
-	// Self-reported scores are rescored counterfactually so every event
-	// shares one scale: regret = U(alt) − U(chosen) at observed
-	// throughput, not the controller's internal −1 vs 99.
-	u := func(a env.Action) float64 { return env.Utility(state.Throughput, a, env.DefaultK) }
-	want := u(alt) - u(chosen)
-	if math.Abs(ev.Regret-want) > 1e-12 {
-		t.Fatalf("regret=%.9f, want %.9f", ev.Regret, want)
-	}
-}
-
-func TestWrapControllerCumulativeAndWarmStart(t *testing.T) {
-	r := newEnabled(8)
-	state := env.State{N: [env.StageCount]int{1, 1, 1, 1}, Throughput: env.StageVec{10, 10, 10, 10}}
-	w := WrapController(scripted{act: env.ActionOf(3, 3, 3, 3)}, r, "sess", env.DefaultK, 3)
-	w.Decide(state)
-	w.Decide(state)
 	evs := r.Dump("sess", 0)
-	if evs[0].Regret == 0 || evs[1].CumRegret <= evs[0].CumRegret {
-		t.Fatalf("cumulative regret not accumulating: %+v", evs)
+	if len(evs) != 3 {
+		t.Fatalf("%d events, want 3", len(evs))
 	}
-	// A second wrapper on the same source — a resumed attempt of the same
-	// session — continues the cumulative series instead of restarting it.
-	w2 := WrapController(scripted{act: env.ActionOf(3, 3, 3, 3)}, r, "sess", env.DefaultK, 3)
-	w2.Decide(state)
-	evs = r.Dump("sess", 0)
-	last := evs[len(evs)-1]
-	if last.CumRegret <= evs[1].CumRegret {
-		t.Fatalf("warm start lost cumulative regret: %+v then %+v", evs[1], last)
+	for i, ev := range evs {
+		if ev.Seq != uint64(i+1) {
+			t.Fatalf("event %d: Seq=%d, want %d (the re-wrapped source continues)", i, ev.Seq, i+1)
+		}
+		if ev.Kind != KindDecision || ev.Source != "sess" || ev.Note != "scripted" {
+			t.Fatalf("event metadata: %+v", ev)
+		}
+		if ev.N != state.N || ev.Throughput != state.Throughput || ev.Chosen.N != chosen.N {
+			t.Fatalf("event state/choice: %+v", ev)
+		}
+		if ev.Chosen.Score != 0 || len(ev.Alts) != 0 || ev.Regret != 0 || ev.CumRegret != 0 {
+			t.Fatalf("decision event carries a score or regret: %+v", ev)
+		}
+		raw, err := json.Marshal(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, key := range []string{`"score"`, `"regret"`, `"cum_regret"`, `"alts"`} {
+			if strings.Contains(string(raw), key) {
+				t.Fatalf("decision JSON has %s: %s", key, raw)
+			}
+		}
+	}
+}
+
+// TestSummarizeScoresOnlyScoredKinds: regret statistics cover the
+// arbiter's scored kinds only, so an unscored source is reported by its
+// event counts and never as a zero-regret decider.
+func TestSummarizeScoresOnlyScoredKinds(t *testing.T) {
+	events := []Event{
+		{Source: "ctrl:s", Kind: KindDecision},
+		{Source: "ctrl:s", Kind: KindDecision},
+		{Source: "sched:cap", Kind: KindCap},
+		{Source: "sched:arbiter", Kind: KindAdmission, Regret: 2, CumRegret: 2},
+		{Source: "sched:arbiter", Kind: KindRebalance, CumRegret: 2},
+	}
+	sums := Summarize(events)
+	if len(sums) != 3 || sums[0].Source != "sched:arbiter" {
+		t.Fatalf("summaries: %+v", sums)
+	}
+	for _, s := range sums {
+		want := 0
+		if s.Source == "sched:arbiter" {
+			want = 2
+		}
+		if s.Regret.N != want {
+			t.Fatalf("%s: regret over %d events, want %d", s.Source, s.Regret.N, want)
+		}
+	}
+	if sums[0].ZeroRegret != 0.5 || sums[0].CumRegret != 2 {
+		t.Fatalf("arbiter summary: %+v", sums[0])
+	}
+	report := Render(Trace{Events: events}, 5)
+	regret, unscored, ok := strings.Cut(report, "unscored sources")
+	if !ok || !strings.Contains(regret, "per-source regret:") || !strings.Contains(regret, "sched:arbiter") ||
+		strings.Contains(regret, "ctrl:s") || !strings.Contains(unscored, "ctrl:s") ||
+		!strings.Contains(unscored, "decision=2") || !strings.Contains(unscored, "cap=1") {
+		t.Fatalf("report does not split scored from unscored sources:\n%s", report)
 	}
 }
 
 func TestWrapControllerInactiveRecorderRecordsNothing(t *testing.T) {
 	r := NewRecorder() // never enabled
-	w := WrapController(scripted{act: env.ActionOf(2, 2, 2, 2)}, r, "t", 0, 0)
+	w := WrapController(scripted{act: env.ActionOf(2, 2, 2, 2)}, r, "t")
 	w.Decide(env.State{N: [env.StageCount]int{1, 1, 1, 1}})
 	if evs := r.Dump("", 0); len(evs) != 0 {
 		t.Fatalf("inactive recorder got %d events", len(evs))
 	}
 	if w.Name() != "scripted" {
 		t.Fatalf("wrapper name=%q", w.Name())
-	}
-}
-
-func TestUtilityFallsBackToDefaultK(t *testing.T) {
-	s := env.State{Throughput: env.StageVec{10, 10, 10, 10}}
-	got := Utility(s, env.ActionOf(1, 1, 1, 1), 0)
-	want := env.Utility(s.Throughput, env.ActionOf(1, 1, 1, 1), env.DefaultK)
-	if got != want {
-		t.Fatalf("Utility(k=0)=%v, want DefaultK value %v", got, want)
 	}
 }

@@ -30,7 +30,7 @@ func TestRecorderConcurrentStress(t *testing.T) {
 			if i%2 == 0 {
 				src = "private-" + string(rune('a'+i))
 			}
-			w := WrapController(scripted{act: env.ActionOf(2, 2, 2, 2)}, r, "ctrl-"+src, env.DefaultK, 2)
+			w := WrapController(scripted{act: env.ActionOf(2, 2, 2, 2)}, r, "ctrl-"+src)
 			st := env.State{N: [env.StageCount]int{1, 1, 1, 1}, Throughput: env.ThroughputVec(10, 5, 7)}
 			for n := 0; n < iters; n++ {
 				r.Record(Event{Source: src, Kind: KindDecision, Regret: float64(n)})
@@ -56,7 +56,6 @@ func TestRecorderConcurrentStress(t *testing.T) {
 				}
 			}
 			r.Tail("shared", 4)
-			r.Last("shared")
 			r.MetricsSnapshot()
 			if n%100 == 50 {
 				r.Reset()

@@ -88,36 +88,6 @@ func (j *JointGD) Decide(s env.State) env.Action {
 	return a.Clamp(1 << 30)
 }
 
-// ScoredAlternatives implements env.AlternativeScorer: holding steady,
-// and probing the current coordinate in the opposite direction — the two
-// moves the finite-difference step implicitly rejected. Call after
-// Decide for the same state; coord and dir reflect the probe just taken.
-func (j *JointGD) ScoredAlternatives(s env.State) []env.ScoredAction {
-	k := j.K
-	if k <= 0 {
-		k = env.DefaultK
-	}
-	out := []env.ScoredAction{{
-		Action: env.Action{N: s.N},
-		Score:  env.Utility(s.Throughput, env.Action{N: s.N}, k),
-		Label:  "hold",
-	}}
-	if j.haveObs {
-		if d := int(math.Round(j.step)); d > 0 {
-			t := s.N
-			t[j.coord] -= j.dir[j.coord] * d
-			if t[j.coord] >= 1 {
-				out = append(out, env.ScoredAction{
-					Action: env.Action{N: t},
-					Score:  env.Utility(s.Throughput, env.Action{N: t}, k),
-					Label:  "probe-reverse",
-				})
-			}
-		}
-	}
-	return out
-}
-
 func sign(n int) int {
 	if n < 0 {
 		return -1

@@ -150,38 +150,6 @@ func (o *Optimizer) Decide(s env.State) env.Action {
 	return a.Clamp(1 << 30) // engine clamps to its own MaxThreads
 }
 
-// ScoredAlternatives implements env.AlternativeScorer: the counter-moves
-// each hill climber weighed against its chosen direction — holding the
-// current tuple, and reversing any dimension's current direction — scored
-// by the same utility the climbers maximize. Call after Decide for the
-// same state; the directions reflect the latest gradient estimates.
-func (o *Optimizer) ScoredAlternatives(s env.State) []env.ScoredAction {
-	k := o.k()
-	out := make([]env.ScoredAction, 0, int(env.StageCount)+1)
-	out = append(out, env.ScoredAction{
-		Action: env.Action{N: s.N},
-		Score:  env.Utility(s.Throughput, env.Action{N: s.N}, k),
-		Label:  "hold",
-	})
-	for i := env.Stage(0); i < env.StageCount; i++ {
-		st := o.stages[i]
-		if !st.haveObs || st.dir == 0 || st.step == 0 {
-			continue
-		}
-		t := s.N
-		t[i] -= st.dir * st.step
-		if t[i] < 1 {
-			continue
-		}
-		out = append(out, env.ScoredAction{
-			Action: env.Action{N: t},
-			Score:  env.Utility(s.Throughput, env.Action{N: t}, k),
-			Label:  "reverse:" + i.String(),
-		})
-	}
-	return out
-}
-
 // Reset clears optimizer state so the instance can drive a fresh run.
 func (o *Optimizer) Reset() {
 	o.stages = [env.StageCount]stageState{}

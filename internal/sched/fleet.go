@@ -247,6 +247,16 @@ func (f *FleetRunner) Run(ctx context.Context, spec JobSpec, ctrl env.Controller
 		prev := f.sess[session]
 		f.mu.Unlock()
 		ep, res, err := f.runOnce(ctx, spec, ctrl, prev)
+		if err == nil {
+			// A finished session needs no failover barrier, so its track
+			// goes. A failed attempt keeps it for the retry's barrier;
+			// a job that fails for good (retries exhausted, cancelled)
+			// leaves that one entry behind.
+			f.mu.Lock()
+			delete(f.sess, session)
+			f.mu.Unlock()
+			return res, nil
+		}
 		if ep == nil || negotiated || refused >= len(f.order) || !errors.Is(err, syscall.ECONNREFUSED) {
 			return res, err
 		}
@@ -351,8 +361,9 @@ func (f *FleetRunner) Endpoints() ([]fleet.EndpointInfo, error) {
 	return out, nil
 }
 
-// EndpointOf reports which endpoint last served the session ("" if the
-// session is unknown).
+// EndpointOf reports which endpoint is serving the session, or last
+// served a failed attempt of it ("" once the session has finished, or if
+// it is unknown).
 func (f *FleetRunner) EndpointOf(session string) string {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -2,16 +2,78 @@ package sched
 
 import (
 	"context"
+	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"automdt/internal/env"
+	"automdt/internal/flight"
 	"automdt/internal/fsim"
 	"automdt/internal/transfer"
 	"automdt/internal/workload"
 )
+
+// placedEndpoints turns the process-wide flight recorder on for the test
+// and returns a lookup of the endpoint that each session's last
+// placement chose, read from the fleet's place and replace events. That
+// is how a test learns where a finished session ran: the runner forgets
+// a session once it succeeds.
+func placedEndpoints(t *testing.T) func(session string) string {
+	t.Helper()
+	flight.Enable(0)
+	t.Cleanup(func() {
+		flight.Disable()
+		flight.Default().Reset()
+	})
+	return func(session string) string {
+		ep := ""
+		for _, ev := range flight.Default().Dump(FleetSource, 0) {
+			if strings.HasPrefix(ev.Note, "session="+session+" ") {
+				ep = ev.Chosen.Label
+			}
+		}
+		return ep
+	}
+}
+
+// TestFleetForgetsFinishedSessions: a session's failover track lives only
+// until the session succeeds, so a long-running daemon's runner does not
+// grow with every job it has ever run.
+func TestFleetForgetsFinishedSessions(t *testing.T) {
+	fr := &FleetRunner{Size: 3}
+	defer fr.Close()
+	const jobs, workers = 10000, 4
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < jobs; i += workers {
+				spec := JobSpec{Manifest: workload.LargeFiles(1, 4<<10)}
+				spec.Transfer.SessionID = fmt.Sprintf("forget-%d", i)
+				if _, err := fr.Run(context.Background(), spec, nil); err != nil {
+					errs <- fmt.Errorf("job %d: %w", i, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	fr.mu.Lock()
+	n := len(fr.sess)
+	fr.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("%d session tracks left after %d successful jobs, want 0", n, jobs)
+	}
+}
 
 // A Size-1 fleet is the single shared endpoint: every job lands on one
 // multi-session receiver and its gauges ride the scheduler snapshot
@@ -159,6 +221,7 @@ func TestFleetFailoverResumesOnSibling(t *testing.T) {
 		Store:    store,
 		Receiver: transfer.Config{Arena: arena},
 	}
+	endpointOf := placedEndpoints(t)
 	s, err := New(Config{
 		Budget:    [env.StageCount]int{16, 16, 16, 16},
 		MaxActive: 8,
@@ -285,7 +348,7 @@ func TestFleetFailoverResumesOnSibling(t *testing.T) {
 			continue
 		}
 		resumed++
-		if ep := fr.EndpointOf(st.SessionID); ep == victim || ep == "" {
+		if ep := endpointOf(st.SessionID); ep == victim || ep == "" {
 			t.Errorf("victim job %d finished on %q, want a live sibling of %s", id, ep, victim)
 		}
 		if before > 0 {
@@ -301,7 +364,7 @@ func TestFleetFailoverResumesOnSibling(t *testing.T) {
 			st, _ := s.Status(id)
 			t.Logf("victim job %d: before=%d state=%s attempts=%d resumes=%d skipped=%d committed=%d endpoint=%s err=%q",
 				id, before, st.State, st.Attempts, st.Resumes, st.SkippedBytes, st.CommittedBytes,
-				fr.EndpointOf(st.SessionID), st.Error)
+				endpointOf(st.SessionID), st.Error)
 		}
 		t.Fatal("no victim session resumed: the kill landed after every victim session finished")
 	}
@@ -330,6 +393,7 @@ func TestFleetFailoverResumesOnSibling(t *testing.T) {
 func TestFleetRefusedDialReplaces(t *testing.T) {
 	fr := &FleetRunner{Size: 3, Verify: true}
 	defer fr.Close()
+	endpointOf := placedEndpoints(t)
 	if _, err := fr.Endpoints(); err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +440,7 @@ func TestFleetRefusedDialReplaces(t *testing.T) {
 	if res.Bytes != 256<<10 {
 		t.Fatalf("transferred %d bytes, want %d", res.Bytes, 256<<10)
 	}
-	if got := fr.EndpointOf(session); got == victim || got == "" {
+	if got := endpointOf(session); got == victim || got == "" {
 		t.Fatalf("session finished on %q, want a sibling of %s", got, victim)
 	}
 	st := fr.Status()

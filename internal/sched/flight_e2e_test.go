@@ -20,9 +20,9 @@ import (
 
 // TestFlightEndToEnd runs jobs on one shared endpoint under a scheduler with the flight
 // recorder enabled and asserts, through the HTTP surface, that the trace
-// holds the full decision record: arbiter admissions and rebalances,
-// per-session controller decisions with scored alternatives, and the
-// stage/queue-wait histograms on /metrics.
+// holds the full decision record: scored arbiter admissions and
+// rebalances, unscored per-session controller decisions and budget-cap
+// clamps, and the stage/queue-wait histograms on /metrics.
 func TestFlightEndToEnd(t *testing.T) {
 	// The recorder is process-global (like the transfer arena), so tests
 	// must restore the disabled default for the rest of the package.
@@ -106,16 +106,28 @@ func TestFlightEndToEnd(t *testing.T) {
 				continue
 			}
 			ctrlDecisions++
-			if len(ev.Alts) == 0 {
-				t.Fatalf("controller decision without alternatives: %+v", ev)
+			if len(ev.Alts) != 0 || ev.Chosen.Score != 0 || ev.Regret != 0 || ev.CumRegret != 0 {
+				t.Fatalf("controller decision carries a score or regret: %+v", ev)
 			}
-			if ev.Regret < 0 {
-				t.Fatalf("negative regret: %+v", ev)
+			if ev.Chosen.N == [env.StageCount]int{} || ev.N == [env.StageCount]int{} {
+				t.Fatalf("controller decision without a state or chosen tuple: %+v", ev)
 			}
-			if ev.Chosen.N == [env.StageCount]int{} {
-				t.Fatalf("controller decision without a chosen tuple: %+v", ev)
+		case flight.KindCap:
+			// static(32) under an 8-wide budget binds on every tick: the
+			// event records wanted and granted tuples and scores neither.
+			if ev.Source != CapSource || len(ev.Alts) != 1 || ev.Alts[0].Label != "uncapped" {
+				t.Fatalf("cap event shape: %+v", ev)
+			}
+			if ev.Chosen.Score != 0 || ev.Alts[0].Score != 0 || ev.Regret != 0 || ev.CumRegret != 0 {
+				t.Fatalf("cap event carries a score or regret: %+v", ev)
+			}
+			if ev.Alts[0].N[env.StageRead] <= ev.Chosen.N[env.StageRead] {
+				t.Fatalf("cap event: wanted %v not above granted %v", ev.Alts[0].N, ev.Chosen.N)
 			}
 		}
+	}
+	if kinds[flight.KindCap] == 0 {
+		t.Fatalf("no cap events from static(32) under an 8-wide budget: kinds=%v", kinds)
 	}
 	if kinds[flight.KindAdmission] != 3 {
 		t.Fatalf("admissions=%d, want 3 (one per job): kinds=%v", kinds[flight.KindAdmission], kinds)
@@ -190,5 +202,42 @@ func TestFlightEndToEnd(t *testing.T) {
 	report := flight.Render(trace, 5)
 	if !strings.Contains(report, ArbiterSource) || !strings.Contains(report, "per-source regret:") {
 		t.Fatalf("render missing arbiter summary:\n%s", report)
+	}
+}
+
+// TestCapClampRecordsWantedAndGranted: a clamp records the granted tuple
+// as chosen and the wanted one as the "uncapped" alternative, with no
+// score and no regret — a clamp only lowers counts, so scoring it at the
+// observed throughput could never call it a loss.
+func TestCapClampRecordsWantedAndGranted(t *testing.T) {
+	flight.Enable(0)
+	t.Cleanup(func() {
+		flight.Disable()
+		flight.Default().Reset()
+	})
+	job := &Job{ID: 7, session: "cap-7"}
+	caps := [env.StageCount]int{2, 3, 1, 2}
+	b := env.NewBudgetCap(static.New(8), caps)
+	b.OnClamp(capClampHook(job))
+	st := env.State{N: [env.StageCount]int{2, 2, 1, 2}, Throughput: env.StageVec{400, 400, 400, 400}}
+	got := b.Decide(st)
+
+	evs := flight.Default().Dump(CapSource, 0)
+	if len(evs) != 1 {
+		t.Fatalf("%d cap events, want 1", len(evs))
+	}
+	ev := evs[0]
+	if ev.Kind != flight.KindCap || ev.N != st.N || ev.Throughput != st.Throughput {
+		t.Fatalf("cap event metadata: %+v", ev)
+	}
+	want := static.New(8).Decide(st)
+	if ev.Chosen.N != got.N || len(ev.Alts) != 1 || ev.Alts[0].N != want.N || ev.Alts[0].Label != "uncapped" {
+		t.Fatalf("cap event: chosen %v alts %+v, want granted %v and uncapped %v", ev.Chosen.N, ev.Alts, got.N, want.N)
+	}
+	if ev.Chosen.Score != 0 || ev.Alts[0].Score != 0 || ev.Regret != 0 || ev.CumRegret != 0 {
+		t.Fatalf("cap event carries a score or regret: %+v", ev)
+	}
+	if !strings.Contains(ev.Note, "job=7 session=cap-7") {
+		t.Fatalf("cap event note: %q", ev.Note)
 	}
 }

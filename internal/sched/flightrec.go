@@ -20,6 +20,10 @@ const ArbiterSource = "sched:arbiter"
 // allowed, the direct evidence trail for "the arbiter starved job N".
 const CapSource = "sched:cap"
 
+// queuedAlts is how many still-queued jobs an admission event keeps as
+// its alternatives, highest priority first.
+const queuedAlts = 3
+
 // allocScore is the arbiter's counterfactual objective: weighted
 // proportional fairness Σⱼ Σ_stage wⱼ·log(shareⱼ). It rewards both total
 // allocation and priority-proportional splits, so "give everything to
@@ -137,8 +141,8 @@ func (s *Scheduler) recordAdmission(job *Job, wait time.Duration) {
 		}
 	}
 	sort.SliceStable(alts, func(i, j int) bool { return alts[i].Score > alts[j].Score })
-	if len(alts) > flight.DefaultTopK {
-		alts = alts[:flight.DefaultTopK]
+	if len(alts) > queuedAlts {
+		alts = alts[:queuedAlts]
 	}
 	s.flightCum += best - chosen.Score
 	flight.Record(flight.Event{
@@ -155,21 +159,16 @@ func (s *Scheduler) recordAdmission(job *Job, wait time.Duration) {
 }
 
 // capClampHook builds the env.BudgetCap OnClamp callback for one job:
-// every time the budget binds it records a cap event whose regret is the
-// one-step utility the clamp cost (U at the wanted tuple minus U at the
-// granted one, at observed throughput). Runs on the transfer probe
-// goroutine; it takes no scheduler locks.
+// every time the budget binds it records a cap event with the granted
+// tuple as chosen and the wanted tuple as the "uncapped" alternative.
+// It scores neither: a clamp only lowers counts, so the one-step utility
+// at observed throughput could never call it a loss. Runs on the
+// transfer probe goroutine; it takes no scheduler locks.
 func capClampHook(job *Job) func(st env.State, wanted, got env.Action, caps [env.StageCount]int) {
 	id, session := job.ID, job.session
 	return func(st env.State, wanted, got env.Action, caps [env.StageCount]int) {
 		if !flight.Active() {
 			return
-		}
-		uWant := flight.Utility(st, wanted, env.DefaultK)
-		uGot := flight.Utility(st, got, env.DefaultK)
-		regret := uWant - uGot
-		if regret < 0 {
-			regret = 0
 		}
 		flight.Record(flight.Event{
 			UnixNano:   time.Now().UnixNano(),
@@ -177,9 +176,8 @@ func capClampHook(job *Job) func(st env.State, wanted, got env.Action, caps [env
 			Kind:       flight.KindCap,
 			N:          st.N,
 			Throughput: st.Throughput,
-			Chosen:     flight.Alt{N: got.N, Score: uGot},
-			Alts:       []flight.Alt{{N: wanted.N, Score: uWant, Label: "uncapped"}},
-			Regret:     regret,
+			Chosen:     flight.Alt{N: got.N},
+			Alts:       []flight.Alt{{N: wanted.N, Label: "uncapped"}},
 			Note:       fmt.Sprintf("job=%d session=%s cap=%v", id, session, caps),
 		})
 	}

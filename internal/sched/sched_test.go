@@ -771,6 +771,7 @@ func TestFleetRetryResumesOnSameEndpoint(t *testing.T) {
 	// tick within attempt 1's lifetime.
 	fr := &FleetRunner{Size: 1, Store: store, Receiver: transfer.Config{ProbeInterval: 25 * time.Millisecond}}
 	t.Cleanup(fr.Close)
+	endpointOf := placedEndpoints(t)
 	const session = "same-endpoint"
 	spec := JobSpec{
 		Manifest: workload.LargeFiles(4, 1<<20),
@@ -809,7 +810,7 @@ func TestFleetRetryResumesOnSameEndpoint(t *testing.T) {
 	if !res.Resumed || res.SkippedBytes <= 0 {
 		t.Fatalf("retry on the same endpoint did not resume: %+v", res)
 	}
-	if ep := fr.EndpointOf(session); ep != "ep-0" {
+	if ep := endpointOf(session); ep != "ep-0" {
 		t.Fatalf("retry ran on %q, want ep-0", ep)
 	}
 	if errs := store.Errors(); len(errs) > 0 {

@@ -42,9 +42,6 @@ func (c *Controller) Decide(env.State) env.Action {
 // §III (the slowest component dictates every stage's concurrency).
 type Monolithic struct {
 	Inner env.Controller
-
-	lastInner env.Action
-	haveInner bool
 }
 
 // Name implements env.Controller.
@@ -53,7 +50,6 @@ func (m *Monolithic) Name() string { return "monolithic(" + m.Inner.Name() + ")"
 // Decide implements env.Controller.
 func (m *Monolithic) Decide(s env.State) env.Action {
 	a := m.Inner.Decide(s)
-	m.lastInner, m.haveInner = a, true
 	maxN := 1
 	for _, n := range a.N {
 		if n > maxN {
@@ -61,19 +57,4 @@ func (m *Monolithic) Decide(s env.State) env.Action {
 		}
 	}
 	return env.ActionOf(maxN, maxN, 1, maxN)
-}
-
-// ScoredAlternatives implements env.AlternativeScorer: the one candidate
-// the coupling discards is the inner controller's uncoupled tuple, so
-// the flight recorder's regret for Monolithic is literally the measured
-// cost of monolithic coupling. Call after Decide for the same state.
-func (m *Monolithic) ScoredAlternatives(s env.State) []env.ScoredAction {
-	if !m.haveInner {
-		return nil
-	}
-	return []env.ScoredAction{{
-		Action: m.lastInner,
-		Score:  env.Utility(s.Throughput, m.lastInner, env.DefaultK),
-		Label:  "uncoupled",
-	}}
 }

@@ -862,10 +862,10 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 	// The flight wrap is decided once per run (one atomic load), so a
 	// disabled recorder adds nothing to the probe loop. The source is
 	// keyed by session ID: a resumed attempt appends to the prior
-	// attempt's ring and continues its cumulative regret.
+	// attempt's ring.
 	decider := s.Controller
 	if decider != nil && flight.Active() {
-		decider = flight.WrapController(decider, flight.Default(), "ctrl:"+sess.ID, env.DefaultK, 0)
+		decider = flight.WrapController(decider, flight.Default(), "ctrl:"+sess.ID)
 	}
 
 	for {
