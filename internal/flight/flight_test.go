@@ -216,18 +216,117 @@ func TestWrapControllerRecordsStateAndChoice(t *testing.T) {
 		if ev.N != state.N || ev.Throughput != state.Throughput || ev.Chosen.N != chosen.N {
 			t.Fatalf("event state/choice: %+v", ev)
 		}
-		if ev.Chosen.Score != 0 || len(ev.Alts) != 0 || ev.Regret != 0 || ev.CumRegret != 0 {
-			t.Fatalf("decision event carries a score or regret: %+v", ev)
+		assertUnscored(t, ev)
+	}
+}
+
+// assertUnscored fails unless ev carries no score, alternatives or regret,
+// in the struct and in its JSON.
+func assertUnscored(t *testing.T, ev Event) {
+	t.Helper()
+	if ev.Chosen.Score != 0 || len(ev.Alts) != 0 || ev.Regret != 0 || ev.CumRegret != 0 {
+		t.Fatalf("decision event carries a score or regret: %+v", ev)
+	}
+	raw, err := json.Marshal(ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"score"`, `"regret"`, `"cum_regret"`, `"alts"`} {
+		if strings.Contains(string(raw), key) {
+			t.Fatalf("decision JSON has %s: %s", key, raw)
 		}
-		raw, err := json.Marshal(ev)
-		if err != nil {
-			t.Fatal(err)
+	}
+}
+
+// TestWrapControllerRegretHandScored: the jump ⟨2,2,2,2⟩ → ⟨4,4,4,4⟩ at
+// fixed observed throughput is the case a tick-time score mis-ranks —
+// holding scores higher by the hand-computed gap U(2,2,2,2) − U(4,4,4,4),
+// whatever the next interval brings — so the decision event records the
+// jump and scores nothing.
+func TestWrapControllerRegretHandScored(t *testing.T) {
+	state := env.State{N: [env.StageCount]int{2, 2, 2, 2}, Throughput: env.StageVec{10, 10, 10, 10}}
+	chosen := env.ActionOf(4, 4, 4, 4)
+	u := func(a env.Action) float64 { return env.Utility(state.Throughput, a, env.DefaultK) }
+	if gap := u(env.ActionOf(2, 2, 2, 2)) - u(chosen); gap <= 0 {
+		t.Fatalf("hand-computed hold-vs-jump gap = %v, want > 0", gap)
+	}
+	r := newEnabled(8)
+	WrapController(scripted{act: chosen}, r, "t").Decide(state)
+	evs := r.Dump("t", 0)
+	if len(evs) != 1 || evs[0].Chosen.N != chosen.N || evs[0].N != state.N {
+		t.Fatalf("events: %+v", evs)
+	}
+	assertUnscored(t, evs[0])
+}
+
+// TestWrapControllerZeroRegretWhenChosenIsBest: a hold at minimal
+// concurrency records zero regret, and Summarize reports the source as
+// unscored rather than as a zero-regret decider.
+func TestWrapControllerZeroRegretWhenChosenIsBest(t *testing.T) {
+	r := newEnabled(8)
+	state := env.State{N: [env.StageCount]int{1, 1, 1, 1}, Throughput: env.StageVec{5, 5, 5, 5}}
+	WrapController(scripted{act: env.ActionOf(1, 1, 1, 1)}, r, "t").Decide(state)
+	evs := r.Dump("t", 0)
+	if len(evs) != 1 {
+		t.Fatalf("%d events, want 1", len(evs))
+	}
+	assertUnscored(t, evs[0])
+	sums := Summarize(evs)
+	if len(sums) != 1 || sums[0].Regret.N != 0 || sums[0].Kinds[KindDecision] != 1 {
+		t.Fatalf("summary: %+v", sums)
+	}
+}
+
+// scriptedScorer additionally carries a ScoredAlternatives method of the
+// shape controllers once used to self-report candidates.
+type scriptedScorer struct {
+	scripted
+	alts []env.Action
+}
+
+func (s scriptedScorer) ScoredAlternatives(env.State) []env.Action { return s.alts }
+
+// TestWrapControllerUsesSelfReportedAlternatives: candidates a controller
+// reports about itself are not recorded; the event holds only the chosen
+// tuple.
+func TestWrapControllerUsesSelfReportedAlternatives(t *testing.T) {
+	r := newEnabled(8)
+	state := env.State{N: [env.StageCount]int{3, 3, 3, 3}, Throughput: env.StageVec{10, 10, 10, 10}}
+	chosen := env.ActionOf(4, 4, 4, 4)
+	w := WrapController(scriptedScorer{
+		scripted: scripted{act: chosen},
+		alts:     []env.Action{env.ActionOf(2, 2, 2, 2)},
+	}, r, "t")
+	if got := w.Decide(state); got != chosen {
+		t.Fatalf("wrapper changed the decision: %v", got)
+	}
+	evs := r.Dump("t", 0)
+	if len(evs) != 1 || evs[0].Chosen.N != chosen.N {
+		t.Fatalf("events: %+v", evs)
+	}
+	assertUnscored(t, evs[0])
+}
+
+// TestWrapControllerCumulativeAndWarmStart: a second wrapper on the same
+// source — a resumed attempt of the same session — continues the source's
+// seq series instead of restarting it, and no cumulative regret builds up
+// across either wrapper.
+func TestWrapControllerCumulativeAndWarmStart(t *testing.T) {
+	r := newEnabled(8)
+	state := env.State{N: [env.StageCount]int{1, 1, 1, 1}, Throughput: env.StageVec{10, 10, 10, 10}}
+	w := WrapController(scripted{act: env.ActionOf(3, 3, 3, 3)}, r, "sess")
+	w.Decide(state)
+	w.Decide(state)
+	WrapController(scripted{act: env.ActionOf(3, 3, 3, 3)}, r, "sess").Decide(state)
+	evs := r.Dump("sess", 0)
+	if len(evs) != 3 {
+		t.Fatalf("%d events, want 3", len(evs))
+	}
+	for i, ev := range evs {
+		if ev.Seq != uint64(i+1) {
+			t.Fatalf("event %d: Seq=%d, want %d (the re-wrapped source continues)", i, ev.Seq, i+1)
 		}
-		for _, key := range []string{`"score"`, `"regret"`, `"cum_regret"`, `"alts"`} {
-			if strings.Contains(string(raw), key) {
-				t.Fatalf("decision JSON has %s: %s", key, raw)
-			}
-		}
+		assertUnscored(t, ev)
 	}
 }
 
