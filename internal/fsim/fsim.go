@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"io/fs"
 	"math/bits"
 	"os"
 	"path/filepath"
 	"sync"
+	"syscall"
 	"time"
 )
 
@@ -28,7 +30,8 @@ type FileReader interface {
 	io.Closer
 }
 
-// FileWriter writes file content at arbitrary offsets.
+// FileWriter writes file content at arbitrary offsets. An error from
+// Close means the written bytes may not have landed.
 type FileWriter interface {
 	io.WriterAt
 	io.Closer
@@ -412,32 +415,57 @@ func (d *DirStore) path(name string) (string, error) {
 	return filepath.Join(d.Root, clean), nil
 }
 
+// openFile opens p as a plain blocking descriptor: one open(2) and the
+// one fcntl(F_GETFL) os.NewFile spends learning that the descriptor
+// blocks. os.OpenFile would spend four more fcntl calls and an epoll_ctl
+// that fails on a regular file, which is most of a small file's cost.
+// Errors are *os.PathError, as os.OpenFile's are.
+func openFile(p string, flag int, perm uint32) (*os.File, error) {
+	for {
+		fd, err := syscall.Open(p, flag|syscall.O_CLOEXEC, perm)
+		if err == nil {
+			return os.NewFile(uintptr(fd), p), nil
+		}
+		if err != syscall.EINTR {
+			return nil, &os.PathError{Op: "open", Path: p, Err: err}
+		}
+	}
+}
+
 // Open implements Store.
 func (d *DirStore) Open(name string, size int64) (FileReader, error) {
 	p, err := d.path(name)
 	if err != nil {
 		return nil, err
 	}
-	return os.Open(p)
+	return openFile(p, syscall.O_RDONLY, 0)
 }
 
-// Create implements Store. The file is pre-sized so concurrent WriteAt
-// calls cannot race on extension; reopening an existing file of the same
-// size keeps its contents, which is what lets a resumed session write
-// only the missing chunk ranges.
+// Create implements Store. The file is sized to size so concurrent
+// WriteAt calls cannot race on extension; an existing file of the same
+// size is left untouched, which keeps its contents and is what lets a
+// resumed session write only the missing chunk ranges. Parent
+// directories are made only when the open finds them missing.
 func (d *DirStore) Create(name string, size int64) (FileWriter, error) {
 	p, err := d.path(name)
 	if err != nil {
 		return nil, err
 	}
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		return nil, err
+	f, err := openFile(p, syscall.O_CREAT|syscall.O_RDWR, 0o644)
+	if errors.Is(err, fs.ErrNotExist) {
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			return nil, err
+		}
+		f, err = openFile(p, syscall.O_CREAT|syscall.O_RDWR, 0o644)
 	}
-	f, err := os.OpenFile(p, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	if err := f.Truncate(size); err != nil {
+	fi, err := f.Stat()
+	if err == nil && fi.Size() != size {
+		err = f.Truncate(size)
+	}
+	if err != nil {
 		f.Close()
 		return nil, err
 	}

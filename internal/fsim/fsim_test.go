@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -202,6 +204,158 @@ func TestDirStoreRejectsEscapes(t *testing.T) {
 			t.Fatalf("path %q should be rejected", name)
 		}
 	}
+}
+
+// DirStore's open semantics, one row per promise the engine relies on.
+func TestDirStoreSemantics(t *testing.T) {
+	write := func(t *testing.T, p string, data []byte) {
+		t.Helper()
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T, root string, ds *DirStore)
+	}{
+		{"a larger existing file is shrunk to size", func(t *testing.T, root string, ds *DirStore) {
+			write(t, filepath.Join(root, "f"), bytes.Repeat([]byte{7}, 8192))
+			w, err := ds.Create("f", 100)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.Close()
+			if size, err := ds.Stat("f"); err != nil || size != 100 {
+				t.Fatalf("size %d err %v, want 100", size, err)
+			}
+		}},
+		{"a same-size existing file keeps its bytes", func(t *testing.T, root string, ds *DirStore) {
+			want := bytes.Repeat([]byte("resume"), 100)
+			write(t, filepath.Join(root, "f"), want)
+			w, err := ds.Create("f", int64(len(want)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.Close()
+			if got, err := os.ReadFile(filepath.Join(root, "f")); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("content changed (err %v)", err)
+			}
+		}},
+		{"a missing nested parent directory is created", func(t *testing.T, root string, ds *DirStore) {
+			w, err := ds.Create("a/b/c/f", 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := w.WriteAt([]byte("x"), 9); err != nil {
+				t.Fatal(err)
+			}
+			w.Close()
+			if size, err := ds.Stat("a/b/c/f"); err != nil || size != 10 {
+				t.Fatalf("size %d err %v, want 10", size, err)
+			}
+		}},
+		{"a name escaping the root is refused", func(t *testing.T, root string, ds *DirStore) {
+			for _, name := range []string{"../evil", "/abs/path", "a/../../evil"} {
+				if w, err := ds.Create(name, 1); err == nil {
+					w.Close()
+					t.Fatalf("Create(%q) accepted", name)
+				}
+				if r, err := ds.Open(name, 1); err == nil {
+					r.Close()
+					t.Fatalf("Open(%q) accepted", name)
+				}
+			}
+			if _, err := os.Stat(filepath.Join(filepath.Dir(root), "evil")); !os.IsNotExist(err) {
+				t.Fatalf("a file escaped the root: %v", err)
+			}
+		}},
+		{"Open of a missing file is not-exist", func(t *testing.T, root string, ds *DirStore) {
+			_, err := ds.Open("missing", 1)
+			var pe *os.PathError
+			if !errors.Is(err, fs.ErrNotExist) || !errors.As(err, &pe) {
+				t.Fatalf("want an *os.PathError that is fs.ErrNotExist, got %v", err)
+			}
+		}},
+		{"a handle works after another handle's concurrent Close", func(t *testing.T, root string, ds *DirStore) {
+			// Each closed descriptor number is free for the next open to
+			// reuse; a handle must keep naming its own file regardless.
+			const files, size = 8, 4096
+			for round := 0; round < 50; round++ {
+				var wg sync.WaitGroup
+				errs := make(chan error, files)
+				for i := 0; i < files; i++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						errs <- dirStoreHandleRoundTrip(ds, fmt.Sprintf("h%d", i), size)
+					}()
+				}
+				wg.Wait()
+				close(errs)
+				for err := range errs {
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			root := filepath.Join(t.TempDir(), "root")
+			ds, err := NewDirStore(root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.run(t, root, ds)
+		})
+	}
+}
+
+// dirStoreHandleRoundTrip writes a file's content through one Create
+// handle and reads it back through one Open handle, with a second
+// handle of each kind opened and closed in between.
+func dirStoreHandleRoundTrip(ds *DirStore, name string, size int64) error {
+	want := make([]byte, size)
+	FillContent(name, 0, want)
+	w, err := ds.Create(name, size)
+	if err != nil {
+		return err
+	}
+	if other, err := ds.Create(name+".other", 1); err != nil {
+		w.Close()
+		return err
+	} else if err := other.Close(); err != nil {
+		w.Close()
+		return err
+	}
+	if _, err := w.WriteAt(want, 0); err != nil {
+		w.Close()
+		return fmt.Errorf("write %s: %w", name, err)
+	}
+	if err := w.Close(); err != nil {
+		return err
+	}
+	r, err := ds.Open(name, size)
+	if err != nil {
+		return err
+	}
+	defer r.Close()
+	if other, err := ds.Open(name+".other", 1); err != nil {
+		return err
+	} else if err := other.Close(); err != nil {
+		return err
+	}
+	got := make([]byte, size)
+	if _, err := r.ReadAt(got, 0); err != nil && err != io.EOF {
+		return fmt.Errorf("read %s: %w", name, err)
+	}
+	if !bytes.Equal(got, want) {
+		return fmt.Errorf("%s read back other bytes than were written", name)
+	}
+	return nil
 }
 
 // Property: synthetic reader output always matches FillContent, and

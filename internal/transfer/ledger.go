@@ -358,13 +358,20 @@ func (l *Ledger) ApplyWire(states []wire.FileState) {
 
 // CommittedChunks counts committed chunks across all files.
 func (l *Ledger) CommittedChunks() int64 {
+	var n int64
+	for i := range l.Files {
+		n += l.fileChunks(uint32(i))
+	}
+	return n
+}
+
+// fileChunks counts one file's committed chunks.
+func (l *Ledger) fileChunks(fileID uint32) int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var n int64
-	for _, f := range l.Files {
-		for _, w := range f.Bitmap {
-			n += int64(bits.OnesCount64(w))
-		}
+	for _, w := range l.Files[fileID].Bitmap {
+		n += int64(bits.OnesCount64(w))
 	}
 	return n
 }

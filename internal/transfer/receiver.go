@@ -806,29 +806,21 @@ func (r *Receiver) runSession(parent context.Context, sess *rsession, ctrl *wire
 
 	staging := sess.staging
 
-	writers := make([]fsim.FileWriter, len(h.Files))
-	var writerMu sync.Mutex
-	writerFor := func(id uint32) (fsim.FileWriter, error) {
-		writerMu.Lock()
-		defer writerMu.Unlock()
-		if writers[id] == nil {
-			w, err := r.Store.Create(h.Files[id].Name, h.Files[id].Size)
-			if err != nil {
-				return nil, err
-			}
-			writers[id] = w
-		}
-		return writers[id], nil
+	// A destination file is open while chunks of it are being written,
+	// and closed once the ledger holds all of it.
+	writers := newFileTable(len(h.Files), func(id uint32) (fsim.FileWriter, error) {
+		return r.Store.Create(h.Files[id].Name, h.Files[id].Size)
+	})
+	defer writers.closeAll()
+
+	// invalidate drops exactly one file's ledger range, so the next resume
+	// replans it, persists that, and returns err saying so.
+	invalidate := func(fileID uint32, err error) error {
+		n := ledger.InvalidateFile(fileID)
+		metrics.ResumeInvalidatedAdd(int64(n))
+		persist()
+		return fmt.Errorf("%w (%d-chunk ledger range invalidated)", err, n)
 	}
-	defer func() {
-		writerMu.Lock()
-		for _, w := range writers {
-			if w != nil {
-				w.Close()
-			}
-		}
-		writerMu.Unlock()
-	}()
 
 	// checkFile verifies one owed, announced file once it is fully
 	// committed: the ledger's per-chunk sums are folded into the
@@ -849,11 +841,8 @@ func (r *Receiver) runSession(parent context.Context, sess *rsession, ctrl *wire
 			return
 		}
 		if got != want {
-			n := ledger.InvalidateFile(fileID)
-			metrics.ResumeInvalidatedAdd(int64(n))
-			persist()
-			sess.fail(fmt.Errorf("transfer: end-to-end CRC mismatch on %s: got %#x want %#x (%d-chunk ledger range invalidated)",
-				manifest[fileID].Name, got, want, n))
+			sess.fail(invalidate(fileID, fmt.Errorf("transfer: end-to-end CRC mismatch on %s: got %#x want %#x",
+				manifest[fileID].Name, got, want)))
 			cancel()
 		}
 		chk.verified(fileID)
@@ -899,9 +888,14 @@ func (r *Receiver) runSession(parent context.Context, sess *rsession, ctrl *wire
 			writeOnce.Do(func() { close(writeDone) })
 		}
 	}
-	// writeChunk lands one chunk with one positioned write.
+	// writeChunk lands one chunk with one positioned write and commits
+	// it. The file's handle is released after the commit, which closes
+	// it once the ledger holds the whole file; a failed close drops the
+	// file from the ledger. landing is held shared from the commit to the
+	// release.
+	var landing sync.RWMutex
 	writeChunk := func(c *Chunk) error {
-		w, err := writerFor(c.FileID)
+		w, err := writers.acquire(c.FileID)
 		if err != nil {
 			return err
 		}
@@ -912,7 +906,17 @@ func (r *Receiver) runSession(parent context.Context, sess *rsession, ctrl *wire
 		if err == nil && n < len(c.Data) {
 			err = io.ErrShortWrite
 		}
-		return err
+		if err != nil {
+			writers.release(c.FileID, false)
+			return err
+		}
+		landing.RLock()
+		defer landing.RUnlock()
+		commit(c)
+		if err := writers.release(c.FileID, ledger.FileComplete(c.FileID)); err != nil {
+			return invalidate(c.FileID, fmt.Errorf("transfer: close %s: %w", manifest[c.FileID].Name, err))
+		}
+		return nil
 	}
 	// An unshaped write stage drains batches sized from the env's
 	// write-stage dimension: a deep backlog shared over few writers
@@ -965,7 +969,6 @@ func (r *Receiver) runSession(parent context.Context, sess *rsession, ctrl *wire
 					cancel()
 					return
 				}
-				commit(c)
 				writeCounter.Add(int64(sz))
 				c.Release()
 			}
@@ -1061,6 +1064,11 @@ func (r *Receiver) runSession(parent context.Context, sess *rsession, ctrl *wire
 	// are all verified: either persist the (invalidated) ledger and fail,
 	// or drop the ledger and confirm completion.
 	finishSession := func() error {
+		// The last commit can land before another file's close does: wait
+		// out every write between its commit and its release, so a close
+		// failure lands before the verdict.
+		landing.Lock()
+		landing.Unlock()
 		if e := sess.Err(); e != nil {
 			persist()
 			sendStatus(false)

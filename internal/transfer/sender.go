@@ -106,7 +106,8 @@ func (s *Sender) status() wire.Status {
 
 // chunker hands out sequential chunk references over the manifest,
 // skipping ranges the session ledger already covers (skip may be nil for
-// a fresh plan).
+// a fresh plan), and counts each file's planned chunks down as they are
+// read.
 type chunker struct {
 	mu    sync.Mutex
 	files workload.Manifest
@@ -114,18 +115,27 @@ type chunker struct {
 	skip  *Ledger
 	fi    int
 	off   int64
-	total int64 // planned (non-skipped) chunk count
+	total int64          // planned (non-skipped) chunk count
+	left  []atomic.Int64 // per file: planned chunks not yet read
 }
 
 func newChunker(m workload.Manifest, chunkBytes int, skip *Ledger) *chunker {
-	c := &chunker{files: m, chunk: int64(chunkBytes), skip: skip}
-	for _, f := range m {
-		c.total += (f.Size + c.chunk - 1) / c.chunk
-	}
-	if skip != nil {
-		c.total -= skip.CommittedChunks()
+	c := &chunker{files: m, chunk: int64(chunkBytes), skip: skip, left: make([]atomic.Int64, len(m))}
+	for i, f := range m {
+		n := (f.Size + c.chunk - 1) / c.chunk
+		if skip != nil {
+			n -= skip.fileChunks(uint32(i))
+		}
+		c.left[i].Store(n)
+		c.total += n
 	}
 	return c
+}
+
+// read counts one planned chunk of the file as read and reports whether
+// it was the file's last.
+func (c *chunker) read(fileID uint32) (last bool) {
+	return c.left[fileID].Add(-1) == 0
 }
 
 // next returns the next planned chunk reference, or ok=false when
@@ -333,30 +343,12 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 		summer = newFileSummer(s.Manifest, chunkBytes, resume)
 	}
 
-	// Per-file reader cache.
-	readers := make([]fsim.FileReader, len(s.Manifest))
-	var readerMu sync.Mutex
-	readerFor := func(id uint32) (fsim.FileReader, error) {
-		readerMu.Lock()
-		defer readerMu.Unlock()
-		if readers[id] == nil {
-			r, err := s.Store.Open(s.Manifest[id].Name, s.Manifest[id].Size)
-			if err != nil {
-				return nil, err
-			}
-			readers[id] = r
-		}
-		return readers[id], nil
-	}
-	defer func() {
-		readerMu.Lock()
-		for _, r := range readers {
-			if r != nil {
-				r.Close()
-			}
-		}
-		readerMu.Unlock()
-	}()
+	// A source file is open while planned chunks of it are being read,
+	// and closed after its last one.
+	readers := newFileTable(len(s.Manifest), func(id uint32) (fsim.FileReader, error) {
+		return s.Store.Open(s.Manifest[id].Name, s.Manifest[id].Size)
+	})
+	defer readers.closeAll()
 
 	var readCounter, netCounter metrics.Counter
 	var netTotal, resentTotal atomic.Int64
@@ -387,7 +379,7 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 			if err := readAgg.WaitN(ctx, n); err != nil {
 				return
 			}
-			r, err := readerFor(fileID)
+			r, err := readers.acquire(fileID)
 			if err != nil {
 				s.fail(err)
 				cancel()
@@ -399,12 +391,15 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 			buf := arena.Get(n)
 			span := flight.StageStart()
 			if _, err := r.ReadAt(buf.Bytes(), off); err != nil {
+				readers.release(fileID, false)
 				buf.Release()
 				s.fail(fmt.Errorf("transfer: read %s@%d: %w", s.Manifest[fileID].Name, off, err))
 				cancel()
 				return
 			}
 			flight.StageEnd(flight.StageRead, span)
+			// A source close error cannot harm the bytes already read.
+			readers.release(fileID, src.read(fileID))
 			wire.CountIOOps(1)
 			readCounter.Add(int64(n))
 			var sum uint32
@@ -624,14 +619,18 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 				return
 			default:
 			}
-			r, err := readerFor(cr.fileID)
+			// The file may be closed by now: this reopens it, and the
+			// release closes it again if its planned reads are all done.
+			r, err := readers.acquire(cr.fileID)
 			if err != nil {
 				s.fail(err)
 				cancel()
 				return
 			}
 			buf := arena.Get(int(cr.n))
-			if _, err := r.ReadAt(buf.Bytes(), cr.off); err != nil {
+			_, err = r.ReadAt(buf.Bytes(), cr.off)
+			readers.release(cr.fileID, false)
+			if err != nil {
 				buf.Release()
 				s.fail(fmt.Errorf("transfer: re-read %s@%d after connection loss: %w",
 					s.Manifest[cr.fileID].Name, cr.off, err))
@@ -755,8 +754,8 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 		staging.ReleaseRemaining()
 	}()
 	// Recovery goroutines may outlive the workers that spawned them; they
-	// must finish (or observe completion/cancellation) before the reader
-	// cache and the connections go away. Disarm spawning first (LIFO):
+	// must finish (or observe completion/cancellation) before the source
+	// files and the connections are closed. Disarm spawning first (LIFO):
 	// the death watch fires for every socket closeAll tears down, and a
 	// recovery started after the Wait would race the teardown.
 	defer recoverWG.Wait()
