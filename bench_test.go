@@ -15,10 +15,12 @@ package automdt
 
 import (
 	"context"
+	"math/rand"
 	"os"
 	"testing"
 	"time"
 
+	"automdt/internal/env"
 	"automdt/internal/experiments"
 	"automdt/internal/metrics"
 	"automdt/internal/rl"
@@ -57,22 +59,28 @@ func BenchmarkFig3(b *testing.B) {
 	reportCompare(b, last)
 }
 
-// BenchmarkFig4 regenerates the Fig. 4 training-curve comparison at a
-// reduced episode budget (the full curves come from automdt-bench).
+// BenchmarkFig4 trains the Fig. 4 ablation's continuous and discrete
+// agents for 120 episodes each on the read-bottleneck testbed (the full
+// curves come from automdt-bench -exp fig4).
 func BenchmarkFig4(b *testing.B) {
 	tb := experiments.ReadBottleneck()
+	net := rl.NetConfig{Hidden: 32, PolicyBlocks: 1, ValueBlocks: 1, MaxActions: tb.MaxThreads}
+	if benchMode() == experiments.Paper {
+		net = rl.NetConfig{MaxActions: tb.MaxThreads}
+	}
+	tc := rl.TrainConfig{Episodes: 120, LR: 1e-3, UpdateEpochs: 4, StagnantLimit: 1 << 30,
+		Rmax: env.TheoreticalMaxReward(tb.Bottleneck, tb.NStar, env.DefaultK)}
+	newEnv := func(seed int64) *env.SimEnv {
+		e := env.NewSimEnv(sim.New(tb.Cfg), rand.New(rand.NewSource(seed)))
+		e.MaxThreadsN = tb.MaxThreads
+		return e
+	}
+	lastQuarter := func(r []float64) float64 { return metrics.Summarize(r[len(r)-len(r)/4:]).Mean }
 	var contLast, discLast float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig4Budget(benchMode(), 120)
-		if err != nil {
-			b.Fatal(err)
-		}
-		n := len(r.Continuous.EpisodeRewards)
-		contLast = metrics.Summarize(r.Continuous.EpisodeRewards[n-n/4:]).Mean
-		n = len(r.Discrete.EpisodeRewards)
-		discLast = metrics.Summarize(r.Discrete.EpisodeRewards[n-n/4:]).Mean
+		contLast = lastQuarter(rl.NewAgent(net, 10).Train(newEnv(20), tc).EpisodeRewards)
+		discLast = lastQuarter(rl.NewDiscreteAgent(net, 11).Train(newEnv(30), tc).EpisodeRewards)
 	}
-	_ = tb
 	b.ReportMetric(contLast, "contReward")
 	b.ReportMetric(discLast, "discReward")
 }

@@ -125,7 +125,7 @@ func TestDocsMetricGlossary(t *testing.T) {
 
 	flight.Enable(0)
 	t.Cleanup(func() {
-		flight.Disable()
+		flight.Default().Disable()
 		flight.Default().Reset()
 	})
 	fr := &sched.FleetRunner{Size: 2, Receiver: transfer.Config{WriteBudgetMbps: 100}}

@@ -141,17 +141,6 @@ func (l *Link) Kills() int64 {
 	return l.kills
 }
 
-// State returns the current state's name ("" for a clean link).
-func (l *Link) State() string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.model.Clean() {
-		return ""
-	}
-	l.advance()
-	return l.model.States[l.state].Name
-}
-
 // applyState points the shared bandwidth bucket at state i's cap. Burst
 // is 20 ms of tokens so a downshifted state throttles promptly. Caller
 // holds mu (or is the constructor).

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"net"
@@ -95,6 +96,14 @@ func TestLinkDeterministicDecisions(t *testing.T) {
 	}
 }
 
+// stateName walks l up to its clock's now and names the state it is in.
+func stateName(l *Link) string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.advance()
+	return l.model.States[l.state].Name
+}
+
 func TestLinkStateWalk(t *testing.T) {
 	m := LinkModel{
 		Name: "pingpong",
@@ -112,18 +121,24 @@ func TestLinkStateWalk(t *testing.T) {
 	}
 	clk := &fakeClock{t: time.Unix(0, 0)}
 	l.SetClock(clk.now, func(time.Duration) {})
-	if got := l.State(); got != "a" {
+	if got := stateName(l); got != "a" {
 		t.Fatalf("initial state %q, want a", got)
 	}
 	clk.advance(100 * time.Millisecond)
-	if got := l.State(); got != "b" {
+	if got := stateName(l); got != "b" {
 		t.Fatalf("after one step state %q, want b", got)
 	}
-	if r := l.lim.Rate(); r != 8*1e6/8 {
-		t.Fatalf("state b bandwidth bucket rate %v, want 1e6", r)
+	// State b's bucket is 1e6 B/s with 20 ms of burst, so 40 kB must wait
+	// at least the 20 ms the burst does not cover.
+	start := time.Now()
+	if err := l.lim.WaitN(context.Background(), 40_000); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d < 15*time.Millisecond {
+		t.Fatalf("state b let 40 kB through in %v; its 8 Mbps bucket needs ≥ 20 ms", d)
 	}
 	clk.advance(300 * time.Millisecond) // three more steps: b->a->b->a
-	if got := l.State(); got != "a" {
+	if got := stateName(l); got != "a" {
 		t.Fatalf("after four steps state %q, want a", got)
 	}
 }

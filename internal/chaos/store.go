@@ -34,11 +34,6 @@ type DiskFault struct {
 	CapacityBytes int64 `json:"capacity_bytes,omitempty"`
 }
 
-// Clean reports whether the fault injects nothing.
-func (f DiskFault) Clean() bool {
-	return f.WriteDelayMs == 0 && f.FailEveryN == 0 && f.ShortEveryN == 0 && f.CapacityBytes == 0
-}
-
 // fullStore is what FlakyStore requires of the store it decorates: the
 // data plane plus every optional capability the transfer engine probes
 // for. Both fsim.SyntheticStore and fsim.DirStore qualify, so resume
@@ -69,7 +64,6 @@ type FlakyStore struct {
 	remaining int64 // capacity left; only meaningful if capped
 	capped    bool
 
-	dataBytes   int64
 	ledgerBytes int64
 	faults      int64
 }
@@ -90,16 +84,6 @@ func NewFlakyStore(inner fsim.Store, f DiskFault, seed int64) (*FlakyStore, erro
 		remaining: f.CapacityBytes,
 		capped:    f.CapacityBytes > 0,
 	}, nil
-}
-
-// SetSleep replaces the delay implementation (tests only).
-func (s *FlakyStore) SetSleep(sleep func(time.Duration)) { s.sleep = sleep }
-
-// DataBytes reports data bytes the underlying store durably accepted.
-func (s *FlakyStore) DataBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dataBytes
 }
 
 // LedgerBytes reports ledger+journal bytes durably accepted.
@@ -153,12 +137,6 @@ func (s *FlakyStore) spendLedger(n int) error {
 	s.remaining -= int64(n)
 	s.ledgerBytes += int64(n)
 	return nil
-}
-
-func (s *FlakyStore) creditData(n int) {
-	s.mu.Lock()
-	s.dataBytes += int64(n)
-	s.mu.Unlock()
 }
 
 // refundLedger returns capacity/accounting for a ledger write the inner
@@ -243,18 +221,11 @@ func (w *flakyWriter) WriteAt(p []byte, off int64) (int, error) {
 	n := 0
 	if commit > 0 {
 		var err error
-		n, err = w.inner.WriteAt(p[:commit], off)
-		if n > 0 {
-			w.store.creditData(n)
-		}
-		if err != nil {
+		if n, err = w.inner.WriteAt(p[:commit], off); err != nil {
 			return n, err
 		}
 	}
-	if ferr != nil {
-		return n, ferr
-	}
-	return n, nil
+	return n, ferr
 }
 
 func (w *flakyWriter) Close() error { return w.inner.Close() }

@@ -17,7 +17,7 @@ func newFlaky(t *testing.T, f DiskFault) (*FlakyStore, *fsim.SyntheticStore) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetSleep(func(time.Duration) {})
+	s.sleep = func(time.Duration) {}
 	return s, inner
 }
 
@@ -35,16 +35,13 @@ func TestFlakyStoreCleanPassthrough(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.DataBytes(); got != 1024 {
-		t.Fatalf("DataBytes = %d, want 1024", got)
-	}
 	if inner.TotalWritten() != 1024 {
 		t.Fatalf("inner TotalWritten = %d", inner.TotalWritten())
 	}
 }
 
 func TestFlakyStoreFailEveryN(t *testing.T) {
-	s, _ := newFlaky(t, DiskFault{FailEveryN: 3})
+	s, inner := newFlaky(t, DiskFault{FailEveryN: 3})
 	w, _ := s.Create("f", 1<<20)
 	buf := make([]byte, 100)
 	var fails int
@@ -61,8 +58,8 @@ func TestFlakyStoreFailEveryN(t *testing.T) {
 	if fails != 3 {
 		t.Fatalf("%d injected failures over 9 writes with FailEveryN=3", fails)
 	}
-	if got := s.DataBytes(); got != 600 {
-		t.Fatalf("DataBytes = %d, want 600", got)
+	if got := inner.TotalWritten(); got != 600 {
+		t.Fatalf("inner TotalWritten = %d, want 600", got)
 	}
 }
 
@@ -89,7 +86,7 @@ func TestFlakyStoreShortWriteCommitsReportedPrefix(t *testing.T) {
 }
 
 func TestFlakyStoreENOSPCBudgetSharedWithLedger(t *testing.T) {
-	s, _ := newFlaky(t, DiskFault{CapacityBytes: 1000})
+	s, inner := newFlaky(t, DiskFault{CapacityBytes: 1000})
 	w, _ := s.Create("f", 1<<20)
 	buf := make([]byte, 600)
 	fsim.FillContent("f", 0, buf)
@@ -122,8 +119,8 @@ func TestFlakyStoreENOSPCBudgetSharedWithLedger(t *testing.T) {
 	if got := s.LedgerBytes(); got != 300 {
 		t.Fatalf("LedgerBytes = %d, want 300", got)
 	}
-	if got := s.DataBytes(); got != 700 {
-		t.Fatalf("DataBytes = %d, want 700", got)
+	if got := inner.TotalWritten(); got != 700 {
+		t.Fatalf("inner TotalWritten = %d, want 700", got)
 	}
 	if s.Faults() == 0 {
 		t.Fatal("no faults counted")

@@ -170,8 +170,8 @@ func TestSimTransferFixedThreadsCompletes(t *testing.T) {
 		t.Fatalf("AvgMbps=%v implausible for 1 Gbps link", res.AvgMbps)
 	}
 	for _, name := range []string{"cc_read", "thr_write", "thr_e2e"} {
-		if res.Rec.Series(name).Len() != res.Ticks {
-			t.Fatalf("series %s has %d points want %d", name, res.Rec.Series(name).Len(), res.Ticks)
+		if n := len(res.Rec.Series(name).Points()); n != res.Ticks {
+			t.Fatalf("series %s has %d points want %d", name, n, res.Ticks)
 		}
 	}
 }

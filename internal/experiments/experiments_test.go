@@ -213,7 +213,7 @@ func TestFig4Pinned(t *testing.T) {
 		t.Skip("trains the discrete ablation; skipped with -short and in paper mode")
 	}
 	t.Parallel()
-	res, err := Fig4Budget(Quick, 50)
+	res, err := fig4Budget(Quick, 50)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"automdt/internal/metrics"
 )
 
 // DefaultTTL is the heartbeat liveness horizon when a Registry is built
@@ -15,7 +13,7 @@ import (
 const DefaultTTL = 3 * time.Second
 
 // ErrUnknownEndpoint is returned by Heartbeat for an id that never
-// registered (or was deregistered); the endpoint must Register first.
+// registered; the endpoint must Register first.
 var ErrUnknownEndpoint = errors.New("fleet: unknown endpoint")
 
 // EndpointInfo is what an endpoint publishes when it registers.
@@ -31,7 +29,6 @@ type EndpointInfo struct {
 type member struct {
 	info     EndpointInfo
 	lastBeat time.Time
-	live     bool
 }
 
 // Registry tracks fleet membership and heartbeat liveness.
@@ -39,24 +36,17 @@ type member struct {
 // Liveness rules (see docs/FLEET.md):
 //   - Register makes an endpoint live and counts as its first heartbeat.
 //   - An endpoint stays live while its last heartbeat is within the TTL.
-//   - When the TTL lapses the endpoint turns dead on the next sweep (any
-//     Live/Epoch/Snapshot call sweeps); it stays registered, so a later
-//     heartbeat revives it — a stalled-but-recovered endpoint rejoins
-//     without re-registering.
-//   - Deregister removes the endpoint outright; heartbeats from it then
-//     fail with ErrUnknownEndpoint until it registers again.
+//   - When the TTL lapses the endpoint is dead; it stays registered, so
+//     a later heartbeat revives it — a stalled-but-recovered endpoint
+//     rejoins without re-registering.
 //
-// Every liveness transition (register, death, revival, deregister) bumps
-// the membership epoch, which placement layers watch to resync their
-// rings. Safe for concurrent use.
+// Safe for concurrent use.
 type Registry struct {
 	ttl time.Duration
 
 	mu      sync.Mutex
 	now     func() time.Time
 	members map[string]*member
-	epoch   int64
-	expired int64 // death transitions, for metrics
 }
 
 // NewRegistry builds a registry with the given heartbeat TTL (≤ 0 takes
@@ -68,16 +58,6 @@ func NewRegistry(ttl time.Duration) *Registry {
 	return &Registry{ttl: ttl, now: time.Now, members: make(map[string]*member)}
 }
 
-// TTL returns the heartbeat liveness horizon.
-func (g *Registry) TTL() time.Duration { return g.ttl }
-
-// SetClock injects a time source for tests.
-func (g *Registry) SetClock(now func() time.Time) {
-	g.mu.Lock()
-	g.now = now
-	g.mu.Unlock()
-}
-
 // Register adds (or re-adds) an endpoint as live, counting as its first
 // heartbeat.
 func (g *Registry) Register(info EndpointInfo) error {
@@ -86,24 +66,12 @@ func (g *Registry) Register(info EndpointInfo) error {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.members[info.ID] = &member{info: info, lastBeat: g.now(), live: true}
-	g.epoch++
+	g.members[info.ID] = &member{info: info, lastBeat: g.now()}
 	return nil
 }
 
-// Deregister removes an endpoint permanently (deliberate decommission,
-// as opposed to a missed-heartbeat death).
-func (g *Registry) Deregister(id string) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if _, ok := g.members[id]; ok {
-		delete(g.members, id)
-		g.epoch++
-	}
-}
-
 // Heartbeat records a liveness beat. A dead-but-registered endpoint
-// revives (epoch bump); an unknown endpoint must Register first.
+// revives; an unknown endpoint must Register first.
 func (g *Registry) Heartbeat(id string) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -112,72 +80,21 @@ func (g *Registry) Heartbeat(id string) error {
 		return fmt.Errorf("%w: %q", ErrUnknownEndpoint, id)
 	}
 	m.lastBeat = g.now()
-	if !m.live {
-		m.live = true
-		g.epoch++
-	}
 	return nil
 }
 
-// sweepLocked applies the TTL rule: members whose last beat is older
-// than TTL turn dead. Caller holds mu.
-func (g *Registry) sweepLocked() {
-	cutoff := g.now().Add(-g.ttl)
-	for _, m := range g.members {
-		if m.live && m.lastBeat.Before(cutoff) {
-			m.live = false
-			g.expired++
-			g.epoch++
-		}
-	}
-}
-
-// Live returns the live endpoints, sorted by ID, after applying the TTL
-// sweep.
+// Live returns the endpoints whose last heartbeat is within the TTL,
+// sorted by ID.
 func (g *Registry) Live() []EndpointInfo {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.sweepLocked()
+	cutoff := g.now().Add(-g.ttl)
 	out := make([]EndpointInfo, 0, len(g.members))
 	for _, m := range g.members {
-		if m.live {
+		if !m.lastBeat.Before(cutoff) {
 			out = append(out, m.info)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
-}
-
-// Epoch returns the membership epoch after applying the TTL sweep. Two
-// equal epochs bracket an interval with no membership or liveness
-// change.
-func (g *Registry) Epoch() int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.sweepLocked()
-	return g.epoch
-}
-
-// Snapshot exports the registry's gauges under the automdt_fleet_*
-// prefix.
-func (g *Registry) Snapshot() metrics.Snapshot {
-	g.mu.Lock()
-	g.sweepLocked()
-	live, dead := 0, 0
-	for _, m := range g.members {
-		if m.live {
-			live++
-		} else {
-			dead++
-		}
-	}
-	epoch, expired := g.epoch, g.expired
-	g.mu.Unlock()
-
-	var snap metrics.Snapshot
-	snap.Add("automdt_fleet_endpoints", float64(live), metrics.L("state", "live"))
-	snap.Add("automdt_fleet_endpoints", float64(dead), metrics.L("state", "dead"))
-	snap.Add("automdt_fleet_membership_epoch", float64(epoch))
-	snap.Add("automdt_fleet_heartbeat_expirations_total", float64(expired))
-	return snap
 }

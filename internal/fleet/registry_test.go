@@ -16,7 +16,7 @@ func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 func newTestRegistry(ttl time.Duration) (*Registry, *fakeClock) {
 	g := NewRegistry(ttl)
 	clk := &fakeClock{t: time.Unix(1_700_000_000, 0)}
-	g.SetClock(clk.now)
+	g.now = clk.now
 	return g, clk
 }
 
@@ -61,49 +61,39 @@ func TestRegistryLivenessLifecycle(t *testing.T) {
 		t.Fatalf("live after revival = %v", got)
 	}
 
-	// Deregister removes outright; further heartbeats are rejected.
-	g.Deregister("ep-1")
-	if err := g.Heartbeat("ep-1"); !errors.Is(err, ErrUnknownEndpoint) {
-		t.Fatalf("heartbeat after deregister err = %v, want ErrUnknownEndpoint", err)
+	// Re-registering replaces the endpoint's addresses.
+	if err := g.Register(EndpointInfo{ID: "ep-1", DataAddr: "d1b", CtrlAddr: "c1b"}); err != nil {
+		t.Fatal(err)
 	}
-	if got := liveIDs(g); strings.Join(got, ",") != "ep-0" {
-		t.Fatalf("live after deregister = %v", got)
+	if live := g.Live(); len(live) != 2 || live[1].DataAddr != "d1b" {
+		t.Fatalf("live after re-register = %+v", live)
 	}
 }
 
+// TestRegistryEpochBumpsOnTransitions: every liveness transition —
+// register, TTL death, revival — shows in Live, and a heartbeat from a
+// live endpoint changes nothing.
 func TestRegistryEpochBumpsOnTransitions(t *testing.T) {
 	g, clk := newTestRegistry(time.Second)
-
-	e0 := g.Epoch()
-	g.Register(EndpointInfo{ID: "ep-0"})
-	e1 := g.Epoch()
-	if e1 <= e0 {
-		t.Fatalf("register did not bump epoch: %d → %d", e0, e1)
+	if got := liveIDs(g); len(got) != 0 {
+		t.Fatalf("live before register = %v", got)
 	}
-
-	// No transition → epoch stable (ring resync can be skipped).
+	g.Register(EndpointInfo{ID: "ep-0"})
+	if got := strings.Join(liveIDs(g), ","); got != "ep-0" {
+		t.Fatalf("live after register = %s", got)
+	}
 	clk.advance(300 * time.Millisecond)
 	g.Heartbeat("ep-0")
-	if e := g.Epoch(); e != e1 {
-		t.Fatalf("live-endpoint heartbeat bumped epoch: %d → %d", e1, e)
+	if got := strings.Join(liveIDs(g), ","); got != "ep-0" {
+		t.Fatalf("live after heartbeat = %s", got)
 	}
-
-	// TTL death bumps.
 	clk.advance(2 * time.Second)
-	e2 := g.Epoch()
-	if e2 <= e1 {
-		t.Fatalf("TTL death did not bump epoch: %d → %d", e1, e2)
+	if got := liveIDs(g); len(got) != 0 {
+		t.Fatalf("live after TTL death = %v", got)
 	}
-	// Revival bumps again.
 	g.Heartbeat("ep-0")
-	e3 := g.Epoch()
-	if e3 <= e2 {
-		t.Fatalf("revival did not bump epoch: %d → %d", e2, e3)
-	}
-	// Deregister bumps.
-	g.Deregister("ep-0")
-	if e := g.Epoch(); e <= e3 {
-		t.Fatalf("deregister did not bump epoch: %d → %d", e3, e)
+	if got := strings.Join(liveIDs(g), ","); got != "ep-0" {
+		t.Fatalf("live after revival = %s", got)
 	}
 }
 
@@ -121,33 +111,24 @@ func TestRegistryValidationAndSnapshot(t *testing.T) {
 	clk.advance(500 * time.Millisecond)
 	g.Heartbeat("ep-0")
 	clk.advance(700 * time.Millisecond) // ep-1 lapses
-
-	snap := g.Snapshot()
-	want := map[string]float64{
-		"automdt_fleet_endpoints{state=\"live\"}":   1,
-		"automdt_fleet_endpoints{state=\"dead\"}":   1,
-		"automdt_fleet_heartbeat_expirations_total": 1,
+	if got := strings.Join(liveIDs(g), ","); got != "ep-0" {
+		t.Fatalf("live after ep-1 lapsed = %s", got)
 	}
-	got := make(map[string]float64)
-	for _, s := range snap.Samples() {
-		key := s.Name
-		for _, l := range s.Labels {
-			key += "{" + l.Key + "=\"" + l.Value + "\"}"
-		}
-		got[key] = s.Value
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Errorf("snapshot %s = %v, want %v (all: %v)", k, got[k], v, got)
-		}
-	}
-	if got["automdt_fleet_membership_epoch"] <= 0 {
-		t.Errorf("membership epoch gauge missing or zero: %v", got)
+	// A lapsed endpoint stays registered: its heartbeat is accepted.
+	if err := g.Heartbeat("ep-1"); err != nil {
+		t.Fatalf("heartbeat from lapsed endpoint: %v", err)
 	}
 }
 
 func TestRegistryDefaultTTL(t *testing.T) {
-	if got := NewRegistry(0).TTL(); got != DefaultTTL {
-		t.Fatalf("TTL() = %v, want %v", got, DefaultTTL)
+	g, clk := newTestRegistry(0)
+	g.Register(EndpointInfo{ID: "ep-0"})
+	clk.advance(DefaultTTL)
+	if got := liveIDs(g); len(got) != 1 {
+		t.Fatalf("live at the default TTL = %v", got)
+	}
+	clk.advance(time.Millisecond)
+	if got := liveIDs(g); len(got) != 0 {
+		t.Fatalf("live past the default TTL = %v", got)
 	}
 }

@@ -115,18 +115,6 @@ func (r *Ring) Remove(id string) {
 	r.points = kept
 }
 
-// Members returns the endpoint ids, sorted.
-func (r *Ring) Members() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.load))
-	for id := range r.load {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Loads returns a copy of the per-endpoint session loads.
 func (r *Ring) Loads() map[string]int {
 	r.mu.RLock()
@@ -161,15 +149,6 @@ func (r *Ring) placeLocked(key string) (string, error) {
 	// Unreachable while c ≥ 1 (if every endpoint were at the limit the
 	// total would exceed itself), kept as a defensive fallback.
 	return first, nil
-}
-
-// Place returns the endpoint the key maps to without taking a load slot.
-// With no outstanding Acquires this is plain consistent hashing: the
-// answer changes only when membership changes.
-func (r *Ring) Place(key string) (string, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.placeLocked(key)
 }
 
 // Acquire places the key and counts one session against the chosen

@@ -22,6 +22,13 @@ func genKeys(seed int64, n int) []string {
 
 func epID(i int) string { return fmt.Sprintf("ep-%d", i) }
 
+// place is where key would go, without taking a load slot.
+func place(r *Ring, key string) (string, error) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.placeLocked(key)
+}
+
 func buildRing(n int) *Ring {
 	r := NewRing(0, 0)
 	for i := 0; i < n; i++ {
@@ -44,7 +51,7 @@ func TestRingBalance(t *testing.T) {
 			r := buildRing(n)
 			counts := make(map[string]int, n)
 			for _, k := range keys {
-				id, err := r.Place(k)
+				id, err := place(r, k)
 				if err != nil {
 					t.Fatalf("Place(%q): %v", k, err)
 				}
@@ -78,7 +85,7 @@ func TestRingRemapOnMembershipChange(t *testing.T) {
 			r := buildRing(n)
 			before := make(map[string]string, keysN)
 			for _, k := range keys {
-				id, _ := r.Place(k)
+				id, _ := place(r, k)
 				before[k] = id
 			}
 
@@ -86,7 +93,7 @@ func TestRingRemapOnMembershipChange(t *testing.T) {
 			r.Add("ep-new")
 			moved := 0
 			for _, k := range keys {
-				id, _ := r.Place(k)
+				id, _ := place(r, k)
 				if id != before[k] {
 					moved++
 					if id != "ep-new" {
@@ -104,7 +111,7 @@ func TestRingRemapOnMembershipChange(t *testing.T) {
 			r.Remove(epID(0))
 			moved = 0
 			for _, k := range keys {
-				id, _ := r.Place(k)
+				id, _ := place(r, k)
 				if id != before[k] {
 					moved++
 					if before[k] != epID(0) {
@@ -155,13 +162,13 @@ func TestRingBoundedLoad(t *testing.T) {
 // empty ring refuses placement.
 func TestRingReleaseAndEmpty(t *testing.T) {
 	r := NewRing(8, 1.25)
-	if _, err := r.Place("sess"); err != ErrNoEndpoints {
+	if _, err := place(r, "sess"); err != ErrNoEndpoints {
 		t.Fatalf("empty ring Place err = %v, want ErrNoEndpoints", err)
 	}
 	r.Add("a")
 	r.Add("a") // idempotent
-	if got := len(r.Members()); got != 1 {
-		t.Fatalf("Members() after duplicate Add = %d, want 1", got)
+	if got := len(r.Loads()); got != 1 {
+		t.Fatalf("Loads() after duplicate Add = %d, want 1", got)
 	}
 	id, err := r.Acquire("sess")
 	if err != nil || id != "a" {
@@ -174,7 +181,7 @@ func TestRingReleaseAndEmpty(t *testing.T) {
 	}
 	r.Remove("a")
 	r.Release("a") // departed: no-op
-	if _, err := r.Place("sess"); err != ErrNoEndpoints {
+	if _, err := place(r, "sess"); err != ErrNoEndpoints {
 		t.Fatalf("Place after Remove err = %v, want ErrNoEndpoints", err)
 	}
 }
@@ -193,8 +200,8 @@ func TestRingPlacementDeterministic(t *testing.T) {
 		b.Add(epID(i))
 	}
 	for _, k := range keys {
-		pa, _ := a.Place(k)
-		pb, _ := b.Place(k)
+		pa, _ := place(a, k)
+		pb, _ := place(b, k)
 		if pa != pb {
 			t.Fatalf("placement differs by insertion order for %q: %s vs %s", k, pa, pb)
 		}

@@ -269,25 +269,6 @@ func (r *Recorder) Dump(source string, since uint64) []Event {
 	return out
 }
 
-// Tail returns the last n events of a source (fewer if the ring holds
-// fewer). n <= 0 returns nil.
-func (r *Recorder) Tail(source string, n int) []Event {
-	if n <= 0 {
-		return nil
-	}
-	r.mu.RLock()
-	rg := r.sources[source]
-	r.mu.RUnlock()
-	if rg == nil {
-		return nil
-	}
-	evs := rg.events(0)
-	if len(evs) > n {
-		evs = evs[len(evs)-n:]
-	}
-	return evs
-}
-
 // Reset drops every recorded event and zeroes the stage histograms and
 // counters, keeping the enabled state.
 func (r *Recorder) Reset() {
@@ -358,9 +339,6 @@ func Default() *Recorder { return defaultRecorder }
 // Enable turns the process-wide recorder on (capacity <= 0 means
 // DefaultCapacity per source).
 func Enable(capacity int) { defaultRecorder.Enable(capacity) }
-
-// Disable turns the process-wide recorder off.
-func Disable() { defaultRecorder.Disable() }
 
 // Active reports whether the process-wide recorder accepts events.
 func Active() bool { return defaultRecorder.Active() }

@@ -87,20 +87,22 @@ func TestDumpSinceAndSourceFilters(t *testing.T) {
 	}
 }
 
+// TestTailReturnsLastN: a source's events come back oldest first, so
+// its newest are Dump's tail, and since cuts the older ones off.
 func TestTailReturnsLastN(t *testing.T) {
 	r := newEnabled(8)
 	for i := 0; i < 6; i++ {
 		r.Record(Event{Source: "s", CumRegret: float64(i)})
 	}
-	tail := r.Tail("s", 2)
-	if len(tail) != 2 || tail[1].CumRegret != 5 {
-		t.Fatalf("Tail = %+v", tail)
+	evs := r.Dump("s", 0)
+	if len(evs) != 6 || evs[5].CumRegret != 5 || evs[4].CumRegret != 4 {
+		t.Fatalf("Dump = %+v", evs)
 	}
-	if got := r.Tail("s", 0); got != nil {
-		t.Fatalf("Tail n=0 = %v", got)
+	if tail := r.Dump("s", evs[4].Seq); len(tail) != 2 || tail[1].CumRegret != 5 {
+		t.Fatalf("Dump since the fifth event = %+v", tail)
 	}
-	if got := r.Tail("nope", 3); got != nil {
-		t.Fatalf("Tail unknown source = %v", got)
+	if got := r.Dump("nope", 0); got != nil {
+		t.Fatalf("Dump unknown source = %v", got)
 	}
 }
 

@@ -55,7 +55,7 @@ func TestRecorderConcurrentStress(t *testing.T) {
 					}
 				}
 			}
-			r.Tail("shared", 4)
+			r.Dump("shared", 0)
 			r.MetricsSnapshot()
 			if n%100 == 50 {
 				r.Reset()

@@ -149,9 +149,3 @@ func (o *Optimizer) Decide(s env.State) env.Action {
 	}
 	return a.Clamp(1 << 30) // engine clamps to its own MaxThreads
 }
-
-// Reset clears optimizer state so the instance can drive a fresh run.
-func (o *Optimizer) Reset() {
-	o.stages = [env.StageCount]stageState{}
-	o.holdCnt = 0
-}

@@ -100,15 +100,18 @@ func TestHoldPacing(t *testing.T) {
 	}
 }
 
+// TestResetClearsState: a fresh run takes a fresh Optimizer, which
+// bootstraps (acts on its first decision) whatever another instance has
+// seen.
 func TestResetClearsState(t *testing.T) {
+	used := New()
+	used.Hold = 2
+	used.Decide(uniform(4, 100))
 	o := New()
 	o.Hold = 2
-	o.Decide(uniform(4, 100))
-	o.Reset()
-	// After reset the optimizer bootstraps again (acts immediately).
 	a := o.Decide(uniform(4, 100))
 	if a.N != [env.StageCount]int{5, 5, 5, 5} {
-		t.Fatalf("post-reset bootstrap %v", a.N)
+		t.Fatalf("fresh-run bootstrap %v", a.N)
 	}
 }
 

@@ -22,9 +22,6 @@ type Counter struct {
 // Add increments the counter by n bytes.
 func (c *Counter) Add(n int64) { c.n.Add(n) }
 
-// Load returns the current total.
-func (c *Counter) Load() int64 { return c.n.Load() }
-
 // Reset zeroes the counter and returns the previous value.
 func (c *Counter) Reset() int64 { return c.n.Swap(0) }
 
@@ -57,13 +54,6 @@ func (s *Series) Points() []Point {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]Point(nil), s.pts...)
-}
-
-// Len returns the number of samples.
-func (s *Series) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.pts)
 }
 
 // Last returns the most recent sample, or a zero Point if empty.
@@ -148,29 +138,6 @@ func (s *Series) TimeToReach(target float64) float64 {
 		}
 	}
 	return -1
-}
-
-// Stability returns the standard deviation of the series after the first
-// time it reaches target (a proxy for the paper's stability claims), or
-// +Inf if target is never reached.
-func (s *Series) Stability(target float64) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	start := -1
-	for i, p := range s.pts {
-		if p.V >= target {
-			start = i
-			break
-		}
-	}
-	if start < 0 {
-		return math.Inf(1)
-	}
-	var tail []float64
-	for _, p := range s.pts[start:] {
-		tail = append(tail, p.V)
-	}
-	return Summarize(tail).Std
 }
 
 // Recorder owns a set of named series for one experiment run.

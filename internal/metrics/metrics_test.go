@@ -14,11 +14,11 @@ func TestCounterBasics(t *testing.T) {
 	var c Counter
 	c.Add(10)
 	c.Add(5)
-	if c.Load() != 15 {
-		t.Fatalf("Load=%d", c.Load())
+	if n := c.Reset(); n != 15 {
+		t.Fatalf("Reset=%d, want 15", n)
 	}
-	if c.Reset() != 15 || c.Load() != 0 {
-		t.Fatal("Reset broken")
+	if n := c.Reset(); n != 0 {
+		t.Fatalf("Reset after Reset=%d, want 0", n)
 	}
 }
 
@@ -35,8 +35,8 @@ func TestCounterConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if c.Load() != 16000 {
-		t.Fatalf("lost updates: %d", c.Load())
+	if n := c.Reset(); n != 16000 {
+		t.Fatalf("lost updates: %d", n)
 	}
 }
 
@@ -45,8 +45,8 @@ func TestSeriesRecordAndQuery(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		s.Record(float64(i), float64(i*i))
 	}
-	if s.Len() != 5 {
-		t.Fatalf("Len=%d", s.Len())
+	if n := len(s.Points()); n != 5 {
+		t.Fatalf("%d points, want 5", n)
 	}
 	if last := s.Last(); last.T != 4 || last.V != 16 {
 		t.Fatalf("Last=%v", last)
@@ -75,11 +75,17 @@ func TestStability(t *testing.T) {
 	for i, v := range []float64{0, 5, 10, 10, 10, 10} {
 		s.Record(float64(i), v)
 	}
-	if got := s.Stability(10); got != 0 {
-		t.Fatalf("stable series Stability=%v", got)
+	// A series that settles at its target has no spread after reaching it.
+	pts := s.Points()
+	var tail []float64
+	for _, p := range pts[int(s.TimeToReach(10)):] {
+		tail = append(tail, p.V)
 	}
-	if got := s.Stability(99); !math.IsInf(got, 1) {
-		t.Fatalf("unreached target should be +Inf, got %v", got)
+	if sm := Summarize(tail); sm.N != 4 || sm.Std != 0 {
+		t.Fatalf("settled tail %+v, want 4 samples with no spread", sm)
+	}
+	if got := s.TimeToReach(99); got != -1 {
+		t.Fatalf("unreached target: TimeToReach=%v, want -1", got)
 	}
 }
 

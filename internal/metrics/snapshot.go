@@ -78,22 +78,3 @@ func (s Snapshot) Text() string {
 	}
 	return b.String()
 }
-
-// Snapshot summarizes every series of the recorder into samples: for each
-// series `<prefix><name>_last`, `<prefix><name>_mean`, and
-// `<prefix><name>_max`. Used to export a finished run's traces in the
-// same text format as live gauges.
-func (r *Recorder) Snapshot(prefix string, labels ...Label) Snapshot {
-	var snap Snapshot
-	for _, name := range r.Names() {
-		sum := Summarize(r.Series(name).Values())
-		if sum.N == 0 {
-			continue
-		}
-		snap.Add(prefix+name+"_last", r.Series(name).Last().V, labels...)
-		snap.Add(prefix+name+"_mean", sum.Mean, labels...)
-		snap.Add(prefix+name+"_max", sum.Max, labels...)
-		snap.Add(prefix+name+"_p99", sum.P99, labels...)
-	}
-	return snap
-}

@@ -41,24 +41,22 @@ func TestSnapshotMergeAndSamples(t *testing.T) {
 	}
 }
 
+// TestRecorderSnapshot: a recorder hands back its series by name in
+// creation order, and Summarize gives each one's figures.
 func TestRecorderSnapshot(t *testing.T) {
 	r := NewRecorder()
 	r.Series("thr").Record(0, 100)
 	r.Series("thr").Record(1, 300)
-	r.Series("empty") // created but never recorded: skipped
-	snap := r.Snapshot("run_", L("job", "1"))
-	txt := snap.Text()
-	for _, want := range []string{
-		`run_thr_last{job="1"} 300`,
-		`run_thr_mean{job="1"} 200`,
-		`run_thr_max{job="1"} 300`,
-		`run_thr_p99{job="1"} 298`,
-	} {
-		if !strings.Contains(txt, want) {
-			t.Errorf("snapshot text missing %q:\n%s", want, txt)
-		}
+	r.Series("empty") // created but never recorded
+	if got := strings.Join(r.Names(), ","); got != "thr,empty" {
+		t.Fatalf("Names = %s, want thr,empty", got)
 	}
-	if strings.Contains(txt, "empty") {
-		t.Errorf("empty series should be skipped:\n%s", txt)
+	thr := r.Series("thr")
+	sum := Summarize(thr.Values())
+	if thr.Last().V != 300 || sum.Mean != 200 || sum.Max != 300 || sum.P99 != 298 {
+		t.Fatalf("thr: last %v, %+v", thr.Last().V, sum)
+	}
+	if n := Summarize(r.Series("empty").Values()).N; n != 0 {
+		t.Fatalf("empty series summarizes %d samples", n)
 	}
 }

@@ -222,7 +222,9 @@ func TestGaussianLogProbMatchesClosedForm(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	p := gaussian(7, math.Log(0.7), math.Log(1.3))
 	b := batch(rng, 2, 3, 2)
-	lp := append([]float64(nil), p.LogProbs(b)...)
+	p.reserve(b.N)
+	p.logProbs(p.lp, p.Params, b)
+	lp := p.lp[:b.N]
 	mean := p.Policy.Forward(p.Params, b.States, 2)
 	for i := 0; i < 2; i++ {
 		want := 0.0

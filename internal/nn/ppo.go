@@ -203,14 +203,6 @@ func (p *PPO) logProbs(lp, w []float64, b *Batch) []float64 {
 	return out
 }
 
-// LogProbs returns log π_θ of each row's action in b, valid until the
-// next call into p.
-func (p *PPO) LogProbs(b *Batch) []float64 {
-	p.reserve(b.N)
-	p.logProbs(p.lp, p.Params, b)
-	return p.lp[:b.N]
-}
-
 func (p *PPO) reserve(n int) {
 	if len(p.lp) >= n {
 		return

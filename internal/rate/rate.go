@@ -39,31 +39,11 @@ func NewLimiter(bytesPerSec float64, burst float64) *Limiter {
 // Unlimited returns a limiter that never delays.
 func Unlimited() *Limiter { return NewLimiter(0, 1) }
 
-// SetClock replaces the limiter's time source. Intended for tests.
-func (l *Limiter) SetClock(now func() time.Time) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.now = now
-	l.last = now()
-}
-
-// SetRate changes the refill rate at runtime (e.g. to emulate background
-// traffic changing available bandwidth mid-transfer).
-func (l *Limiter) SetRate(bytesPerSec float64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.advance()
-	l.rate = bytesPerSec
-	if l.rate > 0 && l.burst < l.rate/10 {
-		l.burst = l.rate / 10
-	}
-}
-
 // SetRateBurst changes the refill rate and resets the bucket capacity,
-// dropping any banked tokens above the new burst. Unlike SetRate (which
-// only ever grows burst) this lets a caller snap the limiter into a
-// strictly slower regime — e.g. a Markov link model downshifting state —
-// without a stale full bucket letting one large burst through first.
+// dropping any banked tokens above the new burst. This lets a caller
+// snap the limiter into a strictly slower regime — e.g. a Markov link
+// model downshifting state — without a stale full bucket letting one
+// large burst through first.
 // A burst <= 0 defaults as in NewLimiter.
 func (l *Limiter) SetRateBurst(bytesPerSec, burst float64) {
 	if burst <= 0 {
@@ -77,13 +57,6 @@ func (l *Limiter) SetRateBurst(bytesPerSec, burst float64) {
 	if l.tokens > burst {
 		l.tokens = burst
 	}
-}
-
-// Rate returns the current refill rate in bytes per second (0 = unlimited).
-func (l *Limiter) Rate() float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.rate
 }
 
 // advance refills tokens for elapsed time. Caller must hold mu.
@@ -127,20 +100,4 @@ func (l *Limiter) WaitN(ctx context.Context, n int) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// AllowN reports whether n bytes may proceed immediately, consuming the
-// tokens if so.
-func (l *Limiter) AllowN(n int) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.rate <= 0 || n <= 0 {
-		return true
-	}
-	l.advance()
-	if l.tokens >= float64(n) {
-		l.tokens -= float64(n)
-		return true
-	}
-	return false
 }

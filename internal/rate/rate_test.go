@@ -25,6 +25,13 @@ func (c *fakeClock) advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
+// withClock builds a limiter that reads time from clk.
+func withClock(bytesPerSec, burst float64, clk *fakeClock) *Limiter {
+	l := NewLimiter(bytesPerSec, burst)
+	l.now, l.last = clk.now, clk.now()
+	return l
+}
+
 func TestUnlimitedNeverDelays(t *testing.T) {
 	l := Unlimited()
 	for i := 0; i < 100; i++ {
@@ -36,24 +43,23 @@ func TestUnlimitedNeverDelays(t *testing.T) {
 
 func TestAllowNWithinBurst(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(0, 0)}
-	l := NewLimiter(1000, 1000)
-	l.SetClock(clk.now)
-	if !l.AllowN(1000) {
-		t.Fatal("full burst should be allowed")
+	l := withClock(1000, 1000, clk)
+	if d := l.reserve(1000); d != 0 {
+		t.Fatalf("full burst delayed %v", d)
 	}
-	if l.AllowN(1) {
-		t.Fatal("bucket should be empty")
+	if d := l.reserve(1); d <= 0 {
+		t.Fatal("a byte past the burst went through an empty bucket")
 	}
 	clk.advance(500 * time.Millisecond)
-	if !l.AllowN(500) {
-		t.Fatal("refill after 0.5s should allow 500")
+	// 0.5 s at 1000 B/s refills 500: the 1-byte debt plus 499 more.
+	if d := l.reserve(499); d != 0 {
+		t.Fatalf("refill after 0.5s delayed 499 bytes by %v", d)
 	}
 }
 
 func TestReserveDebtDelay(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(0, 0)}
-	l := NewLimiter(1000, 1000)
-	l.SetClock(clk.now)
+	l := withClock(1000, 1000, clk)
 	if d := l.reserve(1000); d != 0 {
 		t.Fatalf("burst take delayed %v", d)
 	}
@@ -65,22 +71,21 @@ func TestReserveDebtDelay(t *testing.T) {
 
 func TestSetRateTakesEffect(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(0, 0)}
-	l := NewLimiter(1000, 1000)
-	l.SetClock(clk.now)
-	l.AllowN(1000) // drain
-	l.SetRate(2000)
+	l := withClock(1000, 1000, clk)
+	l.reserve(1000) // drain
+	l.SetRateBurst(2000, 1000)
 	clk.advance(250 * time.Millisecond)
-	if !l.AllowN(500) {
-		t.Fatal("after rate change, 0.25s at 2000 B/s should refill 500")
+	if d := l.reserve(500); d != 0 {
+		t.Fatalf("after rate change, 0.25s at 2000 B/s should refill 500; waited %v", d)
 	}
-	if l.Rate() != 2000 {
-		t.Fatalf("Rate()=%v", l.Rate())
+	if l.rate != 2000 {
+		t.Fatalf("rate=%v", l.rate)
 	}
 }
 
 func TestWaitNContextCancel(t *testing.T) {
 	l := NewLimiter(1, 1) // 1 byte/sec: second call would wait ~forever
-	l.AllowN(1)
+	l.reserve(1)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	if err := l.WaitN(ctx, 1000); err == nil {
@@ -107,7 +112,7 @@ func TestConcurrentAccessIsSafe(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				l.AllowN(10)
+				l.WaitN(context.Background(), 10)
 				l.reserve(10)
 			}
 		}()
@@ -116,17 +121,16 @@ func TestConcurrentAccessIsSafe(t *testing.T) {
 }
 
 // Sustained throughput over fake time should approximate the configured
-// rate regardless of request sizes.
+// rate: a caller that waits out every delay reserve hands it (as WaitN
+// does) gets the burst plus rate × elapsed.
 func TestSustainedRateApproximation(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(0, 0)}
-	l := NewLimiter(1_000_000, 100_000) // 1 MB/s, 100 KB burst
-	l.SetClock(clk.now)
+	l := withClock(1_000_000, 100_000, clk) // 1 MB/s, 100 KB burst
+	end := clk.now().Add(10 * time.Second)
 	granted := 0
-	for step := 0; step < 1000; step++ {
-		clk.advance(10 * time.Millisecond) // total 10 s
-		for l.AllowN(8192) {
-			granted += 8192
-		}
+	for clk.now().Before(end) {
+		clk.advance(l.reserve(8192))
+		granted += 8192
 	}
 	want := 10_000_000.0
 	if ratio := float64(granted) / want; ratio < 0.95 || ratio > 1.05 {
@@ -138,29 +142,29 @@ func TestSustainedRateApproximation(t *testing.T) {
 // downshift takes effect immediately instead of after one stale burst.
 func TestSetRateBurstDropsBankedTokens(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(0, 0)}
-	l := NewLimiter(10_000_000, 10_000_000) // full 10 MB bucket
-	l.SetClock(clk.now)
-	l.SetRateBurst(100_000, 10_000) // snap to 100 KB/s, 10 KB bucket
-	if l.Rate() != 100_000 {
-		t.Fatalf("rate = %v, want 100000", l.Rate())
+	l := withClock(10_000_000, 10_000_000, clk) // full 10 MB bucket
+	l.SetRateBurst(100_000, 10_000)             // snap to 100 KB/s, 10 KB bucket
+	if l.rate != 100_000 {
+		t.Fatalf("rate = %v, want 100000", l.rate)
 	}
-	if l.AllowN(20_000) {
-		t.Fatal("AllowN(20000) granted from a bucket capped at 10000")
+	if d := l.reserve(10_000); d != 0 {
+		t.Fatalf("the new 10 KB bucket delayed 10000 bytes by %v", d)
 	}
-	if !l.AllowN(10_000) {
-		t.Fatal("AllowN(10000) denied despite a full (new) bucket")
+	if d := l.reserve(1); d <= 0 {
+		t.Fatal("a byte past the new 10 KB bucket went through: stale tokens kept")
 	}
-	// Refill obeys the new rate: 50 ms at 100 KB/s banks 5 KB.
+	// Refill obeys the new rate: 50 ms at 100 KB/s banks 5 KB, one of
+	// which pays the byte of debt.
 	clk.advance(50 * time.Millisecond)
-	if l.AllowN(6_000) {
-		t.Fatal("AllowN(6000) granted after only 5 KB refill")
+	if d := l.reserve(4_999); d != 0 {
+		t.Fatalf("4999 bytes delayed %v after a 5 KB refill", d)
 	}
-	if !l.AllowN(5_000) {
-		t.Fatal("AllowN(5000) denied after 5 KB refill")
+	if d := l.reserve(1_000); d <= 0 {
+		t.Fatal("1000 bytes went through an empty bucket")
 	}
 	// Unlimited via SetRateBurst(0, ...) never delays.
 	l.SetRateBurst(0, 1)
-	if !l.AllowN(1 << 30) {
-		t.Fatal("unlimited limiter denied")
+	if d := l.reserve(1 << 30); d != 0 {
+		t.Fatalf("unlimited limiter delayed %v", d)
 	}
 }

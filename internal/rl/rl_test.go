@@ -42,10 +42,8 @@ func TestGaussianPolicyShapes(t *testing.T) {
 	if len(p.Params) != p.Policy.Size()+env.ActionDim+p.Value.Size() || len(p.Old) != p.Policy.Size()+env.ActionDim {
 		t.Fatalf("%d parameters, %d in π_θold", len(p.Params), len(p.Old))
 	}
-	var b nn.Batch
-	b.Resize(4, env.StateDim, env.ActionDim)
-	if lp := p.LogProbs(&b); len(lp) != 4 {
-		t.Fatalf("%d log-probabilities for 4 rows", len(lp))
+	if m := p.Mean(make([]float64, env.StateDim)); len(m) != env.ActionDim {
+		t.Fatalf("%d action means for %d action dimensions", len(m), env.ActionDim)
 	}
 }
 
@@ -86,14 +84,10 @@ func TestDiscreteLogProbNegative(t *testing.T) {
 			t.Fatalf("tuple %v does not survive its joint index", a)
 		}
 	}
-	lp := d.ppo.LogProbs(&b)
-	if len(lp) != 3 {
-		t.Fatalf("%d log-probabilities for 3 rows", len(lp))
-	}
-	for _, v := range lp {
-		if v > 0 {
-			t.Fatalf("log-probability %v > 0", v)
-		}
+	// An update over those joint indices takes their log-probabilities
+	// under the 160 000-way head; its loss must be finite.
+	if loss := d.ppo.Update(&b, 1, 0); math.IsNaN(loss) || math.IsInf(loss, 0) {
+		t.Fatalf("update over joint indices gave loss %v", loss)
 	}
 }
 
@@ -120,8 +114,9 @@ func TestActReturnsValidAction(t *testing.T) {
 	a := NewAgent(tinyNet(), 7)
 	e := testEnv(7)
 	s := e.Reset()
+	rate, buf := e.Scales()
 	for i := 0; i < 10; i++ {
-		act := a.Act(s, e)
+		act := a.ActVec(s.Vector(e.MaxThreads(), rate, buf), e.MaxThreads())
 		for _, n := range act.N {
 			if n < 1 || n > e.MaxThreads() {
 				t.Fatalf("action %v out of range", act.N)

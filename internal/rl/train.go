@@ -184,16 +184,9 @@ func (a *Agent) RestoreBest() {
 	a.ppo.SyncOld()
 }
 
-// Act samples a concurrency action for the given environment state,
+// ActVec samples a concurrency action for a normalized state vector,
 // applying the §IV-F production rule: sample from the Gaussian, round,
 // clamp to [1, maxThreads].
-func (a *Agent) Act(s env.State, e env.Environment) env.Action {
-	rate, buf := e.Scales()
-	return a.ActVec(s.Vector(e.MaxThreads(), rate, buf), e.MaxThreads())
-}
-
-// ActVec is Act for callers that assemble the normalized state vector
-// themselves (e.g. the live-engine controller in internal/core).
 func (a *Agent) ActVec(vec []float64, maxThreads int) env.Action {
 	a.act.Lock()
 	defer a.act.Unlock()

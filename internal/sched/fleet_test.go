@@ -25,7 +25,7 @@ func placedEndpoints(t *testing.T) func(session string) string {
 	t.Helper()
 	flight.Enable(0)
 	t.Cleanup(func() {
-		flight.Disable()
+		flight.Default().Disable()
 		flight.Default().Reset()
 	})
 	return func(session string) string {

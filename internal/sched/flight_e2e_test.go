@@ -28,7 +28,7 @@ func TestFlightEndToEnd(t *testing.T) {
 	// must restore the disabled default for the rest of the package.
 	flight.Enable(0)
 	t.Cleanup(func() {
-		flight.Disable()
+		flight.Default().Disable()
 		flight.Default().Reset()
 	})
 
@@ -212,7 +212,7 @@ func TestFlightEndToEnd(t *testing.T) {
 func TestCapClampRecordsWantedAndGranted(t *testing.T) {
 	flight.Enable(0)
 	t.Cleanup(func() {
-		flight.Disable()
+		flight.Default().Disable()
 		flight.Default().Reset()
 	})
 	job := &Job{ID: 7, session: "cap-7"}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"time"
 
@@ -37,10 +38,15 @@ type SubmitRequest struct {
 	DisableChecksums bool `json:"disable_checksums,omitempty"`
 }
 
-// spec converts the request into a JobSpec.
-func (r SubmitRequest) spec() (JobSpec, error) {
+// spec converts the request into a JobSpec. maxGrant is the largest
+// per-stage budget the scheduler can grant one job; an explicit
+// max_threads above it is refused.
+func (r SubmitRequest) spec(maxGrant int) (JobSpec, error) {
 	if r.DestDir != "" {
 		return JobSpec{}, errors.New("dest_dir is not supported: every job writes into the fleet's shared destination store")
+	}
+	if r.MaxThreads > maxGrant {
+		return JobSpec{}, fmt.Errorf("max_threads %d exceeds the largest per-stage budget %d", r.MaxThreads, maxGrant)
 	}
 	m, err := r.Dataset.Build()
 	if err != nil {
@@ -122,7 +128,7 @@ func NewHandler(s *Scheduler) http.Handler {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
 			return
 		}
-		spec, err := req.spec()
+		spec, err := req.spec(slices.Max(s.cfg.Budget[:]))
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, err)
 			return

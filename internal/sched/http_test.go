@@ -213,6 +213,25 @@ func TestHTTPErrors(t *testing.T) {
 	r.Body.Close()
 }
 
+// TestHTTPRefusesMaxThreadsAboveBudget: no stage can grant one job more
+// workers than its budget, so an explicit max_threads above the largest
+// per-stage budget is refused with 400; one at that budget is accepted.
+func TestHTTPRefusesMaxThreadsAboveBudget(t *testing.T) {
+	_, srv := newTestServer(t, Config{Budget: [env.StageCount]int{2, 3, 2, 2}})
+	resp := postJSON(t, srv.URL+"/v1/jobs", SubmitRequest{Name: "wide", Dataset: dataset(1, 1024), MaxThreads: 4})
+	var body map[string]string
+	json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body["error"], "max_threads") {
+		t.Fatalf("max_threads 4 over budget 3: status %d body %v, want 400 naming max_threads", resp.StatusCode, body)
+	}
+	resp = postJSON(t, srv.URL+"/v1/jobs", SubmitRequest{Name: "fits", Dataset: dataset(1, 1024), MaxThreads: 3})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("max_threads 3 within budget 3: status %d, want 201", resp.StatusCode)
+	}
+}
+
 // TestV1RouteAliases checks that /v1/ is the only API surface: every
 // route answers there, and no route has an unprefixed alias.
 func TestV1RouteAliases(t *testing.T) {

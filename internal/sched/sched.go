@@ -272,9 +272,6 @@ func New(cfg Config) (*Scheduler, error) {
 	}, nil
 }
 
-// Arena returns the scheduler's shared buffer arena.
-func (s *Scheduler) Arena() *transfer.Arena { return s.arena }
-
 // arenaDemand estimates one job's peak buffer footprint: both staging
 // buffers plus a chunk in flight per worker on each end.
 func arenaDemand(spec JobSpec) int64 {
@@ -282,9 +279,6 @@ func arenaDemand(spec JobSpec) int64 {
 	return cfg.SenderBufBytes + cfg.ReceiverBufBytes +
 		2*int64(cfg.MaxThreads)*int64(cfg.ChunkBytes)
 }
-
-// Budget returns the configured per-stage budget.
-func (s *Scheduler) Budget() [env.StageCount]int { return s.cfg.Budget }
 
 // MaxActive returns the effective concurrent-job cap.
 func (s *Scheduler) MaxActive() int { return s.maxActive }

@@ -238,8 +238,8 @@ func TestStepMatchesReference(t *testing.T) {
 						st, f, conn := Stage(rng.Intn(3)), 0.3+rng.Float64(), float64(rng.Intn(2))*100
 						for _, s := range []*Simulator{got, ref.Simulator} {
 							s.SetTPT(st, cfg.TPT[st]*f)
-							s.SetBandwidth(Stage((int(st)+1)%3), cfg.Bandwidth[st]*f)
-							s.SetConnMbps(conn * f)
+							s.cfg.Bandwidth[(st+1)%3] = cfg.Bandwidth[st] * f
+							s.cfg.ConnMbps = conn * f
 						}
 					case 75:
 						for _, s := range []*Simulator{got, ref.Simulator} {

@@ -205,30 +205,6 @@ func (s *Simulator) SetBuffers(sender, receiver float64) {
 	s.receiverBuf = math.Max(0, math.Min(receiver, s.cfg.ReceiverBufCap))
 }
 
-// Buffers returns the current sender and receiver staging occupancies.
-func (s *Simulator) Buffers() (sender, receiver float64) {
-	return s.senderBuf, s.receiverBuf
-}
-
-// SetBandwidth changes a stage's aggregate capacity at runtime, emulating
-// background traffic or a sysadmin re-throttle mid-transfer. Zero means
-// unlimited.
-func (s *Simulator) SetBandwidth(st Stage, mbps float64) {
-	if mbps < 0 {
-		mbps = 0
-	}
-	s.cfg.Bandwidth[st] = mbps
-}
-
-// SetConnMbps changes the per-connection network ceiling at runtime.
-// Zero disables the cap.
-func (s *Simulator) SetConnMbps(mbps float64) {
-	if mbps < 0 {
-		mbps = 0
-	}
-	s.cfg.ConnMbps = mbps
-}
-
 // SetTPT changes a stage's per-thread throughput at runtime (e.g. I/O
 // contention from a co-located job). The value must be positive.
 func (s *Simulator) SetTPT(st Stage, mbps float64) {

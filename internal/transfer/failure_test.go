@@ -120,7 +120,7 @@ func TestReceiverSurvivesGarbageConnection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire.WriteEnd(rogue)
+	new(wire.FrameWriter).Write(rogue, wire.Frame{FileID: wire.EndStream})
 	rogue.Close()
 
 	res, err := send.Run(ctx, recv.DataAddr(), recv.CtrlAddr())
@@ -212,7 +212,7 @@ func TestReceiverRejectsUnknownFileID(t *testing.T) {
 			if err := wire.WriteDataPreamble(data, welcome.DataToken); err != nil {
 				t.Fatal(err)
 			}
-			if err := wire.WriteFrame(data, tc.f); err != nil {
+			if err := new(wire.FrameWriter).Write(data, tc.f); err != nil {
 				t.Fatal(err)
 			}
 			select {

@@ -296,15 +296,6 @@ func (l *Ledger) MatchesManifest(m workload.Manifest) error {
 	return nil
 }
 
-// Matches reports whether the ledger describes the same dataset and
-// chunk geometry.
-func (l *Ledger) Matches(m workload.Manifest, chunkBytes int) error {
-	if l.ChunkBytes != chunkBytes {
-		return fmt.Errorf("transfer: ledger chunk size %d != session %d", l.ChunkBytes, chunkBytes)
-	}
-	return l.MatchesManifest(m)
-}
-
 // WireStates exports the committed state for the Welcome handshake,
 // omitting files with nothing committed.
 func (l *Ledger) WireStates() []wire.FileState {

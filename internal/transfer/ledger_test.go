@@ -73,15 +73,12 @@ func TestLedgerEncodeDecodeRoundTrip(t *testing.T) {
 	if !got.Done(0, 64<<10) || got.Done(0, 0) || !got.Done(1, 0) {
 		t.Fatal("bitmap lost in round trip")
 	}
-	if err := got.Matches(m, 64<<10); err != nil {
+	if err := got.MatchesManifest(m); err != nil {
 		t.Fatal(err)
-	}
-	if err := got.Matches(m, 32<<10); err == nil {
-		t.Fatal("chunk-size mismatch accepted")
 	}
 	m2 := append(workload.Manifest{}, m...)
 	m2[0].Size++
-	if err := got.Matches(m2, 64<<10); err == nil {
+	if err := got.MatchesManifest(m2); err == nil {
 		t.Fatal("size mismatch accepted")
 	}
 	if _, err := DecodeLedger([]byte(`{"schema":1,"session":"s1","chunk_bytes":65536,"files":[]}`)); err == nil || !strings.Contains(err.Error(), "not a ledger snapshot") {

@@ -59,7 +59,7 @@ func TestLedgerV2EncodeDecodeRoundTrip(t *testing.T) {
 			t.Fatalf("sums=%v: %v", sums, err)
 		}
 		assertLedgersEqual(t, l, got)
-		if err := got.Matches(m, 64<<10); err != nil {
+		if err := got.MatchesManifest(m); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -56,7 +56,3 @@ func (p *Pool) Shutdown() {
 	p.Resize(0)
 	p.wg.Wait()
 }
-
-// Wait blocks until every started worker has returned (without stopping
-// them). Useful after the work source is exhausted.
-func (p *Pool) Wait() { p.wg.Wait() }

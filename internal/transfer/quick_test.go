@@ -71,7 +71,7 @@ func TestQuickStagingAccounting(t *testing.T) {
 				// chunk was admitted into an empty buffer, Used() > Cap()
 				// makes Free() zero yet a zero-length Put would still
 				// block.
-				if s.Used() == 0 || s.Used()+int64(n) <= s.Cap() {
+				if s.Used() == 0 || s.Used()+int64(n) <= s.capBytes {
 					s.Put(Chunk{Data: make([]byte, n)})
 				}
 			} else if c, ok, _ := s.TryGet(); ok {
@@ -80,7 +80,7 @@ func TestQuickStagingAccounting(t *testing.T) {
 			if s.Used() < 0 || s.Len() < 0 {
 				return false
 			}
-			if s.Used() <= s.Cap() && s.Used()+s.Free() != s.Cap() {
+			if s.Used() <= s.capBytes && s.Used()+s.Free() != s.capBytes {
 				return false
 			}
 		}

@@ -253,6 +253,16 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 	stopCtrlWatch := context.AfterFunc(parent, func() { ctrl.Close() })
 	defer stopCtrlWatch()
 
+	// The initial tuple: Conns connections each carrying InitialThreads
+	// streams, InitialThreads readers and writers — clamped to
+	// MaxThreads like every tuple the controller picks later.
+	initial := env.Action{N: [env.StageCount]int{
+		env.StageRead:    cfg.InitialThreads,
+		env.StageConns:   cfg.Conns,
+		env.StageStreams: cfg.InitialThreads,
+		env.StageWrite:   cfg.InitialThreads,
+	}}.Clamp(cfg.MaxThreads)
+
 	checksums := cfg.checksums()
 	files := make([]wire.FileInfo, len(s.Manifest))
 	for i, f := range s.Manifest {
@@ -261,7 +271,7 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 	if err := ctrl.Send(wire.Message{Hello: &wire.Hello{
 		Files:            files,
 		ChunkBytes:       cfg.ChunkBytes,
-		InitialWriters:   cfg.InitialThreads,
+		InitialWriters:   initial.N[env.StageWrite],
 		ReceiverBufBytes: cfg.ReceiverBufBytes,
 		ProtoVersion:     wire.ProtoVersion,
 		SessionID:        cfg.SessionID,
@@ -477,7 +487,7 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 		}
 		return nil, fmt.Errorf("transfer: dial data: %w", lastErr)
 	}
-	conns := newConnSet(cfg.Conns, dialData, cfg.Hooks.OnDataConn)
+	conns := newConnSet(initial.N[env.StageConns], dialData, cfg.Hooks.OnDataConn)
 
 	// Mid-transfer ledger pulls: when a striped connection dies, recovery
 	// asks the receiver which chunks already committed so only the truly
@@ -805,12 +815,10 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 		}
 	}()
 
-	// Initial tuple: Conns connections each carrying InitialThreads
-	// streams, InitialThreads readers and writers.
-	readPool.Resize(cfg.InitialThreads)
-	streams := cfg.InitialThreads
+	readPool.Resize(initial.N[env.StageRead])
+	streams := initial.N[env.StageStreams]
 	netPool.Resize(conns.size() * streams)
-	writers := cfg.InitialThreads
+	writers := initial.N[env.StageWrite]
 
 	rec := metrics.NewRecorder()
 	start := time.Now()

@@ -158,17 +158,6 @@ func (s *Staging) GetN(dst []Chunk, max int, stop, done <-chan struct{}) (out []
 	}
 }
 
-// Get removes the oldest chunk, blocking until one is available. It
-// reports false when the buffer is closed and drained.
-func (s *Staging) Get() (Chunk, bool) {
-	var one [1]Chunk
-	out, _ := s.GetN(one[:0], 1, nil, nil)
-	if len(out) == 0 {
-		return Chunk{}, false
-	}
-	return out[0], true
-}
-
 // TryGet removes the oldest chunk without blocking. ok reports whether a
 // chunk was returned; closed reports that the buffer is closed and fully
 // drained.
@@ -233,9 +222,6 @@ func (s *Staging) Free() int64 {
 	}
 	return s.capBytes - s.used
 }
-
-// Cap returns the configured capacity in bytes.
-func (s *Staging) Cap() int64 { return s.capBytes }
 
 // Len returns the number of queued chunks.
 func (s *Staging) Len() int {

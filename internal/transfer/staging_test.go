@@ -10,6 +10,16 @@ import (
 	"time"
 )
 
+// get takes the oldest chunk, blocking until one is there; false once s
+// is closed and drained.
+func get(s *Staging) (Chunk, bool) {
+	out, _ := s.GetN(nil, 1, nil, nil)
+	if len(out) == 0 {
+		return Chunk{}, false
+	}
+	return out[0], true
+}
+
 func TestStagingFIFO(t *testing.T) {
 	s := NewStaging(1 << 20)
 	for i := 0; i < 5; i++ {
@@ -18,7 +28,7 @@ func TestStagingFIFO(t *testing.T) {
 		}
 	}
 	for i := 0; i < 5; i++ {
-		c, ok := s.Get()
+		c, ok := get(s)
 		if !ok || c.FileID != uint32(i) {
 			t.Fatalf("Get %d: ok=%v id=%d", i, ok, c.FileID)
 		}
@@ -32,8 +42,8 @@ func TestStagingAccounting(t *testing.T) {
 	s := NewStaging(100)
 	s.Put(Chunk{Data: make([]byte, 30)})
 	s.Put(Chunk{Data: make([]byte, 50)})
-	if s.Used() != 80 || s.Free() != 20 || s.Cap() != 100 {
-		t.Fatalf("used=%d free=%d cap=%d", s.Used(), s.Free(), s.Cap())
+	if s.Used() != 80 || s.Free() != 20 || s.capBytes != 100 {
+		t.Fatalf("used=%d free=%d cap=%d", s.Used(), s.Free(), s.capBytes)
 	}
 }
 
@@ -49,7 +59,7 @@ func TestStagingBlocksWhenFull(t *testing.T) {
 	if progressed.Load() {
 		t.Fatal("Put should block while full")
 	}
-	s.Get() // free space
+	get(s) // free space
 	for i := 0; i < 100 && !progressed.Load(); i++ {
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -79,10 +89,10 @@ func TestStagingCloseDrains(t *testing.T) {
 	if s.Put(Chunk{Data: make([]byte, 1)}) {
 		t.Fatal("Put after Close should fail")
 	}
-	if c, ok := s.Get(); !ok || c.FileID != 1 {
+	if c, ok := get(s); !ok || c.FileID != 1 {
 		t.Fatal("Get should drain remaining chunks after Close")
 	}
-	if _, ok := s.Get(); ok {
+	if _, ok := get(s); ok {
 		t.Fatal("Get on drained closed buffer should report false")
 	}
 }
@@ -91,7 +101,7 @@ func TestStagingCloseWakesBlockedGetters(t *testing.T) {
 	s := NewStaging(100)
 	done := make(chan struct{})
 	go func() {
-		s.Get()
+		get(s)
 		close(done)
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -172,7 +182,7 @@ func TestStagingConcurrentProducersConsumers(t *testing.T) {
 		go func() {
 			defer cwg.Done()
 			for {
-				_, ok := s.Get()
+				_, ok := get(s)
 				if !ok {
 					return
 				}
@@ -443,7 +453,7 @@ func TestStagingHandoffStress(t *testing.T) {
 			pwg.Wait()
 			s.Close()
 			<-resized
-			pool.Wait() // the ≥ 1 remaining workers leave on closed-and-drained
+			pool.wg.Wait() // the ≥ 1 remaining workers leave on closed-and-drained
 			pool.Shutdown()
 		}()
 		within(t, "stress", finished)

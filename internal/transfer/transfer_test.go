@@ -2,6 +2,7 @@ package transfer
 
 import (
 	"context"
+	"sync"
 	"testing"
 	"time"
 
@@ -181,6 +182,29 @@ func TestLoopbackWithRateShaping(t *testing.T) {
 	}
 }
 
+// The first tuple obeys MaxThreads like every later one: a config whose
+// InitialThreads and Conns exceed it starts at the cap, not above it.
+func TestSenderFirstTupleHonoursMaxThreads(t *testing.T) {
+	cfg := testConfig()
+	cfg.InitialThreads, cfg.Conns, cfg.MaxThreads = 8, 4, 2
+	cfg.Shaping.LinkMbps = 400 // several ticks
+	var (
+		once  sync.Once
+		first State
+	)
+	cfg.Hooks.OnTick = func(st State) { once.Do(func() { first = st }) }
+	m := workload.LargeFiles(6, 2<<20)
+	if _, err := Loopback(context.Background(), cfg, m, fsim.NewSyntheticStore(), fsim.NewSyntheticStore(), nil); err != nil {
+		t.Fatal(err)
+	}
+	once.Do(func() { t.Fatal("no tick ran") })
+	for i, n := range first.N {
+		if n < 1 || n > cfg.MaxThreads {
+			t.Fatalf("first tick's tuple %v: stage %d has %d threads, MaxThreads is %d", first.N, i, n, cfg.MaxThreads)
+		}
+	}
+}
+
 func TestLoopbackControllerTracesRecorded(t *testing.T) {
 	src := fsim.NewSyntheticStore()
 	dst := fsim.NewSyntheticStore()
@@ -193,7 +217,7 @@ func TestLoopbackControllerTracesRecorded(t *testing.T) {
 	}
 	for _, name := range []string{"cc_read", "cc_net", "cc_write", "thr_read", "thr_net", "thr_write"} {
 		s := res.Recorder.Series(name)
-		if s.Len() == 0 {
+		if len(s.Points()) == 0 {
 			t.Fatalf("series %s empty", name)
 		}
 	}

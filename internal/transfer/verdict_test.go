@@ -230,7 +230,7 @@ func TestReceiverVerdicts(t *testing.T) {
 				for off := int64(0); off < f.Size; off += chunk {
 					p := make([]byte, min(chunk, f.Size-off))
 					fsim.FillContent(f.Name, off, p)
-					if err := wire.WriteFrame(data, wire.Frame{FileID: uint32(id), Offset: off, Data: p, Checksum: true}); err != nil {
+					if err := new(wire.FrameWriter).Write(data, wire.Frame{FileID: uint32(id), Offset: off, Data: p, Checksum: true}); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -85,16 +85,6 @@ func (a *writeArbiter) rebalanceLocked() {
 	}
 }
 
-// shareMbps returns the current per-session share.
-func (a *writeArbiter) shareMbps() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if len(a.members) == 0 {
-		return a.budgetMbps
-	}
-	return a.budgetMbps / float64(len(a.members))
-}
-
 // snapshotInto appends the arbiter's gauges to an endpoint snapshot.
 func (a *writeArbiter) snapshotInto(snap *metrics.Snapshot) {
 	a.mu.Lock()

@@ -4,43 +4,68 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
 
 	"automdt/internal/fsim"
 	"automdt/internal/metrics"
+	"automdt/internal/rate"
 	"automdt/internal/workload"
 )
 
+// shareGauge reads the arbiter's per-session share off its snapshot.
+func shareGauge(a *writeArbiter) float64 {
+	var snap metrics.Snapshot
+	a.snapshotInto(&snap)
+	for _, s := range snap.Samples() {
+		if s.Name == "automdt_endpoint_write_budget_share_mbps" {
+			return s.Value
+		}
+	}
+	return -1
+}
+
+// minWait takes n bytes from lim and fails unless that blocked for at
+// least the time a bucket of shareMbps with a 20 ms burst must charge:
+// (n − burst) / rate. A bucket above its share lets the bytes through
+// sooner.
+func minWait(t *testing.T, lim *rate.Limiter, shareMbps float64, n int) {
+	t.Helper()
+	r := mbpsToBytesPerSec(shareMbps)
+	want := time.Duration((float64(n) - 0.02*r) / r * float64(time.Second))
+	start := time.Now()
+	if err := lim.WaitN(context.Background(), n); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d < want*9/10 {
+		t.Fatalf("%d bytes passed in %v; a %v Mbps bucket charges ≥ %v", n, d, shareMbps, want)
+	}
+}
+
 func TestWriteArbiterEqualSplit(t *testing.T) {
-	a := newWriteArbiter(120, 1<<20)
+	a := newWriteArbiter(120, 1<<10)
 	if a == nil {
 		t.Fatal("arbiter nil for positive budget")
 	}
 	l1 := a.join("s1")
-	if got := a.shareMbps(); got != 120 {
+	if got := shareGauge(a); got != 120 {
 		t.Fatalf("share with 1 member = %v, want 120", got)
-	}
-	wantRate := mbpsToBytesPerSec(120)
-	if got := l1.Rate(); got != wantRate {
-		t.Fatalf("s1 rate = %v, want %v", got, wantRate)
 	}
 
 	l2 := a.join("s2")
 	a.join("s3")
-	if got := a.shareMbps(); got != 40 {
+	if got := shareGauge(a); got != 40 {
 		t.Fatalf("share with 3 members = %v, want 40", got)
 	}
-	wantRate = mbpsToBytesPerSec(40)
-	if l1.Rate() != wantRate || l2.Rate() != wantRate {
-		t.Fatalf("rates after 3-way split = %v, %v, want %v", l1.Rate(), l2.Rate(), wantRate)
-	}
+	minWait(t, l1, 40, 150_000)
+	minWait(t, l2, 40, 150_000)
 
 	// Leaves redistribute to the survivors.
 	a.leave("s2")
 	a.leave("s2") // double-leave: no-op
-	wantRate = mbpsToBytesPerSec(60)
-	if l1.Rate() != wantRate {
-		t.Fatalf("s1 rate after leave = %v, want %v", l1.Rate(), wantRate)
+	if got := shareGauge(a); got != 60 {
+		t.Fatalf("share after leave = %v, want 60", got)
 	}
+	minWait(t, l1, 60, 250_000)
 
 	// Rejoin returns the same bucket.
 	if a.join("s1") != l1 {

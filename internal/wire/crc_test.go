@@ -21,10 +21,10 @@ func pipePair(t *testing.T) (*Conn, *Conn) {
 func roundTrip(t *testing.T, f Frame) Frame {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, f); err != nil {
+	if err := writeFrame(&buf, f); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ReadFrame(&buf, func(n int) []byte { return make([]byte, n) })
+	out, err := readFrame(&buf, func(n int) []byte { return make([]byte, n) })
 	if err != nil {
 		t.Fatal(err)
 	}

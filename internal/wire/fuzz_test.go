@@ -19,14 +19,14 @@ func fuzzAlloc(n int) []byte { return make([]byte, n) }
 func FuzzReadFrame(f *testing.F) {
 	// Valid frames, plain and checksummed.
 	var plain, summed bytes.Buffer
-	WriteFrame(&plain, Frame{FileID: 3, Offset: 512, Data: []byte("hello wire")})
-	WriteFrame(&summed, Frame{FileID: 9, Offset: 1 << 40, Data: []byte("check me"), Checksum: true})
+	writeFrame(&plain, Frame{FileID: 3, Offset: 512, Data: []byte("hello wire")})
+	writeFrame(&summed, Frame{FileID: 9, Offset: 1 << 40, Data: []byte("check me"), Checksum: true})
 	f.Add(plain.Bytes())
 	f.Add(summed.Bytes())
 	// End-of-stream marker, truncated header, truncated payload, and a
 	// header claiming an absurd length.
 	var end bytes.Buffer
-	WriteEnd(&end)
+	writeFrame(&end, Frame{FileID: EndStream})
 	f.Add(end.Bytes())
 	f.Add(plain.Bytes()[:FrameHeaderSize-2])
 	f.Add(plain.Bytes()[:FrameHeaderSize+3])
@@ -40,7 +40,7 @@ func FuzzReadFrame(f *testing.F) {
 			alloced = n
 			return make([]byte, n)
 		}
-		got, err := ReadFrame(bytes.NewReader(data), alloc)
+		got, err := readFrame(bytes.NewReader(data), alloc)
 		if alloced > MaxChunk {
 			t.Fatalf("decoder allocated %d > MaxChunk for corrupt input", alloced)
 		}
@@ -49,10 +49,10 @@ func FuzzReadFrame(f *testing.F) {
 		}
 		// Accepted frame: the round trip must be lossless.
 		var re bytes.Buffer
-		if err := WriteFrame(&re, got); err != nil {
+		if err := writeFrame(&re, got); err != nil {
 			t.Fatalf("re-encode of accepted frame failed: %v", err)
 		}
-		back, err := ReadFrame(bytes.NewReader(re.Bytes()), fuzzAlloc)
+		back, err := readFrame(bytes.NewReader(re.Bytes()), fuzzAlloc)
 		if err != nil {
 			t.Fatalf("re-decode of accepted frame failed: %v", err)
 		}
@@ -98,7 +98,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		// Every truncation of a data frame must error, never hang or
 		// fabricate a frame (except the empty prefix, which is a clean
 		// EOF at a frame boundary).
-		if _, err := ReadFrame(bytes.NewReader(encoded[:len(encoded)/2]), fuzzAlloc); err == nil && len(encoded) >= 2 {
+		if _, err := readFrame(bytes.NewReader(encoded[:len(encoded)/2]), fuzzAlloc); err == nil && len(encoded) >= 2 {
 			t.Fatal("truncated frame decoded without error")
 		}
 
@@ -107,7 +107,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		if checksum && len(payload) > 0 {
 			corrupt := bytes.Clone(encoded)
 			corrupt[FrameHeaderSize+int(flip)%len(payload)] ^= 0x01
-			if _, err := ReadFrame(bytes.NewReader(corrupt), fuzzAlloc); err == nil {
+			if _, err := readFrame(bytes.NewReader(corrupt), fuzzAlloc); err == nil {
 				t.Fatal("corrupted checksummed payload accepted")
 			}
 		}
@@ -117,12 +117,12 @@ func FuzzFrameRoundTrip(f *testing.F) {
 // FuzzReadFrame must treat a clean close at a frame boundary as EOF so
 // pipelines can distinguish "done" from "corrupt".
 func TestReadFrameCleanEOFContract(t *testing.T) {
-	if _, err := ReadFrame(bytes.NewReader(nil), fuzzAlloc); !errors.Is(err, io.EOF) {
+	if _, err := readFrame(bytes.NewReader(nil), fuzzAlloc); !errors.Is(err, io.EOF) {
 		t.Fatalf("empty stream: %v, want io.EOF", err)
 	}
 	var end bytes.Buffer
-	WriteEnd(&end)
-	if _, err := ReadFrame(bytes.NewReader(end.Bytes()), fuzzAlloc); !errors.Is(err, io.EOF) {
+	writeFrame(&end, Frame{FileID: EndStream})
+	if _, err := readFrame(bytes.NewReader(end.Bytes()), fuzzAlloc); !errors.Is(err, io.EOF) {
 		t.Fatalf("end marker: %v, want io.EOF", err)
 	}
 }

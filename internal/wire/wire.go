@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"io"
 	"net"
-	"sync"
 	"sync/atomic"
 )
 
@@ -132,29 +131,6 @@ func CountIOOps(n int64) { ioOps.Add(n) }
 // delta per op.
 func IOOps() int64 { return ioOps.Load() }
 
-// frameWriterPool and frameReaderPool back the one-shot WriteFrame and
-// ReadFrame helpers so their header scratch is reused instead of
-// escaping to the heap on every call (control paths, recovery resends,
-// and tests all go through the one-shot forms).
-var frameWriterPool = sync.Pool{New: func() any { return new(FrameWriter) }}
-
-var frameReaderPool = sync.Pool{New: func() any { return new(FrameReader) }}
-
-// WriteFrame writes one frame to w. For the hot path prefer a FrameWriter,
-// which reuses its scratch and issues vectored header+payload writes; the
-// one-shot form borrows a pooled writer so it allocates nothing either.
-func WriteFrame(w io.Writer, f Frame) error {
-	fw := frameWriterPool.Get().(*FrameWriter)
-	err := fw.Write(w, f)
-	frameWriterPool.Put(fw)
-	return err
-}
-
-// WriteEnd writes the end-of-stream marker to w.
-func WriteEnd(w io.Writer) error {
-	return WriteFrame(w, Frame{FileID: EndStream})
-}
-
 // FrameWriter writes frames with zero per-frame allocations: the header
 // scratch and the vectored-write buffer list persist across calls, and
 // header+payload go out in a single writev when the destination is a
@@ -226,25 +202,6 @@ func (fw *FrameWriter) WriteBatch(w io.Writer, frames []Frame) error {
 	return err
 }
 
-// WriteEnd writes the end-of-stream marker to w.
-func (fw *FrameWriter) WriteEnd(w io.Writer) error {
-	return fw.Write(w, Frame{FileID: EndStream})
-}
-
-// ReadFrame reads one frame from r into a buffer obtained from alloc
-// (which must return a slice of at least the requested length). It
-// returns io.EOF (wrapped) only on a clean end-of-stream marker or a
-// closed connection at a frame boundary. Frames written with Checksum
-// set are verified; mismatches are hard errors. For the hot path prefer
-// a FrameReader, whose header scratch persists across calls; the
-// one-shot form borrows a pooled reader so it allocates nothing either.
-func ReadFrame(r io.Reader, alloc func(n int) []byte) (Frame, error) {
-	fr := frameReaderPool.Get().(*FrameReader)
-	f, err := fr.Read(r, alloc)
-	frameReaderPool.Put(fr)
-	return f, err
-}
-
 // FrameReader reads frames with a persistent header scratch (the local
 // header array in a plain function escapes into the io.ReadFull call and
 // costs one heap allocation per frame). Not safe for concurrent use;
@@ -253,7 +210,11 @@ type FrameReader struct {
 	hdr [FrameHeaderSize]byte
 }
 
-// Read reads one frame from r; see ReadFrame.
+// Read reads one frame from r into a buffer obtained from alloc (which
+// must return a slice of at least the requested length). It returns
+// io.EOF (wrapped) only on a clean end-of-stream marker or a closed
+// connection at a frame boundary. Frames written with Checksum set are
+// verified; mismatches are hard errors.
 func (fr *FrameReader) Read(r io.Reader, alloc func(n int) []byte) (Frame, error) {
 	hdr := &fr.hdr
 	CountIOOps(1)

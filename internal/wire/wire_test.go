@@ -13,13 +13,21 @@ import (
 
 func alloc(n int) []byte { return make([]byte, n) }
 
+// writeFrame writes one frame with a fresh FrameWriter.
+func writeFrame(w io.Writer, f Frame) error { return new(FrameWriter).Write(w, f) }
+
+// readFrame reads one frame with a fresh FrameReader.
+func readFrame(r io.Reader, alloc func(n int) []byte) (Frame, error) {
+	return new(FrameReader).Read(r, alloc)
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	in := Frame{FileID: 7, Offset: 123456789, Data: []byte("hello chunk")}
-	if err := WriteFrame(&buf, in); err != nil {
+	if err := writeFrame(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ReadFrame(&buf, alloc)
+	out, err := readFrame(&buf, alloc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,10 +38,10 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestEmptyPayloadFrame(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, Frame{FileID: 1, Offset: 0}); err != nil {
+	if err := writeFrame(&buf, Frame{FileID: 1, Offset: 0}); err != nil {
 		t.Fatal(err)
 	}
-	f, err := ReadFrame(&buf, alloc)
+	f, err := readFrame(&buf, alloc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,24 +52,24 @@ func TestEmptyPayloadFrame(t *testing.T) {
 
 func TestEndStreamMarker(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteEnd(&buf); err != nil {
+	if err := writeFrame(&buf, Frame{FileID: EndStream}); err != nil {
 		t.Fatal(err)
 	}
-	_, err := ReadFrame(&buf, alloc)
+	_, err := readFrame(&buf, alloc)
 	if err != io.EOF {
 		t.Fatalf("want io.EOF on end marker, got %v", err)
 	}
 }
 
 func TestCleanEOFAtBoundary(t *testing.T) {
-	_, err := ReadFrame(bytes.NewReader(nil), alloc)
+	_, err := readFrame(bytes.NewReader(nil), alloc)
 	if err != io.EOF {
 		t.Fatalf("want io.EOF on empty stream, got %v", err)
 	}
 }
 
 func TestTruncatedHeaderIsError(t *testing.T) {
-	_, err := ReadFrame(bytes.NewReader([]byte{1, 2, 3}), alloc)
+	_, err := readFrame(bytes.NewReader([]byte{1, 2, 3}), alloc)
 	if err == nil || err == io.EOF {
 		t.Fatalf("truncated header should be a hard error, got %v", err)
 	}
@@ -69,9 +77,9 @@ func TestTruncatedHeaderIsError(t *testing.T) {
 
 func TestTruncatedPayloadIsError(t *testing.T) {
 	var buf bytes.Buffer
-	WriteFrame(&buf, Frame{FileID: 1, Data: []byte("abcdef")})
+	writeFrame(&buf, Frame{FileID: 1, Data: []byte("abcdef")})
 	trunc := buf.Bytes()[:buf.Len()-3]
-	_, err := ReadFrame(bytes.NewReader(trunc), alloc)
+	_, err := readFrame(bytes.NewReader(trunc), alloc)
 	if err == nil || errors.Is(err, io.EOF) {
 		t.Fatalf("truncated payload should be a hard error, got %v", err)
 	}
@@ -81,7 +89,7 @@ func TestOversizeFrameRejected(t *testing.T) {
 	var hdr [FrameHeaderSize]byte
 	binary.BigEndian.PutUint32(hdr[0:4], 1)
 	binary.BigEndian.PutUint32(hdr[12:16], MaxChunk+1)
-	_, err := ReadFrame(bytes.NewReader(hdr[:]), alloc)
+	_, err := readFrame(bytes.NewReader(hdr[:]), alloc)
 	if err == nil {
 		t.Fatal("oversize frame accepted")
 	}
@@ -115,10 +123,10 @@ func TestControlChannelBidirectional(t *testing.T) {
 func TestChecksummedFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	in := Frame{FileID: 3, Offset: 42, Data: []byte("checksummed payload"), Checksum: true}
-	if err := WriteFrame(&buf, in); err != nil {
+	if err := writeFrame(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ReadFrame(&buf, alloc)
+	out, err := readFrame(&buf, alloc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,10 +137,10 @@ func TestChecksummedFrameRoundTrip(t *testing.T) {
 
 func TestChecksumDetectsCorruption(t *testing.T) {
 	var buf bytes.Buffer
-	WriteFrame(&buf, Frame{FileID: 3, Data: []byte("payload here"), Checksum: true})
+	writeFrame(&buf, Frame{FileID: 3, Data: []byte("payload here"), Checksum: true})
 	raw := buf.Bytes()
 	raw[len(raw)-1] ^= 0xFF // flip a payload bit
-	_, err := ReadFrame(bytes.NewReader(raw), alloc)
+	_, err := readFrame(bytes.NewReader(raw), alloc)
 	if err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("corruption not detected: %v", err)
 	}
@@ -140,10 +148,10 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 
 func TestUnchecksummedFrameSkipsVerification(t *testing.T) {
 	var buf bytes.Buffer
-	WriteFrame(&buf, Frame{FileID: 1, Data: []byte("plain")})
+	writeFrame(&buf, Frame{FileID: 1, Data: []byte("plain")})
 	raw := buf.Bytes()
 	raw[len(raw)-1] ^= 0xFF // corrupt: must pass (no checksum requested)
-	f, err := ReadFrame(bytes.NewReader(raw), alloc)
+	f, err := readFrame(bytes.NewReader(raw), alloc)
 	if err != nil || f.Checksum {
 		t.Fatalf("plain frame mishandled: %+v err=%v", f, err)
 	}
@@ -151,7 +159,7 @@ func TestUnchecksummedFrameSkipsVerification(t *testing.T) {
 
 func TestWriteFrameRejectsOversizePayload(t *testing.T) {
 	var buf bytes.Buffer
-	err := WriteFrame(&buf, Frame{FileID: 1, Data: make([]byte, MaxChunk+1)})
+	err := writeFrame(&buf, Frame{FileID: 1, Data: make([]byte, MaxChunk+1)})
 	if err == nil {
 		t.Fatal("oversize payload accepted on write")
 	}
@@ -170,10 +178,10 @@ func TestQuickFrameRoundTrip(t *testing.T) {
 			payload = payload[:MaxChunk]
 		}
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, Frame{FileID: id, Offset: off, Data: payload}); err != nil {
+		if err := writeFrame(&buf, Frame{FileID: id, Offset: off, Data: payload}); err != nil {
 			return false
 		}
-		out, err := ReadFrame(&buf, alloc)
+		out, err := readFrame(&buf, alloc)
 		if err != nil {
 			return false
 		}

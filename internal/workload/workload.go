@@ -167,19 +167,3 @@ func (s Spec) Build() (Manifest, error) {
 		return Mixed(s.TotalBytes, s.MinBytes, s.MaxBytes, rand.New(rand.NewSource(s.Seed))), nil
 	}
 }
-
-// Scale returns a copy of the manifest with every size multiplied by
-// factor (rounded down, minimum 1 byte). Used to shrink paper-scale
-// datasets to benchmark-scale ones while preserving the distribution
-// shape.
-func (m Manifest) Scale(factor float64) Manifest {
-	out := make(Manifest, len(m))
-	for i, f := range m {
-		sz := int64(float64(f.Size) * factor)
-		if sz < 1 {
-			sz = 1
-		}
-		out[i] = File{Name: f.Name, Size: sz}
-	}
-	return out
-}

@@ -66,14 +66,15 @@ func TestMixedPanicsOnBadParams(t *testing.T) {
 	Mixed(100, 0, 10, rand.New(rand.NewSource(3)))
 }
 
+// TestScale: a dataset takes its scale from its Spec at build time; the
+// smallest one is a manifest of 1-byte files.
 func TestScale(t *testing.T) {
-	m := Manifest{{Name: "a", Size: 1000}, {Name: "b", Size: 10}}
-	s := m.Scale(0.001)
-	if s[0].Size != 1 || s[1].Size != 1 {
-		t.Fatalf("scaled sizes %d %d", s[0].Size, s[1].Size)
+	m, err := Spec{Kind: "large", Count: 2, SizeBytes: 1}.Build()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if m[0].Size != 1000 {
-		t.Fatal("Scale mutated the original")
+	if m[0].Size != 1 || m[1].Size != 1 || m.TotalBytes() != 2 {
+		t.Fatalf("sizes %d %d, total %d", m[0].Size, m[1].Size, m.TotalBytes())
 	}
 }
 
