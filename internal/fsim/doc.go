@@ -8,7 +8,10 @@
 // The two implementations are SyntheticStore (content derived from
 // (file name, offset) — nothing stored, optional write verification)
 // and DirStore (real files under a root directory, pre-sized so
-// concurrent WriteAt calls cannot race on extension).
+// concurrent WriteAt calls cannot race on extension). On Linux,
+// DirStore opens files with openat relative to one descriptor held for
+// its root and hands out bare descriptors (dirstore_linux.go); other
+// platforms open by full path into an *os.File (dirstore_other.go).
 //
 // Optional capabilities extend the base Store interface for the
 // resumable-session control plane: Stater reports file sizes so a

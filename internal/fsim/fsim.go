@@ -6,12 +6,10 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"io/fs"
 	"math/bits"
 	"os"
 	"path/filepath"
 	"sync"
-	"syscall"
 	"time"
 )
 
@@ -394,9 +392,14 @@ func (w *synthWriter) WriteAt(p []byte, off int64) (int, error) {
 func (w *synthWriter) Close() error { return nil }
 
 // DirStore stores files under a real directory. Used by the CLI tools for
-// genuine disk-to-disk transfers.
+// genuine disk-to-disk transfers. On Linux, Open and Create resolve names
+// relative to one descriptor held for Root, opened on first use; the
+// directory Root names at that moment is the one the store keeps
+// serving. A DirStore must not be copied after first use.
 type DirStore struct {
 	Root string
+
+	root rootDir
 }
 
 // NewDirStore creates the directory if needed and returns a store over it.
@@ -407,69 +410,21 @@ func NewDirStore(root string) (*DirStore, error) {
 	return &DirStore{Root: root}, nil
 }
 
-func (d *DirStore) path(name string) (string, error) {
+// rel returns name cleaned and checked to stay under the root.
+func (d *DirStore) rel(name string) (string, error) {
 	clean := filepath.Clean(name)
 	if filepath.IsAbs(clean) || clean == ".." || len(clean) >= 3 && clean[:3] == ".."+string(filepath.Separator) {
 		return "", fmt.Errorf("fsim: invalid file name %q", name)
 	}
+	return clean, nil
+}
+
+func (d *DirStore) path(name string) (string, error) {
+	clean, err := d.rel(name)
+	if err != nil {
+		return "", err
+	}
 	return filepath.Join(d.Root, clean), nil
-}
-
-// openFile opens p as a plain blocking descriptor: one open(2) and the
-// one fcntl(F_GETFL) os.NewFile spends learning that the descriptor
-// blocks. os.OpenFile would spend four more fcntl calls and an epoll_ctl
-// that fails on a regular file, which is most of a small file's cost.
-// Errors are *os.PathError, as os.OpenFile's are.
-func openFile(p string, flag int, perm uint32) (*os.File, error) {
-	for {
-		fd, err := syscall.Open(p, flag|syscall.O_CLOEXEC, perm)
-		if err == nil {
-			return os.NewFile(uintptr(fd), p), nil
-		}
-		if err != syscall.EINTR {
-			return nil, &os.PathError{Op: "open", Path: p, Err: err}
-		}
-	}
-}
-
-// Open implements Store.
-func (d *DirStore) Open(name string, size int64) (FileReader, error) {
-	p, err := d.path(name)
-	if err != nil {
-		return nil, err
-	}
-	return openFile(p, syscall.O_RDONLY, 0)
-}
-
-// Create implements Store. The file is sized to size so concurrent
-// WriteAt calls cannot race on extension; an existing file of the same
-// size is left untouched, which keeps its contents and is what lets a
-// resumed session write only the missing chunk ranges. Parent
-// directories are made only when the open finds them missing.
-func (d *DirStore) Create(name string, size int64) (FileWriter, error) {
-	p, err := d.path(name)
-	if err != nil {
-		return nil, err
-	}
-	f, err := openFile(p, syscall.O_CREAT|syscall.O_RDWR, 0o644)
-	if errors.Is(err, fs.ErrNotExist) {
-		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-			return nil, err
-		}
-		f, err = openFile(p, syscall.O_CREAT|syscall.O_RDWR, 0o644)
-	}
-	if err != nil {
-		return nil, err
-	}
-	fi, err := f.Stat()
-	if err == nil && fi.Size() != size {
-		err = f.Truncate(size)
-	}
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return f, nil
 }
 
 // Stat implements Stater.

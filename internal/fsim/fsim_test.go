@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -257,8 +258,91 @@ func TestDirStoreSemantics(t *testing.T) {
 				t.Fatalf("size %d err %v, want 10", size, err)
 			}
 		}},
+		{"a parent removed after the first Create is made again", func(t *testing.T, root string, ds *DirStore) {
+			for _, name := range []string{"d/f1", "d/f2"} {
+				w, err := ds.Create(name, 10)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := w.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.RemoveAll(filepath.Join(root, "d")); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+		{"a missing root is made by Create", func(t *testing.T, root string, _ *DirStore) {
+			ds := &DirStore{Root: filepath.Join(root, "later")}
+			if _, err := ds.Open("f", 1); !errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("Open under a missing root: %v, want not-exist", err)
+			}
+			w, err := ds.Create("sub/f", 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.Close()
+			r, err := ds.Open("sub/f", 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Close()
+		}},
+		{"a read past the end returns the bytes it got and io.EOF", func(t *testing.T, root string, ds *DirStore) {
+			write(t, filepath.Join(root, "f"), []byte("0123456789"))
+			r, err := ds.Open("f", 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			p := make([]byte, 8)
+			if n, err := r.ReadAt(p, 6); n != 4 || err != io.EOF || string(p[:n]) != "6789" {
+				t.Fatalf("ReadAt(8 bytes at 6) = %d %q, %v; want 4 \"6789\", io.EOF", n, p[:n], err)
+			}
+			if n, err := r.ReadAt(p, 10); n != 0 || err != io.EOF {
+				t.Fatalf("ReadAt at the end = %d, %v; want 0, io.EOF", n, err)
+			}
+			if n, err := r.ReadAt(p[:4], 2); n != 4 || err != nil || string(p[:n]) != "2345" {
+				t.Fatalf("ReadAt(4 bytes at 2) = %d %q, %v; want 4 \"2345\", nil", n, p[:n], err)
+			}
+		}},
+		{"errors are *os.PathError naming the full path", func(t *testing.T, root string, ds *DirStore) {
+			wantPath := func(t *testing.T, what string, err error, path string) {
+				t.Helper()
+				var pe *os.PathError
+				if !errors.As(err, &pe) || pe.Path != path {
+					t.Fatalf("%s: %v, want an *os.PathError naming %s", what, err, path)
+				}
+			}
+			_, err := ds.Open("a/missing", 1)
+			wantPath(t, "Open of a missing file", err, filepath.Join(root, "a/missing"))
+			write(t, filepath.Join(root, "plain"), []byte("x"))
+			_, err = ds.Create("plain/f", 1)
+			wantPath(t, "Create under a regular file", err, filepath.Join(root, "plain/f"))
+			w, err := ds.Create("b/f", 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = w.WriteAt([]byte("x"), -1)
+			wantPath(t, "WriteAt at a negative offset", err, filepath.Join(root, "b/f"))
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			err = w.Close()
+			wantPath(t, "a second Close", err, filepath.Join(root, "b/f"))
+			if !errors.Is(err, os.ErrClosed) {
+				t.Fatalf("a second Close: %v, want os.ErrClosed", err)
+			}
+			r, err := ds.Open("b/f", 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = r.ReadAt(make([]byte, 1), -1)
+			wantPath(t, "ReadAt at a negative offset", err, filepath.Join(root, "b/f"))
+			r.Close()
+		}},
 		{"a name escaping the root is refused", func(t *testing.T, root string, ds *DirStore) {
-			for _, name := range []string{"../evil", "/abs/path", "a/../../evil"} {
+			for _, name := range []string{"../evil", "/abs/path", "a/../../evil", "../" + filepath.Base(root) + "/evil"} {
 				if w, err := ds.Create(name, 1); err == nil {
 					w.Close()
 					t.Fatalf("Create(%q) accepted", name)
@@ -312,6 +396,83 @@ func TestDirStoreSemantics(t *testing.T) {
 			tc.run(t, root, ds)
 		})
 	}
+}
+
+// The first Open and Create calls on a fresh DirStore race to open its
+// root descriptor; every call must succeed, and the store must end up
+// holding one descriptor for the root, not one per racer.
+func TestDirStoreConcurrentFirstOpen(t *testing.T) {
+	const racers = 32
+	root := t.TempDir()
+	for i := 0; i < racers/2; i++ {
+		if err := os.WriteFile(filepath.Join(root, fmt.Sprintf("in%d", i)), []byte("data"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ds := &DirStore{Root: root}
+	start := make(chan struct{})
+	errs := make(chan error, racers)
+	var wg sync.WaitGroup
+	for i := 0; i < racers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			var err error
+			if i%2 == 0 {
+				var r FileReader
+				if r, err = ds.Open(fmt.Sprintf("in%d", i/2), 4); err == nil {
+					p := make([]byte, 4)
+					if _, err = r.ReadAt(p, 0); err == nil && string(p) != "data" {
+						err = fmt.Errorf("read %q, want \"data\"", p)
+					}
+					r.Close()
+				}
+			} else {
+				var w FileWriter
+				if w, err = ds.Create(fmt.Sprintf("out/%d", i), 4); err == nil {
+					_, err = w.WriteAt([]byte("data"), 0)
+					if cerr := w.Close(); err == nil {
+						err = cerr
+					}
+				}
+			}
+			errs <- err
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if held := descriptorsOn(t, root); runtime.GOOS == "linux" && held != 1 {
+		t.Fatalf("%d descriptors held on the root after every handle closed, want 1", held)
+	}
+	runtime.KeepAlive(ds)
+}
+
+// descriptorsOn counts the process's open descriptors on dir, as
+// /proc/self/fd lists them; -1 where that cannot be read.
+func descriptorsOn(t *testing.T, dir string) int {
+	t.Helper()
+	dir, err := filepath.EvalSymlinks(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return -1
+	}
+	n := 0
+	for _, e := range entries {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", e.Name())); err == nil && target == dir {
+			n++
+		}
+	}
+	return n
 }
 
 // dirStoreHandleRoundTrip writes a file's content through one Create

@@ -116,11 +116,13 @@ func EncodeHeader(hdr *[FrameHeaderSize]byte, f Frame) error {
 	return nil
 }
 
-// ioOps counts data-plane I/O operations: every socket read, frame
-// write (one per vectored batch) and store ReadAt/WriteAt on the hot
-// path bumps it by one. It is a strace-free would-be-syscall counter —
-// self-instrumented at the call sites the engine owns, so it is exact,
-// cheap, and works under `go test`.
+// ioOps counts data-plane I/O operations: every frame header and
+// payload read, frame write (one per vectored batch) and store
+// ReadAt/WriteAt on the hot path bumps it by one. It is a strace-free
+// would-be-syscall counter — self-instrumented at the call sites the
+// engine owns, so it is exact, cheap, and works under `go test`. A
+// frame read counts even when the reader below serves it from a
+// read-ahead buffer without a syscall.
 var ioOps atomic.Int64
 
 // CountIOOps records n data-plane I/O operations.
