@@ -75,6 +75,9 @@ type fleetEndpoint struct {
 	recv   *transfer.Receiver
 	cancel context.CancelFunc
 	done   chan struct{} // closed when Serve returns (all sessions torn down)
+	// pool holds the connections finished jobs left open to the endpoint,
+	// for the next job placed on it; stop drains it.
+	pool *transfer.ConnPool
 	// closing is set from the moment the endpoint stops accepting: before
 	// its serve loop is cancelled, or when a control dial to it is refused.
 	// The listeners close well before done does (sessions tear down in
@@ -98,9 +101,11 @@ func (ep *fleetEndpoint) dead() bool {
 	}
 }
 
-// stop marks the endpoint unplaceable, then cancels its serve loop.
+// stop marks the endpoint unplaceable, drains its idle connections,
+// then cancels its serve loop.
 func (ep *fleetEndpoint) stop() {
 	ep.closing.Store(true)
+	ep.pool.Close()
 	ep.cancel()
 }
 
@@ -151,7 +156,7 @@ func (f *FleetRunner) spawn(id string) error {
 		return fmt.Errorf("sched: fleet endpoint %s listen: %w", id, err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	ep := &fleetEndpoint{id: id, recv: recv, cancel: cancel, done: make(chan struct{})}
+	ep := &fleetEndpoint{id: id, recv: recv, cancel: cancel, done: make(chan struct{}), pool: new(transfer.ConnPool)}
 	recv.OnSessionDone = func(res transfer.SessionResult) { f.sessionDone(id, res) }
 	f.eps[id] = ep
 	f.order = append(f.order, id)
@@ -340,7 +345,7 @@ func (f *FleetRunner) runOnce(ctx context.Context, spec JobSpec, ctrl env.Contro
 	f.mu.Unlock()
 
 	src := fsim.NewSyntheticStore()
-	send := &transfer.Sender{Cfg: spec.Transfer, Store: src, Manifest: spec.Manifest, Controller: ctrl}
+	send := &transfer.Sender{Cfg: spec.Transfer, Store: src, Manifest: spec.Manifest, Controller: ctrl, Pool: ep.pool}
 	res, err := send.Run(ctx, ep.recv.DataAddr(), ep.recv.CtrlAddr())
 	return ep, res, err
 }
@@ -471,6 +476,11 @@ func (f *FleetRunner) Snapshot() metrics.Snapshot {
 	sort.Strings(ids)
 	for _, id := range ids {
 		snap.Add("automdt_fleet_endpoint_sessions_active", float64(loads[id]), metrics.L("endpoint", id))
+	}
+	for _, ep := range eps {
+		ctrl, data := ep.pool.Idle()
+		snap.Add("automdt_fleet_endpoint_idle_conns", float64(ctrl), metrics.L("endpoint", ep.id), metrics.L("kind", "control"))
+		snap.Add("automdt_fleet_endpoint_idle_conns", float64(data), metrics.L("endpoint", ep.id), metrics.L("kind", "data"))
 	}
 	for _, ep := range eps {
 		rs := ep.recv.MetricsSnapshot()

@@ -537,3 +537,90 @@ func TestFleetWriteBudgetFairness(t *testing.T) {
 		t.Fatalf("snapshot missing write-budget gauges:\n%s", text)
 	}
 }
+
+// fleetGauge reads one sample of the fleet's snapshot by name and label
+// value.
+func fleetGauge(t *testing.T, fr *FleetRunner, name string, labels ...string) float64 {
+	t.Helper()
+	for _, s := range fr.Snapshot().Samples() {
+		if s.Name != name || len(s.Labels) < len(labels) {
+			continue
+		}
+		match := true
+		for i, v := range labels {
+			match = match && s.Labels[i].Value == v
+		}
+		if match {
+			return s.Value
+		}
+	}
+	t.Fatalf("no sample %s%v", name, labels)
+	return 0
+}
+
+// TestFleetReusesConnections: a run of sequential jobs on one endpoint
+// runs on the connections the first job dialed, instead of the endpoint
+// accepting a control and a data connection per job.
+func TestFleetReusesConnections(t *testing.T) {
+	fr := &FleetRunner{Size: 1, Verify: true}
+	defer fr.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	const jobs = 200
+	for i := 0; i < jobs; i++ {
+		spec := JobSpec{Manifest: workload.Manifest{{Name: fmt.Sprintf("reuse-%d", i), Size: 64 << 10}}}
+		spec.Transfer.SessionID = fmt.Sprintf("reuse-%d", i)
+		if _, err := fr.Run(ctx, spec, nil); err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+	}
+	ctrl := fleetGauge(t, fr, "automdt_endpoint_conns_accepted_total", "control")
+	data := fleetGauge(t, fr, "automdt_endpoint_conns_accepted_total", "data")
+	t.Logf("%d sequential jobs: the endpoint accepted %v control and %v data connections", jobs, ctrl, data)
+	if ctrl > 2 || data > 2 {
+		t.Fatalf("%d sequential jobs made the endpoint accept %v control and %v data connections, want at most 2 each", jobs, ctrl, data)
+	}
+	if got := fleetGauge(t, fr, "automdt_fleet_endpoint_idle_conns", "ep-0", "data"); got != 1 {
+		t.Fatalf("the endpoint's pool holds %v data connections, want 1", got)
+	}
+}
+
+// TestFleetKillEndpointDrainsPool: killing an endpoint closes the idle
+// connections jobs left open to it, and jobs go on running on its sibling.
+func TestFleetKillEndpointDrainsPool(t *testing.T) {
+	fr := &FleetRunner{Size: 2, Verify: true}
+	defer fr.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	run := func(i int) {
+		t.Helper()
+		spec := JobSpec{Manifest: workload.Manifest{{Name: fmt.Sprintf("drain-%d", i), Size: 64 << 10}}}
+		spec.Transfer.SessionID = fmt.Sprintf("drain-%d", i)
+		if _, err := fr.Run(ctx, spec, nil); err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		run(i)
+	}
+	idle := func(ep string) float64 {
+		return fleetGauge(t, fr, "automdt_fleet_endpoint_idle_conns", ep, "control") +
+			fleetGauge(t, fr, "automdt_fleet_endpoint_idle_conns", ep, "data")
+	}
+	victim := "ep-0"
+	if idle(victim) == 0 {
+		victim = "ep-1"
+	}
+	if idle(victim) == 0 {
+		t.Fatal("no endpoint holds an idle connection after 20 jobs")
+	}
+	if err := fr.KillEndpoint(victim); err != nil {
+		t.Fatal(err)
+	}
+	if got := idle(victim); got != 0 {
+		t.Fatalf("killed endpoint %s still pools %v connections", victim, got)
+	}
+	for i := 20; i < 30; i++ {
+		run(i)
+	}
+}

@@ -25,13 +25,16 @@ import (
 const commitBatchChunks = 16
 
 // Receiver is the destination-side endpoint: one control listener and one
-// data listener serving many concurrent transfer sessions. Each control
-// connection negotiates one session; data connections are demultiplexed
-// to their session by the token carried in their preamble. Every session
-// owns its own staging buffer, write pool, and chunk ledger, so one
-// session's failure or teardown cannot disturb its siblings. Admission is
-// capped by Config.MaxSessions, and stale session ledgers older than
-// Config.LedgerTTL are expired when the endpoint starts serving.
+// data listener serving many concurrent transfer sessions. A control
+// connection carries one session at a time, one after another: a session
+// that ends with Done leaves it open for the next Hello. Data connections
+// are demultiplexed to their session by the token carried in their
+// preamble, and a later preamble at a frame boundary moves a connection
+// to the session it names. Every session owns its own staging buffer,
+// write pool, and chunk ledger, so one session's failure or teardown
+// cannot disturb its siblings. Admission is capped by Config.MaxSessions,
+// and stale session ledgers older than Config.LedgerTTL are expired when
+// the endpoint starts serving.
 type Receiver struct {
 	Cfg   Config
 	Store fsim.Store
@@ -47,7 +50,11 @@ type Receiver struct {
 	closed  bool
 	byToken map[string]*rsession
 	byID    map[string]*rsession
-	pending map[net.Conn]struct{}
+	// idle holds every accepted connection no live session owns: control
+	// connections between sessions, and data connections before their
+	// first preamble or after their session's verdict. shutdown closes
+	// them.
+	idle map[net.Conn]struct{}
 
 	active    int
 	admitted  int64
@@ -55,6 +62,7 @@ type Receiver struct {
 	completed int64
 	failed    int64
 	expired   int64
+	accepted  [2]int64 // control, data connections
 
 	// arb splits Cfg.WriteBudgetMbps across active sessions; nil when no
 	// budget is configured.
@@ -69,6 +77,12 @@ type Receiver struct {
 	fatalOnce sync.Once
 	fatal     chan struct{}
 }
+
+// Indexes of Receiver.accepted.
+const (
+	acceptedCtrl = iota
+	acceptedData
+)
 
 // errSessionBusy marks an admission conflict that resolves itself once
 // the previous holder's teardown finishes; handleControl waits (bounded
@@ -89,24 +103,43 @@ type SessionResult struct {
 }
 
 // rsession is one live transfer session at the endpoint. The demux
-// routes data connections into it; the session's run loop owns the rest
-// of its state as locals.
+// routes data connections into it, and its control connection's reader
+// hands it control messages; the session's run loop owns the rest of its
+// state as locals.
 type rsession struct {
 	id      string
 	token   string // data-preamble routing key
 	staging *Staging
 	arena   *Arena
 	ledger  atomic.Pointer[Ledger] // set once resume state is known; for gauges
-	// resumed is written by runSession and read by handleControl after
+	// resumed is written by runSession and read by serveSession after
 	// runSession returns (same goroutine), so it needs no lock.
 	resumed bool
+	// cmds carries the control messages the connection's reader hands
+	// the session.
+	cmds chan wire.Message
 
-	mu          sync.Mutex
-	err         error
-	cancel      context.CancelFunc // ends the session's run; set before the Welcome
-	conns       []net.Conn
-	connsClosed bool
-	readerWG    sync.WaitGroup
+	// ended is set once the verdict is decided, before a Done leaves: a
+	// frame read after it goes nowhere.
+	ended atomic.Bool
+	// verdict is closed once the verdict is decided; completed, written
+	// before, tells whether it was Done.
+	verdict   chan struct{}
+	completed bool
+	once      sync.Once
+
+	mu     sync.Mutex
+	err    error
+	cancel context.CancelFunc // ends the session's run; set before it starts
+
+	// conns are the data connections bound to the session, guarded by
+	// Receiver.mu. readerWG counts their readers until each rebinds or
+	// exits.
+	conns    map[net.Conn]struct{}
+	readerWG sync.WaitGroup
+	// retired records that the session no longer counts against
+	// MaxSessions; guarded by Receiver.mu.
+	retired bool
 
 	// released is closed when the endpoint unregisters the session; a
 	// retry Hello for the same session ID waits on it.
@@ -141,23 +174,31 @@ func (s *rsession) abort(err error) {
 	}
 }
 
-// addConn registers a routed data connection and spawns its reader,
-// readConn.
-func (s *rsession) addConn(conn net.Conn) {
-	s.mu.Lock()
-	if s.connsClosed {
-		s.mu.Unlock()
-		conn.Close()
-		return
+// decide records the session's verdict, once: Done when completed is
+// true. It reports the verdict that stands.
+func (s *rsession) decide(completed bool) bool {
+	s.once.Do(func() {
+		s.completed = completed
+		s.ended.Store(true)
+		close(s.verdict)
+	})
+	return s.completed
+}
+
+// deliver hands m to the session's run loop. It reports false, having
+// handed nothing, once the verdict is in.
+func (s *rsession) deliver(m wire.Message) bool {
+	select {
+	case <-s.verdict:
+		return false
+	default:
 	}
-	s.conns = append(s.conns, conn)
-	s.readerWG.Add(1)
-	s.mu.Unlock()
-	go func() {
-		defer s.readerWG.Done()
-		defer conn.Close()
-		s.readConn(conn)
-	}()
+	select {
+	case s.cmds <- m:
+		return true
+	case <-s.verdict:
+		return false
+	}
 }
 
 // readAheadBytes is the read-ahead buffer of one data connection: a run
@@ -166,41 +207,67 @@ func (s *rsession) addConn(conn net.Conn) {
 const readAheadBytes = 64 << 10
 
 // readAheads pools the data connections' read-ahead buffers, so a
-// session that lives for one chunk does not allocate one.
+// connection that lives for one chunk does not allocate one.
 var readAheads = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, readAheadBytes) }}
 
-// readConn decodes conn's frames until the stream ends or fails. It
-// checks every frame against the session's chunk grid, leases frame
-// payloads from the session's arena, and transfers the lease to the
-// write pool through the session staging buffer. The read-ahead buffer
-// goes back to the pool, holding no reference to conn, on every return.
-func (s *rsession) readConn(conn io.Reader) {
+// frameSource is one data connection's decoding state. It belongs to the
+// connection, not to a session: bytes read ahead of a preamble that
+// rebinds the connection carry over to the next session.
+type frameSource struct {
+	conn io.Reader
+	br   *bufio.Reader
+	fr   wire.FrameReader
+	// ahead reports whether the next frame is read through br even when
+	// nothing is buffered.
+	ahead bool
+}
+
+func newFrameSource(conn io.Reader) *frameSource {
 	br := readAheads.Get().(*bufio.Reader)
 	br.Reset(conn)
-	defer func() {
-		br.Reset(nil)
-		readAheads.Put(br)
-	}()
+	return &frameSource{conn: conn, br: br}
+}
+
+// release returns the read-ahead buffer to the pool, holding no
+// reference to the connection.
+func (src *frameSource) release() {
+	src.br.Reset(nil)
+	readAheads.Put(src.br)
+	src.br = nil
+}
+
+// next reads the next frame, or the preamble standing in its place.
+// Reading ahead pays off only for frames well under the buffer's size.
+// Past a frame of half of it or more, and before a session's first,
+// reading ahead would save at most one 20-byte header read and copy up
+// to the whole buffer, so the next frame comes straight from the
+// connection whenever nothing is buffered: its payload lands directly in
+// its lease.
+func (src *frameSource) next(alloc func(n int) []byte) (wire.Frame, error) {
+	var r io.Reader = src.br
+	if !src.ahead && src.br.Buffered() == 0 {
+		r = src.conn
+	}
+	return src.fr.Read(r, alloc)
+}
+
+// readFrames decodes src's frames into the session until the stream ends
+// or fails, or until a preamble rebinds the connection: then it reports
+// true, and src.fr holds the preamble's token. It checks every frame
+// against the session's chunk grid, leases frame payloads from the
+// session's arena, and transfers the lease to the write pool through the
+// session staging buffer. A frame read after the session's verdict goes
+// nowhere: its lease is released at once.
+func (s *rsession) readFrames(src *frameSource) (rebind bool) {
 	var pending *Buf
 	alloc := func(n int) []byte {
 		pending = s.arena.Get(n)
 		return pending.Bytes()
 	}
-	var fr wire.FrameReader
-	// Reading ahead pays off only for frames well under the buffer's
-	// size. Past a frame of half of it or more, and before the first,
-	// reading ahead would save at most one 20-byte header read and copy
-	// up to the whole buffer, so the next frame comes straight from conn
-	// whenever nothing is buffered: its payload lands directly in its
-	// lease.
-	ahead := false
+	src.ahead = false
 	for {
 		pending = nil
-		var src io.Reader = br
-		if !ahead && br.Buffered() == 0 {
-			src = conn
-		}
-		f, err := fr.Read(src, alloc)
+		f, err := src.next(alloc)
 		if err != nil {
 			if pending != nil {
 				pending.Release()
@@ -209,7 +276,13 @@ func (s *rsession) readConn(conn io.Reader) {
 			// stripes the session across several data connections and
 			// repairs the loss of one itself — it pulls the ledger and
 			// re-plans the lost chunks over the survivors.
-			return
+			return errors.Is(err, wire.ErrPreamble)
+		}
+		if s.ended.Load() {
+			if pending != nil {
+				pending.Release()
+			}
+			continue
 		}
 		// A frame is exactly one chunk of the session's grid. No
 		// correct sender produces anything else, and writing it would
@@ -221,33 +294,108 @@ func (s *rsession) readConn(conn io.Reader) {
 			}
 			s.abort(fmt.Errorf("transfer: frame %d@%d+%d is not a chunk of this session",
 				f.FileID, f.Offset, len(f.Data)))
-			return
+			return false
 		}
 		// The ledger sum is deliberately NOT the wire CRC: the write
 		// stage re-hashes the payload at commit, so corruption between
 		// frame verification and the disk write (staging memory, a
 		// premature buffer reuse) still trips the sender-vs-receiver
-		// FileSum compare.
+		// FileSum compare. A closed staging buffer is a session coming
+		// down: the frame goes nowhere.
 		if !s.staging.Put(Chunk{FileID: f.FileID, Offset: f.Offset, Data: f.Data, Buf: pending}) {
 			if pending != nil {
 				pending.Release()
 			}
-			return
+			continue
 		}
-		ahead = len(f.Data) < readAheadBytes/2
+		src.ahead = len(f.Data) < readAheadBytes/2
 	}
 }
 
-// closeConns closes every registered data connection and refuses new
-// registrations; teardown then waits on readerWG.
-func (s *rsession) closeConns() {
-	s.mu.Lock()
-	s.connsClosed = true
-	conns := s.conns
-	s.conns = nil
-	s.mu.Unlock()
-	for _, c := range conns {
-		c.Close()
+// serveData runs one accepted data connection for its whole life. It
+// opens with a preamble naming a live session; a later preamble at a
+// frame boundary moves it to the session that one names, which is how a
+// sender reuses it once the previous session ended with Done. A
+// connection that does not open with a preamble, or whose preamble names
+// no live session, is closed before a single frame is read.
+func (r *Receiver) serveData(conn net.Conn) {
+	var sess *rsession
+	defer func() {
+		r.dropConn(conn, sess)
+		conn.Close()
+	}()
+	var pre [wire.PreambleBytes]byte
+	if _, err := io.ReadFull(conn, pre[:]); err != nil || [4]byte(pre[:4]) != wire.PreambleMagic {
+		return
+	}
+	if sess = r.bind(conn, nil, [wire.DataTokenBytes]byte(pre[4:])); sess == nil {
+		return // unknown or stale token: never admit the frames
+	}
+	src := newFrameSource(conn)
+	defer src.release()
+	for sess.readFrames(src) {
+		if sess = r.bind(conn, sess, src.fr.Token()); sess == nil {
+			return
+		}
+	}
+}
+
+// bind moves a data connection from the session it carried (nil for a
+// fresh one) to the live session token names, and returns that session,
+// or nil when the token names none.
+func (r *Receiver) bind(conn net.Conn, from *rsession, token [wire.DataTokenBytes]byte) *rsession {
+	r.mu.Lock()
+	to := r.byToken[hex.EncodeToString(token[:])]
+	if r.closed {
+		to = nil
+	}
+	if from != nil {
+		delete(from.conns, conn)
+	}
+	if to != nil {
+		delete(r.idle, conn)
+		to.conns[conn] = struct{}{}
+		to.readerWG.Add(1)
+	}
+	r.mu.Unlock()
+	if from != nil {
+		from.readerWG.Done()
+	}
+	return to
+}
+
+// dropConn forgets a data connection whose reader is exiting.
+func (r *Receiver) dropConn(conn net.Conn, sess *rsession) {
+	r.mu.Lock()
+	delete(r.idle, conn)
+	if sess != nil {
+		delete(sess.conns, conn)
+	}
+	r.mu.Unlock()
+	if sess != nil {
+		sess.readerWG.Done()
+	}
+}
+
+// unbindConns ends a session's claim on its data connections and stops
+// new ones binding: a completed session leaves them open for the
+// sender's next session, any other closes them.
+func (r *Receiver) unbindConns(sess *rsession, completed bool) {
+	r.mu.Lock()
+	delete(r.byToken, sess.token)
+	conns := sess.conns
+	sess.conns = nil // no bind reaches it: the token is gone
+	keep := completed && !r.closed
+	if keep {
+		for c := range conns {
+			r.idle[c] = struct{}{}
+		}
+	}
+	r.mu.Unlock()
+	if !keep {
+		for c := range conns {
+			c.Close()
+		}
 	}
 }
 
@@ -259,7 +407,7 @@ func NewReceiver(cfg Config, store fsim.Store) *Receiver {
 		Store:    store,
 		byToken:  make(map[string]*rsession),
 		byID:     make(map[string]*rsession),
-		pending:  make(map[net.Conn]struct{}),
+		idle:     make(map[net.Conn]struct{}),
 		fatal:    make(chan struct{}),
 		busyWait: 5 * time.Second,
 		arb:      newWriteArbiter(cfg.WriteBudgetMbps, cfg.ChunkBytes),
@@ -323,7 +471,7 @@ func (r *Receiver) Err() error {
 }
 
 // Serve runs the endpoint until ctx is cancelled: it accepts control
-// connections, negotiates one session per connection, and demultiplexes
+// connections, runs their sessions one after another, and demultiplexes
 // data connections across the live sessions. It must be called after
 // Listen. On cancellation every session is torn down (persisting its
 // ledger) before Serve returns ctx.Err().
@@ -344,8 +492,8 @@ func (r *Receiver) serve(ctx context.Context, maxDone int) error {
 	var wg sync.WaitGroup
 	results := make(chan error)
 
-	// Data acceptor: every connection gets a demux goroutine that reads
-	// the preamble and routes the stream to its session.
+	// Data acceptor: every connection gets a reader that routes its
+	// frames to the session its latest preamble names.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -355,19 +503,20 @@ func (r *Receiver) serve(ctx context.Context, maxDone int) error {
 				r.acceptFailed("data", err)
 				return
 			}
-			if !r.trackPending(conn) {
+			if !r.trackAccepted(conn, acceptedData) {
 				conn.Close()
 				continue
 			}
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				r.demux(conn)
+				r.serveData(conn)
 			}()
 		}
 	}()
 
-	// Control acceptor: one session negotiation per connection.
+	// Control acceptor: every connection gets a reader that runs its
+	// sessions one after another.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -376,6 +525,10 @@ func (r *Receiver) serve(ctx context.Context, maxDone int) error {
 			if err != nil {
 				r.acceptFailed("control", err)
 				return
+			}
+			if !r.trackAccepted(conn, acceptedCtrl) {
+				conn.Close()
+				continue
 			}
 			wg.Add(1)
 			go func() {
@@ -414,103 +567,154 @@ func (r *Receiver) serve(ctx context.Context, maxDone int) error {
 	}
 }
 
-// shutdown stops the intake: listeners closed, un-routed data
-// connections closed, new admissions refused. Idempotent.
+// shutdown stops the intake: listeners closed, connections no session
+// owns closed, new admissions refused. Idempotent.
 func (r *Receiver) shutdown() {
 	r.mu.Lock()
 	r.closed = true
-	pending := make([]net.Conn, 0, len(r.pending))
-	for c := range r.pending {
-		pending = append(pending, c)
+	idle := make([]net.Conn, 0, len(r.idle))
+	for c := range r.idle {
+		idle = append(idle, c)
 	}
 	r.mu.Unlock()
 	r.dataLn.Close()
 	r.ctrlLn.Close()
-	for _, c := range pending {
+	for _, c := range idle {
 		c.Close()
 	}
 }
 
-// trackPending registers a data connection awaiting demux so shutdown
-// can force its preamble read off the socket. Reports false when the
-// endpoint is already closed.
-func (r *Receiver) trackPending(conn net.Conn) bool {
+// trackAccepted counts an accepted connection by kind and registers it
+// as idle, so shutdown can force its read off the socket. Reports false
+// when the endpoint is already closed.
+func (r *Receiver) trackAccepted(conn net.Conn, kind int) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
 		return false
 	}
-	r.pending[conn] = struct{}{}
+	r.idle[conn] = struct{}{}
+	r.accepted[kind]++
 	return true
 }
 
-func (r *Receiver) untrackPending(conn net.Conn) {
+func (r *Receiver) untrackIdle(conn net.Conn) {
 	r.mu.Lock()
-	delete(r.pending, conn)
+	delete(r.idle, conn)
 	r.mu.Unlock()
 }
 
-// demux routes one data connection to the session its preamble names.
-// A connection that does not open with PreambleMagic and a live token is
-// closed before a single frame is read.
-func (r *Receiver) demux(conn net.Conn) {
-	defer r.untrackPending(conn)
-	var pre [wire.PreambleBytes]byte
-	if _, err := io.ReadFull(conn, pre[:]); err != nil || [4]byte(pre[:4]) != wire.PreambleMagic {
-		conn.Close()
-		return
-	}
-	r.mu.Lock()
-	sess := r.byToken[hex.EncodeToString(pre[4:])]
-	r.mu.Unlock()
-	if sess == nil {
-		conn.Close() // unknown or stale token: never admit the frames
-		return
-	}
-	sess.addConn(conn)
-}
-
-// handleControl negotiates and runs one session on a freshly accepted
-// control connection.
+// handleControl serves one control connection for its whole life. Its
+// loop is the connection's only reader: it hands every message to the
+// session bound at that moment, and while none is bound it starts a
+// session on a Hello and drops anything else — a SetWriters, LedgerPull
+// or FileSum the sender had in flight when its last session's Done
+// arrived. A session that ends with Done leaves the connection open for
+// the next Hello. Any other verdict closes it, as do a refused Hello, a
+// second Hello while a session is bound, and a dead peer or endpoint.
 func (r *Receiver) handleControl(ctx context.Context, raw net.Conn, results chan<- error) {
 	ctrl := wire.NewConn(raw)
 	// A cancelled endpoint context must unblock the Hello read and every
 	// later control operation. The watch is on the endpoint context, not
-	// the session's own cancel: an internal session failure must keep the
+	// a session's own cancel: an internal session failure must keep the
 	// channel alive long enough to report the root cause to the sender.
 	stopWatch := context.AfterFunc(ctx, func() { ctrl.Close() })
 	defer stopWatch()
-
-	m, err := ctrl.Recv()
-	if err != nil || m.Hello == nil {
-		ctrl.Close() // not a session: garbage or a vanished peer
-		return
-	}
-	sess, held, reject := r.admit(m.Hello)
-	if held != nil {
-		// A retried attempt can race the previous attempt's teardown: the
-		// sender is gone, but its session still holds the ledger key for up
-		// to a control-channel-death detection plus a persist. Wait for the
-		// holder's release instead of burning the retry.
-		bound, stop := context.WithTimeout(ctx, r.busyWait)
-		for held != nil && bound.Err() == nil {
-			select {
-			case <-held:
-				sess, held, reject = r.admit(m.Hello)
-			case <-bound.Done():
-			}
+	var sessions sync.WaitGroup
+	var bound *rsession
+	defer func() {
+		// A dead control channel ends a live session immediately: the
+		// sender can neither steer nor learn the outcome without it, and
+		// a prompt teardown frees the session's ledger key for the retry
+		// that typically follows. After the verdict the abort is a no-op.
+		if bound != nil {
+			bound.abort(context.Canceled)
 		}
-		stop()
+		sessions.Wait()
+		r.untrackIdle(raw)
+	}()
+	for {
+		m, err := ctrl.Recv()
+		if err != nil {
+			ctrl.Close() // garbage or a vanished peer
+			return
+		}
+		if bound != nil {
+			select {
+			case <-bound.verdict:
+			default:
+				if m.Hello != nil {
+					// One session at a time: the bound one fails, and its
+					// error Status is the connection's last message.
+					bound.abort(errors.New("transfer: Hello while a session runs on this control connection"))
+					continue
+				}
+				if bound.deliver(m) {
+					continue
+				}
+			}
+			if !bound.completed {
+				ctrl.Close()
+				return
+			}
+			bound = nil
+		}
+		if m.Hello == nil {
+			continue // a straggler of the last session
+		}
+		sess, reject := r.admitWaiting(ctx, m.Hello)
+		if reject != nil {
+			r.mu.Lock()
+			r.rejected++
+			r.mu.Unlock()
+			ctrl.Send(wire.Message{Status: &wire.Status{Error: reject.Error()}})
+			ctrl.Close()
+			return
+		}
+		r.untrackIdle(raw)
+		sctx, cancel := context.WithCancel(ctx)
+		sess.mu.Lock()
+		sess.cancel = cancel
+		sess.mu.Unlock()
+		bound = sess
+		sessions.Add(1)
+		go func(h *wire.Hello) {
+			defer sessions.Done()
+			defer cancel()
+			r.serveSession(ctx, sctx, sess, raw, ctrl, h, results)
+		}(m.Hello)
 	}
-	if reject != nil {
-		r.mu.Lock()
-		r.rejected++
-		r.mu.Unlock()
-		ctrl.Send(wire.Message{Status: &wire.Status{Error: reject.Error()}})
-		ctrl.Close()
-		return
+}
+
+// admitWaiting admits a Hello. A retried attempt can race the previous
+// attempt's teardown: the sender is gone, but its session still holds the
+// ledger key for up to a control-channel-death detection plus a persist.
+// admitWaiting waits, bounded by busyWait, for the holder's release
+// instead of burning the retry.
+func (r *Receiver) admitWaiting(ctx context.Context, h *wire.Hello) (*rsession, error) {
+	sess, held, err := r.admit(h)
+	if held == nil {
+		return sess, err
 	}
-	err = r.runSession(ctx, sess, ctrl, m.Hello)
+	bound, stop := context.WithTimeout(ctx, r.busyWait)
+	defer stop()
+	for held != nil && bound.Err() == nil {
+		select {
+		case <-held:
+			sess, held, err = r.admit(h)
+		case <-bound.Done():
+		}
+	}
+	return sess, err
+}
+
+// serveSession runs one admitted session in sctx, unregisters it, and
+// reports its outcome on results while the endpoint context lives.
+func (r *Receiver) serveSession(ctx, sctx context.Context, sess *rsession, raw net.Conn, ctrl *wire.Conn, h *wire.Hello, results chan<- error) {
+	err := r.runSession(sctx, sess, raw, ctrl, h)
+	// A session that returned before its teardown was armed may still
+	// hold data connections.
+	r.unbindConns(sess, sess.decide(false))
 	res := SessionResult{
 		SessionID: sess.id,
 		Resumed:   sess.resumed,
@@ -609,6 +813,9 @@ func (r *Receiver) admit(h *wire.Hello) (sess *rsession, held <-chan struct{}, e
 		token:    wire.NewDataToken(),
 		staging:  NewStaging(bufCap),
 		arena:    r.Cfg.arena(),
+		cmds:     make(chan wire.Message, 8), // the reader runs a few messages ahead of the run loop
+		verdict:  make(chan struct{}),
+		conns:    make(map[net.Conn]struct{}),
 		released: make(chan struct{}),
 	}
 	r.byToken[sess.token] = sess
@@ -625,11 +832,22 @@ func (r *Receiver) release(sess *rsession, err error) {
 	delete(r.byID, sess.id)
 	delete(r.byToken, sess.token)
 	close(sess.released)
-	r.active--
+	r.retireLocked(sess)
 	if err == nil {
 		r.completed++
 	} else {
 		r.failed++
+	}
+}
+
+// retireLocked frees a session's admission slot, once. A completed
+// session frees it before its Done leaves, so the sender's next Hello on
+// the same connection does not find the endpoint at capacity while the
+// finished session's teardown runs. Caller holds r.mu.
+func (r *Receiver) retireLocked(sess *rsession) {
+	if !sess.retired {
+		sess.retired = true
+		r.active--
 	}
 }
 
@@ -676,6 +894,7 @@ func (r *Receiver) MetricsSnapshot() metrics.Snapshot {
 	}
 	active, admitted, rejected := r.active, r.admitted, r.rejected
 	completed, failed, expired := r.completed, r.failed, r.expired
+	accepted := r.accepted
 	r.mu.Unlock()
 
 	var snap metrics.Snapshot
@@ -685,6 +904,8 @@ func (r *Receiver) MetricsSnapshot() metrics.Snapshot {
 	snap.Add("automdt_endpoint_sessions_total", float64(completed), metrics.L("event", "completed"))
 	snap.Add("automdt_endpoint_sessions_total", float64(failed), metrics.L("event", "failed"))
 	snap.Add("automdt_endpoint_ledgers_expired_total", float64(expired))
+	snap.Add("automdt_endpoint_conns_accepted_total", float64(accepted[acceptedCtrl]), metrics.L("kind", "control"))
+	snap.Add("automdt_endpoint_conns_accepted_total", float64(accepted[acceptedData]), metrics.L("kind", "data"))
 	if r.arb != nil {
 		r.arb.snapshotInto(&snap)
 	}
@@ -765,16 +986,18 @@ func (c *sumChecker) verified(fileID uint32) {
 // Welcome handshake, the session-scoped write pool draining the staging
 // buffer the demuxed readers fill, ledger persistence, and end-to-end
 // file verification. It returns when the transfer completes, the session
-// fails, or the endpoint context is cancelled; its teardown releases
-// every arena lease the session took and persists the ledger's final
-// state without touching any sibling session.
-func (r *Receiver) runSession(parent context.Context, sess *rsession, ctrl *wire.Conn, h *wire.Hello) error {
-	ctx, cancel := context.WithCancel(parent)
-	defer cancel()
-	defer ctrl.Close()
-	sess.mu.Lock()
-	sess.cancel = cancel
-	sess.mu.Unlock()
+// fails, or ctx — the session's, a child of the endpoint's — is
+// cancelled; its teardown releases every arena lease the session took
+// and persists the ledger's final state without touching any sibling
+// session. A completed session leaves its connections open for the
+// sender's next session; any other verdict closes them.
+func (r *Receiver) runSession(ctx context.Context, sess *rsession, raw net.Conn, ctrl *wire.Conn, h *wire.Hello) error {
+	cancel := sess.cancel
+	defer func() {
+		if !sess.decide(false) {
+			ctrl.Close()
+		}
+	}()
 
 	manifest := make(workload.Manifest, len(h.Files))
 	var total int64
@@ -1014,49 +1237,37 @@ func (r *Receiver) runSession(parent context.Context, sess *rsession, ctrl *wire
 		n = r.Cfg.InitialThreads
 	}
 	pool.Resize(r.clampWriters(n))
-	// Shutdown discipline: stop this session's intake first (every data
-	// connection, then wait for the readers those connections fed), close
-	// staging so a reader still mid-Put fails and releases its own lease,
-	// stop the write pool, and only then drain what's left. After this
-	// defer runs, every arena lease this session took is returned, and
-	// the ledger's latest state is persisted so the next attempt can
-	// resume from it. Sibling sessions and the endpoint listeners are
-	// untouched.
+	// Shutdown discipline: stop this session's intake first (a failed
+	// session closes every data connection, then waits for the readers
+	// those connections fed), close staging so a reader still mid-Put
+	// fails and releases its own lease, stop the write pool, and only
+	// then drain what's left. After this defer runs, every arena lease
+	// this session took is returned, and the ledger's latest state is
+	// persisted so the next attempt can resume from it. A completed
+	// session leaves its data connections open and does not wait on
+	// their readers: once its verdict is in, a frame they read goes
+	// nowhere. Sibling sessions and the endpoint listeners are untouched.
 	defer func() {
-		sess.closeConns()
+		completed := sess.decide(false)
+		r.unbindConns(sess, completed)
 		// Close staging BEFORE waiting on the readers: closing the conns
 		// only unblocks readers parked in a socket read, while a reader
 		// blocked in Put on a full staging buffer (write pool already
 		// gone on cancellation) only wakes when staging closes — waiting
 		// first would deadlock the session forever.
 		staging.Close()
-		sess.readerWG.Wait()
+		if !completed {
+			sess.readerWG.Wait()
+		}
 		pool.Shutdown()
 		staging.ReleaseRemaining()
 		persist()
 	}()
 
 	// Control loop: periodic status out; SetWriters commands, file sums
-	// and ledger pulls in. A dead control channel ends the session
-	// immediately: the sender can neither steer nor learn the outcome
-	// without it, and a prompt teardown frees the session's ledger key for
-	// the retry that typically follows (after completion the cancel is a
-	// no-op).
-	cmds := make(chan wire.Message, 8)
-	go func() {
-		for {
-			m, err := ctrl.Recv()
-			if err != nil {
-				cancel()
-				return
-			}
-			select {
-			case cmds <- m:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
+	// and ledger pulls in, handed over by the connection's reader, which
+	// cancels the session when the control channel dies.
+	cmds := sess.cmds
 
 	ticker := time.NewTicker(r.Cfg.ProbeInterval)
 	defer ticker.Stop()
@@ -1113,7 +1324,21 @@ func (r *Receiver) runSession(parent context.Context, sess *rsession, ctrl *wire
 		if resumable {
 			ls.RemoveLedger(session)
 		}
-		return sendStatus(true)
+		// The verdict is in before Done leaves: the sender's next Hello
+		// on this connection finds the session ended, its admission slot
+		// free, and the connection idle.
+		sess.decide(true)
+		r.mu.Lock()
+		r.retireLocked(sess)
+		if !r.closed {
+			r.idle[raw] = struct{}{}
+		}
+		r.mu.Unlock()
+		if err := sendStatus(true); err != nil {
+			ctrl.Close()
+			return err
+		}
+		return nil
 	}
 
 	// Each wait is nil-ed after it fires so the select keeps serving

@@ -73,6 +73,11 @@ type Sender struct {
 	Store      fsim.Store
 	Manifest   workload.Manifest
 	Controller env.Controller // nil keeps InitialThreads fixed
+	// Pool, when set, holds connections earlier sessions left open to
+	// the same endpoint: Run takes them before dialing and gives its own
+	// back after a clean end. nil, or a Cfg.WrapConn, dials and closes
+	// every connection.
+	Pool *ConnPool
 
 	mu         sync.Mutex
 	err        error
@@ -214,6 +219,39 @@ func (fs *fileSummer) add(fileID uint32, off int64, sum uint32) (crc uint32, don
 	return wire.FoldChunkCRCs(st.sums, fs.chunk, st.size), true
 }
 
+// handshake sends the Hello on ctrl and waits, at most timeout, for the
+// Welcome. stale reports a channel that died before the Welcome without
+// a refusal, a timeout or a cancellation — what a pooled connection the
+// peer closed while it sat idle does.
+func handshake(ctx context.Context, ctrl *wire.Conn, hello wire.Message, timeout time.Duration) (w *wire.Welcome, stale bool, err error) {
+	if err := ctrl.Send(hello); err != nil {
+		if ctx.Err() != nil {
+			return nil, false, ctx.Err()
+		}
+		return nil, true, fmt.Errorf("transfer: send hello: %w", err)
+	}
+	hsTimer := time.AfterFunc(timeout, func() { ctrl.Close() })
+	defer hsTimer.Stop()
+	for {
+		m, err := ctrl.Recv()
+		if err != nil {
+			if ctx.Err() != nil {
+				return nil, false, ctx.Err()
+			}
+			if !hsTimer.Stop() {
+				return nil, false, fmt.Errorf("transfer: no Welcome within %v", timeout)
+			}
+			return nil, true, fmt.Errorf("transfer: handshake: %w", err)
+		}
+		if m.Status != nil && m.Status.Error != "" {
+			return nil, false, fmt.Errorf("transfer: receiver: %s", m.Status.Error)
+		}
+		if m.Welcome != nil {
+			return m.Welcome, false, nil
+		}
+	}
+}
+
 // Run executes the transfer against a receiver listening at the given
 // data and control addresses, returning when the receiver confirms
 // completion.
@@ -234,24 +272,12 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 	parent := ctx
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-
-	ctrlRaw, err := net.Dial("tcp", ctrlAddr)
-	if err != nil {
-		return nil, fmt.Errorf("transfer: dial control: %w", err)
-	}
+	// A wrapper may hold bytes past the session's end, so a session that
+	// wraps its connections neither takes nor gives back pooled ones.
+	pool := s.Pool
 	if cfg.WrapConn != nil {
-		ctrlRaw = cfg.WrapConn("ctrl", ctrlRaw)
+		pool = nil
 	}
-	ctrl := wire.NewConn(ctrlRaw)
-	defer ctrl.Close()
-	// A cancelled caller context must unblock every control-channel
-	// operation — in particular the synchronous Welcome wait below, where
-	// a sender would otherwise hang between the control handshake and the
-	// first data dial. The watch is on the parent only: an internal
-	// failure (cancel()) must keep the channel open so the receiver's
-	// root-cause report can still land.
-	stopCtrlWatch := context.AfterFunc(parent, func() { ctrl.Close() })
-	defer stopCtrlWatch()
 
 	// The initial tuple: Conns connections each carrying InitialThreads
 	// streams, InitialThreads readers and writers — clamped to
@@ -268,7 +294,7 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 	for i, f := range s.Manifest {
 		files[i] = wire.FileInfo{Name: f.Name, Size: f.Size}
 	}
-	if err := ctrl.Send(wire.Message{Hello: &wire.Hello{
+	hello := wire.Message{Hello: &wire.Hello{
 		Files:            files,
 		ChunkBytes:       cfg.ChunkBytes,
 		InitialWriters:   initial.N[env.StageWrite],
@@ -276,10 +302,7 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 		ProtoVersion:     wire.ProtoVersion,
 		SessionID:        cfg.SessionID,
 		Checksums:        checksums,
-	}}); err != nil {
-		return nil, fmt.Errorf("transfer: send hello: %w", err)
-	}
-
+	}}
 	// The receiver answers with its chunk ledger, from which this run
 	// plans only the missing ranges. A deadline bounds a silent peer. A
 	// fresh session's Welcome arrives within one RTT of the Hello; a
@@ -290,26 +313,58 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 	if cfg.SessionID != "" {
 		welcomeTimeout = 10 * time.Minute
 	}
-	hsTimer := time.AfterFunc(welcomeTimeout, func() { ctrl.Close() })
+	var dialer net.Dialer
+	var ctrl *wire.Conn
+	var stopCtrlWatch func() bool
 	var welcome *wire.Welcome
 	for welcome == nil {
-		m, err := ctrl.Recv()
+		// A pooled control connection first. One the peer closed while it
+		// sat idle fails before the Welcome; it is dropped and the next
+		// one tried, down to a fresh dial.
+		ctrl = pool.takeCtrl()
+		pooled := ctrl != nil
+		if !pooled {
+			raw, err := dialer.DialContext(ctx, "tcp", ctrlAddr)
+			if err != nil {
+				if ctx.Err() != nil {
+					return nil, ctx.Err()
+				}
+				return nil, fmt.Errorf("transfer: dial control: %w", err)
+			}
+			if cfg.WrapConn != nil {
+				raw = cfg.WrapConn("ctrl", raw)
+			}
+			ctrl = wire.NewConn(raw)
+		}
+		// A cancelled caller context must unblock every control-channel
+		// operation — in particular the synchronous Welcome wait, where a
+		// sender would otherwise hang between the control handshake and
+		// the first data dial. The watch is on the parent only: an
+		// internal failure (cancel()) must keep the channel open so the
+		// receiver's root-cause report can still land.
+		c := ctrl
+		stopCtrlWatch = context.AfterFunc(parent, func() { c.Close() })
+		var stale bool
+		welcome, stale, err = handshake(ctx, ctrl, hello, welcomeTimeout)
 		if err != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
+			stopCtrlWatch()
+			ctrl.Close()
+			if !stale || !pooled {
+				return nil, err
 			}
-			if !hsTimer.Stop() {
-				return nil, fmt.Errorf("transfer: no Welcome within %v", welcomeTimeout)
-			}
-			return nil, fmt.Errorf("transfer: handshake: %w", err)
 		}
-		if m.Status != nil && m.Status.Error != "" {
-			hsTimer.Stop()
-			return nil, fmt.Errorf("transfer: receiver: %s", m.Status.Error)
-		}
-		welcome = m.Welcome
 	}
-	hsTimer.Stop()
+	// A clean end gives the control connection back; every other end
+	// closes it.
+	clean := false
+	defer func() {
+		if clean && stopCtrlWatch() {
+			pool.putCtrl(ctrl)
+			return
+		}
+		stopCtrlWatch()
+		ctrl.Close()
+	}()
 	if welcome.ProtoVersion != wire.ProtoVersion {
 		return nil, fmt.Errorf("transfer: receiver speaks protocol %d, this sender speaks protocol %d only", welcome.ProtoVersion, wire.ProtoVersion)
 	}
@@ -447,11 +502,35 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 	ctrlDone := make(chan struct{})
 
 	// Striped data plane: the chunk stream fans out over a resizable set
-	// of parallel data connections. dialData carries the listener-race
-	// retry the single-conn engine had: the receiver closes its data
-	// listener the moment the transfer completes, so a dial prompted by a
-	// late grow can lose that race without anything being wrong.
+	// of parallel data connections. dialData takes a pooled connection
+	// first, then dials, with the listener-race retry the single-conn
+	// engine had: the receiver closes its data listener the moment the
+	// transfer completes, so a dial prompted by a late grow can lose that
+	// race without anything being wrong. Every connection's death watch
+	// reports to onConnGone with the slot it serves.
+	var onConnGone func(index int)
 	dialData := func(index int) (net.Conn, error) {
+		onGone := func() { onConnGone(index) }
+		// open writes the session's preamble, before its first frame, on
+		// a connection wrapped for this session; the endpoint routes the
+		// stream to this session by token.
+		open := func(sock *dataSock) (net.Conn, error) {
+			var conn net.Conn = sock
+			if cfg.WrapConn != nil {
+				conn = cfg.WrapConn("data", sock)
+			}
+			if err := wire.WriteDataPreamble(conn, dataToken); err != nil {
+				sock.disown() // a connection that never served the slot
+				conn.Close()
+				return nil, err
+			}
+			return conn, nil
+		}
+		for sock := pool.takeData(onGone); sock != nil; sock = pool.takeData(onGone) {
+			if conn, err := open(sock); err == nil {
+				return conn, nil
+			}
+		}
 		var lastErr error
 		for attempt := 0; attempt < 5; attempt++ {
 			if attempt > 0 {
@@ -463,18 +542,13 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 				case <-time.After(time.Duration(attempt) * 5 * time.Millisecond):
 				}
 			}
-			conn, err := net.Dial("tcp", dataAddr)
+			raw, err := dialer.DialContext(ctx, "tcp", dataAddr)
 			if err != nil {
 				lastErr = err
 				continue
 			}
-			if cfg.WrapConn != nil {
-				conn = cfg.WrapConn("data", conn)
-			}
-			// One preamble per connection, before the first frame; the
-			// endpoint demux routes the stream to this session by token.
-			if err := wire.WriteDataPreamble(conn, dataToken); err != nil {
-				conn.Close()
+			conn, err := open(watchData(raw.(*net.TCPConn), onGone))
+			if err != nil {
 				lastErr = err
 				continue
 			}
@@ -668,13 +742,14 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 		}
 	}
 
-	// Arm the read-side death watch: a receiver that drops a data
-	// connection (checksum failure, injected fault) after every pending
-	// write already drained into the socket buffer leaves no later write
-	// to fail, so without the watch the lost in-flight chunks would never
-	// be re-planned and the session would stall waiting for commits.
-	conns.onDead = func(c *dataConn) {
-		if conns.markDead(c) {
+	// The read-side death watch: a receiver that drops a data connection
+	// (checksum failure, injected fault) after every pending write
+	// already drained into the socket buffer leaves no later write to
+	// fail, so without the watch the lost in-flight chunks would never be
+	// re-planned and the session would stall waiting for commits. A
+	// connection retired here fires it too; markDead makes that a no-op.
+	onConnGone = func(index int) {
+		if c := conns.slot(index); conns.markDead(c) {
 			spawnRecovery(c, errConnClosedByPeer)
 		}
 	}
@@ -742,11 +817,14 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 	// Cleanup order matters: closing the staging buffer first wakes
 	// readers blocked in Put so the pool shutdowns cannot deadlock. Once
 	// both pools have exited, any chunks stranded in staging (aborted
-	// transfer) return their arena leases. Connections close only after
-	// every recovery has wound down — a close at a frame boundary reads
-	// as a clean end-of-stream at the receiver, so no EndStream marker is
-	// needed (one would wrongly end a shared connection that recovery
-	// might still write to).
+	// transfer) return their arena leases. Connections close, or go back
+	// to the pool, only after every recovery has wound down — at a frame
+	// boundary, where a close reads as a clean end-of-stream at the
+	// receiver and a pooled connection's next preamble rebinds it, so no
+	// EndStream marker is needed (one would wrongly end a shared
+	// connection that recovery might still write to). Only a clean end
+	// gives connections back: the receiver's Done, no sender-side error,
+	// and the control reader gone.
 	//
 	// The wire counters are read last, once every network worker and
 	// recovery has exited: the receiver's Done can overtake the counter
@@ -756,7 +834,15 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 			res.WireBytes, res.ResentBytes = netTotal.Load(), resentTotal.Load()
 		}
 	}()
-	defer conns.closeAll()
+	defer func() {
+		clean = err == nil && res != nil && s.Err() == nil
+		if !clean {
+			conns.finish(nil)
+			return
+		}
+		<-ctrlDone
+		conns.finish(pool)
+	}()
 	defer func() {
 		staging.Close()
 		readPool.Shutdown()
@@ -766,7 +852,7 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 	// Recovery goroutines may outlive the workers that spawned them; they
 	// must finish (or observe completion/cancellation) before the source
 	// files and the connections are closed. Disarm spawning first (LIFO):
-	// the death watch fires for every socket closeAll tears down, and a
+	// the death watch fires for every socket finish tears down, and a
 	// recovery started after the Wait would race the teardown.
 	defer recoverWG.Wait()
 	defer func() {

@@ -60,7 +60,6 @@ var errConnsExhausted = errors.New("transfer: every data connection is dead")
 type connSet struct {
 	dial   func(index int) (net.Conn, error) // dial + preamble; retries internally
 	onConn func(index int, conn net.Conn)    // Hooks.OnDataConn, may be nil
-	onDead func(c *dataConn)                 // read-side death watch, may be nil
 
 	mu    sync.Mutex
 	conns []*dataConn
@@ -148,13 +147,18 @@ func (cs *connSet) markDead(c *dataConn) bool {
 	return true
 }
 
-// ensure dials slot c's socket on first use (c.mu held by the caller)
-// and arms its read-side death watch: the sender never receives on a
-// data connection, so a returning Read means the peer closed or reset
-// the stream — or the slot was retired locally, which onDead must treat
-// as a no-op. The watch is how a receiver-side close (e.g. a checksum
-// failure on a frame that already left the sender's buffers) surfaces
-// when no later write exists to fail.
+// slot returns the slot at index, which dial has been asked to connect.
+func (cs *connSet) slot(index int) *dataConn {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	return cs.conns[index]
+}
+
+// ensure connects slot c's socket on first use (c.mu held by the
+// caller). The dial arms the connection's read-side death watch, which
+// is how a receiver-side close (e.g. a checksum failure on a frame that
+// already left the sender's buffers) surfaces when no later write exists
+// to fail.
 func (cs *connSet) ensure(c *dataConn) error {
 	if c.conn != nil {
 		return nil
@@ -166,13 +170,6 @@ func (cs *connSet) ensure(c *dataConn) error {
 	c.conn = conn
 	if cs.onConn != nil {
 		cs.onConn(c.index, conn)
-	}
-	if cs.onDead != nil {
-		go func() {
-			var b [1]byte
-			conn.Read(b[:]) //nolint:errcheck // any return means the conn is gone
-			cs.onDead(c)
-		}()
 	}
 	return nil
 }
@@ -199,19 +196,24 @@ func (cs *connSet) writeBatch(c *dataConn, frames []wire.Frame) error {
 	return nil
 }
 
-// closeAll retires every slot and closes every dialed socket (end of
-// run; all writes are done, and a close at a frame boundary reads as a
-// clean end-of-stream at the receiver).
-func (cs *connSet) closeAll() {
+// finish retires every slot at the end of a run, when all writes are
+// done and every socket sits at a frame boundary. It gives pool each
+// connection that was never marked dead and is not wrapped, and closes
+// the rest; a nil pool closes them all.
+func (cs *connSet) finish(pool *ConnPool) {
 	cs.mu.Lock()
 	conns := append([]*dataConn(nil), cs.conns...)
-	for _, c := range conns {
+	live := make([]bool, len(conns))
+	for i, c := range conns {
+		live[i] = !c.dead
 		c.dead = true
 	}
 	cs.mu.Unlock()
-	for _, c := range conns {
+	for i, c := range conns {
 		c.mu.Lock()
-		if c.conn != nil {
+		if sock, ok := c.conn.(*dataSock); ok && live[i] {
+			pool.putData(sock)
+		} else if c.conn != nil {
 			c.conn.Close()
 		}
 		c.mu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -14,9 +15,12 @@ import (
 // ProtoVersion is the one control-channel protocol generation: Hello →
 // Welcome (chunk ledger + DataToken) → preambled data connections →
 // LedgerPull on connection loss → one Status{Done} or Status{Error}.
-// Both ends carry it in the handshake and refuse any other value;
-// nothing negotiates down. docs/PROTOCOL.md specifies every message.
-const ProtoVersion = 5
+// A connection outlives a session that ends with Done: the next Hello on
+// the control connection starts the next session, and a preamble at a
+// frame boundary moves a data connection to it. Both ends carry the
+// generation in the handshake and refuse any other value; nothing
+// negotiates down. docs/PROTOCOL.md specifies every message.
+const ProtoVersion = 6
 
 // DataTokenBytes is the decoded length of a session's data-routing token
 // (Welcome.DataToken is its hex encoding).
@@ -29,8 +33,14 @@ const PreambleBytes = 4 + DataTokenBytes
 // PreambleMagic opens every data connection. The first byte is ≥ 0x80
 // on purpose: read as a big-endian frame header it would name file id
 // ≥ 0xAD000000 (~2.9 billion files), which no manifest can reach, so a
-// bare frame stream can never be mistaken for a preamble.
+// bare frame stream can never be mistaken for a preamble, and a preamble
+// at a frame boundary is told from a frame header by its first 4 bytes.
 var PreambleMagic = [4]byte{0xAD, 'M', 'T', '2'}
+
+// ErrPreamble is what FrameReader.Read returns when a data preamble
+// stands where a frame header would: the sender has moved the connection
+// to another session. FrameReader.Token returns the token it carries.
+var ErrPreamble = errors.New("wire: data preamble at a frame boundary")
 
 // NewDataToken returns a fresh random session data token, hex-encoded as
 // carried in a Welcome.
@@ -43,8 +53,9 @@ func NewDataToken() string {
 }
 
 // WriteDataPreamble writes the data-connection preamble: the magic plus
-// the decoded token. Senders call it once per data
-// connection, before the first frame.
+// the decoded token. Senders write it before a session's first frame on
+// a data connection: on a fresh connection, or at a frame boundary of one
+// an earlier session left open.
 func WriteDataPreamble(w io.Writer, token string) error {
 	raw, err := hex.DecodeString(token)
 	if err != nil || len(raw) != DataTokenBytes {
@@ -212,11 +223,19 @@ type FrameReader struct {
 	hdr [FrameHeaderSize]byte
 }
 
+// Token returns the decoded data token of the preamble the last Read
+// stopped at with ErrPreamble. A preamble is exactly as long as a frame
+// header, so the header read holds all of it.
+func (fr *FrameReader) Token() [DataTokenBytes]byte {
+	return [DataTokenBytes]byte(fr.hdr[len(PreambleMagic):])
+}
+
 // Read reads one frame from r into a buffer obtained from alloc (which
 // must return a slice of at least the requested length). It returns
 // io.EOF (wrapped) only on a clean end-of-stream marker or a closed
-// connection at a frame boundary. Frames written with Checksum set are
-// verified; mismatches are hard errors.
+// connection at a frame boundary, and ErrPreamble when a data preamble
+// stands in place of the frame header. Frames written with Checksum set
+// are verified; mismatches are hard errors.
 func (fr *FrameReader) Read(r io.Reader, alloc func(n int) []byte) (Frame, error) {
 	hdr := &fr.hdr
 	CountIOOps(1)
@@ -225,6 +244,9 @@ func (fr *FrameReader) Read(r io.Reader, alloc func(n int) []byte) (Frame, error
 			return Frame{}, io.EOF
 		}
 		return Frame{}, fmt.Errorf("wire: read frame header: %w", err)
+	}
+	if [4]byte(hdr[:4]) == PreambleMagic {
+		return Frame{}, ErrPreamble
 	}
 	f := Frame{
 		FileID: binary.BigEndian.Uint32(hdr[0:4]),

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"io"
 	"net"
@@ -58,6 +59,36 @@ func TestEndStreamMarker(t *testing.T) {
 	_, err := readFrame(&buf, alloc)
 	if err != io.EOF {
 		t.Fatalf("want io.EOF on end marker, got %v", err)
+	}
+}
+
+// A preamble at a frame boundary stops the reader with ErrPreamble and
+// its token, allocating nothing, and the frame after it decodes.
+func TestPreambleAtFrameBoundary(t *testing.T) {
+	token := NewDataToken()
+	var buf bytes.Buffer
+	if err := writeFrame(&buf, Frame{FileID: 1, Data: []byte("before")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteDataPreamble(&buf, token); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFrame(&buf, Frame{FileID: 2, Data: []byte("after")}); err != nil {
+		t.Fatal(err)
+	}
+	var fr FrameReader
+	if f, err := fr.Read(&buf, alloc); err != nil || string(f.Data) != "before" {
+		t.Fatalf("first frame %+v, %v", f, err)
+	}
+	_, err := fr.Read(&buf, func(int) []byte { t.Fatal("a preamble allocated a payload"); return nil })
+	if !errors.Is(err, ErrPreamble) {
+		t.Fatalf("want ErrPreamble, got %v", err)
+	}
+	if got := fr.Token(); hex.EncodeToString(got[:]) != token {
+		t.Fatalf("token %x, want %s", got, token)
+	}
+	if f, err := fr.Read(&buf, alloc); err != nil || f.FileID != 2 || string(f.Data) != "after" {
+		t.Fatalf("frame after the preamble %+v, %v", f, err)
 	}
 }
 
