@@ -3,6 +3,7 @@ package automdt
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -17,6 +18,7 @@ import (
 	"automdt/internal/flight"
 	"automdt/internal/sched"
 	"automdt/internal/transfer"
+	"automdt/internal/wire"
 	"automdt/internal/workload"
 )
 
@@ -264,5 +266,27 @@ func TestDocsFlightSchema(t *testing.T) {
 	}
 	if len(tr.Events) == 0 {
 		t.Fatal("FLIGHT.md's JSON example has no events")
+	}
+}
+
+// TestDocsProtocolVersion checks that PROTOCOL.md's Versioning section
+// quotes both refusals — the endpoint's of a Hello, the sender's of a
+// Welcome — with the generation wire.ProtoVersion names, and gives that
+// generation as the current one.
+func TestDocsProtocolVersion(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("docs", "PROTOCOL.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := strings.Join(strings.Fields(string(doc)), " ") // refusals wrap across lines
+	v := wire.ProtoVersion
+	for _, want := range []string{
+		fmt.Sprintf("`wire.ProtoVersion` (%d)", v),
+		fmt.Sprintf("`transfer: sender speaks protocol N, this endpoint speaks protocol %d only`", v),
+		fmt.Sprintf("`transfer: receiver speaks protocol N, this sender speaks protocol %d only`", v),
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("PROTOCOL.md does not say %s", want)
+		}
 	}
 }

@@ -20,8 +20,8 @@ var (
 type PeerFault struct {
 	Name string `json:"name"`
 	// FlipPerMB is the probability, per data megabyte forwarded, of
-	// flipping one random bit in the forwarded copy. With wire checksums
-	// on, every flip must surface as a CRC/decode failure, never as
+	// flipping one random bit in the forwarded copy. Every frame carries
+	// a CRC, so every flip must surface as a CRC/decode failure, never as
 	// corrupt bytes on disk.
 	FlipPerMB float64 `json:"flip_per_mb,omitempty"`
 	// KillDataAfterBytes cuts one data connection each time the

@@ -33,8 +33,9 @@ type SubmitRequest struct {
 	// Conns is the number of parallel data connections the job's sender
 	// opens (the striping width); 0 means one.
 	Conns int `json:"conns,omitempty"`
-	// DisableChecksums turns off frame CRCs and end-to-end file
-	// verification (on by default).
+	// DisableChecksums is refused when true: every session verifies
+	// frame CRCs and end-to-end file sums. The field stays so the
+	// refusal can name it.
 	DisableChecksums bool `json:"disable_checksums,omitempty"`
 }
 
@@ -44,6 +45,9 @@ type SubmitRequest struct {
 func (r SubmitRequest) spec(maxGrant int) (JobSpec, error) {
 	if r.DestDir != "" {
 		return JobSpec{}, errors.New("dest_dir is not supported: every job writes into the fleet's shared destination store")
+	}
+	if r.DisableChecksums {
+		return JobSpec{}, errors.New("disable_checksums is not supported: every session verifies frame and file checksums")
 	}
 	if r.MaxThreads > maxGrant {
 		return JobSpec{}, fmt.Errorf("max_threads %d exceeds the largest per-stage budget %d", r.MaxThreads, maxGrant)
@@ -58,12 +62,11 @@ func (r SubmitRequest) spec(maxGrant int) (JobSpec, error) {
 		Priority:   r.Priority,
 		MaxRetries: r.MaxRetries,
 		Transfer: transfer.Config{
-			ChunkBytes:       r.ChunkBytes,
-			MaxThreads:       r.MaxThreads,
-			InitialThreads:   r.InitialThreads,
-			ProbeInterval:    time.Duration(r.ProbeIntervalMs) * time.Millisecond,
-			DisableChecksums: r.DisableChecksums,
-			Conns:            r.Conns,
+			ChunkBytes:     r.ChunkBytes,
+			MaxThreads:     r.MaxThreads,
+			InitialThreads: r.InitialThreads,
+			ProbeInterval:  time.Duration(r.ProbeIntervalMs) * time.Millisecond,
+			Conns:          r.Conns,
 		},
 	}, nil
 }

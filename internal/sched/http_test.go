@@ -192,6 +192,23 @@ func TestHTTPErrors(t *testing.T) {
 		t.Fatalf("dest_dir submit: status %d body %v, want 400 naming dest_dir", resp.StatusCode, body)
 	}
 
+	// Checksums off: every session verifies frame and file sums. An
+	// explicit false is the only mode there is and is accepted.
+	for _, off := range []bool{true, false} {
+		raw := fmt.Sprintf(`{"name":"sums","dataset":{"kind":"large","count":1,"size_bytes":1024},"disable_checksums":%v}`, off)
+		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body = nil
+		json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		refused := resp.StatusCode == http.StatusBadRequest && strings.Contains(body["error"], "disable_checksums")
+		if refused != off || (!off && resp.StatusCode >= 300) {
+			t.Fatalf("disable_checksums %v submit: status %d body %v", off, resp.StatusCode, body)
+		}
+	}
+
 	// Malformed id.
 	r, err = http.Get(srv.URL + "/v1/jobs/banana")
 	if err != nil {

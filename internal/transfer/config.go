@@ -12,6 +12,9 @@ import (
 // Shaping configures the emulated testbed's rate caps in Mbps. Zero
 // values mean unshaped. Per-thread caps emulate the paper's per-TCP-stream
 // throttles (§V-B-1); aggregate caps emulate link and storage bandwidth.
+// The aggregate caps are per session: Sender.Run builds the ReadAggMbps
+// and LinkMbps buckets per run and each receiver session builds its own
+// WriteAggMbps bucket, so concurrent sessions do not share them.
 type Shaping struct {
 	ReadPerThreadMbps  float64
 	NetPerStreamMbps   float64
@@ -45,10 +48,6 @@ type Hooks struct {
 	// preambled, with its slot index and the live socket. Failure tests
 	// use it to kill one connection of a striped transfer mid-flight.
 	OnDataConn func(index int, conn net.Conn)
-	// OnDone runs exactly once when Sender.Run returns, with Run's
-	// result and error. Key success on err == nil: when the receiver
-	// completed but a sender-side error was recorded, both are non-nil.
-	OnDone func(*Result, error)
 }
 
 // Session describes a negotiated transfer session, delivered to
@@ -98,12 +97,6 @@ type Config struct {
 	// one-shot transfer. The scheduler assigns one per job so retries
 	// resume instead of restarting.
 	SessionID string
-	// DisableChecksums turns off integrity verification: the per-frame
-	// CRC-32C on the wire, the per-chunk sums recorded in the session
-	// ledger, and the end-to-end per-file CRC check at commit. Checksums
-	// are ON by default (the paper's Globus runs disabled verification;
-	// production DTNs should not).
-	DisableChecksums bool
 	// MaxSessions is the receiver endpoint's admission cap: how many
 	// transfer sessions one Receiver serves concurrently. Sessions beyond
 	// the cap are rejected at the handshake with a clear error instead of
@@ -131,9 +124,9 @@ type Config struct {
 	// fair (equal shares, rebalanced on every session join/leave) across
 	// its active sessions, so one greedy high-thread session cannot
 	// starve siblings on the shared destination disks. Zero leaves the
-	// write stage unarbitrated. Unlike Shaping.WriteAggMbps — one bucket
-	// all sessions race for — the budget gives each session its own
-	// bucket sized to its fair share.
+	// write stage unarbitrated. It is the only write cap that spans an
+	// endpoint's sessions: Shaping.WriteAggMbps caps each session on its
+	// own.
 	WriteBudgetMbps float64
 	// Hooks observe the transfer lifecycle (job-scoped; optional).
 	Hooks Hooks
@@ -159,9 +152,6 @@ func (c Config) arena() *Arena {
 	}
 	return Default()
 }
-
-// checksums reports whether the session verifies integrity (the default).
-func (c Config) checksums() bool { return !c.DisableChecksums }
 
 // WithDefaults returns cfg with zero fields replaced by defaults.
 func (c Config) WithDefaults() Config {

@@ -52,8 +52,7 @@ func materializeDir(t *testing.T, dir string, m workload.Manifest) *fsim.DirStor
 	return store
 }
 
-// TestCrossPathKioPortable runs every asymmetric stage pairing in both
-// checksum modes. In the case names "kio" is a batched (unshaped) stage
+// TestCrossPathKioPortable runs every stage pairing. In the case names "kio" is a batched (unshaped) stage
 // and "portable" a chunk-at-a-time stage, made so by a rate cap far
 // above what loopback reaches: a batching sender against a
 // chunk-at-a-time receiver and the reverse must be wire-compatible and
@@ -63,18 +62,15 @@ func TestCrossPathKioPortable(t *testing.T) {
 	cases := []struct {
 		name                 string
 		sendBatch, recvBatch bool
-		checksums            bool
 	}{
 		// Chunk-at-a-time sender ↔ batched receiver: adaptive write
 		// batches against a one-frame-per-write stream.
-		{"portable-send_kio-recv_crc", false, true, true},
-		{"portable-send_kio-recv_nocrc", false, true, false},
+		{"portable-send_kio-recv_crc", false, true},
 		// Batched sender ↔ chunk-at-a-time receiver: vectored frame
 		// batches against a chunk-at-a-time write stage.
-		{"kio-send_portable-recv_crc", true, false, true},
-		{"kio-send_portable-recv_nocrc", true, false, false},
+		{"kio-send_portable-recv_crc", true, false},
 		// Both ends batched: the unshaped path.
-		{"kio-both_nocrc", true, true, false},
+		{"kio-both_crc", true, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -90,12 +86,10 @@ func TestCrossPathKioPortable(t *testing.T) {
 			if !tc.recvBatch {
 				cfgRecv.Shaping.WriteAggMbps = generousMbps
 			}
-			cfgRecv.DisableChecksums = !tc.checksums
 			cfgSend := testConfig()
 			if !tc.sendBatch {
 				cfgSend.Shaping.NetPerStreamMbps = generousMbps
 			}
-			cfgSend.DisableChecksums = !tc.checksums
 			// Resumable session, so the persisted ledger's cleanup can be
 			// checked.
 			cfgSend.SessionID = "cross-" + tc.name
@@ -122,9 +116,9 @@ func TestCrossPathKioPortable(t *testing.T) {
 				t.Fatalf("wire bytes %d, want %d", res.WireBytes, m.TotalBytes())
 			}
 			// However writes were batched, the session ends with every
-			// byte ledger-committed — per-chunk commits, since the
-			// checksummed variants verify each FileSum against the
-			// ledger-folded CRCs before reporting done — and the
+			// byte ledger-committed — per-chunk commits, since every
+			// session verifies each FileSum against the ledger-folded
+			// CRCs before reporting done — and the
 			// completed session's persisted ledger cleaned up.
 			if sessionDone.Err != nil {
 				t.Fatalf("session result: %v", sessionDone.Err)

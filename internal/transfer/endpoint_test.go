@@ -505,7 +505,11 @@ func oneChunkOn(t *testing.T, recv *Receiver, ask func(*wire.Hello), check func(
 	if err := wire.WriteDataPreamble(data, m.Welcome.DataToken); err != nil {
 		t.Fatal(err)
 	}
-	if err := new(wire.FrameWriter).Write(data, wire.Frame{FileID: 0, Offset: 0, Data: make([]byte, size)}); err != nil {
+	payload := make([]byte, size)
+	if err := new(wire.FrameWriter).Write(data, wire.Frame{FileID: 0, Offset: 0, Data: payload}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Send(wire.Message{FileSum: &wire.FileSum{FileID: 0, CRC: wire.PayloadCRC(payload)}}); err != nil {
 		t.Fatal(err)
 	}
 	for {
@@ -554,7 +558,9 @@ func TestEndpointClampsHelloBuffer(t *testing.T) {
 
 // There is one protocol generation: a Hello announcing any other is
 // answered with an errored Status naming both versions, counted as
-// rejected, and registers nothing. A protocol 4 peer speaks gob, whose
+// rejected, and registers nothing — also when the rest of it follows
+// its own generation's layout, as a protocol 6 Hello's checksums flag
+// does. A protocol 4 peer speaks gob, whose
 // stream never opens with a control tag: its Hello is closed at the
 // first byte, before admission, with no reply. Every refusal leaves
 // nothing behind (expectRefusal).
@@ -587,6 +593,33 @@ func TestEndpointRefusesOtherGenerations(t *testing.T) {
 		})
 	}
 
+	// A protocol 6 Hello as its senders wrote it: the version, session
+	// ID, chunk bytes, writers and buffer bytes, the checksums flag,
+	// then the manifest.
+	v6 := binary.AppendVarint(nil, 6)
+	v6 = append(v6, 0) // no session ID
+	v6 = binary.AppendVarint(v6, 64<<10)
+	v6 = binary.AppendVarint(v6, 1)
+	v6 = binary.AppendVarint(v6, 0)
+	v6 = append(v6, 1, 1, 7) // checksums, one file, a 7-byte name
+	v6 = binary.AppendVarint(append(v6, "pin.dat"...), 1<<20)
+	tag := controlBytes(t, wire.Message{Hello: &wire.Hello{}})[0]
+	v6 = append(binary.AppendUvarint([]byte{tag}, uint64(len(v6))), v6...)
+	expectRefusal(t, recv, cfg.Arena, idle, "protocol 6 Hello", 1<<20, func() {
+		raw, err := net.Dial("tcp", recv.CtrlAddr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer raw.Close()
+		if _, err := raw.Write(v6); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("sender speaks protocol 6, this endpoint speaks protocol %d only", wire.ProtoVersion)
+		if m := recvReply(t, wire.NewConn(raw)); m.Status == nil || !strings.Contains(m.Status.Error, want) {
+			t.Fatalf("protocol 6 Hello: reply %+v, want an error saying %q", m, want)
+		}
+	})
+
 	var v4 bytes.Buffer
 	if err := gob.NewEncoder(&v4).Encode(&wire.Message{Hello: &wire.Hello{
 		Files:        []wire.FileInfo{{Name: "pin.dat", Size: 1 << 20}},
@@ -600,8 +633,8 @@ func TestEndpointRefusesOtherGenerations(t *testing.T) {
 	})
 
 	snap := recv.MetricsSnapshot()
-	if got := gauge(t, snap, "automdt_endpoint_sessions_total", "rejected"); got != float64(len(others)) {
-		t.Fatalf("rejected gauge %v, want %d", got, len(others))
+	if got := gauge(t, snap, "automdt_endpoint_sessions_total", "rejected"); got != float64(len(others)+1) {
+		t.Fatalf("rejected gauge %v, want %d", got, len(others)+1)
 	}
 	if got := gauge(t, snap, "automdt_endpoint_sessions_active", ""); got != 0 {
 		t.Fatalf("%v sessions active after refusals, want 0", got)

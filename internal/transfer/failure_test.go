@@ -114,13 +114,13 @@ func TestReceiverSurvivesGarbageConnection(t *testing.T) {
 	m := workload.LargeFiles(4, 512<<10)
 	send := &Sender{Cfg: testConfig(), Store: src, Manifest: m}
 
-	// Open a rogue connection that sends a clean end marker (a stray
+	// Open a rogue connection that sends a bare frame header (a stray
 	// prober, for example) while the real transfer runs.
 	rogue, err := net.Dial("tcp", recv.DataAddr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	new(wire.FrameWriter).Write(rogue, wire.Frame{FileID: wire.EndStream})
+	new(wire.FrameWriter).Write(rogue, wire.Frame{FileID: ^uint32(0)})
 	rogue.Close()
 
 	res, err := send.Run(ctx, recv.DataAddr(), recv.CtrlAddr())

@@ -15,9 +15,9 @@ import (
 )
 
 // Ledger is a session's chunk ledger: per file, a bitmap of chunk ranges
-// committed to the destination store, plus (when the session runs with
-// checksums) the per-chunk CRC-32C sums that make committed ranges
-// re-verifiable after a restart. It is the control-plane document behind
+// committed to the destination store, plus (in a receiver's ledger) the
+// per-chunk CRC-32C sums that make committed ranges re-verifiable after
+// a restart. It is the control-plane document behind
 // resumable transfers — the receiver maintains and persists it, the
 // Welcome handshake advertises it, and the sender plans only the ranges
 // it does not cover. Safe for concurrent use.
@@ -26,9 +26,9 @@ type Ledger struct {
 
 	SessionID  string
 	ChunkBytes int
-	// HasSums reports whether per-chunk CRCs are recorded (checksummed
-	// sessions). Without sums a resume trusts the bitmap after a size
-	// check only.
+	// HasSums reports whether per-chunk CRCs are recorded. A receiver's
+	// ledger always records them; the sender's bitmap-only views of a
+	// Welcome do not, and a receiver never resumes a ledger without them.
 	HasSums bool
 	Files   []*FileLedger
 

@@ -41,13 +41,13 @@ func readConnFrames(m workload.Manifest) []wire.Frame {
 		for off := int64(0); off < f.Size; off += readConnChunk {
 			data := make([]byte, min(readConnChunk, f.Size-off))
 			fsim.FillContent(f.Name, off, data)
-			frames = append(frames, wire.Frame{FileID: uint32(id), Offset: off, Data: data, Checksum: true})
+			frames = append(frames, wire.Frame{FileID: uint32(id), Offset: off, Data: data})
 		}
 	}
 	return frames
 }
 
-// encodeFrames returns frames as one checksummed data stream.
+// encodeFrames returns frames as one data stream.
 func encodeFrames(t *testing.T, frames []wire.Frame) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -210,11 +210,13 @@ func TestReadConnExits(t *testing.T) {
 		fails   string // the session error, if the exit fails it
 	}{
 		{"clean end of stream", func() []byte { return stream }, nil, 8, ""},
+		// The end marker of protocols before 7 is an ordinary header now,
+		// and its frame is no chunk of the session.
 		{"end-of-stream marker", func() []byte {
 			var hdr [wire.FrameHeaderSize]byte
-			wire.EncodeHeader(&hdr, wire.Frame{FileID: wire.EndStream})
+			wire.EncodeHeader(&hdr, wire.Frame{FileID: ^uint32(0)})
 			return append(bytes.Clone(stream), hdr[:]...)
-		}, nil, 8, ""},
+		}, nil, 8, "frame 4294967295@0+0 is not a chunk of this session"},
 		{"checksum mismatch drops the connection", func() []byte {
 			b := bytes.Clone(stream)
 			b[3*frameBytes+wire.FrameHeaderSize+100] ^= 0xFF // the fourth frame's payload
@@ -225,7 +227,7 @@ func TestReadConnExits(t *testing.T) {
 			var fw wire.FrameWriter
 			var b bytes.Buffer
 			b.Write(stream[:2*frameBytes])
-			fw.Write(&b, wire.Frame{FileID: 2, Offset: 1, Data: make([]byte, 100), Checksum: true})
+			fw.Write(&b, wire.Frame{FileID: 2, Offset: 1, Data: make([]byte, 100)})
 			return b.Bytes()
 		}, nil, 2, "frame 2@1+100 is not a chunk of this session"},
 		{"a closed staging buffer", func() []byte { return stream }, func(s *rsession) { s.staging.Close() }, 0, ""},

@@ -919,11 +919,10 @@ func (r *Receiver) MetricsSnapshot() metrics.Snapshot {
 	return snap
 }
 
-// sumChecker holds the end-to-end file sums a checksummed session is
-// owed: one for every non-empty file with no committed chunk in the
-// ledger the Welcome advertised, the sender's fileSummer rule. An entry
-// leaves owed once its verdict has landed, and settled closes when the
-// last one does.
+// sumChecker holds the end-to-end file sums a session is owed: one for
+// every non-empty file with no committed chunk in the ledger the Welcome
+// advertised, the sender's fileSummer rule. An entry leaves owed once
+// its verdict has landed, and settled closes when the last one does.
 type sumChecker struct {
 	mu      sync.Mutex
 	owed    map[uint32]owedSum
@@ -935,13 +934,11 @@ type owedSum struct {
 	announced bool
 }
 
-func newSumChecker(checksums bool, m workload.Manifest, l *Ledger) *sumChecker {
+func newSumChecker(m workload.Manifest, l *Ledger) *sumChecker {
 	c := &sumChecker{owed: make(map[uint32]owedSum), settled: make(chan struct{})}
-	if checksums {
-		for i, f := range m {
-			if f.Size > 0 && l.FileCommitted(uint32(i)) == 0 {
-				c.owed[uint32(i)] = owedSum{}
-			}
+	for i, f := range m {
+		if f.Size > 0 && l.FileCommitted(uint32(i)) == 0 {
+			c.owed[uint32(i)] = owedSum{}
 		}
 	}
 	if len(c.owed) == 0 {
@@ -1015,15 +1012,18 @@ func (r *Receiver) runSession(ctx context.Context, sess *rsession, raw net.Conn,
 	// against the destination (a missing file or corrupt region loses
 	// just its ledger entry) before advertising it.
 	session := sess.id
-	ledger := NewLedger(session, chunkBytes, manifest, h.Checksums)
+	ledger := NewLedger(session, chunkBytes, manifest, true)
 	ls, canPersist := r.Store.(fsim.LedgerStore)
 	resumable := canPersist && h.SessionID != "" && fsim.ValidSessionID(h.SessionID)
 	if resumable {
 		// LoadSessionLedger folds the append-only journal into the
 		// snapshot (a torn or generation-mismatched journal truncates
-		// to its last valid record) before anything is decided.
+		// to its last valid record) before anything is decided. A
+		// ledger without per-chunk sums cannot prove its committed
+		// ranges, so it is not resumed: the session starts over and
+		// replaces it.
 		if old, derr := LoadSessionLedger(ls, session); derr == nil &&
-			old.MatchesManifest(manifest) == nil && old.HasSums == h.Checksums {
+			old.MatchesManifest(manifest) == nil && old.HasSums {
 			if kept, _ := old.VerifyAgainst(r.Store); kept > 0 {
 				metrics.ResumeSessionInc()
 				metrics.ResumeSkippedAdd(kept)
@@ -1048,7 +1048,7 @@ func (r *Receiver) runSession(ctx context.Context, sess *rsession, raw net.Conn,
 
 	// End-to-end file verification: the sums owed are fixed by the ledger
 	// the Welcome advertises, before any chunk can commit.
-	chk := newSumChecker(h.Checksums, manifest, ledger)
+	chk := newSumChecker(manifest, ledger)
 
 	// No data connection can be routed into the session before this
 	// send: the token has not left the process.
@@ -1132,16 +1132,10 @@ func (r *Receiver) runSession(ctx context.Context, sess *rsession, raw net.Conn,
 	// sum reflects what actually reached the store, so the FileSum
 	// compare is end-to-end, not an echo of the already-verified wire CRC.
 	commit := func(c *Chunk) {
-		var sum uint32
-		if h.Checksums {
-			sum = wire.PayloadCRC(c.Data)
-		}
-		if !ledger.Commit(c.FileID, c.Offset, len(c.Data), sum) {
+		if !ledger.Commit(c.FileID, c.Offset, len(c.Data), wire.PayloadCRC(c.Data)) {
 			return
 		}
-		if h.Checksums {
-			checkFile(c.FileID)
-		}
+		checkFile(c.FileID)
 		if ledger.CommittedBytes() >= total {
 			writeOnce.Do(func() { close(writeDone) })
 		}

@@ -299,6 +299,64 @@ func TestResumeAlreadyCompleteSendsNothing(t *testing.T) {
 	}
 }
 
+// A ledger without per-chunk sums — what a session run without
+// checksums persisted before protocol 7 — cannot prove its committed
+// ranges, so a session with its ID is not resumed from it. Here one
+// covers the whole dataset while a committed range is corrupt at the
+// destination: trusted, it would skip the corrupt chunk. The session
+// instead starts over, replaces the ledger with one that records sums
+// before its Welcome, and completes byte-correct.
+func TestResumeRefusesSumlessLedger(t *testing.T) {
+	dir := t.TempDir()
+	const session = "sumless-ledger"
+	m := workload.LargeFiles(2, 256<<10)
+	cfg := testConfig()
+	cfg.SessionID = session
+
+	dst := materializeDir(t, dir, m)
+	stale := NewLedger(session, cfg.ChunkBytes, m, false)
+	for fi, f := range m {
+		for off := int64(0); off < f.Size; off += int64(cfg.ChunkBytes) {
+			stale.Commit(uint32(fi), off, int(min(int64(cfg.ChunkBytes), f.Size-off)), 0)
+		}
+	}
+	if err := dst.SaveLedger(session, stale.EncodeV2()); err != nil {
+		t.Fatal(err)
+	}
+	if l := loadSessionLedger(t, dst, session); l.HasSums || l.CommittedBytes() != m.TotalBytes() {
+		t.Fatalf("stale ledger persisted with sums %v, %d bytes committed", l.HasSums, l.CommittedBytes())
+	}
+	corruptStoreFile(t, dir, m[1].Name, int64(cfg.ChunkBytes)+100)
+
+	var replaced *Ledger
+	cfg.Hooks.OnSession = func(Session) { replaced, _ = LoadSessionLedger(dst, session) }
+	res, err := Loopback(context.Background(), cfg, m, fsim.NewSyntheticStore(), dst, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Resumed || res.SkippedBytes != 0 || res.WireBytes != m.TotalBytes() {
+		t.Fatalf("session trusted the sumless ledger: resumed %v, skipped %d, sent %d of %d",
+			res.Resumed, res.SkippedBytes, res.WireBytes, m.TotalBytes())
+	}
+	if replaced == nil || !replaced.HasSums || replaced.CommittedBytes() != 0 {
+		t.Fatalf("ledger at the Welcome: %+v, want a fresh one that records sums", replaced)
+	}
+	if _, err := dst.LoadLedger(session); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("completed session left a persisted ledger (err %v)", err)
+	}
+	for _, f := range m {
+		got, err := os.ReadFile(filepath.Join(dir, f.Name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]byte, f.Size)
+		fsim.FillContent(f.Name, 0, want)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s corrupt after the session", f.Name)
+		}
+	}
+}
+
 // A persisted ledger pins the session's chunk geometry: resuming with a
 // different configured ChunkBytes must still honour the committed
 // ranges (planned at the ledger's chunk size) instead of starting over.

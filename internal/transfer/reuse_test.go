@@ -154,7 +154,18 @@ func oneChunkHello(name string, chunks int) wire.Hello {
 func chunkFrame(name string, i int) wire.Frame {
 	data := make([]byte, 64<<10)
 	fsim.FillContent(name, int64(i)*64<<10, data)
-	return wire.Frame{FileID: 0, Offset: int64(i) * 64 << 10, Data: data, Checksum: true}
+	return wire.Frame{FileID: 0, Offset: int64(i) * 64 << 10, Data: data}
+}
+
+// sum sends the FileSum a session owes for its one file of chunks
+// chunks, with the content its name implies.
+func (p *rawPeer) sum(name string, chunks int) {
+	p.t.Helper()
+	content := make([]byte, chunks*64<<10)
+	fsim.FillContent(name, 0, content)
+	if err := p.ctrl.Send(wire.Message{FileSum: &wire.FileSum{FileID: 0, CRC: wire.PayloadCRC(content)}}); err != nil {
+		p.t.Fatal(err)
+	}
 }
 
 // hello sends h and returns the Welcome.
@@ -216,6 +227,7 @@ func (p *rawPeer) session(name string, chunks int) {
 		frames = append(frames, chunkFrame(name, i))
 	}
 	p.write(w.DataToken, frames...)
+	p.sum(name, chunks)
 	p.done()
 }
 
@@ -322,6 +334,7 @@ func TestPreambleRebindsDataConnection(t *testing.T) {
 	w := p.hello(oneChunkHello("rebind-b", 2))
 	p.write("", chunkFrame("rebind-a", 0)) // a late duplicate of the finished session
 	p.write(w.DataToken, chunkFrame("rebind-b", 0), chunkFrame("rebind-b", 1))
+	p.sum("rebind-b", 2)
 	p.done()
 
 	if errs := dst.Errors(); len(errs) > 0 {

@@ -260,9 +260,6 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 	if h := cfg.Hooks.OnStart; h != nil {
 		h()
 	}
-	if h := cfg.Hooks.OnDone; h != nil {
-		defer func() { h(res, err) }()
-	}
 	// A session id the destination store would reject must fail loudly
 	// here, not silently degrade to a non-resumable transfer.
 	if cfg.SessionID != "" && !fsim.ValidSessionID(cfg.SessionID) {
@@ -289,7 +286,6 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 		env.StageWrite:   cfg.InitialThreads,
 	}}.Clamp(cfg.MaxThreads)
 
-	checksums := cfg.checksums()
 	files := make([]wire.FileInfo, len(s.Manifest))
 	for i, f := range s.Manifest {
 		files[i] = wire.FileInfo{Name: f.Name, Size: f.Size}
@@ -301,7 +297,6 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 		ReceiverBufBytes: cfg.ReceiverBufBytes,
 		ProtoVersion:     wire.ProtoVersion,
 		SessionID:        cfg.SessionID,
-		Checksums:        checksums,
 	}}
 	// The receiver answers with its chunk ledger, from which this run
 	// plans only the missing ranges. A deadline bounds a silent peer. A
@@ -403,10 +398,7 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 
 	// End-to-end file sums, announced as reads complete. The receiver
 	// derives the same set of owed files from the ledger it advertised.
-	var summer *fileSummer
-	if checksums {
-		summer = newFileSummer(s.Manifest, chunkBytes, resume)
-	}
+	summer := newFileSummer(s.Manifest, chunkBytes, resume)
 
 	// A source file is open while planned chunks of it are being read,
 	// and closed after its last one.
@@ -467,16 +459,13 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 			readers.release(fileID, src.read(fileID))
 			wire.CountIOOps(1)
 			readCounter.Add(int64(n))
-			var sum uint32
-			if checksums {
-				// One hash per chunk: it is the frame checksum and feeds the
-				// file fold, so the payload is never hashed twice here.
-				sum = wire.PayloadCRC(buf.Bytes())
-				if crc, done := summer.add(fileID, off, sum); done {
-					// A failed send ends the control reader, which owns the
-					// verdict.
-					ctrl.Send(wire.Message{FileSum: &wire.FileSum{FileID: fileID, CRC: crc}})
-				}
+			// One hash per chunk: it is the frame checksum and feeds the
+			// file fold, so the payload is never hashed twice here.
+			sum := wire.PayloadCRC(buf.Bytes())
+			if crc, done := summer.add(fileID, off, sum); done {
+				// A failed send ends the control reader, which owns the
+				// verdict.
+				ctrl.Send(wire.Message{FileSum: &wire.FileSum{FileID: fileID, CRC: crc}})
 			}
 			if !staging.Put(Chunk{FileID: fileID, Offset: off, Data: buf.Bytes(), Buf: buf, Sum: sum}) {
 				buf.Release()
@@ -722,9 +711,6 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 				return
 			}
 			f := [1]wire.Frame{{FileID: cr.fileID, Offset: cr.off, Data: buf.Bytes()}}
-			if checksums {
-				f[0].Checksum, f[0].Sum, f[0].SumKnown = true, wire.PayloadCRC(buf.Bytes()), true
-			}
 			err = sendFrames(f[:], -1)
 			n := int64(cr.n)
 			buf.Release()
@@ -795,7 +781,7 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 				total += int64(sz)
 				frames = append(frames, wire.Frame{
 					FileID: ch.FileID, Offset: ch.Offset, Data: ch.Data,
-					Checksum: checksums, Sum: ch.Sum, SumKnown: checksums,
+					Sum: ch.Sum, SumKnown: true,
 				})
 			}
 			span := flight.StageStart()
@@ -820,11 +806,9 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 	// transfer) return their arena leases. Connections close, or go back
 	// to the pool, only after every recovery has wound down — at a frame
 	// boundary, where a close reads as a clean end-of-stream at the
-	// receiver and a pooled connection's next preamble rebinds it, so no
-	// EndStream marker is needed (one would wrongly end a shared
-	// connection that recovery might still write to). Only a clean end
-	// gives connections back: the receiver's Done, no sender-side error,
-	// and the control reader gone.
+	// receiver and a pooled connection's next preamble rebinds it. Only a
+	// clean end gives connections back: the receiver's Done, no
+	// sender-side error, and the control reader gone.
 	//
 	// The wire counters are read last, once every network worker and
 	// recovery has exited: the receiver's Done can overtake the counter

@@ -18,7 +18,6 @@ type Chunk struct {
 	// carried along so the frame writer never re-hashes the chunk. The
 	// receiver deliberately ignores it: its ledger records a fresh hash
 	// taken at the write stage, keeping file verification end-to-end.
-	// Zero and meaningless when the session runs unchecksummed.
 	Sum uint32
 }
 

@@ -1,7 +1,10 @@
 package transfer
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +13,7 @@ import (
 	"automdt/internal/fsim"
 	"automdt/internal/marlin"
 	"automdt/internal/static"
+	"automdt/internal/wire"
 	"automdt/internal/workload"
 )
 
@@ -126,12 +130,8 @@ func TestLoopbackWithChecksums(t *testing.T) {
 	src := fsim.NewSyntheticStore()
 	dst := fsim.NewSyntheticStore()
 	dst.Verify = true
-	cfg := testConfig()
-	if cfg.DisableChecksums {
-		t.Fatal("checksums should be the default")
-	}
 	m := workload.LargeFiles(6, 512<<10)
-	res, err := Loopback(context.Background(), cfg, m, src, dst, nil)
+	res, err := Loopback(context.Background(), testConfig(), m, src, dst, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,19 +140,70 @@ func TestLoopbackWithChecksums(t *testing.T) {
 	}
 }
 
+// crcSpoiler is a data connection that rewrites the CRC field of the
+// first frame header it carries, if spoil says so: a wrapped connection
+// gets each header as one 20-byte write, told from a preamble by its
+// magic.
+type crcSpoiler struct {
+	net.Conn
+	spoil func(hdr []byte) bool
+	first bool
+}
+
+func (c *crcSpoiler) Write(p []byte) (int, error) {
+	if !c.first && len(p) == wire.FrameHeaderSize && [4]byte(p[:4]) != wire.PreambleMagic {
+		c.first = true
+		if hdr := bytes.Clone(p); c.spoil(hdr) {
+			p = hdr
+		}
+	}
+	return c.Conn.Write(p)
+}
+
+// A frame whose CRC field is zero, as a plain sender of protocols before
+// 7 wrote it, or wrong is dropped with its connection, not written: the
+// sender re-sends what the connection lost over the survivors and the
+// transfer stays byte-correct.
 func TestLoopbackChecksumsDisabled(t *testing.T) {
 	src := fsim.NewSyntheticStore()
 	dst := fsim.NewSyntheticStore()
 	dst.Verify = true
 	cfg := testConfig()
-	cfg.DisableChecksums = true
+	cfg.Conns = 4 // two connections die, two carry the rest
+	var mu sync.Mutex
+	spoiled := 0
+	cfg.WrapConn = func(kind string, c net.Conn) net.Conn {
+		if kind != "data" {
+			return c
+		}
+		return &crcSpoiler{Conn: c, spoil: func(hdr []byte) bool {
+			mu.Lock()
+			defer mu.Unlock()
+			if spoiled == 2 {
+				return false
+			}
+			spoiled++
+			if spoiled == 1 {
+				binary.BigEndian.PutUint32(hdr[16:20], 0)
+			} else {
+				hdr[19] ^= 1
+			}
+			return true
+		}}
+	}
 	m := workload.LargeFiles(6, 512<<10)
 	res, err := Loopback(context.Background(), cfg, m, src, dst, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if spoiled != 2 {
+		t.Fatalf("spoiled %d frame CRCs, want 2", spoiled)
+	}
 	if res.Bytes != m.TotalBytes() || len(dst.Errors()) != 0 {
-		t.Fatalf("unchecksummed transfer failed: bytes=%d errs=%v", res.Bytes, dst.Errors())
+		t.Fatalf("transfer with spoiled frames: bytes=%d errs=%v", res.Bytes, dst.Errors())
+	}
+	if res.ResentBytes == 0 {
+		t.Fatal("no bytes re-sent: the spoiled frames were not dropped")
 	}
 }
 

@@ -161,7 +161,7 @@ func TestSenderVerdicts(t *testing.T) {
 	}
 }
 
-// A checksummed session owes one FileSum per non-empty file that had no
+// A session owes one FileSum per non-empty file that had no
 // committed chunk when the Welcome went out, and completes exactly when
 // the ledger is full and each owed sum is verified. A raw peer commits
 // every frame first and then delivers the sums, so the rows pin all
@@ -211,7 +211,7 @@ func TestReceiverVerdicts(t *testing.T) {
 			const session = "owed-sums"
 			c := helloConn(t, recv.CtrlAddr(), wire.Hello{
 				Files: files, ChunkBytes: chunk, ProtoVersion: wire.ProtoVersion,
-				SessionID: session, Checksums: true,
+				SessionID: session,
 			})
 			defer c.Close()
 			welcome := recvReply(t, c).Welcome
@@ -230,7 +230,7 @@ func TestReceiverVerdicts(t *testing.T) {
 				for off := int64(0); off < f.Size; off += chunk {
 					p := make([]byte, min(chunk, f.Size-off))
 					fsim.FillContent(f.Name, off, p)
-					if err := new(wire.FrameWriter).Write(data, wire.Frame{FileID: uint32(id), Offset: off, Data: p, Checksum: true}); err != nil {
+					if err := new(wire.FrameWriter).Write(data, wire.Frame{FileID: uint32(id), Offset: off, Data: p}); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -52,7 +52,7 @@ func TestBatchCRCMatchesPerChunk(t *testing.T) {
 
 // WriteBatch is an optimization, not a format: a batched write must put
 // the exact bytes on the wire that sequential Write calls would, for any
-// mix of plain, checksummed, and empty-payload frames.
+// mix of full, short, empty-payload and precomputed-sum frames.
 func TestWriteBatchByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	payload := func(n int) []byte {
@@ -64,13 +64,10 @@ func TestWriteBatchByteIdentical(t *testing.T) {
 		{FileID: 1, Offset: 0, Data: payload(64 << 10)},
 		{FileID: 1, Offset: 64 << 10, Data: payload(100)},
 		{FileID: 2, Offset: 0, Data: nil}, // empty file announcement
-		{FileID: 3, Offset: 0, Data: payload(512), Checksum: true},
+		{FileID: 3, Offset: 0, Data: payload(512)},
 	}
-	// Precomputed-sum variant of the checksummed frame.
-	frames = append(frames, Frame{
-		FileID: 3, Offset: 512, Data: payload(512),
-		Checksum: true, Sum: 0, SumKnown: false,
-	})
+	// Precomputed-sum variant.
+	frames = append(frames, Frame{FileID: 3, Offset: 512, Data: payload(512)})
 	frames[4].Sum = PayloadCRC(frames[4].Data)
 	frames[4].SumKnown = true
 

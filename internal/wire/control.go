@@ -188,7 +188,6 @@ func appendMessage(dst []byte, m Message) ([]byte, error) {
 		dst = binary.AppendVarint(dst, int64(h.ChunkBytes))
 		dst = binary.AppendVarint(dst, int64(h.InitialWriters))
 		dst = binary.AppendVarint(dst, h.ReceiverBufBytes)
-		dst = appendBool(dst, h.Checksums)
 		dst = binary.AppendUvarint(dst, uint64(len(h.Files)))
 		for _, f := range h.Files {
 			dst = appendString(dst, f.Name)
@@ -259,19 +258,23 @@ func appendLedger(dst []byte, ledger []FileState) []byte {
 // decodeMessage decodes the body of a control message with the given
 // tag. The body must be exactly one message: a truncated field, a count
 // larger than the bytes left, a non-canonical value, or trailing bytes
-// fail it.
+// fail it. A Hello or Welcome of another generation is the exception:
+// its version is its first field, the rest follows that generation's
+// layout, and the version alone decides the reply, so only the version
+// is decoded.
 func decodeMessage(tag byte, body []byte) (Message, error) {
 	c := NewCursor(body)
 	var m Message
 	switch tag {
 	case tagHello:
-		h := &Hello{}
-		h.ProtoVersion = c.Int()
+		h := &Hello{ProtoVersion: c.Int()}
+		if c.Err() == nil && h.ProtoVersion != ProtoVersion {
+			return Message{Hello: h}, nil
+		}
 		h.SessionID = c.String()
 		h.ChunkBytes = c.Int()
 		h.InitialWriters = c.Int()
 		h.ReceiverBufBytes = c.Varint()
-		h.Checksums = c.Bool()
 		if n := c.Count(2); n > 0 { // a name length and a size
 			h.Files = make([]FileInfo, n)
 			for i := range h.Files {
@@ -280,8 +283,10 @@ func decodeMessage(tag byte, body []byte) (Message, error) {
 		}
 		m.Hello = h
 	case tagWelcome:
-		w := &Welcome{}
-		w.ProtoVersion = c.Int()
+		w := &Welcome{ProtoVersion: c.Int()}
+		if c.Err() == nil && w.ProtoVersion != ProtoVersion {
+			return Message{Welcome: w}, nil
+		}
 		w.SessionID = c.String()
 		w.ChunkBytes = c.Int()
 		w.DataToken = c.String()

@@ -27,7 +27,6 @@ func sampleMessages() []Message {
 			ReceiverBufBytes: 1 << 40,
 			ProtoVersion:     ProtoVersion,
 			SessionID:        "sess-1",
-			Checksums:        true,
 		}},
 		{Welcome: &Welcome{
 			ProtoVersion: ProtoVersion,
@@ -244,6 +243,44 @@ func TestControlRecvRefusesMalformed(t *testing.T) {
 	}
 	if _, err := recvBytes(bytes.Clone(status)); err != nil {
 		t.Fatalf("the unmodified Status fails: %v", err)
+	}
+}
+
+// A handshake of another generation decodes to its version alone, so
+// the peer gets the version refusal whatever the generation laid out
+// after it: here a protocol-6 Hello, whose checksums flag sits between
+// the buffer size and the manifest, and a Welcome announcing the next
+// generation with a body this one cannot parse.
+func TestControlForeignHandshakeDecodesVersionOnly(t *testing.T) {
+	v6 := binary.AppendVarint(nil, 6)
+	v6 = appendString(v6, "sess")
+	v6 = binary.AppendVarint(v6, 64<<10) // chunk bytes
+	v6 = binary.AppendVarint(v6, 4)      // initial writers
+	v6 = binary.AppendVarint(v6, 1<<20)  // receiver buffer bytes
+	v6 = appendBool(v6, true)            // checksums
+	v6 = binary.AppendUvarint(v6, 1)
+	v6 = appendString(v6, "a.dat")
+	v6 = binary.AppendVarint(v6, 1<<20)
+	next := append(binary.AppendVarint(nil, ProtoVersion+1), 0xff, 0xff)
+	for _, row := range []struct {
+		tag  byte
+		body []byte
+		want Message
+	}{
+		{tagHello, v6, Message{Hello: &Hello{ProtoVersion: 6}}},
+		{tagWelcome, next, Message{Welcome: &Welcome{ProtoVersion: ProtoVersion + 1}}},
+	} {
+		raw := append(binary.AppendUvarint([]byte{row.tag}, uint64(len(row.body))), row.body...)
+		m, err := recvBytes(raw)
+		if err != nil || !reflect.DeepEqual(m, row.want) {
+			t.Fatalf("tag %#x: Recv = %s, %v; want %s", row.tag, dump(m), err, dump(row.want))
+		}
+	}
+	// The current generation is still held to its exact layout.
+	cur := append(binary.AppendVarint(nil, ProtoVersion), v6[1:]...)
+	raw := append(binary.AppendUvarint([]byte{tagHello}, uint64(len(cur))), cur...)
+	if m, err := recvBytes(raw); err == nil {
+		t.Fatalf("a protocol-6 layout under version %d decoded: %s", ProtoVersion, dump(m))
 	}
 }
 

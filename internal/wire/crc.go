@@ -7,7 +7,7 @@ import "hash/crc32"
 const castagnoliPoly = 0x82F63B78
 
 // PayloadCRC returns the CRC-32C of p — the same digest the frame codec
-// writes into checksummed headers. Exposed so the engine can record
+// writes into every frame header. Exposed so the engine can record
 // per-chunk sums in the session ledger without re-deriving the table.
 func PayloadCRC(p []byte) uint32 { return crc32.Checksum(p, castagnoli) }
 

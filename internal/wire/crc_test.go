@@ -83,16 +83,16 @@ func TestCombineCRCChunkFold(t *testing.T) {
 
 // The resumable-session handshake messages must survive the gob channel,
 // including ledger bitmaps and per-file sums.
-// A checksummed frame written with a precomputed Sum must be identical to
+// A frame written with a precomputed Sum must be identical to
 // one whose CRC the encoder derives itself, and reads must surface the
 // verified sum.
 func TestFramePrecomputedSum(t *testing.T) {
 	payload := []byte("ledger chunk payload")
 	var direct, precomp [FrameHeaderSize]byte
-	if err := EncodeHeader(&direct, Frame{FileID: 1, Data: payload, Checksum: true}); err != nil {
+	if err := EncodeHeader(&direct, Frame{FileID: 1, Data: payload}); err != nil {
 		t.Fatal(err)
 	}
-	f := Frame{FileID: 1, Data: payload, Checksum: true, Sum: PayloadCRC(payload), SumKnown: true}
+	f := Frame{FileID: 1, Data: payload, Sum: PayloadCRC(payload), SumKnown: true}
 	if err := EncodeHeader(&precomp, f); err != nil {
 		t.Fatal(err)
 	}

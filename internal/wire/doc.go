@@ -19,8 +19,8 @@
 // queued ahead of it, and a channel that closes with neither fails the
 // session. No timer stands in for a message.
 //
-// Data frames are length-prefixed chunks with optional CRC-32C payload
-// checksums; FrameReader and FrameWriter are the allocation-free hot
+// Data frames are length-prefixed chunks, each carrying the CRC-32C of
+// its payload, which every read verifies; FrameReader and FrameWriter are the allocation-free hot
 // path (vectored header+payload writes, persistent header scratch). The
 // crc.go file supplies the GF(2) CRC combine used to fold per-chunk sums
 // into whole-file checksums without a second pass over the data.

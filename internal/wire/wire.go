@@ -20,7 +20,7 @@ import (
 // frame boundary moves a data connection to it. Both ends carry the
 // generation in the handshake and refuse any other value; nothing
 // negotiates down. docs/PROTOCOL.md specifies every message.
-const ProtoVersion = 6
+const ProtoVersion = 7
 
 // DataTokenBytes is the decoded length of a session's data-routing token
 // (Welcome.DataToken is its hex encoding).
@@ -68,9 +68,6 @@ func WriteDataPreamble(w io.Writer, token string) error {
 	return err
 }
 
-// EndStream is the FileID value marking the end of a data connection.
-const EndStream = ^uint32(0)
-
 // MaxChunk bounds the payload length of a single frame (16 MiB), guarding
 // decoders against corrupt headers.
 const MaxChunk = 16 << 20
@@ -78,10 +75,6 @@ const MaxChunk = 16 << 20
 // FrameHeaderSize is the encoded size of a frame header: file id, offset,
 // length, and a CRC-32C of the payload.
 const FrameHeaderSize = 4 + 8 + 4 + 4
-
-// lengthChecksummed flags a length field whose frame carries a payload
-// checksum. The bit keeps checksummed and plain senders wire-compatible.
-const lengthChecksummed = uint32(1 << 31)
 
 // castagnoli is the CRC-32C table (the polynomial used by iSCSI and ext4,
 // with hardware support on modern CPUs).
@@ -92,38 +85,32 @@ type Frame struct {
 	FileID uint32
 	Offset int64
 	Data   []byte
-	// Checksum, when true on write, adds a CRC-32C over the payload that
-	// the receiver verifies (end-to-end integrity, as Globus offers).
+	// Checksum is ignored: every frame carries its payload CRC-32C.
+	//
+	// Deprecated: kept only until benchmark/layers.go stops setting it.
 	Checksum bool
 	// Sum is the payload CRC-32C. On write it is used instead of a fresh
 	// computation when SumKnown is set (the read stage already hashed the
-	// chunk for the session ledger); on a verified checksummed read it is
-	// filled with the payload CRC so the commit path can reuse it.
+	// chunk for the session ledger); a read fills it with the verified
+	// payload CRC.
 	Sum uint32
 	// SumKnown reports whether Sum holds a valid payload CRC.
 	SumKnown bool
 }
 
-// EncodeHeader encodes f's header (including the payload CRC when
-// f.Checksum is set) into hdr.
+// EncodeHeader encodes f's header, payload CRC included, into hdr.
 func EncodeHeader(hdr *[FrameHeaderSize]byte, f Frame) error {
 	if len(f.Data) > MaxChunk {
 		return fmt.Errorf("wire: frame payload %d exceeds limit %d", len(f.Data), MaxChunk)
 	}
 	binary.BigEndian.PutUint32(hdr[0:4], f.FileID)
 	binary.BigEndian.PutUint64(hdr[4:12], uint64(f.Offset))
-	length := uint32(len(f.Data))
-	if f.Checksum {
-		length |= lengthChecksummed
-		sum := f.Sum
-		if !f.SumKnown {
-			sum = crc32.Checksum(f.Data, castagnoli)
-		}
-		binary.BigEndian.PutUint32(hdr[16:20], sum)
-	} else {
-		binary.BigEndian.PutUint32(hdr[16:20], 0)
+	binary.BigEndian.PutUint32(hdr[12:16], uint32(len(f.Data)))
+	sum := f.Sum
+	if !f.SumKnown {
+		sum = crc32.Checksum(f.Data, castagnoli)
 	}
-	binary.BigEndian.PutUint32(hdr[12:16], length)
+	binary.BigEndian.PutUint32(hdr[16:20], sum)
 	return nil
 }
 
@@ -232,10 +219,9 @@ func (fr *FrameReader) Token() [DataTokenBytes]byte {
 
 // Read reads one frame from r into a buffer obtained from alloc (which
 // must return a slice of at least the requested length). It returns
-// io.EOF (wrapped) only on a clean end-of-stream marker or a closed
-// connection at a frame boundary, and ErrPreamble when a data preamble
-// stands in place of the frame header. Frames written with Checksum set
-// are verified; mismatches are hard errors.
+// io.EOF only on a connection closed at a frame boundary, and ErrPreamble
+// when a data preamble stands in place of the frame header. Every frame's
+// payload CRC is verified; a mismatch is a hard error.
 func (fr *FrameReader) Read(r io.Reader, alloc func(n int) []byte) (Frame, error) {
 	hdr := &fr.hdr
 	CountIOOps(1)
@@ -252,12 +238,7 @@ func (fr *FrameReader) Read(r io.Reader, alloc func(n int) []byte) (Frame, error
 		FileID: binary.BigEndian.Uint32(hdr[0:4]),
 		Offset: int64(binary.BigEndian.Uint64(hdr[4:12])),
 	}
-	length := binary.BigEndian.Uint32(hdr[12:16])
-	if f.FileID == EndStream {
-		return f, io.EOF
-	}
-	f.Checksum = length&lengthChecksummed != 0
-	n := length &^ lengthChecksummed
+	n := binary.BigEndian.Uint32(hdr[12:16])
 	want := binary.BigEndian.Uint32(hdr[16:20])
 	if n > MaxChunk {
 		return Frame{}, fmt.Errorf("wire: frame length %d exceeds limit %d", n, MaxChunk)
@@ -269,13 +250,11 @@ func (fr *FrameReader) Read(r io.Reader, alloc func(n int) []byte) (Frame, error
 			return Frame{}, fmt.Errorf("wire: read frame payload: %w", err)
 		}
 	}
-	if f.Checksum {
-		if got := crc32.Checksum(f.Data, castagnoli); got != want {
-			return Frame{}, fmt.Errorf("wire: checksum mismatch on file %d offset %d: %#x != %#x",
-				f.FileID, f.Offset, got, want)
-		}
-		f.Sum, f.SumKnown = want, true
+	if got := crc32.Checksum(f.Data, castagnoli); got != want {
+		return Frame{}, fmt.Errorf("wire: checksum mismatch on file %d offset %d: %#x != %#x",
+			f.FileID, f.Offset, got, want)
 	}
+	f.Sum, f.SumKnown = want, true
 	return f, nil
 }
 
@@ -300,10 +279,6 @@ type Hello struct {
 	// means a one-shot transfer: the receiver neither persists nor
 	// consults a ledger.
 	SessionID string
-	// Checksums announces that data frames carry payload CRCs and that
-	// the session records per-chunk sums in its ledger for end-to-end
-	// file verification.
-	Checksums bool
 }
 
 // FileState is one file's ledger entry advertised in a Welcome: which
@@ -337,9 +312,9 @@ type Welcome struct {
 
 // FileSum carries the sender's end-to-end CRC-32C of one fully read
 // file, combined from per-chunk sums. The receiver verifies it against
-// its own combined ledger sums when the file commits. A checksummed
-// session owes one for every non-empty file the Welcome's ledger shows
-// no committed chunk of, and completes only once each is verified.
+// its own combined ledger sums when the file commits. A session owes one
+// for every non-empty file the Welcome's ledger shows no committed chunk
+// of, and completes only once each is verified.
 type FileSum struct {
 	FileID uint32
 	CRC    uint32

@@ -51,14 +51,26 @@ func TestEmptyPayloadFrame(t *testing.T) {
 	}
 }
 
+// A header whose file id is all ones — the end-of-stream marker of
+// protocols before 7 — is an ordinary frame: it decodes, and the caller
+// decides whether it names a chunk of anything.
 func TestEndStreamMarker(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, Frame{FileID: EndStream}); err != nil {
+	if err := writeFrame(&buf, Frame{FileID: ^uint32(0), Offset: 8, Data: []byte("x")}); err != nil {
 		t.Fatal(err)
 	}
-	_, err := readFrame(&buf, alloc)
-	if err != io.EOF {
-		t.Fatalf("want io.EOF on end marker, got %v", err)
+	if err := writeFrame(&buf, Frame{FileID: ^uint32(0)}); err != nil {
+		t.Fatal(err)
+	}
+	var fr FrameReader
+	for i, want := range []string{"x", ""} {
+		f, err := fr.Read(&buf, alloc)
+		if err != nil || f.FileID != ^uint32(0) || string(f.Data) != want {
+			t.Fatalf("all-ones header %d: %+v, %v", i, f, err)
+		}
+	}
+	if _, err := fr.Read(&buf, alloc); err != io.EOF {
+		t.Fatalf("want io.EOF after the frames, got %v", err)
 	}
 }
 
@@ -153,7 +165,7 @@ func TestControlChannelBidirectional(t *testing.T) {
 
 func TestChecksummedFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	in := Frame{FileID: 3, Offset: 42, Data: []byte("checksummed payload"), Checksum: true}
+	in := Frame{FileID: 3, Offset: 42, Data: []byte("checksummed payload")}
 	if err := writeFrame(&buf, in); err != nil {
 		t.Fatal(err)
 	}
@@ -161,14 +173,14 @@ func TestChecksummedFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.Checksum || !bytes.Equal(out.Data, in.Data) {
+	if !out.SumKnown || out.Sum != PayloadCRC(in.Data) || !bytes.Equal(out.Data, in.Data) {
 		t.Fatalf("round trip: %+v", out)
 	}
 }
 
 func TestChecksumDetectsCorruption(t *testing.T) {
 	var buf bytes.Buffer
-	writeFrame(&buf, Frame{FileID: 3, Data: []byte("payload here"), Checksum: true})
+	writeFrame(&buf, Frame{FileID: 3, Data: []byte("payload here")})
 	raw := buf.Bytes()
 	raw[len(raw)-1] ^= 0xFF // flip a payload bit
 	_, err := readFrame(bytes.NewReader(raw), alloc)
@@ -177,14 +189,31 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 	}
 }
 
+// Every frame is verified. A plain frame of protocols before 7 — CRC
+// field zero, no flag in the length — and a frame whose CRC field is
+// wrong are rejected, and so is a flagged length of those protocols,
+// which now reads as a length beyond MaxChunk.
 func TestUnchecksummedFrameSkipsVerification(t *testing.T) {
-	var buf bytes.Buffer
-	writeFrame(&buf, Frame{FileID: 1, Data: []byte("plain")})
-	raw := buf.Bytes()
-	raw[len(raw)-1] ^= 0xFF // corrupt: must pass (no checksum requested)
-	f, err := readFrame(bytes.NewReader(raw), alloc)
-	if err != nil || f.Checksum {
-		t.Fatalf("plain frame mishandled: %+v err=%v", f, err)
+	payload := []byte("plain")
+	header := func(length, crc uint32) []byte {
+		var hdr [FrameHeaderSize]byte
+		binary.BigEndian.PutUint32(hdr[0:4], 1)
+		binary.BigEndian.PutUint32(hdr[12:16], length)
+		binary.BigEndian.PutUint32(hdr[16:20], crc)
+		return append(hdr[:], payload...)
+	}
+	n := uint32(len(payload))
+	for name, raw := range map[string][]byte{
+		"zero CRC":     header(n, 0),
+		"wrong CRC":    header(n, PayloadCRC(payload)^1),
+		"flagged size": header(n|1<<31, PayloadCRC(payload)),
+	} {
+		if f, err := readFrame(bytes.NewReader(raw), alloc); err == nil {
+			t.Errorf("%s: frame accepted: %+v", name, f)
+		}
+	}
+	if f, err := readFrame(bytes.NewReader(header(n, PayloadCRC(payload))), alloc); err != nil || string(f.Data) != "plain" {
+		t.Fatalf("correct frame: %+v, %v", f, err)
 	}
 }
 
@@ -199,9 +228,6 @@ func TestWriteFrameRejectsOversizePayload(t *testing.T) {
 // Property: any frame round-trips exactly.
 func TestQuickFrameRoundTrip(t *testing.T) {
 	f := func(id uint32, off int64, payload []byte) bool {
-		if id == EndStream {
-			id = 0
-		}
 		if off < 0 {
 			off = -off
 		}
