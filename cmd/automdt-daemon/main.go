@@ -148,7 +148,7 @@ func main() {
 		fatal(err)
 	}
 	for _, ep := range eps {
-		fmt.Printf("automdt-daemon: fleet endpoint %s serving data %s, control %s\n", ep.ID, ep.DataAddr, ep.CtrlAddr)
+		fmt.Printf("automdt-daemon: fleet endpoint %s serving %s\n", ep.ID, ep.Addr)
 	}
 
 	handler := sched.NewHandler(s)

@@ -1,16 +1,14 @@
 // Command automdt-xfer runs a real sender/receiver transfer over TCP with
 // a pluggable optimizer — the production phase of §IV-F.
 //
-// One-shot receiver (serves a single session, then exits):
+// Receiver endpoint (one listener serving a fleet of senders; both data
+// and control connections dial its one address):
 //
-//	automdt-xfer recv -data :9000 -ctrl :9001 -dir /staging/dst
-//
-// Multi-session endpoint (one listener pair serving a fleet of senders):
-//
-//	automdt-xfer serve -data :9000 -ctrl :9001 -dir /staging/dst \
+//	automdt-xfer serve -addr :9000 -dir /staging/dst \
 //	    -sessions 0 -max-sessions 64
 //
-// -sessions N exits after N sessions finish; 0 serves until interrupted.
+// -sessions N exits after N sessions finish (1 for a one-shot receiver);
+// 0 serves until interrupted.
 // Stale session ledgers in -dir older than -ledger-ttl are expired when
 // the endpoint starts.
 //
@@ -22,7 +20,7 @@
 //
 // Sender (source DTN):
 //
-//	automdt-xfer send -data host:9000 -ctrl host:9001 \
+//	automdt-xfer send -addr host:9000 \
 //	    -files 100 -size 8388608 -optimizer marlin
 //
 // With -optimizer automdt, pass -model and -profile written by
@@ -58,8 +56,6 @@ func main() {
 		usage()
 	}
 	switch os.Args[1] {
-	case "recv":
-		recv(os.Args[2:])
 	case "serve":
 		serve(os.Args[2:])
 	case "send":
@@ -72,7 +68,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: automdt-xfer {recv|serve|send|ledger} [flags]")
+	fmt.Fprintln(os.Stderr, "usage: automdt-xfer {serve|send|ledger} [flags]")
 	os.Exit(2)
 }
 
@@ -97,7 +93,7 @@ func engineConfig(fs *flag.FlagSet) *transfer.Config {
 	return cfg
 }
 
-// recvStore builds the destination store shared by recv and serve.
+// recvStore builds serve's destination store.
 func recvStore(dir string, verify bool) fsim.Store {
 	if dir != "" {
 		ds, err := fsim.NewDirStore(dir)
@@ -111,33 +107,12 @@ func recvStore(dir string, verify bool) fsim.Store {
 	return ss
 }
 
-func recv(args []string) {
-	fs := flag.NewFlagSet("recv", flag.ExitOnError)
-	data := fs.String("data", ":9000", "data listen address")
-	ctrl := fs.String("ctrl", ":9001", "control listen address")
-	dir := fs.String("dir", "", "destination directory (empty = synthetic sink)")
-	verify := fs.Bool("verify", false, "verify synthetic content (synthetic sink only)")
-	cfg := engineConfig(fs)
-	fs.Parse(args)
-
-	r := transfer.NewReceiver(*cfg, recvStore(*dir, *verify))
-	if err := r.Listen(*data, *ctrl); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("receiving: data %s, control %s\n", r.DataAddr(), r.CtrlAddr())
-	if err := r.ServeN(context.Background(), 1); err != nil {
-		fatal(err)
-	}
-	fmt.Println("transfer complete")
-}
-
-// serve runs the multi-session endpoint: one listener pair serving up to
+// serve runs the multi-session endpoint: one listener serving up to
 // -max-sessions concurrent senders, each with its own isolated session
 // (staging, write pool, ledger).
 func serve(args []string) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	data := fs.String("data", ":9000", "data listen address")
-	ctrl := fs.String("ctrl", ":9001", "control listen address")
+	addr := fs.String("addr", ":9000", "listen address (data and control)")
 	dir := fs.String("dir", "", "destination directory (empty = synthetic sink)")
 	verify := fs.Bool("verify", false, "verify synthetic content (synthetic sink only)")
 	sessions := fs.Int("sessions", 0, "exit after N sessions finish (0 = serve until interrupted)")
@@ -156,13 +131,12 @@ func serve(args []string) {
 		}
 		fmt.Printf("session %s complete: %d bytes committed\n", res.SessionID, res.CommittedBytes)
 	}
-	if err := r.Listen(*data, *ctrl); err != nil {
+	if err := r.Listen(*addr); err != nil {
 		fatal(err)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	fmt.Printf("serving: data %s, control %s (cap %d sessions)\n",
-		r.DataAddr(), r.CtrlAddr(), r.Cfg.MaxSessions)
+	fmt.Printf("serving: %s (cap %d sessions)\n", r.Addr(), r.Cfg.MaxSessions)
 	var err error
 	if *sessions > 0 {
 		err = r.ServeN(ctx, *sessions)
@@ -177,8 +151,7 @@ func serve(args []string) {
 
 func send(args []string) {
 	fs := flag.NewFlagSet("send", flag.ExitOnError)
-	data := fs.String("data", "127.0.0.1:9000", "receiver data address")
-	ctrl := fs.String("ctrl", "127.0.0.1:9001", "receiver control address")
+	addr := fs.String("addr", "127.0.0.1:9000", "receiver address")
 	dir := fs.String("dir", "", "source directory (empty = synthetic files)")
 	files := fs.Int("files", 16, "synthetic file count")
 	size := fs.Int64("size", 8<<20, "synthetic file size in bytes")
@@ -253,7 +226,7 @@ func send(args []string) {
 	s := &transfer.Sender{Cfg: *cfg, Store: store, Manifest: manifest, Controller: controller}
 	fmt.Printf("sending %d files (%d bytes) via %s optimizer...\n",
 		len(manifest), manifest.TotalBytes(), *opt)
-	res, err := s.Run(context.Background(), *data, *ctrl)
+	res, err := s.Run(context.Background(), *addr)
 	if *flightPath != "" {
 		// Dump even on failure: an aborted run's trace is exactly when the
 		// decision record matters.

@@ -64,7 +64,7 @@ func main() {
 		log.Fatal(err)
 	}
 	for _, ep := range eps {
-		fmt.Printf("fleet endpoint %s: data %s, control %s\n", ep.ID, ep.DataAddr, ep.CtrlAddr)
+		fmt.Printf("fleet endpoint %s: %s\n", ep.ID, ep.Addr)
 	}
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -4,7 +4,7 @@
 // cmd/automdt-daemon serves) accepts a burst of jobs at three priority
 // levels; the global budget arbiter splits a 24/24/24 worker budget
 // fair-share across whatever is running, while the endpoint's single
-// listener pair demultiplexes every tenant's data connections into
+// listener demultiplexes every tenant's data connections into
 // isolated sessions (own staging buffer, write pool, and ledger each).
 //
 // The example starts the daemon in-process on an ephemeral port, submits
@@ -63,7 +63,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("shared endpoint: data %s, control %s\n", eps[0].DataAddr, eps[0].CtrlAddr)
+	fmt.Printf("shared endpoint: %s\n", eps[0].Addr)
 
 	// Serve the daemon API on an ephemeral loopback port.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -55,7 +55,7 @@ func main() {
 	}
 	rctx, kill := context.WithCancel(context.Background())
 	recv := automdt.NewReceiver(cfg, dst1)
-	if err := recv.Listen("127.0.0.1:0", "127.0.0.1:0"); err != nil {
+	if err := recv.Listen("127.0.0.1:0"); err != nil {
 		log.Fatal(err)
 	}
 	recvErr := make(chan error, 1)
@@ -75,7 +75,7 @@ func main() {
 	}()
 
 	send := automdt.NewSender(cfg, src, manifest, nil)
-	if _, err := send.Run(context.Background(), recv.DataAddr(), recv.CtrlAddr()); err != nil {
+	if _, err := send.Run(context.Background(), recv.Addr()); err != nil {
 		fmt.Printf("phase 1: sender failed as injected: %v\n", err)
 	}
 	<-recvErr

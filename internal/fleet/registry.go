@@ -20,9 +20,8 @@ var ErrUnknownEndpoint = errors.New("fleet: unknown endpoint")
 type EndpointInfo struct {
 	// ID names the endpoint; unique within the fleet.
 	ID string `json:"id"`
-	// DataAddr and CtrlAddr are the receiver's listener addresses.
-	DataAddr string `json:"data_addr"`
-	CtrlAddr string `json:"ctrl_addr"`
+	// Addr is the receiver's listener address.
+	Addr string `json:"addr"`
 }
 
 // member is the registry's record of one endpoint.

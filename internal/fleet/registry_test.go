@@ -32,10 +32,10 @@ func liveIDs(g *Registry) []string {
 func TestRegistryLivenessLifecycle(t *testing.T) {
 	g, clk := newTestRegistry(time.Second)
 
-	if err := g.Register(EndpointInfo{ID: "ep-0", DataAddr: "d0", CtrlAddr: "c0"}); err != nil {
+	if err := g.Register(EndpointInfo{ID: "ep-0", Addr: "d0"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Register(EndpointInfo{ID: "ep-1", DataAddr: "d1", CtrlAddr: "c1"}); err != nil {
+	if err := g.Register(EndpointInfo{ID: "ep-1", Addr: "d1"}); err != nil {
 		t.Fatal(err)
 	}
 	if got := liveIDs(g); strings.Join(got, ",") != "ep-0,ep-1" {
@@ -62,10 +62,10 @@ func TestRegistryLivenessLifecycle(t *testing.T) {
 	}
 
 	// Re-registering replaces the endpoint's addresses.
-	if err := g.Register(EndpointInfo{ID: "ep-1", DataAddr: "d1b", CtrlAddr: "c1b"}); err != nil {
+	if err := g.Register(EndpointInfo{ID: "ep-1", Addr: "d1b"}); err != nil {
 		t.Fatal(err)
 	}
-	if live := g.Live(); len(live) != 2 || live[1].DataAddr != "d1b" {
+	if live := g.Live(); len(live) != 2 || live[1].Addr != "d1b" {
 		t.Fatalf("live after re-register = %+v", live)
 	}
 }

@@ -80,7 +80,7 @@ type fleetEndpoint struct {
 	pool *transfer.ConnPool
 	// closing is set from the moment the endpoint stops accepting: before
 	// its serve loop is cancelled, or when a control dial to it is refused.
-	// The listeners close well before done does (sessions tear down in
+	// The listener closes well before done does (sessions tear down in
 	// between), and placement must not hand the endpoint out in that window.
 	closing atomic.Bool
 	// dropped records that the runner has observed the death and taken
@@ -152,7 +152,7 @@ func (f *FleetRunner) start() error {
 // Caller holds mu.
 func (f *FleetRunner) spawn(id string) error {
 	recv := transfer.NewReceiver(f.Receiver, f.Store)
-	if err := recv.Listen("127.0.0.1:0", "127.0.0.1:0"); err != nil {
+	if err := recv.Listen("127.0.0.1:0"); err != nil {
 		return fmt.Errorf("sched: fleet endpoint %s listen: %w", id, err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -346,7 +346,7 @@ func (f *FleetRunner) runOnce(ctx context.Context, spec JobSpec, ctrl env.Contro
 
 	src := fsim.NewSyntheticStore()
 	send := &transfer.Sender{Cfg: spec.Transfer, Store: src, Manifest: spec.Manifest, Controller: ctrl, Pool: ep.pool}
-	res, err := send.Run(ctx, ep.recv.DataAddr(), ep.recv.CtrlAddr())
+	res, err := send.Run(ctx, ep.recv.Addr())
 	return ep, res, err
 }
 
@@ -361,7 +361,7 @@ func (f *FleetRunner) Endpoints() ([]fleet.EndpointInfo, error) {
 	out := make([]fleet.EndpointInfo, 0, len(f.order))
 	for _, id := range f.order {
 		ep := f.eps[id]
-		out = append(out, fleet.EndpointInfo{ID: id, DataAddr: ep.recv.DataAddr(), CtrlAddr: ep.recv.CtrlAddr()})
+		out = append(out, fleet.EndpointInfo{ID: id, Addr: ep.recv.Addr()})
 	}
 	return out, nil
 }
@@ -430,7 +430,7 @@ func (f *FleetRunner) Status() FleetStatus {
 	for _, id := range f.order {
 		ep := f.eps[id]
 		st.Endpoints = append(st.Endpoints, EndpointStatus{
-			EndpointInfo: fleet.EndpointInfo{ID: id, DataAddr: ep.recv.DataAddr(), CtrlAddr: ep.recv.CtrlAddr()},
+			EndpointInfo: fleet.EndpointInfo{ID: id, Addr: ep.recv.Addr()},
 			Live:         !ep.dead(),
 			Sessions:     loads[id],
 		})

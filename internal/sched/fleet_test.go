@@ -414,7 +414,7 @@ func TestFleetRefusedDialReplaces(t *testing.T) {
 	// that listened and shut down (so both addresses refuse), with done
 	// still open and closing not yet set.
 	gone := transfer.NewReceiver(transfer.Config{}, fr.Store)
-	if err := gone.Listen("127.0.0.1:0", "127.0.0.1:0"); err != nil {
+	if err := gone.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	cancelled, cancel := context.WithCancel(context.Background())

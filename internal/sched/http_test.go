@@ -325,7 +325,7 @@ func TestHTTPFleetStatus(t *testing.T) {
 		t.Fatalf("fleet status = %+v, want 2 endpoints", st)
 	}
 	for _, ep := range st.Endpoints {
-		if !ep.Live || ep.DataAddr == "" || ep.CtrlAddr == "" {
+		if !ep.Live || ep.Addr == "" {
 			t.Fatalf("endpoint not live or unaddressed: %+v", ep)
 		}
 	}

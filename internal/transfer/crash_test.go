@@ -130,7 +130,7 @@ func TestCrashRecoveryAtInjectedPoints(t *testing.T) {
 			defer rcancel()
 			cs := &crashStore{DirStore: inner, mode: mode, armAfter: 3, kill: rcancel}
 			recv := NewReceiver(cfg, cs)
-			if err := recv.Listen("127.0.0.1:0", "127.0.0.1:0"); err != nil {
+			if err := recv.Listen("127.0.0.1:0"); err != nil {
 				t.Fatal(err)
 			}
 			recvErr := make(chan error, 1)
@@ -139,7 +139,7 @@ func TestCrashRecoveryAtInjectedPoints(t *testing.T) {
 			send := &Sender{Cfg: cfg, Store: src, Manifest: m}
 			ctx1, cancel1 := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel1()
-			if _, err := send.Run(ctx1, recv.DataAddr(), recv.CtrlAddr()); err == nil {
+			if _, err := send.Run(ctx1, recv.Addr()); err == nil {
 				t.Fatal("sender survived the injected receiver crash")
 			}
 			<-recvErr
@@ -170,7 +170,7 @@ func TestCrashRecoveryAtInjectedPoints(t *testing.T) {
 			defer cancel2()
 			recv2, recvErr2 := runReceiver(t, ctx2, cfg2, after)
 			send2 := &Sender{Cfg: cfg2, Store: src, Manifest: m}
-			res, err := send2.Run(ctx2, recv2.DataAddr(), recv2.CtrlAddr())
+			res, err := send2.Run(ctx2, recv2.Addr())
 			if err != nil {
 				t.Fatal(err)
 			}

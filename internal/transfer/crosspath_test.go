@@ -99,13 +99,13 @@ func TestCrossPathKioPortable(t *testing.T) {
 			recv := NewReceiver(cfgRecv, dst)
 			var sessionDone SessionResult
 			recv.OnSessionDone = func(sr SessionResult) { sessionDone = sr }
-			if err := recv.Listen("127.0.0.1:0", "127.0.0.1:0"); err != nil {
+			if err := recv.Listen("127.0.0.1:0"); err != nil {
 				t.Fatal(err)
 			}
 			recvErr := make(chan error, 1)
 			go func() { recvErr <- recv.ServeN(ctx, 1) }()
 			send := &Sender{Cfg: cfgSend, Store: src, Manifest: m}
-			res, err := send.Run(ctx, recv.DataAddr(), recv.CtrlAddr())
+			res, err := send.Run(ctx, recv.Addr())
 			if err != nil {
 				t.Fatal(err)
 			}

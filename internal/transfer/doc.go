@@ -10,9 +10,9 @@
 // The two engine halves are Sender (source side: read pool → staging →
 // network pool) and Receiver (destination side: demux → per-session
 // staging → write pool). A Receiver is a multi-session endpoint: one
-// control listener and one data listener serve many concurrent sessions,
-// demultiplexed by the token in each data connection's wire-protocol
-// preamble, with a per-endpoint admission cap (Config.MaxSessions) and
+// listener, whose connections each say by their first byte whether they
+// carry data or control, serves many concurrent sessions, demultiplexed
+// by the token in each data connection's wire-protocol preamble, with a per-endpoint admission cap (Config.MaxSessions) and
 // fully isolated per-session teardown. Loopback wires both halves
 // together in-process for tests, benchmarks, and examples.
 //

@@ -58,7 +58,7 @@ func TestEndpointServesConcurrentSessions(t *testing.T) {
 	recv := NewReceiver(cfg, dst)
 	done := make(chan SessionResult, 64)
 	recv.OnSessionDone = func(r SessionResult) { done <- r }
-	if err := recv.Listen("127.0.0.1:0", "127.0.0.1:0"); err != nil {
+	if err := recv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	srvCtx, srvCancel := context.WithCancel(context.Background())
@@ -117,7 +117,7 @@ func TestEndpointServesConcurrentSessions(t *testing.T) {
 			send := &Sender{Cfg: scfg, Store: fsim.NewSyntheticStore(), Manifest: manifests[i]}
 			runCtx, cancel := context.WithTimeout(ctx, 60*time.Second)
 			defer cancel()
-			_, errs[i] = send.Run(runCtx, recv.DataAddr(), recv.CtrlAddr())
+			_, errs[i] = send.Run(runCtx, recv.Addr())
 		}(i)
 	}
 	wg.Wait()
@@ -194,7 +194,7 @@ func TestEndpointServesConcurrentSessions(t *testing.T) {
 	resumeCtx, cancelResume := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancelResume()
 	send := &Sender{Cfg: rcfg, Store: fsim.NewSyntheticStore(), Manifest: manifests[killed]}
-	res, err := send.Run(resumeCtx, recv.DataAddr(), recv.CtrlAddr())
+	res, err := send.Run(resumeCtx, recv.Addr())
 	if err != nil {
 		t.Fatalf("resume against live endpoint failed: %v", err)
 	}
@@ -271,7 +271,7 @@ func TestEndpointAdmissionCap(t *testing.T) {
 	cfg := testConfig()
 	cfg.MaxSessions = 2
 	recv := NewReceiver(cfg, fsim.NewSyntheticStore())
-	if err := recv.Listen("127.0.0.1:0", "127.0.0.1:0"); err != nil {
+	if err := recv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
@@ -286,13 +286,13 @@ func TestEndpointAdmissionCap(t *testing.T) {
 	// Two admitted sessions pin the cap (no data flows, so they stay
 	// active); the third Hello must bounce.
 	for i := 0; i < 2; i++ {
-		c := helloConn(t, recv.CtrlAddr(), hello)
+		c := helloConn(t, recv.Addr(), hello)
 		defer c.Close()
 		if m := recvReply(t, c); m.Welcome == nil {
 			t.Fatalf("session %d rejected below the cap: %+v", i, m)
 		}
 	}
-	c := helloConn(t, recv.CtrlAddr(), hello)
+	c := helloConn(t, recv.Addr(), hello)
 	defer c.Close()
 	m := recvReply(t, c)
 	if m.Status == nil || !strings.Contains(m.Status.Error, "capacity") {
@@ -307,7 +307,7 @@ func TestEndpointAdmissionCap(t *testing.T) {
 func startEndpoint(t *testing.T, cfg Config) *Receiver {
 	t.Helper()
 	recv := NewReceiver(cfg, fsim.NewSyntheticStore())
-	if err := recv.Listen("127.0.0.1:0", "127.0.0.1:0"); err != nil {
+	if err := recv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
@@ -353,7 +353,7 @@ func TestEndpointRefusesHostileHello(t *testing.T) {
 			maxAlloc = math.MaxUint64
 		}
 		expectRefusal(t, recv, cfg.Arena, idle, row.name, maxAlloc, func() {
-			c := helloConn(t, recv.CtrlAddr(), wire.Hello{Files: row.files, ChunkBytes: row.chunk, ProtoVersion: wire.ProtoVersion})
+			c := helloConn(t, recv.Addr(), wire.Hello{Files: row.files, ChunkBytes: row.chunk, ProtoVersion: wire.ProtoVersion})
 			m := recvReply(t, c)
 			c.Close()
 			if m.Welcome != nil || !strings.Contains(m.Status.Error, row.want) {
@@ -378,7 +378,7 @@ func TestEndpointRefusesHostileHello(t *testing.T) {
 	}
 	for _, row := range raws {
 		expectRefusal(t, recv, cfg.Arena, idle, row.name, 1<<20, func() {
-			sendRawControl(t, recv.CtrlAddr(), row.name, row.raw, row.closeOut)
+			sendRawControl(t, recv.Addr(), row.name, row.raw, row.closeOut)
 		})
 		if got := gauge(t, recv.MetricsSnapshot(), "automdt_endpoint_sessions_total", "rejected"); got != float64(len(rows)) {
 			t.Fatalf("%s: rejected gauge %v, want %d: bytes that are no Hello never reach admission", row.name, got, len(rows))
@@ -419,7 +419,7 @@ func expectRefusal(t *testing.T, recv *Receiver, arena *Arena, idle int, name st
 	}
 }
 
-// idleGoroutines runs one session on recv, so every listener's accept
+// idleGoroutines runs one session on recv, so the listener's accept
 // loop is up, and returns the goroutine count once it has held still
 // for 50 ms: the endpoint serving with no session.
 func idleGoroutines(t *testing.T, recv *Receiver) int {
@@ -491,13 +491,13 @@ func oneChunkOn(t *testing.T, recv *Receiver, ask func(*wire.Hello), check func(
 		ProtoVersion: wire.ProtoVersion,
 	}
 	ask(&h)
-	c := helloConn(t, recv.CtrlAddr(), h)
+	c := helloConn(t, recv.Addr(), h)
 	defer c.Close()
 	m := recvReply(t, c)
 	if m.Welcome == nil {
 		t.Fatalf("session rejected: %+v", m)
 	}
-	data, err := net.Dial("tcp", recv.DataAddr())
+	data, err := net.Dial("tcp", recv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -560,9 +560,10 @@ func TestEndpointClampsHelloBuffer(t *testing.T) {
 // answered with an errored Status naming both versions, counted as
 // rejected, and registers nothing — also when the rest of it follows
 // its own generation's layout, as a protocol 6 Hello's checksums flag
-// does. A protocol 4 peer speaks gob, whose
-// stream never opens with a control tag: its Hello is closed at the
-// first byte, before admission, with no reply. Every refusal leaves
+// does. A protocol 4 peer speaks gob, whose stream opens with neither a
+// control tag nor the preamble magic: the endpoint's one listener
+// closes its Hello at the first byte, before admission, with no reply,
+// and counts it under no accepted-connection kind. Every refusal leaves
 // nothing behind (expectRefusal).
 func TestEndpointRefusesOtherGenerations(t *testing.T) {
 	cfg := testConfig()
@@ -579,7 +580,7 @@ func TestEndpointRefusesOtherGenerations(t *testing.T) {
 	for _, v := range others {
 		name := fmt.Sprintf("protocol %d", v)
 		expectRefusal(t, recv, cfg.Arena, idle, name, 1<<20, func() {
-			c := helloConn(t, recv.CtrlAddr(), wire.Hello{
+			c := helloConn(t, recv.Addr(), wire.Hello{
 				Files:        []wire.FileInfo{{Name: "pin.dat", Size: 1 << 20}},
 				ChunkBytes:   64 << 10,
 				ProtoVersion: v,
@@ -606,7 +607,7 @@ func TestEndpointRefusesOtherGenerations(t *testing.T) {
 	tag := controlBytes(t, wire.Message{Hello: &wire.Hello{}})[0]
 	v6 = append(binary.AppendUvarint([]byte{tag}, uint64(len(v6))), v6...)
 	expectRefusal(t, recv, cfg.Arena, idle, "protocol 6 Hello", 1<<20, func() {
-		raw, err := net.Dial("tcp", recv.CtrlAddr())
+		raw, err := net.Dial("tcp", recv.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -628,9 +629,18 @@ func TestEndpointRefusesOtherGenerations(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
+	accepted := func() (ctrl, data float64) {
+		snap := recv.MetricsSnapshot()
+		return gauge(t, snap, "automdt_endpoint_conns_accepted_total", "control"),
+			gauge(t, snap, "automdt_endpoint_conns_accepted_total", "data")
+	}
+	ctrl0, data0 := accepted()
 	expectRefusal(t, recv, cfg.Arena, idle, "protocol 4 gob Hello", 1<<20, func() {
-		sendRawControl(t, recv.CtrlAddr(), "protocol 4 gob Hello", v4.Bytes(), false)
+		sendRawControl(t, recv.Addr(), "protocol 4 gob Hello", v4.Bytes(), false)
 	})
+	if ctrl, data := accepted(); ctrl != ctrl0 || data != data0 {
+		t.Fatalf("protocol 4 gob Hello counted as an accepted connection: control %v→%v, data %v→%v", ctrl0, ctrl, data0, data)
+	}
 
 	snap := recv.MetricsSnapshot()
 	if got := gauge(t, snap, "automdt_endpoint_sessions_total", "rejected"); got != float64(len(others)+1) {
@@ -651,7 +661,7 @@ func TestEndpointRetryReclaimsSessionKey(t *testing.T) {
 	// death detection, not the status tick.
 	cfg.ProbeInterval = 2 * time.Second
 	recv := NewReceiver(cfg, fsim.NewSyntheticStore())
-	if err := recv.Listen("127.0.0.1:0", "127.0.0.1:0"); err != nil {
+	if err := recv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
@@ -664,13 +674,13 @@ func TestEndpointRetryReclaimsSessionKey(t *testing.T) {
 		ProtoVersion: wire.ProtoVersion,
 		SessionID:    "retry-me",
 	}
-	first := helloConn(t, recv.CtrlAddr(), hello)
+	first := helloConn(t, recv.Addr(), hello)
 	if m := recvReply(t, first); m.Welcome == nil {
 		t.Fatalf("first attempt rejected: %+v", m)
 	}
 	first.Close() // the attempt dies; its session must release the key
 
-	second := helloConn(t, recv.CtrlAddr(), hello)
+	second := helloConn(t, recv.Addr(), hello)
 	defer second.Close()
 	if m := recvReply(t, second); m.Welcome == nil {
 		t.Fatalf("retry bounced instead of reclaiming the session: %+v", m)
@@ -684,7 +694,7 @@ func TestEndpointRetryReclaimsSessionKey(t *testing.T) {
 func TestEndpointRetryAdmittedOnRelease(t *testing.T) {
 	recv := NewReceiver(testConfig(), fsim.NewSyntheticStore())
 	recv.busyWait = time.Minute
-	if err := recv.Listen("127.0.0.1:0", "127.0.0.1:0"); err != nil {
+	if err := recv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -704,7 +714,7 @@ func TestEndpointRetryAdmittedOnRelease(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		retry := helloConn(t, recv.CtrlAddr(), hello)
+		retry := helloConn(t, recv.Addr(), hello)
 		// Give the handler time to park behind the holder. Releasing
 		// before it has is harmless: it is then admitted outright.
 		time.Sleep(20 * time.Millisecond)
@@ -727,7 +737,7 @@ func TestEndpointRetryAdmittedOnRelease(t *testing.T) {
 func TestEndpointRetryBusyAfterBound(t *testing.T) {
 	recv := NewReceiver(testConfig(), fsim.NewSyntheticStore())
 	recv.busyWait = 150 * time.Millisecond
-	if err := recv.Listen("127.0.0.1:0", "127.0.0.1:0"); err != nil {
+	if err := recv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
@@ -744,7 +754,7 @@ func TestEndpointRetryBusyAfterBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	t0 := time.Now()
-	retry := helloConn(t, recv.CtrlAddr(), hello)
+	retry := helloConn(t, recv.Addr(), hello)
 	defer retry.Close()
 	m := recvReply(t, retry)
 	if m.Status == nil || !strings.Contains(m.Status.Error, "already active") {
@@ -765,7 +775,7 @@ func TestEndpointRetryBusyAfterBound(t *testing.T) {
 // it. None of their bytes land in the live session's staging.
 func TestEndpointRejectsUnknownToken(t *testing.T) {
 	recv := NewReceiver(testConfig(), fsim.NewSyntheticStore())
-	if err := recv.Listen("127.0.0.1:0", "127.0.0.1:0"); err != nil {
+	if err := recv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -774,7 +784,7 @@ func TestEndpointRejectsUnknownToken(t *testing.T) {
 	go func() { served <- recv.Serve(ctx) }()
 
 	// One live session the strays could be mis-routed into.
-	live := helloConn(t, recv.CtrlAddr(), wire.Hello{
+	live := helloConn(t, recv.Addr(), wire.Hello{
 		Files:        []wire.FileInfo{{Name: "live.dat", Size: 1 << 20}},
 		ChunkBytes:   64 << 10,
 		ProtoVersion: wire.ProtoVersion,
@@ -789,7 +799,7 @@ func TestEndpointRejectsUnknownToken(t *testing.T) {
 	recv.mu.Unlock()
 
 	dial := func() net.Conn {
-		conn, err := net.Dial("tcp", recv.DataAddr())
+		conn, err := net.Dial("tcp", recv.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -876,8 +886,8 @@ func TestSenderRefusesBadWelcome(t *testing.T) {
 			send := &Sender{Cfg: testConfig(), Store: fsim.NewSyntheticStore(), Manifest: workload.LargeFiles(1, 64<<10)}
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
-			// The data address is never dialled: the handshake fails first.
-			_, err = send.Run(ctx, ln.Addr().String(), ln.Addr().String())
+			// No data connection is dialled: the handshake fails first.
+			_, err = send.Run(ctx, ln.Addr().String())
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("Run error %v, want one saying %q", err, tc.want)
 			}
@@ -905,7 +915,7 @@ func TestEndpointExpiresStaleLedgers(t *testing.T) {
 	}
 
 	recv := NewReceiver(testConfig(), dst) // default 30-day TTL
-	if err := recv.Listen("127.0.0.1:0", "127.0.0.1:0"); err != nil {
+	if err := recv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())

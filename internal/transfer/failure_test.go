@@ -102,7 +102,7 @@ func TestReceiverSurvivesGarbageConnection(t *testing.T) {
 	dst := fsim.NewSyntheticStore()
 	dst.Verify = true
 	recv := NewReceiver(testConfig(), dst)
-	if err := recv.Listen("127.0.0.1:0", "127.0.0.1:0"); err != nil {
+	if err := recv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	recvErr := make(chan error, 1)
@@ -116,14 +116,14 @@ func TestReceiverSurvivesGarbageConnection(t *testing.T) {
 
 	// Open a rogue connection that sends a bare frame header (a stray
 	// prober, for example) while the real transfer runs.
-	rogue, err := net.Dial("tcp", recv.DataAddr())
+	rogue, err := net.Dial("tcp", recv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	new(wire.FrameWriter).Write(rogue, wire.Frame{FileID: ^uint32(0)})
 	rogue.Close()
 
-	res, err := send.Run(ctx, recv.DataAddr(), recv.CtrlAddr())
+	res, err := send.Run(ctx, recv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestReceiverRejectsUnknownFileID(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dst := &countingStore{Store: fsim.NewSyntheticStore()}
 			recv := NewReceiver(testConfig(), dst)
-			if err := recv.Listen("127.0.0.1:0", "127.0.0.1:0"); err != nil {
+			if err := recv.Listen("127.0.0.1:0"); err != nil {
 				t.Fatal(err)
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
@@ -187,7 +187,7 @@ func TestReceiverRejectsUnknownFileID(t *testing.T) {
 			recvErr := make(chan error, 1)
 			go func() { recvErr <- recv.ServeN(ctx, 1) }()
 
-			ctrlRaw, err := net.Dial("tcp", recv.CtrlAddr())
+			ctrlRaw, err := net.Dial("tcp", recv.Addr())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -204,7 +204,7 @@ func TestReceiverRejectsUnknownFileID(t *testing.T) {
 			if welcome == nil {
 				t.Fatal("session rejected")
 			}
-			data, err := net.Dial("tcp", recv.DataAddr())
+			data, err := net.Dial("tcp", recv.Addr())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -237,7 +237,7 @@ func TestSenderDetectsReceiverDeath(t *testing.T) {
 	cfg := testConfig()
 	cfg.Shaping.LinkMbps = 50 // slow so the transfer is mid-flight
 	recv := NewReceiver(cfg, dst)
-	if err := recv.Listen("127.0.0.1:0", "127.0.0.1:0"); err != nil {
+	if err := recv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	rctx, rcancel := context.WithCancel(context.Background())
@@ -252,7 +252,7 @@ func TestSenderDetectsReceiverDeath(t *testing.T) {
 	}()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	_, err := send.Run(ctx, recv.DataAddr(), recv.CtrlAddr())
+	_, err := send.Run(ctx, recv.Addr())
 	if err == nil {
 		t.Fatal("sender did not notice receiver death")
 	}

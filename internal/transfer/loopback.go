@@ -17,7 +17,7 @@ func Loopback(ctx context.Context, cfg Config, m workload.Manifest,
 	src, dst fsim.Store, ctrl env.Controller) (*Result, error) {
 
 	recv := NewReceiver(cfg, dst)
-	if err := recv.Listen("127.0.0.1:0", "127.0.0.1:0"); err != nil {
+	if err := recv.Listen("127.0.0.1:0"); err != nil {
 		return nil, err
 	}
 	rctx, rcancel := context.WithCancel(ctx)
@@ -26,7 +26,7 @@ func Loopback(ctx context.Context, cfg Config, m workload.Manifest,
 	go func() { recvErr <- recv.ServeN(rctx, 1) }()
 
 	send := &Sender{Cfg: cfg, Store: src, Manifest: m, Controller: ctrl}
-	res, err := send.Run(ctx, recv.DataAddr(), recv.CtrlAddr())
+	res, err := send.Run(ctx, recv.Addr())
 	if err != nil {
 		// A sender that dies before its session negotiated leaves the
 		// receiver with nothing to fail; cancel it rather than waiting on

@@ -115,7 +115,7 @@ func TestSenderDialHonorsCancel(t *testing.T) {
 	time.AfterFunc(100*time.Millisecond, cancel)
 	send := &Sender{Cfg: testConfig(), Store: fsim.NewSyntheticStore(), Manifest: workload.LargeFiles(1, 64<<10)}
 	start := time.Now()
-	_, err = send.Run(ctx, addr, addr)
+	_, err = send.Run(ctx, addr)
 	if took := time.Since(start); took > time.Second {
 		t.Fatalf("Run took %v to notice the cancellation", took)
 	}

@@ -84,7 +84,7 @@ func NewProbeSession(ctx context.Context, cfg Config) (*ProbeSession, error) {
 		done:     make(chan struct{}),
 	}
 	recv := NewReceiver(cfg, dst)
-	if err := recv.Listen("127.0.0.1:0", "127.0.0.1:0"); err != nil {
+	if err := recv.Listen("127.0.0.1:0"); err != nil {
 		cancel()
 		return nil, err
 	}
@@ -92,7 +92,7 @@ func NewProbeSession(ctx context.Context, cfg Config) (*ProbeSession, error) {
 	send := &Sender{Cfg: cfg, Store: src, Manifest: manifest, Controller: pc}
 	go func() {
 		defer close(ps.done)
-		_, err := send.Run(ctx, recv.DataAddr(), recv.CtrlAddr())
+		_, err := send.Run(ctx, recv.Addr())
 		if err != nil && ctx.Err() == nil {
 			ps.mu.Lock()
 			ps.err = err

@@ -2,6 +2,7 @@ package transfer
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/hex"
 	"errors"
@@ -24,17 +25,18 @@ import (
 // this many staged chunks drain together per write-worker wake-up.
 const commitBatchChunks = 16
 
-// Receiver is the destination-side endpoint: one control listener and one
-// data listener serving many concurrent transfer sessions. A control
-// connection carries one session at a time, one after another: a session
-// that ends with Done leaves it open for the next Hello. Data connections
-// are demultiplexed to their session by the token carried in their
-// preamble, and a later preamble at a frame boundary moves a connection
-// to the session it names. Every session owns its own staging buffer,
-// write pool, and chunk ledger, so one session's failure or teardown
-// cannot disturb its siblings. Admission is capped by Config.MaxSessions,
-// and stale session ledgers older than Config.LedgerTTL are expired when
-// the endpoint starts serving.
+// Receiver is the destination-side endpoint: one listener serving many
+// concurrent transfer sessions. Each accepted connection's first byte
+// says what it is: the data preamble's magic or a control message tag.
+// A control connection carries one session at a time, one after another:
+// a session that ends with Done leaves it open for the next Hello. Data
+// connections are demultiplexed to their session by the token carried in
+// their preamble, and a later preamble at a frame boundary moves a
+// connection to the session it names. Every session owns its own staging
+// buffer, write pool, and chunk ledger, so one session's failure or
+// teardown cannot disturb its siblings. Admission is capped by
+// Config.MaxSessions, and stale session ledgers older than
+// Config.LedgerTTL are expired when the endpoint starts serving.
 type Receiver struct {
 	Cfg   Config
 	Store fsim.Store
@@ -42,8 +44,7 @@ type Receiver struct {
 	// ends. It is called from the session's goroutine and must not block.
 	OnSessionDone func(SessionResult)
 
-	dataLn net.Listener
-	ctrlLn net.Listener
+	ln net.Listener
 
 	mu      sync.Mutex
 	err     error
@@ -312,20 +313,21 @@ func (s *rsession) readFrames(src *frameSource) (rebind bool) {
 	}
 }
 
-// serveData runs one accepted data connection for its whole life. It
-// opens with a preamble naming a live session; a later preamble at a
-// frame boundary moves it to the session that one names, which is how a
-// sender reuses it once the previous session ended with Done. A
-// connection that does not open with a preamble, or whose preamble names
-// no live session, is closed before a single frame is read.
+// serveData runs one accepted data connection for its whole life, from
+// the second byte of its opening preamble on. That preamble names a live
+// session; a later preamble at a frame boundary moves the connection to
+// the session that one names, which is how a sender reuses it once the
+// previous session ended with Done. A connection whose preamble is
+// malformed or names no live session is closed before a single frame is
+// read.
 func (r *Receiver) serveData(conn net.Conn) {
 	var sess *rsession
 	defer func() {
 		r.dropConn(conn, sess)
 		conn.Close()
 	}()
-	var pre [wire.PreambleBytes]byte
-	if _, err := io.ReadFull(conn, pre[:]); err != nil || [4]byte(pre[:4]) != wire.PreambleMagic {
+	pre := [wire.PreambleBytes]byte{wire.PreambleMagic[0]}
+	if _, err := io.ReadFull(conn, pre[1:]); err != nil || [4]byte(pre[:4]) != wire.PreambleMagic {
 		return
 	}
 	if sess = r.bind(conn, nil, [wire.DataTokenBytes]byte(pre[4:])); sess == nil {
@@ -414,19 +416,14 @@ func NewReceiver(cfg Config, store fsim.Store) *Receiver {
 	}
 }
 
-// Listen binds the data and control listeners on the given host (use
-// "127.0.0.1:0" style addresses for tests). Call before Serve.
-func (r *Receiver) Listen(dataAddr, ctrlAddr string) error {
-	var err error
-	r.dataLn, err = net.Listen("tcp", dataAddr)
+// Listen binds the endpoint's one listener, which takes both data and
+// control connections (use "127.0.0.1:0" in tests). Call before Serve.
+func (r *Receiver) Listen(addr string) error {
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return fmt.Errorf("transfer: listen data: %w", err)
+		return fmt.Errorf("transfer: listen: %w", err)
 	}
-	r.ctrlLn, err = net.Listen("tcp", ctrlAddr)
-	if err != nil {
-		r.dataLn.Close()
-		return fmt.Errorf("transfer: listen control: %w", err)
-	}
+	r.ln = ln
 	return nil
 }
 
@@ -434,11 +431,8 @@ func (r *Receiver) Listen(dataAddr, ctrlAddr string) error {
 // the Hello's InitialWriters and every SetWriters are outside input.
 func (r *Receiver) clampWriters(n int) int { return max(1, min(n, r.Cfg.MaxThreads)) }
 
-// DataAddr returns the bound data listener address.
-func (r *Receiver) DataAddr() string { return r.dataLn.Addr().String() }
-
-// CtrlAddr returns the bound control listener address.
-func (r *Receiver) CtrlAddr() string { return r.ctrlLn.Addr().String() }
+// Addr returns the bound listener address.
+func (r *Receiver) Addr() string { return r.ln.Addr().String() }
 
 func (r *Receiver) fail(err error) {
 	r.mu.Lock()
@@ -452,12 +446,12 @@ func (r *Receiver) fail(err error) {
 // the endpoint shuts down instead of blocking as a silently dead
 // listener. Accept errors after shutdown (the listener was closed
 // deliberately) are the normal exit path and not recorded.
-func (r *Receiver) acceptFailed(which string, err error) {
+func (r *Receiver) acceptFailed(err error) {
 	r.mu.Lock()
 	closed := r.closed
 	r.mu.Unlock()
 	if !closed {
-		r.fail(fmt.Errorf("transfer: accept %s: %w", which, err))
+		r.fail(fmt.Errorf("transfer: accept: %w", err))
 		r.fatalOnce.Do(func() { close(r.fatal) })
 	}
 }
@@ -470,17 +464,17 @@ func (r *Receiver) Err() error {
 	return r.err
 }
 
-// Serve runs the endpoint until ctx is cancelled: it accepts control
-// connections, runs their sessions one after another, and demultiplexes
-// data connections across the live sessions. It must be called after
-// Listen. On cancellation every session is torn down (persisting its
-// ledger) before Serve returns ctx.Err().
+// Serve runs the endpoint until ctx is cancelled: it accepts
+// connections, runs each control connection's sessions one after
+// another, and demultiplexes data connections across the live sessions.
+// It must be called after Listen. On cancellation every session is torn
+// down (persisting its ledger) before Serve returns ctx.Err().
 func (r *Receiver) Serve(ctx context.Context) error { return r.serve(ctx, 0) }
 
 // ServeN serves like Serve but returns once n sessions have finished
 // (completed or failed — handshake rejections don't count), reporting
 // the first session error if any. ServeN(ctx, 1) is the single-session
-// receiver contract that Loopback and the CLI's one-shot recv mode use.
+// receiver contract that Loopback and `automdt-xfer serve -sessions 1` use.
 func (r *Receiver) ServeN(ctx context.Context, n int) error { return r.serve(ctx, n) }
 
 func (r *Receiver) serve(ctx context.Context, maxDone int) error {
@@ -492,48 +486,25 @@ func (r *Receiver) serve(ctx context.Context, maxDone int) error {
 	var wg sync.WaitGroup
 	results := make(chan error)
 
-	// Data acceptor: every connection gets a reader that routes its
-	// frames to the session its latest preamble names.
+	// Acceptor: every connection gets a goroutine that serves it as what
+	// its first byte says it is.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for {
-			conn, err := r.dataLn.Accept()
+			conn, err := r.ln.Accept()
 			if err != nil {
-				r.acceptFailed("data", err)
+				r.acceptFailed(err)
 				return
 			}
-			if !r.trackAccepted(conn, acceptedData) {
+			if !r.trackAccepted(conn) {
 				conn.Close()
 				continue
 			}
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				r.serveData(conn)
-			}()
-		}
-	}()
-
-	// Control acceptor: every connection gets a reader that runs its
-	// sessions one after another.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			conn, err := r.ctrlLn.Accept()
-			if err != nil {
-				r.acceptFailed("control", err)
-				return
-			}
-			if !r.trackAccepted(conn, acceptedCtrl) {
-				conn.Close()
-				continue
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				r.handleControl(ctx, conn, results)
+				r.serveConn(ctx, conn, results)
 			}()
 		}
 	}()
@@ -567,7 +538,7 @@ func (r *Receiver) serve(ctx context.Context, maxDone int) error {
 	}
 }
 
-// shutdown stops the intake: listeners closed, connections no session
+// shutdown stops the intake: the listener closed, connections no session
 // owns closed, new admissions refused. Idempotent.
 func (r *Receiver) shutdown() {
 	r.mu.Lock()
@@ -577,25 +548,62 @@ func (r *Receiver) shutdown() {
 		idle = append(idle, c)
 	}
 	r.mu.Unlock()
-	r.dataLn.Close()
-	r.ctrlLn.Close()
+	r.ln.Close()
 	for _, c := range idle {
 		c.Close()
 	}
 }
 
-// trackAccepted counts an accepted connection by kind and registers it
-// as idle, so shutdown can force its read off the socket. Reports false
-// when the endpoint is already closed.
-func (r *Receiver) trackAccepted(conn net.Conn, kind int) bool {
+// trackAccepted registers an accepted connection as idle, so shutdown
+// can force its read off the socket, even before its first byte. Reports
+// false when the endpoint is already closed.
+func (r *Receiver) trackAccepted(conn net.Conn) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
 		return false
 	}
 	r.idle[conn] = struct{}{}
-	r.accepted[kind]++
 	return true
+}
+
+// serveConn reads an accepted connection's first byte and serves the
+// connection as what that byte says: the preamble magic's first byte
+// opens a data connection, a control message tag a control connection.
+// Any other byte — a protocol ≤ 4 gob stream's among them — closes it
+// with no reply, counted under no kind.
+func (r *Receiver) serveConn(ctx context.Context, conn net.Conn, results chan<- error) {
+	var first [1]byte
+	_, err := io.ReadFull(conn, first[:])
+	switch {
+	case err != nil:
+	case first[0] == wire.PreambleMagic[0]:
+		r.countAccepted(acceptedData)
+		r.serveData(conn)
+		return
+	case wire.IsControlTag(first[0]):
+		r.countAccepted(acceptedCtrl)
+		r.handleControl(ctx, conn, first[0], results)
+		return
+	}
+	r.untrackIdle(conn)
+	conn.Close()
+}
+
+// unread returns conn with first, the byte serveConn read to classify
+// it, put back in front of its stream.
+func unread(conn net.Conn, first byte) io.ReadWriteCloser {
+	return struct {
+		io.Reader
+		io.Writer
+		io.Closer
+	}{io.MultiReader(bytes.NewReader([]byte{first}), conn), conn, conn}
+}
+
+func (r *Receiver) countAccepted(kind int) {
+	r.mu.Lock()
+	r.accepted[kind]++
+	r.mu.Unlock()
 }
 
 func (r *Receiver) untrackIdle(conn net.Conn) {
@@ -612,8 +620,8 @@ func (r *Receiver) untrackIdle(conn net.Conn) {
 // arrived. A session that ends with Done leaves the connection open for
 // the next Hello. Any other verdict closes it, as do a refused Hello, a
 // second Hello while a session is bound, and a dead peer or endpoint.
-func (r *Receiver) handleControl(ctx context.Context, raw net.Conn, results chan<- error) {
-	ctrl := wire.NewConn(raw)
+func (r *Receiver) handleControl(ctx context.Context, raw net.Conn, first byte, results chan<- error) {
+	ctrl := wire.NewConn(unread(raw, first))
 	// A cancelled endpoint context must unblock the Hello read and every
 	// later control operation. The watch is on the endpoint context, not
 	// a session's own cancel: an internal session failure must keep the
@@ -1240,7 +1248,7 @@ func (r *Receiver) runSession(ctx context.Context, sess *rsession, raw net.Conn,
 	// persisted so the next attempt can resume from it. A completed
 	// session leaves its data connections open and does not wait on
 	// their readers: once its verdict is in, a frame they read goes
-	// nowhere. Sibling sessions and the endpoint listeners are untouched.
+	// nowhere. Sibling sessions and the endpoint listener are untouched.
 	defer func() {
 		completed := sess.decide(false)
 		r.unbindConns(sess, completed)

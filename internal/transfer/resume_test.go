@@ -55,7 +55,7 @@ func loadSessionLedger(t *testing.T, ls fsim.LedgerStore, session string) *Ledge
 func runReceiver(t *testing.T, ctx context.Context, cfg Config, dst fsim.Store) (*Receiver, chan error) {
 	t.Helper()
 	recv := NewReceiver(cfg, dst)
-	if err := recv.Listen("127.0.0.1:0", "127.0.0.1:0"); err != nil {
+	if err := recv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	errCh := make(chan error, 1)
@@ -101,7 +101,7 @@ func TestResumeAfterReceiverKill(t *testing.T) {
 	send := &Sender{Cfg: cfg, Store: src, Manifest: m}
 	ctx1, cancel1 := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel1()
-	if _, err := send.Run(ctx1, recv.DataAddr(), recv.CtrlAddr()); err == nil {
+	if _, err := send.Run(ctx1, recv.Addr()); err == nil {
 		t.Fatal("sender survived receiver death")
 	}
 	<-recvErr
@@ -124,7 +124,7 @@ func TestResumeAfterReceiverKill(t *testing.T) {
 	defer cancel2()
 	recv2, recvErr2 := runReceiver(t, ctx2, cfg2, dstAfterKill)
 	send2 := &Sender{Cfg: cfg2, Store: src, Manifest: m}
-	res, err := send2.Run(ctx2, recv2.DataAddr(), recv2.CtrlAddr())
+	res, err := send2.Run(ctx2, recv2.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestResumeRevalidatesCorruptRegion(t *testing.T) {
 	send := &Sender{Cfg: cfg, Store: src, Manifest: m}
 	ctx1, cancel1 := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel1()
-	if _, err := send.Run(ctx1, recv.DataAddr(), recv.CtrlAddr()); err == nil {
+	if _, err := send.Run(ctx1, recv.Addr()); err == nil {
 		t.Fatal("sender survived receiver death")
 	}
 	<-recvErr
@@ -228,7 +228,7 @@ func TestResumeRevalidatesCorruptRegion(t *testing.T) {
 	defer cancel2()
 	recv2, recvErr2 := runReceiver(t, ctx2, cfg2, dst2)
 	send2 := &Sender{Cfg: cfg2, Store: src, Manifest: m}
-	res, err := send2.Run(ctx2, recv2.DataAddr(), recv2.CtrlAddr())
+	res, err := send2.Run(ctx2, recv2.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func startVerifyingEndpoint(t *testing.T, cfg Config) (*Receiver, *fsim.Syntheti
 	dst := fsim.NewSyntheticStore()
 	dst.Verify = true
 	recv := NewReceiver(cfg, dst)
-	if err := recv.Listen("127.0.0.1:0", "127.0.0.1:0"); err != nil {
+	if err := recv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
@@ -76,7 +76,7 @@ func TestSessionsReusePooledConnections(t *testing.T) {
 		name := fmt.Sprintf("seq-%d", i)
 		m := workload.Manifest{{Name: name, Size: 3<<20 + 100}}
 		send := &Sender{Cfg: cfg, Store: fsim.NewSyntheticStore(), Manifest: m, Pool: pool}
-		res, err := send.Run(ctx, recv.DataAddr(), recv.CtrlAddr())
+		res, err := send.Run(ctx, recv.Addr())
 		if err != nil {
 			t.Fatalf("session %d: %v", i, err)
 		}
@@ -125,11 +125,11 @@ type rawPeer struct {
 
 func dialPeer(t *testing.T, recv *Receiver) *rawPeer {
 	t.Helper()
-	raw, err := net.Dial("tcp", recv.CtrlAddr())
+	raw, err := net.Dial("tcp", recv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := net.Dial("tcp", recv.DataAddr())
+	data, err := net.Dial("tcp", recv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +422,7 @@ func TestStalePooledConnectionsRedial(t *testing.T) {
 		t.Helper()
 		m := workload.Manifest{{Name: name, Size: 1 << 20}}
 		send := &Sender{Cfg: testConfig(), Store: fsim.NewSyntheticStore(), Manifest: m, Pool: pool}
-		if _, err := send.Run(ctx, recv.DataAddr(), recv.CtrlAddr()); err != nil {
+		if _, err := send.Run(ctx, recv.Addr()); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
@@ -471,7 +471,7 @@ func TestReusedConnectionFindsAdmissionSlotFree(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		m := workload.Manifest{{Name: fmt.Sprintf("slot-%d", i), Size: 64 << 10}}
 		send := &Sender{Cfg: testConfig(), Store: fsim.NewSyntheticStore(), Manifest: m, Pool: pool}
-		if _, err := send.Run(ctx, recv.DataAddr(), recv.CtrlAddr()); err != nil {
+		if _, err := send.Run(ctx, recv.Addr()); err != nil {
 			t.Fatalf("session %d: %v", i, err)
 		}
 	}
@@ -493,7 +493,7 @@ func TestConcurrentSessionsSharePool(t *testing.T) {
 			for i := 0; i < sessions; i++ {
 				m := workload.Manifest{{Name: fmt.Sprintf("shared-%d-%d", c, i), Size: 256 << 10}}
 				send := &Sender{Cfg: testConfig(), Store: fsim.NewSyntheticStore(), Manifest: m, Pool: pool}
-				if _, err := send.Run(ctx, recv.DataAddr(), recv.CtrlAddr()); err != nil {
+				if _, err := send.Run(ctx, recv.Addr()); err != nil {
 					errs <- fmt.Errorf("client %d session %d: %w", c, i, err)
 					return
 				}

@@ -252,10 +252,10 @@ func handshake(ctx context.Context, ctrl *wire.Conn, hello wire.Message, timeout
 	}
 }
 
-// Run executes the transfer against a receiver listening at the given
-// data and control addresses, returning when the receiver confirms
-// completion.
-func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Result, err error) {
+// Run executes the transfer against a receiver listening at addr,
+// returning when the receiver confirms completion. Control and data
+// connections all dial addr.
+func (s *Sender) Run(ctx context.Context, addr string) (res *Result, err error) {
 	cfg := s.Cfg.WithDefaults()
 	if h := cfg.Hooks.OnStart; h != nil {
 		h()
@@ -319,7 +319,7 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 		ctrl = pool.takeCtrl()
 		pooled := ctrl != nil
 		if !pooled {
-			raw, err := dialer.DialContext(ctx, "tcp", ctrlAddr)
+			raw, err := dialer.DialContext(ctx, "tcp", addr)
 			if err != nil {
 				if ctx.Err() != nil {
 					return nil, ctx.Err()
@@ -493,7 +493,7 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 	// Striped data plane: the chunk stream fans out over a resizable set
 	// of parallel data connections. dialData takes a pooled connection
 	// first, then dials, with the listener-race retry the single-conn
-	// engine had: the receiver closes its data listener the moment the
+	// engine had: the receiver closes its listener the moment the
 	// transfer completes, so a dial prompted by a late grow can lose that
 	// race without anything being wrong. Every connection's death watch
 	// reports to onConnGone with the slot it serves.
@@ -531,7 +531,7 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 				case <-time.After(time.Duration(attempt) * 5 * time.Millisecond):
 				}
 			}
-			raw, err := dialer.DialContext(ctx, "tcp", dataAddr)
+			raw, err := dialer.DialContext(ctx, "tcp", addr)
 			if err != nil {
 				lastErr = err
 				continue

@@ -33,19 +33,15 @@ func TestSenderVerdicts(t *testing.T) {
 		{"error then close", &wire.Status{Error: "disk full (fake)"}, "disk full (fake)"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ctrlLn, err := net.Listen("tcp", "127.0.0.1:0")
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer ctrlLn.Close()
-			dataLn, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer dataLn.Close()
+			defer ln.Close()
 
 			// Data side: every connection is drained; once closeData runs,
-			// open ones are closed and later ones are closed on accept.
+			// open ones are closed and later ones are closed on their
+			// first byte.
 			var mu sync.Mutex
 			var conns []net.Conn
 			var closed bool
@@ -62,28 +58,50 @@ func TestSenderVerdicts(t *testing.T) {
 			}
 			flowing := make(chan struct{})
 			var flowOnce sync.Once
+			serveData := func(c net.Conn) {
+				mu.Lock()
+				if closed {
+					c.Close()
+					lastClose = time.Now()
+					mu.Unlock()
+					return
+				}
+				conns = append(conns, c)
+				mu.Unlock()
+				// The rest of the preamble and a frame's first byte.
+				var rest [wire.PreambleBytes]byte
+				if _, err := io.ReadFull(c, rest[:]); err != nil {
+					return
+				}
+				flowOnce.Do(func() { close(flowing) })
+				io.Copy(io.Discard, c)
+			}
+
+			// One listener, dispatching on each connection's first byte
+			// as the endpoint does; the first control connection goes to
+			// the control side.
+			ctrlConns := make(chan io.ReadWriteCloser, 1)
 			go func() {
 				for {
-					c, err := dataLn.Accept()
+					c, err := ln.Accept()
 					if err != nil {
 						return
 					}
-					mu.Lock()
-					if closed {
-						c.Close()
-						lastClose = time.Now()
-						mu.Unlock()
-						continue
-					}
-					conns = append(conns, c)
-					mu.Unlock()
 					go func() {
-						var first [wire.PreambleBytes + 1]byte
+						var first [1]byte
 						if _, err := io.ReadFull(c, first[:]); err != nil {
+							c.Close()
 							return
 						}
-						flowOnce.Do(func() { close(flowing) })
-						io.Copy(io.Discard, c)
+						if first[0] == wire.PreambleMagic[0] {
+							serveData(c)
+							return
+						}
+						select {
+						case ctrlConns <- unread(c, first[0]):
+						default:
+							c.Close()
+						}
 					}()
 				}
 			}()
@@ -92,11 +110,7 @@ func TestSenderVerdicts(t *testing.T) {
 			fakeDone := make(chan struct{})
 			go func() {
 				defer close(fakeDone)
-				raw, err := ctrlLn.Accept()
-				if err != nil {
-					return
-				}
-				c := wire.NewConn(raw)
+				c := wire.NewConn(<-ctrlConns)
 				defer c.Close()
 				if m, err := c.Recv(); err != nil || m.Hello == nil {
 					return
@@ -136,7 +150,7 @@ func TestSenderVerdicts(t *testing.T) {
 			send := &Sender{Cfg: cfg, Store: fsim.NewSyntheticStore(), Manifest: workload.LargeFiles(4, 1<<20)}
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
-			res, err := send.Run(ctx, dataLn.Addr().String(), ctrlLn.Addr().String())
+			res, err := send.Run(ctx, ln.Addr().String())
 			returned := time.Now()
 			<-fakeDone
 
@@ -201,7 +215,7 @@ func TestReceiverVerdicts(t *testing.T) {
 			recv := NewReceiver(cfg, dst)
 			results := make(chan SessionResult, 1)
 			recv.OnSessionDone = func(r SessionResult) { results <- r }
-			if err := recv.Listen("127.0.0.1:0", "127.0.0.1:0"); err != nil {
+			if err := recv.Listen("127.0.0.1:0"); err != nil {
 				t.Fatal(err)
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
@@ -209,7 +223,7 @@ func TestReceiverVerdicts(t *testing.T) {
 			go recv.Serve(ctx)
 
 			const session = "owed-sums"
-			c := helloConn(t, recv.CtrlAddr(), wire.Hello{
+			c := helloConn(t, recv.Addr(), wire.Hello{
 				Files: files, ChunkBytes: chunk, ProtoVersion: wire.ProtoVersion,
 				SessionID: session,
 			})
@@ -218,7 +232,7 @@ func TestReceiverVerdicts(t *testing.T) {
 			if welcome == nil {
 				t.Fatal("session rejected")
 			}
-			data, err := net.Dial("tcp", recv.DataAddr())
+			data, err := net.Dial("tcp", recv.Addr())
 			if err != nil {
 				t.Fatal(err)
 			}

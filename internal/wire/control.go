@@ -25,6 +25,10 @@ const (
 	tagLedgerState byte = 0xC7
 )
 
+// IsControlTag reports whether b is a control message tag. An endpoint
+// takes a connection whose first byte is one for a control connection.
+func IsControlTag(b byte) bool { return b >= tagHello && b <= tagLedgerState }
+
 // MaxControlBytes bounds the body of one control message (64 MiB). The
 // largest message is a Hello: the endpoint caps its manifest at 2²⁰
 // files, and 64 MiB leaves each of them about 60 bytes of name.
@@ -86,7 +90,7 @@ func (c *Conn) Recv() (Message, error) {
 	if err != nil {
 		return Message{}, err
 	}
-	if tag < tagHello || tag > tagLedgerState {
+	if !IsControlTag(tag) {
 		return Message{}, fmt.Errorf("wire: unknown control message tag %#x", tag)
 	}
 	n, err := c.readLength()

@@ -17,10 +17,12 @@ import (
 // LedgerPull on connection loss → one Status{Done} or Status{Error}.
 // A connection outlives a session that ends with Done: the next Hello on
 // the control connection starts the next session, and a preamble at a
-// frame boundary moves a data connection to it. Both ends carry the
-// generation in the handshake and refuse any other value; nothing
-// negotiates down. docs/PROTOCOL.md specifies every message.
-const ProtoVersion = 7
+// frame boundary moves a data connection to it. An endpoint has one
+// address: a connection's first byte says whether it carries data or
+// control. Both ends carry the generation in the handshake and refuse
+// any other value; nothing negotiates down. docs/PROTOCOL.md specifies
+// every message.
+const ProtoVersion = 8
 
 // DataTokenBytes is the decoded length of a session's data-routing token
 // (Welcome.DataToken is its hex encoding).
@@ -35,6 +37,8 @@ const PreambleBytes = 4 + DataTokenBytes
 // ≥ 0xAD000000 (~2.9 billion files), which no manifest can reach, so a
 // bare frame stream can never be mistaken for a preamble, and a preamble
 // at a frame boundary is told from a frame header by its first 4 bytes.
+// 0xAD is no control message tag either, so an endpoint tells a data
+// connection from a control one by its first byte.
 var PreambleMagic = [4]byte{0xAD, 'M', 'T', '2'}
 
 // ErrPreamble is what FrameReader.Read returns when a data preamble
