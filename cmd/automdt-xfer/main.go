@@ -120,7 +120,6 @@ func serve(args []string) {
 	fs.IntVar(&cfg.MaxSessions, "max-sessions", 0, "concurrent-session admission cap (0 = default 64)")
 	fs.Float64Var(&cfg.WriteBudgetMbps, "write-budget-mbps", 0, "endpoint write budget in Mbps, split max-min fair across active sessions (0 = unarbitrated)")
 	fs.DurationVar(&cfg.LedgerTTL, "ledger-ttl", 0, "expire session ledgers older than this on start (0 = default 30 days, negative disables)")
-	fs.Int64Var(&cfg.LedgerCompactBytes, "ledger-compact", 0, "fold a session's ledger journal into a fresh snapshot once it exceeds this many bytes (0 = default 1 MiB, negative disables)")
 	fs.Parse(args)
 
 	r := transfer.NewReceiver(*cfg, recvStore(*dir, *verify))

@@ -19,8 +19,8 @@
 //   - FlakyStore: an fsim.Store decorator injecting destination-disk
 //     pathology — per-write latency, periodic write errors, short
 //     writes, and a hard ENOSPC byte budget shared by data and ledger
-//     writes — while forwarding the ledger capabilities (LedgerStore,
-//     LedgerAppender, Stater, LedgerLister) so resume semantics stay
+//     writes — while forwarding the whole fsim.LedgerStore contract
+//     (snapshot, journal, Stat, listing) so resume semantics stay
 //     observable under the faults. It also counts data and ledger bytes
 //     durably accepted, which is where the matrix's ledger-bytes
 //     aggregate comes from.

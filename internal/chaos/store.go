@@ -34,18 +34,6 @@ type DiskFault struct {
 	CapacityBytes int64 `json:"capacity_bytes,omitempty"`
 }
 
-// fullStore is what FlakyStore requires of the store it decorates: the
-// data plane plus every optional capability the transfer engine probes
-// for. Both fsim.SyntheticStore and fsim.DirStore qualify, so resume
-// semantics stay observable under the injected faults.
-type fullStore interface {
-	fsim.Store
-	fsim.Stater
-	fsim.LedgerStore
-	fsim.LedgerAppender
-	fsim.LedgerLister
-}
-
 // FlakyStore decorates an fsim store with DiskFault pathology and counts
 // the bytes the underlying store durably accepted, split into data vs
 // ledger/journal — the source of the matrix's ledger-bytes aggregate.
@@ -54,7 +42,7 @@ type fullStore interface {
 // (nothing committed), so any ledger that loads is a valid prefix of
 // what the receiver acknowledged.
 type FlakyStore struct {
-	inner fullStore
+	inner fsim.LedgerStore
 	fault DiskFault
 	sleep func(time.Duration)
 
@@ -69,10 +57,11 @@ type FlakyStore struct {
 }
 
 // NewFlakyStore decorates inner with f, drawing short-write prefixes
-// from a stream seeded with seed. inner must implement every fsim
-// capability (SyntheticStore and DirStore both do).
+// from a stream seeded with seed. inner must be a fsim.LedgerStore
+// (SyntheticStore and DirStore both are), so resume semantics stay
+// observable under the injected faults.
 func NewFlakyStore(inner fsim.Store, f DiskFault, seed int64) (*FlakyStore, error) {
-	fs, ok := inner.(fullStore)
+	fs, ok := inner.(fsim.LedgerStore)
 	if !ok {
 		return nil, fmt.Errorf("chaos: store %T lacks ledger capabilities; wrap a SyntheticStore or DirStore", inner)
 	}

@@ -129,12 +129,15 @@ func TestFlakyStoreENOSPCBudgetSharedWithLedger(t *testing.T) {
 
 func TestFlakyStoreForwardsLedgerCapabilities(t *testing.T) {
 	s, _ := newFlaky(t, DiskFault{})
+	// The whole contract, statically: a FlakyStore is a resumable
+	// destination, so its sessions keep their ledgers.
+	var _ fsim.LedgerStore = s
 	var store fsim.Store = s
 	if _, ok := store.(fsim.Stater); !ok {
 		t.Fatal("FlakyStore lost Stater")
 	}
 	if _, ok := store.(fsim.LedgerStore); !ok {
-		t.Fatal("FlakyStore lost LedgerStore")
+		t.Fatal("FlakyStore lost the LedgerStore contract")
 	}
 	if _, ok := store.(fsim.LedgerAppender); !ok {
 		t.Fatal("FlakyStore lost LedgerAppender")

@@ -13,15 +13,16 @@
 // its root and hands out bare descriptors (dirstore_linux.go); other
 // platforms open by full path into an *os.File (dirstore_other.go).
 //
-// Optional capabilities extend the base Store interface for the
-// resumable-session control plane: Stater reports file sizes so a
-// resume can detect a vanished or truncated destination; LedgerStore
-// persists per-session chunk ledgers (DirStore keeps each session's
-// state in its own <root>/.automdt/<session>/ directory — a binary
-// snapshot plus journal); LedgerAppender adds the fsync'd append-only
-// journal so a probe tick persists only the delta since the last one;
-// LedgerLister enumerates persisted ledgers with ages so a long-lived
-// endpoint can expire sessions that were abandoned rather than resumed.
+// LedgerStore is the one contract of a resumable destination, and both
+// implementations meet it in full: a Store that also reports file sizes
+// (Stater), so a resume can detect a vanished or truncated destination;
+// persists each session's chunk ledger as a snapshot plus an fsync'd
+// append-only journal (LedgerAppender), so a probe tick persists only
+// the delta since the last one (DirStore keeps each session's state in
+// its own <root>/.automdt/<session>/ directory); and enumerates
+// persisted ledgers with ages (LedgerLister), so a long-lived endpoint
+// can expire sessions that were abandoned rather than resumed. A store
+// that lacks any part of it is a plain Store whose sessions run one-shot.
 // Session names are constrained by ValidSessionID so they are safe as
 // keys on any backend.
 package fsim

@@ -35,27 +35,37 @@ type FileWriter interface {
 	io.Closer
 }
 
-// Stater is an optional Store capability: report a file's current size.
-// The resumable-session control plane uses it to detect a destination
-// that went missing or was truncated between attempts before trusting a
-// persisted chunk ledger. A missing file yields os.ErrNotExist (wrapped).
+// Stater reports a file's current size; it is the part of LedgerStore a
+// resume uses to detect a destination file that went missing or was
+// truncated between attempts before trusting a persisted chunk ledger.
+// A missing file yields os.ErrNotExist (wrapped).
 type Stater interface {
 	Stat(name string) (size int64, err error)
 }
 
-// LedgerStore is an optional Store capability: persist small
-// control-plane documents (chunk ledgers) alongside the data, so an
-// interrupted transfer session survives a process restart and can resume
-// against the same destination. Session names must satisfy
-// ValidSessionID. A missing ledger yields os.ErrNotExist (wrapped).
+// LedgerStore is the contract of a resumable destination: a Store that
+// also persists each transfer session's chunk ledger alongside the data,
+// so an interrupted session survives a process restart and resumes
+// against the same files. A store keeps ledgers in full or not at all:
+// one that lacks any method here is a plain Store, and its sessions run
+// one-shot. The ledger is a snapshot document (Save/Load/Remove) plus
+// the append-only journal of LedgerAppender; Stat re-checks files before
+// a resume trusts them, and ListLedgers lets a long-lived endpoint
+// expire abandoned sessions. Session names must satisfy ValidSessionID.
+// A missing ledger yields os.ErrNotExist (wrapped).
 type LedgerStore interface {
+	Store
+	Stater
+	LedgerAppender
+	LedgerLister
 	SaveLedger(session string, data []byte) error
 	LoadLedger(session string) ([]byte, error)
+	// RemoveLedger drops the snapshot and its journal.
 	RemoveLedger(session string) error
 }
 
-// LedgerAppender is an optional LedgerStore capability: an append-only
-// journal alongside each session's ledger document, so a probe tick
+// LedgerAppender is the journal part of LedgerStore: an append-only
+// journal alongside each session's ledger snapshot, so a probe tick
 // persists only the chunk commits since the last tick instead of
 // rewriting the whole document (O(delta), not O(chunks)). Appends are
 // durable (fsync'd) before they return; ResetJournal discards the
@@ -74,7 +84,7 @@ type LedgerInfo struct {
 	Age time.Duration
 }
 
-// LedgerLister is an optional LedgerStore capability: enumerate the
+// LedgerLister is the listing part of LedgerStore: enumerate the
 // persisted session ledgers and their ages, so a long-lived destination
 // endpoint can expire sessions that were abandoned rather than resumed.
 type LedgerLister interface {
@@ -298,7 +308,7 @@ func (s *SyntheticStore) ResetJournal(session string) error {
 }
 
 // ListLedgers implements LedgerLister: ages are measured from the last
-// SaveLedger within this store value's lifetime.
+// SaveLedger or AppendLedger within this store value's lifetime.
 func (s *SyntheticStore) ListLedgers() ([]LedgerInfo, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -603,6 +603,14 @@ func TestValidSessionID(t *testing.T) {
 	}
 }
 
+// Both stores are resumable destinations: each keeps the whole
+// LedgerStore contract, so the receiver persists their sessions' ledgers
+// rather than running them one-shot.
+func TestStoresKeepLedgerStoreContract(t *testing.T) {
+	var _ LedgerStore = (*DirStore)(nil)
+	var _ LedgerStore = (*SyntheticStore)(nil)
+}
+
 func TestDirStoreStat(t *testing.T) {
 	ds, _ := NewDirStore(t.TempDir())
 	if _, err := ds.Stat("missing.bin"); !os.IsNotExist(err) {

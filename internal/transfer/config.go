@@ -102,14 +102,6 @@ type Config struct {
 	// the cap are rejected at the handshake with a clear error instead of
 	// being queued. Default 64.
 	MaxSessions int
-	// LedgerCompactBytes is the receiver's journal-compaction floor: a
-	// session's append-only ledger journal is folded into a fresh binary
-	// snapshot once it outgrows max(LedgerCompactBytes, last snapshot
-	// size), bounding both resume replay time and steady-state write
-	// amplification (≈2×). Zero means the 1 MiB default; negative
-	// disables size-triggered compaction (the journal still folds at
-	// session start).
-	LedgerCompactBytes int64
 	// LedgerTTL is the receiver's stale-session GC horizon: ledgers whose
 	// last write is older than this are removed when the endpoint starts
 	// serving (counted in automdt_resume_ledgers_expired_total), so
@@ -181,9 +173,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.LedgerTTL == 0 {
 		c.LedgerTTL = 30 * 24 * time.Hour
-	}
-	if c.LedgerCompactBytes == 0 {
-		c.LedgerCompactBytes = 1 << 20
 	}
 	return c
 }

@@ -115,12 +115,6 @@ func TestCrashRecoveryAtInjectedPoints(t *testing.T) {
 			cfg.ProbeInterval = 10 * time.Millisecond // frequent journal appends
 			cfg.InitialThreads = 4
 			cfg.Shaping.LinkMbps = 150 // keep the crash point mid-flight
-			if mode != "torn-append" {
-				// Tiny floor: the journal outgrows the (near-empty)
-				// snapshot almost immediately, so a compaction follows
-				// the arming appends within a tick or two.
-				cfg.LedgerCompactBytes = 1
-			}
 
 			inner, err := fsim.NewDirStore(dir)
 			if err != nil {
@@ -130,6 +124,12 @@ func TestCrashRecoveryAtInjectedPoints(t *testing.T) {
 			defer rcancel()
 			cs := &crashStore{DirStore: inner, mode: mode, armAfter: 3, kill: rcancel}
 			recv := NewReceiver(cfg, cs)
+			if mode != "torn-append" {
+				// Tiny floor: the journal outgrows the (near-empty)
+				// snapshot almost immediately, so a compaction follows
+				// the arming appends within a tick or two.
+				recv.compactBytes = 1
+			}
 			if err := recv.Listen("127.0.0.1:0"); err != nil {
 				t.Fatal(err)
 			}
@@ -165,7 +165,6 @@ func TestCrashRecoveryAtInjectedPoints(t *testing.T) {
 			// Resume against the surviving files and finish the job.
 			cfg2 := cfg
 			cfg2.Shaping = Shaping{}
-			cfg2.LedgerCompactBytes = 0
 			ctx2, cancel2 := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel2()
 			recv2, recvErr2 := runReceiver(t, ctx2, cfg2, after)

@@ -245,6 +245,15 @@ func (l *Ledger) FileCommitted(fileID uint32) int64 {
 	return l.Files[fileID].Committed
 }
 
+// owesSum reports whether a session resuming from l owes the file's
+// end-to-end FileSum: a non-empty file with no committed chunk, whose
+// every chunk is therefore read and written this session. Sender and
+// receiver both decide with it, so they agree on which sums to wait for.
+// A nil ledger (a fresh plan) has nothing committed.
+func (l *Ledger) owesSum(fileID uint32, size int64) bool {
+	return size > 0 && (l == nil || l.FileCommitted(fileID) == 0)
+}
+
 // FileComplete reports whether every chunk of the file is committed.
 func (l *Ledger) FileComplete(fileID uint32) bool {
 	l.mu.Lock()
@@ -403,7 +412,7 @@ func (l *Ledger) AppendSince() []byte {
 // chunk is read back and its CRC compared, so a corrupt region
 // invalidates just that ledger range. It returns the surviving committed
 // byte count and the number of chunk ranges cleared.
-func (l *Ledger) VerifyAgainst(store fsim.Store) (kept int64, cleared int) {
+func (l *Ledger) VerifyAgainst(store fsim.LedgerStore) (kept int64, cleared int) {
 	type span struct {
 		fileID uint32
 		name   string
@@ -417,18 +426,14 @@ func (l *Ledger) VerifyAgainst(store fsim.Store) (kept int64, cleared int) {
 	hasSums := l.HasSums
 	l.mu.Unlock()
 
-	st, canStat := store.(fsim.Stater)
 	buf := make([]byte, l.ChunkBytes)
 	for _, f := range files {
 		if l.FileCommitted(f.fileID) == 0 {
 			continue
 		}
-		if canStat {
-			size, err := st.Stat(f.name)
-			if err != nil || size != f.size {
-				cleared += l.InvalidateFile(f.fileID)
-				continue
-			}
+		if size, err := store.Stat(f.name); err != nil || size != f.size {
+			cleared += l.InvalidateFile(f.fileID)
+			continue
 		}
 		if !hasSums {
 			continue // size check is all we can do

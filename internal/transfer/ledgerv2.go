@@ -253,12 +253,11 @@ func DecodeLedger(data []byte) (*Ledger, error) {
 }
 
 // LoadSessionLedger reads a session's persisted state from the store:
-// the ledger snapshot, plus — when the store keeps an
-// append-only journal — the journal records folded in. This is the
-// read side of the snapshot+journal layout; every consumer (resume,
-// inspection tooling, tests) should load through it rather than
-// decoding the document alone, which can be a whole compaction interval
-// stale.
+// the ledger snapshot with the append-only journal's records folded in.
+// This is the read side of the snapshot+journal layout; every consumer
+// (resume, inspection tooling, tests) should load through it rather
+// than decoding the document alone, which can be a whole compaction
+// interval stale.
 func LoadSessionLedger(store fsim.LedgerStore, session string) (*Ledger, error) {
 	data, err := store.LoadLedger(session)
 	if err != nil {
@@ -268,10 +267,8 @@ func LoadSessionLedger(store fsim.LedgerStore, session string) (*Ledger, error) 
 	if err != nil {
 		return nil, err
 	}
-	if la, ok := store.(fsim.LedgerAppender); ok {
-		if j, jerr := la.LoadJournal(session); jerr == nil {
-			l.ReplayJournal(j)
-		}
+	if j, jerr := store.LoadJournal(session); jerr == nil {
+		l.ReplayJournal(j)
 	}
 	return l, nil
 }

@@ -212,8 +212,8 @@ func TestLoadSessionLedgerFoldsJournal(t *testing.T) {
 }
 
 // At steady state a journaled probe tick persists at least 10× fewer
-// bytes than the full-snapshot rewrite of the same session (the live
-// fallback for stores without fsim.LedgerAppender).
+// bytes than a compaction of the same session, which rewrites the whole
+// snapshot.
 func TestLedgerTickDeltaIsTenthOfDocument(t *testing.T) {
 	const (
 		chunkBytes    = 256 << 10

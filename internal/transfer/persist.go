@@ -6,15 +6,13 @@ import (
 	"automdt/internal/fsim"
 )
 
-// ledgerPersister owns one session's ledger persistence: journaled
-// O(delta) appends on every probe tick when the store implements
-// fsim.LedgerAppender, full-snapshot rewrites when it only implements
-// fsim.LedgerStore, and compaction — folding the journal into a fresh
-// snapshot — once the journal outgrows max(compactBytes, last snapshot
-// size), which bounds both replay time and write amplification at
-// roughly 2×. All methods serialize on one mutex, so a tick, the
-// CRC-mismatch path, and the teardown persist can never interleave
-// writes.
+// ledgerPersister owns one session's ledger persistence: an fsync'd
+// O(delta) journal append on every probe tick, and compaction — folding
+// the journal into a fresh snapshot — once the journal outgrows
+// max(compactBytes, last snapshot size), which bounds both replay time
+// and write amplification at roughly 2×. All methods serialize on one
+// mutex, so a tick, the CRC-mismatch path, and the teardown persist can
+// never interleave writes.
 //
 // Store errors never fail the session (the ledger is an optimization —
 // a lost save only costs the next resume some re-sent bytes), but they
@@ -26,11 +24,9 @@ import (
 type ledgerPersister struct {
 	mu      sync.Mutex
 	l       *Ledger
-	store   fsim.LedgerStore
-	app     fsim.LedgerAppender
+	store   fsim.LedgerStore // nil: the session is not persisted
 	session string
-	// compactBytes is the journal-growth floor before compaction;
-	// negative disables size-triggered compaction entirely.
+	// compactBytes is the journal-growth floor before compaction.
 	compactBytes int64
 
 	// carry holds encoded journal records drained from the ledger that
@@ -49,37 +45,28 @@ type ledgerPersister struct {
 	// with the current snapshot generation's header.
 	headerPending bool
 	done          bool // session completed; never write again
-	enabled       bool
 }
 
-// newLedgerPersister builds the persister for one session. store is the
-// destination store; persistence is disabled (every method a no-op)
-// unless it implements fsim.LedgerStore and the session is resumable.
-func newLedgerPersister(l *Ledger, store fsim.Store, session string, resumable bool, compactBytes int64) *ledgerPersister {
-	p := &ledgerPersister{l: l, session: session, compactBytes: compactBytes}
-	if ls, ok := store.(fsim.LedgerStore); ok && resumable {
-		p.store = ls
-		p.enabled = true
-		p.app, _ = store.(fsim.LedgerAppender)
-	}
-	return p
+// newLedgerPersister builds the persister for one session writing to
+// store; a nil store makes every method a no-op.
+func newLedgerPersister(l *Ledger, store fsim.LedgerStore, session string, compactBytes int64) *ledgerPersister {
+	return &ledgerPersister{l: l, store: store, session: session, compactBytes: compactBytes}
 }
 
-// tick persists the delta since the last call: an fsync'd journal
-// append on appender stores (compacting when the journal has outgrown
-// its threshold), a full snapshot otherwise. No-change ticks write
-// nothing.
+// tick persists the delta since the last call as one fsync'd journal
+// append, compacting when the journal has outgrown its threshold.
+// No-change ticks write nothing.
 func (p *ledgerPersister) tick() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if !p.enabled || p.done {
+	if p.store == nil || p.done {
 		return
 	}
 	p.carry = append(p.carry, p.l.AppendSince()...)
 	if len(p.carry) == 0 && !p.torn {
 		return
 	}
-	if p.app == nil || p.torn {
+	if p.torn {
 		p.compactLocked()
 		return
 	}
@@ -87,7 +74,7 @@ func (p *ledgerPersister) tick() {
 	if p.headerPending {
 		recs = append(p.l.JournalHeader(), recs...)
 	}
-	if err := p.app.AppendLedger(p.session, recs); err != nil {
+	if err := p.store.AppendLedger(p.session, recs); err != nil {
 		// The journal may now be torn mid-record; carry keeps the
 		// drained delta and a fresh snapshot (atomic rename) plus
 		// journal reset recovers cleanly. Until one lands, every tick
@@ -99,8 +86,7 @@ func (p *ledgerPersister) tick() {
 	p.carry = nil
 	p.headerPending = false
 	p.journalLen += int64(len(recs))
-	threshold := max(p.compactBytes, p.snapshotLen)
-	if p.compactBytes >= 0 && p.journalLen > threshold {
+	if p.journalLen > max(p.compactBytes, p.snapshotLen) {
 		p.compactLocked()
 	}
 }
@@ -109,7 +95,7 @@ func (p *ledgerPersister) tick() {
 func (p *ledgerPersister) compact() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if !p.enabled || p.done {
+	if p.store == nil || p.done {
 		return
 	}
 	p.compactLocked()
@@ -135,16 +121,14 @@ func (p *ledgerPersister) compactLocked() {
 	p.snapshotLen = int64(len(data))
 	p.carry = nil // folded into the snapshot
 	p.torn = false
-	if p.app != nil {
-		if err := p.app.ResetJournal(p.session); err == nil {
-			p.journalLen = 0
-		} else {
-			// The journal still opens with a dead generation, so any
-			// record appended to it is unreachable to replay — exactly
-			// the torn condition: keep compacting every tick (the
-			// snapshot carries the state) until a reset lands.
-			p.torn = true
-		}
+	if err := p.store.ResetJournal(p.session); err == nil {
+		p.journalLen = 0
+	} else {
+		// The journal still opens with a dead generation, so any
+		// record appended to it is unreachable to replay — exactly
+		// the torn condition: keep compacting every tick (the
+		// snapshot carries the state) until a reset lands.
+		p.torn = true
 	}
 	p.headerPending = true
 }

@@ -1,8 +1,15 @@
 package transfer
 
 import (
+	"bytes"
+	"context"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"automdt/internal/fsim"
 	"automdt/internal/workload"
@@ -55,7 +62,7 @@ func TestPersisterRecoversFromStoreOutage(t *testing.T) {
 	m := workload.Manifest{{Name: "f.bin", Size: 1 << 20}} // 16 chunks at 64 KiB
 	store := &flakyLedgerStore{SyntheticStore: fsim.NewSyntheticStore()}
 	l := NewLedger(session, 64<<10, m, true)
-	p := newLedgerPersister(l, store, session, true, 1<<20)
+	p := newLedgerPersister(l, store, session, 1<<20)
 	p.compact() // session start: empty snapshot
 
 	commit := func(idx int) {
@@ -114,7 +121,7 @@ func TestPersisterTreatsFailedResetAsTorn(t *testing.T) {
 	// A stale journal from a previous generation is already on disk.
 	store.AppendLedger(session, append(l.JournalHeader(), 0xFF, 0xFF))
 
-	p := newLedgerPersister(l, store, session, true, 1<<20)
+	p := newLedgerPersister(l, store, session, 1<<20)
 	store.failResets = 1
 	p.compact() // snapshot lands, reset fails: journal head is now dead
 
@@ -155,7 +162,7 @@ func TestPersisterRetriesFailedOpeningCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := newLedgerPersister(l, store, session, true, 1<<20)
+	p := newLedgerPersister(l, store, session, 1<<20)
 	store.failSaves = 1
 	p.compact() // opening compaction fails: disk still holds the old generation
 
@@ -193,7 +200,7 @@ func TestPersisterDoesNotRejournalReplayedOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := newLedgerPersister(l, store, session, true, 1<<20)
+	p := newLedgerPersister(l, store, session, 1<<20)
 	p.compact()
 	if j, _ := store.LoadJournal(session); len(j) != 0 {
 		t.Fatalf("journal not reset by the opening compaction: %d bytes", len(j))
@@ -207,5 +214,67 @@ func TestPersisterDoesNotRejournalReplayedOps(t *testing.T) {
 	one := len(appendJournalRecord(nil, ledgerOp{file: 0, lo: 8, sum: 99, commit: true}))
 	if want := journalHeaderLen + one; len(j) != want {
 		t.Fatalf("post-resume journal is %d bytes, want %d (replayed ops re-journaled)", len(j), want)
+	}
+}
+
+// snapshotOnlyStore keeps ledger snapshots but has no journal, no Stat
+// and no listing: less than the fsim.LedgerStore contract, so it is a
+// plain fsim.Store to the receiver.
+type snapshotOnlyStore struct {
+	fsim.Store
+	saves atomic.Int64
+}
+
+func (s *snapshotOnlyStore) SaveLedger(string, []byte) error {
+	s.saves.Add(1)
+	return nil
+}
+
+func (s *snapshotOnlyStore) LoadLedger(session string) ([]byte, error) {
+	return nil, fmt.Errorf("ledger %q: %w", session, os.ErrNotExist)
+}
+
+func (s *snapshotOnlyStore) RemoveLedger(string) error { return nil }
+
+// A destination that keeps only part of the ledger contract runs a named
+// session one-shot: the transfer completes byte-correct and no ledger
+// write is ever attempted, not even the opening compaction.
+func TestPartialLedgerStoreRunsOneShot(t *testing.T) {
+	dir := t.TempDir()
+	inner, err := fsim.NewDirStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := &snapshotOnlyStore{Store: inner}
+	m := workload.LargeFiles(3, 300<<10)
+	cfg := testConfig()
+	cfg.SessionID = "partial-store"
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	recv, recvErr := runReceiver(t, ctx, cfg, dst)
+	send := &Sender{Cfg: cfg, Store: fsim.NewSyntheticStore(), Manifest: m}
+	res, err := send.Run(ctx, recv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-recvErr; err != nil {
+		t.Fatal(err)
+	}
+	if res.Resumed || res.Bytes != m.TotalBytes() {
+		t.Fatalf("one-shot session: resumed=%v bytes=%d want %d", res.Resumed, res.Bytes, m.TotalBytes())
+	}
+	if n := dst.saves.Load(); n != 0 {
+		t.Fatalf("SaveLedger called %d times on a store outside the ledger contract", n)
+	}
+	for _, f := range m {
+		got, err := os.ReadFile(filepath.Join(dir, f.Name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]byte, f.Size)
+		fsim.FillContent(f.Name, 0, want)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s corrupt", f.Name)
+		}
 	}
 }

@@ -71,6 +71,9 @@ type Receiver struct {
 
 	// busyWait bounds handleControl's wait on a busy session's holder.
 	busyWait time.Duration
+	// compactBytes is the floor of every session's ledger compaction
+	// threshold, max(compactBytes, last snapshot size).
+	compactBytes int64
 
 	gcOnce sync.Once
 	// fatal is closed when an acceptor dies outside shutdown, so serve
@@ -405,14 +408,15 @@ func (r *Receiver) unbindConns(sess *rsession, completed bool) {
 func NewReceiver(cfg Config, store fsim.Store) *Receiver {
 	cfg = cfg.WithDefaults()
 	return &Receiver{
-		Cfg:      cfg,
-		Store:    store,
-		byToken:  make(map[string]*rsession),
-		byID:     make(map[string]*rsession),
-		idle:     make(map[net.Conn]struct{}),
-		fatal:    make(chan struct{}),
-		busyWait: 5 * time.Second,
-		arb:      newWriteArbiter(cfg.WriteBudgetMbps, cfg.ChunkBytes),
+		Cfg:          cfg,
+		Store:        store,
+		byToken:      make(map[string]*rsession),
+		byID:         make(map[string]*rsession),
+		idle:         make(map[net.Conn]struct{}),
+		fatal:        make(chan struct{}),
+		busyWait:     5 * time.Second,
+		compactBytes: 1 << 20,
+		arb:          newWriteArbiter(cfg.WriteBudgetMbps, cfg.ChunkBytes),
 	}
 }
 
@@ -868,12 +872,11 @@ func (r *Receiver) expireStaleLedgers() {
 	if ttl <= 0 {
 		return
 	}
-	lister, ok := r.Store.(fsim.LedgerLister)
-	ls, ok2 := r.Store.(fsim.LedgerStore)
-	if !ok || !ok2 {
+	ls, ok := r.Store.(fsim.LedgerStore)
+	if !ok {
 		return
 	}
-	infos, err := lister.ListLedgers()
+	infos, err := ls.ListLedgers()
 	if err != nil {
 		return
 	}
@@ -928,8 +931,8 @@ func (r *Receiver) MetricsSnapshot() metrics.Snapshot {
 }
 
 // sumChecker holds the end-to-end file sums a session is owed: one for
-// every non-empty file with no committed chunk in the ledger the Welcome
-// advertised, the sender's fileSummer rule. An entry leaves owed once
+// every file the Welcome's ledger owes a sum (Ledger.owesSum, the rule
+// the sender's fileSummer follows). An entry leaves owed once
 // its verdict has landed, and settled closes when the last one does.
 type sumChecker struct {
 	mu      sync.Mutex
@@ -945,7 +948,7 @@ type owedSum struct {
 func newSumChecker(m workload.Manifest, l *Ledger) *sumChecker {
 	c := &sumChecker{owed: make(map[uint32]owedSum), settled: make(chan struct{})}
 	for i, f := range m {
-		if f.Size > 0 && l.FileCommitted(uint32(i)) == 0 {
+		if l.owesSum(uint32(i), f.Size) {
 			c.owed[uint32(i)] = owedSum{}
 		}
 	}
@@ -1015,15 +1018,18 @@ func (r *Receiver) runSession(ctx context.Context, sess *rsession, raw net.Conn,
 		chunkBytes = r.Cfg.ChunkBytes
 	}
 
-	// Session ledger: reload a persisted one when the store supports it
-	// and the sender named a session, re-verifying every committed range
-	// against the destination (a missing file or corrupt region loses
-	// just its ledger entry) before advertising it.
+	// Session ledger: reload a persisted one when the store is a
+	// fsim.LedgerStore and the sender named a session, re-verifying every
+	// committed range against the destination (a missing file or corrupt
+	// region loses just its ledger entry) before advertising it. ls stays
+	// nil for a one-shot session.
 	session := sess.id
 	ledger := NewLedger(session, chunkBytes, manifest, true)
-	ls, canPersist := r.Store.(fsim.LedgerStore)
-	resumable := canPersist && h.SessionID != "" && fsim.ValidSessionID(h.SessionID)
-	if resumable {
+	var ls fsim.LedgerStore
+	if s, ok := r.Store.(fsim.LedgerStore); ok && fsim.ValidSessionID(h.SessionID) {
+		ls = s
+	}
+	if ls != nil {
 		// LoadSessionLedger folds the append-only journal into the
 		// snapshot (a torn or generation-mismatched journal truncates
 		// to its last valid record) before anything is decided. A
@@ -1032,7 +1038,7 @@ func (r *Receiver) runSession(ctx context.Context, sess *rsession, raw net.Conn,
 		// replaces it.
 		if old, derr := LoadSessionLedger(ls, session); derr == nil &&
 			old.MatchesManifest(manifest) == nil && old.HasSums {
-			if kept, _ := old.VerifyAgainst(r.Store); kept > 0 {
+			if kept, _ := old.VerifyAgainst(ls); kept > 0 {
 				metrics.ResumeSessionInc()
 				metrics.ResumeSkippedAdd(kept)
 				sess.resumed = true
@@ -1050,7 +1056,7 @@ func (r *Receiver) runSession(ctx context.Context, sess *rsession, raw net.Conn,
 	// O(delta) appends per probe tick, compaction, and the final
 	// teardown persist. The opening compaction snapshots the
 	// verification-adjusted state and folds any replayed journal away.
-	persister := newLedgerPersister(ledger, r.Store, session, resumable, r.Cfg.LedgerCompactBytes)
+	persister := newLedgerPersister(ledger, ls, session, r.compactBytes)
 	persister.compact()
 	persist := persister.tick
 
@@ -1323,7 +1329,7 @@ func (r *Receiver) runSession(ctx context.Context, sess *rsession, raw net.Conn,
 			return e
 		}
 		persister.markDone()
-		if resumable {
+		if ls != nil {
 			ls.RemoveLedger(session)
 		}
 		// The verdict is in before Done leaves: the sender's next Hello

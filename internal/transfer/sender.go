@@ -193,7 +193,7 @@ func newFileSummer(m workload.Manifest, chunkBytes int, resume *Ledger) *fileSum
 	for i, f := range m {
 		n := int((f.Size + fs.chunk - 1) / fs.chunk)
 		st := sumState{size: f.Size}
-		if n > 0 && (resume == nil || resume.FileCommitted(uint32(i)) == 0) {
+		if resume.owesSum(uint32(i), f.Size) {
 			st.sums = make([]uint32, n)
 		}
 		fs.files[i] = st
