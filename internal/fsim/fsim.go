@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"io/fs"
 	"math/bits"
 	"os"
 	"path/filepath"
@@ -145,17 +146,27 @@ func NewSyntheticStore() *SyntheticStore {
 	}
 }
 
-// contentWord returns the deterministic content of file h at bytes
-// [8w, 8w+8), little-endian: byte 8w+k is bits 8k..8k+7. One mix per
-// eight bytes is what keeps generating and verifying content off the
-// profile; every content path works a word at a time and goes byte by
-// byte only over the unaligned head and tail of a range.
-func contentWord(h uint64, w int64) uint64 {
-	x := h + uint64(w)*0x9E3779B97F4A7C15
+// contentStep is the golden-ratio increment between consecutive
+// content words' mixer inputs: word w of file h mixes h + w·contentStep.
+const contentStep = 0x9E3779B97F4A7C15
+
+// contentMix is the murmur3-style finalizer that turns a mixer input
+// into one content word.
+func contentMix(x uint64) uint64 {
 	x ^= x >> 33
 	x *= 0xFF51AFD7ED558CCD
 	x ^= x >> 33
 	return x
+}
+
+// contentWord returns the deterministic content of file h at bytes
+// [8w, 8w+8), little-endian: byte 8w+k is bits 8k..8k+7. One mix per
+// eight bytes is what keeps generating and verifying content off the
+// profile; every content path works in whole words, four at a time
+// where it can, and goes byte by byte only over the unaligned head and
+// tail of a range.
+func contentWord(h uint64, w int64) uint64 {
+	return contentMix(h + uint64(w)*contentStep)
 }
 
 // contentByte returns the content byte of file h at position i: one
@@ -165,13 +176,29 @@ func contentByte(h uint64, i int64) byte {
 }
 
 // fillContent writes the content of file h for [off, off+len(p)) into p.
+// The aligned body carries the mixer input, adding contentStep per word
+// (mod 2⁶⁴, so it equals contentWord's product), and writes four
+// independent words per iteration through one 32-byte window, so one
+// bounds check covers all four.
 func fillContent(h uint64, off int64, p []byte) {
 	i := 0
 	for ; i < len(p) && (off+int64(i))&7 != 0; i++ {
 		p[i] = contentByte(h, off+int64(i))
 	}
-	for w := (off + int64(i)) >> 3; len(p)-i >= 8; i, w = i+8, w+1 {
-		binary.LittleEndian.PutUint64(p[i:], contentWord(h, w))
+	x := h + uint64((off+int64(i))>>3)*contentStep
+	for ; len(p)-i >= 32; i += 32 {
+		q := p[i : i+32 : i+32]
+		x1 := x + contentStep
+		x2 := x1 + contentStep
+		x3 := x2 + contentStep
+		binary.LittleEndian.PutUint64(q[0:8], contentMix(x))
+		binary.LittleEndian.PutUint64(q[8:16], contentMix(x1))
+		binary.LittleEndian.PutUint64(q[16:24], contentMix(x2))
+		binary.LittleEndian.PutUint64(q[24:32], contentMix(x3))
+		x = x3 + contentStep
+	}
+	for ; len(p)-i >= 8; i, x = i+8, x+contentStep {
+		binary.LittleEndian.PutUint64(p[i:], contentMix(x))
 	}
 	for ; i < len(p); i++ {
 		p[i] = contentByte(h, off+int64(i))
@@ -179,7 +206,9 @@ func fillContent(h uint64, off int64, p []byte) {
 }
 
 // firstMismatch returns the index of the first byte of p that differs
-// from the content of file h at off, or -1 when p matches.
+// from the content of file h at off, or -1 when p matches. The aligned
+// body ORs four words' differences per iteration, and only a window
+// that differs goes word by word to find its first differing byte.
 func firstMismatch(h uint64, off int64, p []byte) int {
 	i := 0
 	for ; i < len(p) && (off+int64(i))&7 != 0; i++ {
@@ -187,8 +216,23 @@ func firstMismatch(h uint64, off int64, p []byte) int {
 			return i
 		}
 	}
-	for w := (off + int64(i)) >> 3; len(p)-i >= 8; i, w = i+8, w+1 {
-		if diff := binary.LittleEndian.Uint64(p[i:]) ^ contentWord(h, w); diff != 0 {
+	x := h + uint64((off+int64(i))>>3)*contentStep
+	for ; len(p)-i >= 32; i += 32 {
+		q := p[i : i+32 : i+32]
+		x1 := x + contentStep
+		x2 := x1 + contentStep
+		x3 := x2 + contentStep
+		diff := (binary.LittleEndian.Uint64(q[0:8]) ^ contentMix(x)) |
+			(binary.LittleEndian.Uint64(q[8:16]) ^ contentMix(x1)) |
+			(binary.LittleEndian.Uint64(q[16:24]) ^ contentMix(x2)) |
+			(binary.LittleEndian.Uint64(q[24:32]) ^ contentMix(x3))
+		if diff != 0 {
+			break
+		}
+		x = x3 + contentStep
+	}
+	for ; len(p)-i >= 8; i, x = i+8, x+contentStep {
+		if diff := binary.LittleEndian.Uint64(p[i:]) ^ contentMix(x); diff != 0 {
 			return i + bits.TrailingZeros64(diff)/8
 		}
 	}
@@ -256,13 +300,15 @@ func (s *SyntheticStore) SaveLedger(session string, data []byte) error {
 	return nil
 }
 
-// LoadLedger implements LedgerStore.
+// LoadLedger implements LedgerStore. A session with no ledger — every
+// fresh session a fleet admits — gets an *fs.PathError wrapping
+// fs.ErrNotExist, built without formatting.
 func (s *SyntheticStore) LoadLedger(session string) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	data, ok := s.ledgers[session]
 	if !ok {
-		return nil, fmt.Errorf("fsim: ledger %q: %w", session, os.ErrNotExist)
+		return nil, &fs.PathError{Op: "load ledger", Path: session, Err: fs.ErrNotExist}
 	}
 	return append([]byte(nil), data...), nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"io/fs"
 	"os"
@@ -556,6 +557,48 @@ func TestQuickReaderMatchesFill(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The content is a fixed function of (name, offset): these CRC-32C
+// values pin it bit for bit, over an aligned range, a range unaligned at
+// both ends, and a short unaligned range far into a file. A flipped
+// byte at each position of an unaligned 64-byte range — the head, every
+// word of the four-word window, the words after it and the tail — is
+// found at its exact index.
+func TestSyntheticContentPinned(t *testing.T) {
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	for _, pin := range []struct {
+		name string
+		off  int64
+		n    int
+		crc  uint32
+	}{
+		{"pin.dat", 0, 256 << 10, 0x7f858002},
+		{"pin.dat", 3, 1<<20 + 5, 0x0531f107},
+		{"other.dat", 1 << 40, 4093, 0x448e5bd5},
+	} {
+		p := make([]byte, pin.n)
+		FillContent(pin.name, pin.off, p)
+		if got := crc32.Checksum(p, castagnoli); got != pin.crc {
+			t.Errorf("FillContent(%q, %d, %d) has CRC-32C %#08x, want %#08x", pin.name, pin.off, pin.n, got, pin.crc)
+		}
+	}
+	h := nameHash("pin.dat")
+	// Offset 5, 64 bytes: three head bytes, one four-word window, three
+	// words and a five-byte tail.
+	const off = 5
+	p := make([]byte, 64)
+	fillContent(h, off, p)
+	if i := firstMismatch(h, off, p); i != -1 {
+		t.Fatalf("firstMismatch of matching content = %d, want -1", i)
+	}
+	for pos := 0; pos < 64; pos++ {
+		p[pos] ^= 0x10
+		if i := firstMismatch(h, off, p); i != pos {
+			t.Errorf("byte %d flipped: firstMismatch = %d", pos, i)
+		}
+		p[pos] ^= 0x10
 	}
 }
 

@@ -61,6 +61,9 @@ type FleetRunner struct {
 	eps      map[string]*fleetEndpoint
 	order    []string // endpoint ids in spawn order
 	sess     map[string]*sessTrack
+	// src is every job's source: a synthetic store that senders only
+	// Open, which touches none of its state, so one serves them all.
+	src *fsim.SyntheticStore
 
 	// epoch counts membership changes: spawns plus observed deaths.
 	epoch      int64
@@ -135,6 +138,7 @@ func (f *FleetRunner) start() error {
 		ss.Verify = f.Verify
 		f.Store = ss
 	}
+	f.src = fsim.NewSyntheticStore()
 	f.ring = fleet.NewRing(0, 0)
 	f.eps = make(map[string]*fleetEndpoint, size)
 	f.sess = make(map[string]*sessTrack)
@@ -344,8 +348,7 @@ func (f *FleetRunner) runOnce(ctx context.Context, spec JobSpec, ctrl env.Contro
 	f.sess[session] = &sessTrack{epID: ep.id, done: make(chan struct{})}
 	f.mu.Unlock()
 
-	src := fsim.NewSyntheticStore()
-	send := &transfer.Sender{Cfg: spec.Transfer, Store: src, Manifest: spec.Manifest, Controller: ctrl, Pool: ep.pool}
+	send := &transfer.Sender{Cfg: spec.Transfer, Store: f.src, Manifest: spec.Manifest, Controller: ctrl, Pool: ep.pool}
 	res, err := send.Run(ctx, ep.recv.Addr())
 	return ep, res, err
 }

@@ -531,6 +531,92 @@ func oneChunkOn(t *testing.T, recv *Receiver, ask func(*wire.Hello), check func(
 	}
 }
 
+// A chunk on the session's grid whose payload fails its wire CRC never
+// reaches the store: the write stage drops it and closes the data
+// connection that carried it, the ledger stays empty, and the session
+// goes on — the same chunk sent again on another connection completes
+// it.
+func TestSpoiledChunkDropsItsConnection(t *testing.T) {
+	recv := startEndpoint(t, testConfig())
+	store := recv.Store.(*fsim.SyntheticStore)
+	const size = 64 << 10
+	c := helloConn(t, recv.Addr(), wire.Hello{
+		Files:        []wire.FileInfo{{Name: "w.dat", Size: size}},
+		ChunkBytes:   size,
+		ProtoVersion: wire.ProtoVersion,
+	})
+	defer c.Close()
+	welcome := recvReply(t, c).Welcome
+	if welcome == nil {
+		t.Fatal("session rejected")
+	}
+	payload := make([]byte, size)
+	fsim.FillContent("w.dat", 0, payload)
+	crc := wire.PayloadCRC(payload)
+	sendChunk := func(sum uint32) net.Conn {
+		data, err := net.Dial("tcp", recv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { data.Close() })
+		if err := wire.WriteDataPreamble(data, welcome.DataToken); err != nil {
+			t.Fatal(err)
+		}
+		if err := new(wire.FrameWriter).Write(data, wire.Frame{Data: payload, Sum: sum, SumKnown: true}); err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	// recvUntil reads control messages until stop holds for one, failing
+	// on an errored Status.
+	recvUntil := func(stop func(wire.Message) bool) {
+		t.Helper()
+		for {
+			m, err := c.Recv()
+			if err != nil {
+				t.Fatalf("control channel died: %v", err)
+			}
+			if m.Status != nil && m.Status.Error != "" {
+				t.Fatalf("session failed: %s", m.Status.Error)
+			}
+			if stop(m) {
+				return
+			}
+		}
+	}
+
+	bad := sendChunk(crc ^ 1)
+	bad.SetReadDeadline(time.Now().Add(10 * time.Second))
+	var b [1]byte
+	if n, err := bad.Read(b[:]); n != 0 || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("the connection that carried the spoiled chunk read %d bytes, %v; want it closed", n, err)
+	}
+	if w := store.TotalWritten(); w != 0 {
+		t.Fatalf("the store saw %d bytes of the spoiled chunk", w)
+	}
+	if err := c.Send(wire.Message{LedgerPull: &wire.LedgerPull{Seq: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	recvUntil(func(m wire.Message) bool {
+		if m.LedgerState == nil {
+			return false
+		}
+		if len(m.LedgerState.Ledger) != 0 {
+			t.Fatalf("the ledger after the spoiled chunk: %+v, want it empty", m.LedgerState.Ledger)
+		}
+		return true
+	})
+
+	sendChunk(crc)
+	if err := c.Send(wire.Message{FileSum: &wire.FileSum{FileID: 0, CRC: crc}}); err != nil {
+		t.Fatal(err)
+	}
+	recvUntil(func(m wire.Message) bool { return m.Status != nil && m.Status.Done })
+	if w := store.TotalWritten(); w != size {
+		t.Fatalf("the store saw %d bytes, want the chunk's %d once", w, size)
+	}
+}
+
 // The Hello is outside input: one asking for a million write workers
 // gets at most MaxThreads, the bound SetWriters already applies, and the
 // session still completes.

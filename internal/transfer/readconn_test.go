@@ -217,12 +217,18 @@ func TestReadConnExits(t *testing.T) {
 			wire.EncodeHeader(&hdr, wire.Frame{FileID: ^uint32(0)})
 			return append(bytes.Clone(stream), hdr[:]...)
 		}, nil, 8, "frame 4294967295@0+0 is not a chunk of this session"},
+		// A flipped length bit puts the fourth frame off the grid, and
+		// its payload — now one byte longer — fails its CRC: a frame
+		// spoiled in transit, which drops the connection. (A spoiled
+		// payload on the grid is staged; the write stage checks it.)
 		{"checksum mismatch drops the connection", func() []byte {
 			b := bytes.Clone(stream)
-			b[3*frameBytes+wire.FrameHeaderSize+100] ^= 0xFF // the fourth frame's payload
+			b[3*frameBytes+15] ^= 0x01 // the fourth frame's length, 4096 → 4097
 			return b
 		}, nil, 3, ""},
 		{"a stream cut inside a payload", func() []byte { return stream[:5*frameBytes+wire.FrameHeaderSize+10] }, nil, 5, ""},
+		// The same off-grid verdict on a frame whose CRC holds: the
+		// sender meant it, so it fails the session.
 		{"a frame off the chunk grid fails the session", func() []byte {
 			var fw wire.FrameWriter
 			var b bytes.Buffer

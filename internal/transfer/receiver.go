@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -219,8 +220,11 @@ var readAheads = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, rea
 // rebinds the connection carry over to the next session.
 type frameSource struct {
 	conn io.Reader
-	br   *bufio.Reader
-	fr   wire.FrameReader
+	// closer closes conn, when it can be closed; it rides every chunk
+	// the connection carries to the write stage.
+	closer io.Closer
+	br     *bufio.Reader
+	fr     wire.FrameReader
 	// ahead reports whether the next frame is read through br even when
 	// nothing is buffered.
 	ahead bool
@@ -229,7 +233,8 @@ type frameSource struct {
 func newFrameSource(conn io.Reader) *frameSource {
 	br := readAheads.Get().(*bufio.Reader)
 	br.Reset(conn)
-	return &frameSource{conn: conn, br: br}
+	closer, _ := conn.(io.Closer)
+	return &frameSource{conn: conn, closer: closer, br: br}
 }
 
 // release returns the read-ahead buffer to the pool, holding no
@@ -260,8 +265,10 @@ func (src *frameSource) next(alloc func(n int) []byte) (wire.Frame, error) {
 // true, and src.fr holds the preamble's token. It checks every frame
 // against the session's chunk grid, leases frame payloads from the
 // session's arena, and transfers the lease to the write pool through the
-// session staging buffer. A frame read after the session's verdict goes
-// nowhere: its lease is released at once.
+// session staging buffer, with the frame's wire CRC and the connection
+// that carried it. It hashes no payload on the grid: the write stage
+// does, once. A frame read after the session's verdict goes nowhere: its
+// lease is released at once.
 func (s *rsession) readFrames(src *frameSource) (rebind bool) {
 	var pending *Buf
 	alloc := func(n int) []byte {
@@ -288,25 +295,27 @@ func (s *rsession) readFrames(src *frameSource) (rebind bool) {
 			}
 			continue
 		}
-		// A frame is exactly one chunk of the session's grid. No
-		// correct sender produces anything else, and writing it would
-		// overwrite committed neighbours or grow the file, so unlike a
-		// checksum failure it fails the session.
+		// A frame is exactly one chunk of the session's grid. One off
+		// the grid whose payload fails its CRC was spoiled in transit —
+		// a flipped length bit reads as one — and drops the connection
+		// like any corrupt frame. One whose CRC holds is what the sender
+		// meant: no correct sender produces it, and writing it would
+		// overwrite committed neighbours or grow the file, so it fails
+		// the session.
 		if l := s.ledger.Load(); l == nil || !l.isChunk(f.FileID, f.Offset, len(f.Data)) {
+			spoiled := f.Verify() != nil
 			if pending != nil {
 				pending.Release()
 			}
-			s.abort(fmt.Errorf("transfer: frame %d@%d+%d is not a chunk of this session",
-				f.FileID, f.Offset, len(f.Data)))
+			if !spoiled {
+				s.abort(fmt.Errorf("transfer: frame %d@%d+%d is not a chunk of this session",
+					f.FileID, f.Offset, len(f.Data)))
+			}
 			return false
 		}
-		// The ledger sum is deliberately NOT the wire CRC: the write
-		// stage re-hashes the payload at commit, so corruption between
-		// frame verification and the disk write (staging memory, a
-		// premature buffer reuse) still trips the sender-vs-receiver
-		// FileSum compare. A closed staging buffer is a session coming
-		// down: the frame goes nowhere.
-		if !s.staging.Put(Chunk{FileID: f.FileID, Offset: f.Offset, Data: f.Data, Buf: pending}) {
+		// A closed staging buffer is a session coming down: the frame
+		// goes nowhere.
+		if !s.staging.Put(Chunk{FileID: f.FileID, Offset: f.Offset, Data: f.Data, Buf: pending, Sum: f.Sum, Conn: src.closer}) {
 			if pending != nil {
 				pending.Release()
 			}
@@ -583,10 +592,12 @@ func (r *Receiver) serveConn(ctx context.Context, conn net.Conn, results chan<- 
 	case err != nil:
 	case first[0] == wire.PreambleMagic[0]:
 		r.countAccepted(acceptedData)
+		pprof.SetGoroutineLabels(stageNetRx)
 		r.serveData(conn)
 		return
 	case wire.IsControlTag(first[0]):
 		r.countAccepted(acceptedCtrl)
+		pprof.SetGoroutineLabels(stageControl) // and the sessions it starts
 		r.handleControl(ctx, conn, first[0], results)
 		return
 	}
@@ -1056,9 +1067,17 @@ func (r *Receiver) runSession(ctx context.Context, sess *rsession, raw net.Conn,
 	// O(delta) appends per probe tick, compaction, and the final
 	// teardown persist. The opening compaction snapshots the
 	// verification-adjusted state and folds any replayed journal away.
+	// The control goroutine persists under the persist stage's profile
+	// label; a write worker that invalidates a file persists under its
+	// own.
 	persister := newLedgerPersister(ledger, ls, session, r.compactBytes)
-	persister.compact()
-	persist := persister.tick
+	persistAs := func(step func()) {
+		pprof.SetGoroutineLabels(stagePersist)
+		step()
+		pprof.SetGoroutineLabels(stageControl)
+	}
+	persistAs(persister.compact)
+	persist := func() { persistAs(persister.tick) }
 
 	// End-to-end file verification: the sums owed are fixed by the ledger
 	// the Welcome advertises, before any chunk can commit.
@@ -1090,7 +1109,7 @@ func (r *Receiver) runSession(ctx context.Context, sess *rsession, raw net.Conn,
 	invalidate := func(fileID uint32, err error) error {
 		n := ledger.InvalidateFile(fileID)
 		metrics.ResumeInvalidatedAdd(int64(n))
-		persist()
+		persister.tick()
 		return fmt.Errorf("%w (%d-chunk ledger range invalidated)", err, n)
 	}
 
@@ -1141,12 +1160,12 @@ func (r *Receiver) runSession(ctx context.Context, sess *rsession, raw net.Conn,
 		// complete): the session is done as soon as it starts.
 		writeOnce.Do(func() { close(writeDone) })
 	}
-	// commit records one written chunk in the ledger. The payload is
-	// hashed at this last stage, before its arena lease is returned: the
-	// sum reflects what actually reached the store, so the FileSum
-	// compare is end-to-end, not an echo of the already-verified wire CRC.
+	// commit records one written chunk in the ledger with its wire CRC,
+	// which the write stage checked against the payload just before the
+	// write: one hash covers the wire and staging both, and the FileSum
+	// compare folds sums of what reached the store.
 	commit := func(c *Chunk) {
-		if !ledger.Commit(c.FileID, c.Offset, len(c.Data), wire.PayloadCRC(c.Data)) {
+		if !ledger.Commit(c.FileID, c.Offset, len(c.Data), c.Sum) {
 			return
 		}
 		checkFile(c.FileID)
@@ -1194,6 +1213,7 @@ func (r *Receiver) runSession(ctx context.Context, sess *rsession, raw net.Conn,
 		r.Cfg.WriteBudgetMbps <= 0
 	var pool *Pool
 	pool = NewPool(func(stop <-chan struct{}, id int) {
+		pprof.SetGoroutineLabels(stageWrite)
 		lim := perThread.get(id)
 		var batch []Chunk
 		for {
@@ -1228,6 +1248,19 @@ func (r *Receiver) runSession(ctx context.Context, sess *rsession, raw net.Conn,
 				if lim.WaitN(ctx, sz) != nil || agg.WaitN(ctx, sz) != nil || budget.WaitN(ctx, sz) != nil {
 					releaseAll(batch[i:])
 					return // limiter wait cancelled: the session is coming down
+				}
+				// The payload's one hash on this end. A payload that fails
+				// its wire CRC never reaches the store, and the session
+				// goes on: the connection that carried it closes, and the
+				// sender repairs that like any lost connection — it pulls
+				// the ledger and re-sends what did not commit.
+				f := wire.Frame{FileID: c.FileID, Offset: c.Offset, Data: c.Data, Sum: c.Sum}
+				if f.Verify() != nil {
+					c.Release()
+					if c.Conn != nil {
+						c.Conn.Close()
+					}
+					continue
 				}
 				if err := writeChunk(c); err != nil {
 					releaseAll(batch[i:])

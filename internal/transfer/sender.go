@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -254,8 +255,12 @@ func handshake(ctx context.Context, ctrl *wire.Conn, hello wire.Message, timeout
 
 // Run executes the transfer against a receiver listening at addr,
 // returning when the receiver confirms completion. Control and data
-// connections all dial addr.
+// connections all dial addr. Run's goroutine carries the control stage's
+// profile label while it runs, and ctx's labels again on return, as
+// pprof.Do leaves them.
 func (s *Sender) Run(ctx context.Context, addr string) (res *Result, err error) {
+	pprof.SetGoroutineLabels(stageControl)
+	defer pprof.SetGoroutineLabels(ctx)
 	cfg := s.Cfg.WithDefaults()
 	if h := cfg.Hooks.OnStart; h != nil {
 		h()
@@ -417,6 +422,7 @@ func (s *Sender) Run(ctx context.Context, addr string) (res *Result, err error) 
 	link := newLimiter(cfg.Shaping.LinkMbps, cfg.ChunkBytes)
 
 	readPool := NewPool(func(stop <-chan struct{}, id int) {
+		pprof.SetGoroutineLabels(stageRead)
 		lim := readPerThread.get(id)
 		for {
 			select {
@@ -650,6 +656,7 @@ func (s *Sender) Run(ctx context.Context, addr string) (res *Result, err error) 
 	// by the time a loss is noticed.
 	recoverConn = func(c *dataConn, cause error) {
 		defer recoverWG.Done()
+		pprof.SetGoroutineLabels(stageNetTx) // a re-send is network-stage work
 		history := c.takeHistory()
 		lost := history
 		if len(history) > 0 {
@@ -750,6 +757,7 @@ func (s *Sender) Run(ctx context.Context, addr string) (res *Result, err error) 
 	}
 
 	netPool := NewPool(func(stop <-chan struct{}, id int) {
+		pprof.SetGoroutineLabels(stageNetTx)
 		lim := netPerStream.get(id)
 		var batch []Chunk
 		var frames []wire.Frame

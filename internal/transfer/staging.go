@@ -1,6 +1,7 @@
 package transfer
 
 import (
+	"io"
 	"sync"
 )
 
@@ -14,11 +15,15 @@ type Chunk struct {
 	Offset int64
 	Data   []byte
 	Buf    *Buf
-	// Sum is the payload CRC-32C computed by the sender's read stage,
-	// carried along so the frame writer never re-hashes the chunk. The
-	// receiver deliberately ignores it: its ledger records a fresh hash
-	// taken at the write stage, keeping file verification end-to-end.
+	// Sum is the payload CRC-32C. The sender's read stage computes it, so
+	// the frame writer never re-hashes the chunk; on the receiver it is
+	// the frame's wire CRC, which the write stage checks against the
+	// payload just before the write and then records in the ledger.
 	Sum uint32
+	// Conn is the data connection that carried the chunk to the
+	// receiver: the write stage closes it when the payload fails its
+	// CRC. Nil on the sender.
+	Conn io.Closer
 }
 
 // size returns the chunk's payload length.

@@ -140,30 +140,39 @@ func TestLoopbackWithChecksums(t *testing.T) {
 	}
 }
 
-// crcSpoiler is a data connection that rewrites the CRC field of the
-// first frame header it carries, if spoil says so: a wrapped connection
-// gets each header as one 20-byte write, told from a preamble by its
-// magic.
+// crcSpoiler is a data connection that spoils the first frame it
+// carries, if spoil says so: spoil may rewrite the header in place, and
+// flip asks for a byte of the payload after it to be flipped. A wrapped
+// connection gets each header and each payload as a write of its own,
+// and a header is told from a preamble by its magic.
 type crcSpoiler struct {
 	net.Conn
-	spoil func(hdr []byte) bool
-	first bool
+	spoil    func(hdr []byte) (spoiled, flip bool)
+	first    bool
+	flipNext bool
 }
 
 func (c *crcSpoiler) Write(p []byte) (int, error) {
-	if !c.first && len(p) == wire.FrameHeaderSize && [4]byte(p[:4]) != wire.PreambleMagic {
+	switch {
+	case c.flipNext:
+		c.flipNext = false
+		p = bytes.Clone(p)
+		p[len(p)/2] ^= 0x10
+	case !c.first && len(p) == wire.FrameHeaderSize && [4]byte(p[:4]) != wire.PreambleMagic:
 		c.first = true
-		if hdr := bytes.Clone(p); c.spoil(hdr) {
-			p = hdr
+		hdr := bytes.Clone(p)
+		if spoiled, flip := c.spoil(hdr); spoiled {
+			p, c.flipNext = hdr, flip
 		}
 	}
 	return c.Conn.Write(p)
 }
 
 // A frame whose CRC field is zero, as a plain sender of protocols before
-// 7 wrote it, or wrong is dropped with its connection, not written: the
-// sender re-sends what the connection lost over the survivors and the
-// transfer stays byte-correct.
+// 7 wrote it, or whose payload no longer matches its CRC, never reaches
+// the store: the write stage drops it and closes its connection, the
+// sender re-sends what the connection lost over the survivors, and the
+// session completes byte-correct.
 func TestLoopbackChecksumsDisabled(t *testing.T) {
 	src := fsim.NewSyntheticStore()
 	dst := fsim.NewSyntheticStore()
@@ -176,31 +185,35 @@ func TestLoopbackChecksumsDisabled(t *testing.T) {
 		if kind != "data" {
 			return c
 		}
-		return &crcSpoiler{Conn: c, spoil: func(hdr []byte) bool {
+		return &crcSpoiler{Conn: c, spoil: func(hdr []byte) (bool, bool) {
 			mu.Lock()
 			defer mu.Unlock()
 			if spoiled == 2 {
-				return false
+				return false, false
 			}
 			spoiled++
 			if spoiled == 1 {
 				binary.BigEndian.PutUint32(hdr[16:20], 0)
-			} else {
-				hdr[19] ^= 1
+				return true, false
 			}
-			return true
+			return true, true // the header stays, the payload changes
 		}}
 	}
 	m := workload.LargeFiles(6, 512<<10)
 	res, err := Loopback(context.Background(), cfg, m, src, dst, nil)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("the session failed over spoiled frames: %v", err)
 	}
 	if spoiled != 2 {
-		t.Fatalf("spoiled %d frame CRCs, want 2", spoiled)
+		t.Fatalf("spoiled %d frames, want 2", spoiled)
 	}
-	if res.Bytes != m.TotalBytes() || len(dst.Errors()) != 0 {
-		t.Fatalf("transfer with spoiled frames: bytes=%d errs=%v", res.Bytes, dst.Errors())
+	// dst checks every write against the synthetic content, so the
+	// flipped payload, written, would be an error here.
+	if errs := dst.Errors(); len(errs) != 0 {
+		t.Fatalf("a spoiled payload reached the destination: %v", errs)
+	}
+	if res.Bytes != m.TotalBytes() {
+		t.Fatalf("transfer with spoiled frames: bytes=%d, want %d", res.Bytes, m.TotalBytes())
 	}
 	if res.ResentBytes == 0 {
 		t.Fatal("no bytes re-sent: the spoiled frames were not dropped")

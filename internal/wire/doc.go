@@ -20,8 +20,11 @@
 // session. No timer stands in for a message.
 //
 // Data frames are length-prefixed chunks, each carrying the CRC-32C of
-// its payload, which every read verifies; FrameReader and FrameWriter are the allocation-free hot
-// path (vectored header+payload writes, persistent header scratch). The
+// its payload. FrameReader returns that sum without hashing, and
+// Frame.Verify checks it once, where the payload is consumed (the
+// receiver's write stage). FrameReader and FrameWriter are the
+// allocation-free hot path (vectored header+payload writes, persistent
+// header scratch). The
 // crc.go file supplies the GF(2) CRC combine used to fold per-chunk sums
 // into whole-file checksums without a second pass over the data.
 //

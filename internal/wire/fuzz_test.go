@@ -64,10 +64,11 @@ func FuzzReadFrame(f *testing.F) {
 }
 
 // FuzzFrameRoundTrip drives the encoder with arbitrary frame fields and
-// checks the decoder recovers them exactly — and that flipping any
-// payload bit is always rejected. The bool argument is unused: it once
-// switched the checksum off, and stays so that corpus entries written
-// for that signature still load.
+// checks the decoder recovers them exactly — and that Verify rejects a
+// frame with any payload bit flipped, which Read hands over with the
+// header's sum untouched. The bool argument is unused: it once switched
+// the checksum off, and stays so that corpus entries written for that
+// signature still load.
 func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(uint32(0), int64(0), []byte(nil), false, uint16(0))
 	f.Add(uint32(12), int64(1<<30), []byte("payload bytes"), true, uint16(3))
@@ -93,6 +94,9 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		if !bytes.Equal(out.Data, in.Data) {
 			t.Fatal("payload mismatch")
 		}
+		if err := out.Verify(); err != nil {
+			t.Fatalf("valid frame fails Verify: %v", err)
+		}
 
 		// Every truncation of a data frame must error, never hang or
 		// fabricate a frame (except the empty prefix, which is a clean
@@ -101,11 +105,17 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			t.Fatal("truncated frame decoded without error")
 		}
 
-		// Payload corruption must be detected, whichever byte is hit.
+		// Payload corruption must be detected, whichever byte is hit:
+		// not by Read, which hands the header's sum over untouched, but
+		// by Verify.
 		if len(payload) > 0 {
 			corrupt := bytes.Clone(encoded)
 			corrupt[FrameHeaderSize+int(flip)%len(payload)] ^= 0x01
-			if _, err := readFrame(bytes.NewReader(corrupt), fuzzAlloc); err == nil {
+			bad, err := readFrame(bytes.NewReader(corrupt), fuzzAlloc)
+			if err != nil || bad.Sum != out.Sum {
+				t.Fatalf("corrupted payload read as %+v, %v, want the header's sum %#x", bad, err, out.Sum)
+			}
+			if bad.Verify() == nil {
 				t.Fatal("corrupted payload accepted")
 			}
 		}

@@ -95,8 +95,8 @@ type Frame struct {
 	Checksum bool
 	// Sum is the payload CRC-32C. On write it is used instead of a fresh
 	// computation when SumKnown is set (the read stage already hashed the
-	// chunk for the session ledger); a read fills it with the verified
-	// payload CRC.
+	// chunk for the session ledger); a read fills it with the CRC field
+	// of the frame's header, which Verify checks against the payload.
 	Sum uint32
 	// SumKnown reports whether Sum holds a valid payload CRC.
 	SumKnown bool
@@ -224,8 +224,10 @@ func (fr *FrameReader) Token() [DataTokenBytes]byte {
 // Read reads one frame from r into a buffer obtained from alloc (which
 // must return a slice of at least the requested length). It returns
 // io.EOF only on a connection closed at a frame boundary, and ErrPreamble
-// when a data preamble stands in place of the frame header. Every frame's
-// payload CRC is verified; a mismatch is a hard error.
+// when a data preamble stands in place of the frame header. Read does not
+// hash the payload: it returns the header's CRC field as Sum, with
+// SumKnown set, and the caller checks it with Verify once, where the
+// payload is consumed.
 func (fr *FrameReader) Read(r io.Reader, alloc func(n int) []byte) (Frame, error) {
 	hdr := &fr.hdr
 	CountIOOps(1)
@@ -239,11 +241,12 @@ func (fr *FrameReader) Read(r io.Reader, alloc func(n int) []byte) (Frame, error
 		return Frame{}, ErrPreamble
 	}
 	f := Frame{
-		FileID: binary.BigEndian.Uint32(hdr[0:4]),
-		Offset: int64(binary.BigEndian.Uint64(hdr[4:12])),
+		FileID:   binary.BigEndian.Uint32(hdr[0:4]),
+		Offset:   int64(binary.BigEndian.Uint64(hdr[4:12])),
+		Sum:      binary.BigEndian.Uint32(hdr[16:20]),
+		SumKnown: true,
 	}
 	n := binary.BigEndian.Uint32(hdr[12:16])
-	want := binary.BigEndian.Uint32(hdr[16:20])
 	if n > MaxChunk {
 		return Frame{}, fmt.Errorf("wire: frame length %d exceeds limit %d", n, MaxChunk)
 	}
@@ -254,12 +257,18 @@ func (fr *FrameReader) Read(r io.Reader, alloc func(n int) []byte) (Frame, error
 			return Frame{}, fmt.Errorf("wire: read frame payload: %w", err)
 		}
 	}
-	if got := crc32.Checksum(f.Data, castagnoli); got != want {
-		return Frame{}, fmt.Errorf("wire: checksum mismatch on file %d offset %d: %#x != %#x",
-			f.FileID, f.Offset, got, want)
-	}
-	f.Sum, f.SumKnown = want, true
 	return f, nil
+}
+
+// Verify checks f's payload against Sum, the CRC-32C its header carried,
+// in one pass over the payload. A mismatch is an error naming the
+// frame's coordinates and both sums.
+func (f *Frame) Verify() error {
+	if got := PayloadCRC(f.Data); got != f.Sum {
+		return fmt.Errorf("wire: checksum mismatch on file %d offset %d: %#x != %#x",
+			f.FileID, f.Offset, got, f.Sum)
+	}
+	return nil
 }
 
 // FileInfo describes one manifest entry on the control channel.

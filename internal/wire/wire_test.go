@@ -176,23 +176,36 @@ func TestChecksummedFrameRoundTrip(t *testing.T) {
 	if !out.SumKnown || out.Sum != PayloadCRC(in.Data) || !bytes.Equal(out.Data, in.Data) {
 		t.Fatalf("round trip: %+v", out)
 	}
+	if err := out.Verify(); err != nil {
+		t.Fatalf("intact frame fails Verify: %v", err)
+	}
 }
 
+// Read hands a corrupt payload over with its header's sum untouched;
+// Verify is what rejects it.
 func TestChecksumDetectsCorruption(t *testing.T) {
 	var buf bytes.Buffer
-	writeFrame(&buf, Frame{FileID: 3, Data: []byte("payload here")})
+	payload := []byte("payload here")
+	writeFrame(&buf, Frame{FileID: 3, Data: payload})
 	raw := buf.Bytes()
 	raw[len(raw)-1] ^= 0xFF // flip a payload bit
-	_, err := readFrame(bytes.NewReader(raw), alloc)
-	if err == nil || !strings.Contains(err.Error(), "checksum") {
+	f, err := readFrame(bytes.NewReader(raw), alloc)
+	if err != nil {
+		t.Fatalf("Read hashed the payload: %v", err)
+	}
+	if !f.SumKnown || f.Sum != PayloadCRC(payload) {
+		t.Fatalf("Read returned sum %#x (known %v), want the header's %#x", f.Sum, f.SumKnown, PayloadCRC(payload))
+	}
+	if err := f.Verify(); err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("corruption not detected: %v", err)
 	}
 }
 
-// Every frame is verified. A plain frame of protocols before 7 — CRC
-// field zero, no flag in the length — and a frame whose CRC field is
-// wrong are rejected, and so is a flagged length of those protocols,
-// which now reads as a length beyond MaxChunk.
+// Every frame carries its CRC and Verify checks it. A plain frame of
+// protocols before 7 — CRC field zero, no flag in the length — and a
+// frame whose CRC field is wrong read with their header's sum and fail
+// Verify; a flagged length of those protocols reads as a length beyond
+// MaxChunk, which Read rejects.
 func TestUnchecksummedFrameSkipsVerification(t *testing.T) {
 	payload := []byte("plain")
 	header := func(length, crc uint32) []byte {
@@ -203,17 +216,28 @@ func TestUnchecksummedFrameSkipsVerification(t *testing.T) {
 		return append(hdr[:], payload...)
 	}
 	n := uint32(len(payload))
-	for name, raw := range map[string][]byte{
-		"zero CRC":     header(n, 0),
-		"wrong CRC":    header(n, PayloadCRC(payload)^1),
-		"flagged size": header(n|1<<31, PayloadCRC(payload)),
+	for name, crc := range map[string]uint32{
+		"zero CRC":  0,
+		"wrong CRC": PayloadCRC(payload) ^ 1,
 	} {
-		if f, err := readFrame(bytes.NewReader(raw), alloc); err == nil {
-			t.Errorf("%s: frame accepted: %+v", name, f)
+		f, err := readFrame(bytes.NewReader(header(n, crc)), alloc)
+		if err != nil || f.Sum != crc || string(f.Data) != "plain" {
+			t.Errorf("%s: read %+v, %v, want the payload with sum %#x", name, f, err, crc)
+			continue
+		}
+		if err := f.Verify(); err == nil {
+			t.Errorf("%s: frame passes Verify: %+v", name, f)
 		}
 	}
-	if f, err := readFrame(bytes.NewReader(header(n, PayloadCRC(payload))), alloc); err != nil || string(f.Data) != "plain" {
+	if f, err := readFrame(bytes.NewReader(header(n|1<<31, PayloadCRC(payload))), alloc); err == nil {
+		t.Errorf("flagged size: frame accepted: %+v", f)
+	}
+	f, err := readFrame(bytes.NewReader(header(n, PayloadCRC(payload))), alloc)
+	if err != nil || string(f.Data) != "plain" {
 		t.Fatalf("correct frame: %+v, %v", f, err)
+	}
+	if err := f.Verify(); err != nil {
+		t.Fatalf("correct frame fails Verify: %v", err)
 	}
 }
 
