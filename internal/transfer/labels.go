@@ -12,8 +12,8 @@ import (
 // `go tool pprof -tagfocus stage=write`. The label contexts are built
 // once; setting one is a pointer store, and nothing is done per chunk.
 var (
-	stageRead    = stageLabel("read")    // sender read workers
-	stageNetTx   = stageLabel("net-tx")  // sender network workers and re-sends
+	stageRead    = stageLabel("read")    // sender read workers and recovery re-reads
+	stageNetTx   = stageLabel("net-tx")  // sender network workers
 	stageNetRx   = stageLabel("net-rx")  // receiver data-connection readers
 	stageWrite   = stageLabel("write")   // receiver write workers
 	stageControl = stageLabel("control") // control loops and readers, both ends

@@ -1312,9 +1312,11 @@ func (r *Receiver) runSession(ctx context.Context, sess *rsession, raw net.Conn,
 
 	ticker := time.NewTicker(r.Cfg.ProbeInterval)
 	defer ticker.Stop()
+	lastStatus := time.Now() // a status's write rate spans the time since the last
 	sendStatus := func(done bool) error {
-		wBytes := writeCounter.Reset()
-		mbps := bytesToMb(wBytes) / r.Cfg.ProbeInterval.Seconds()
+		now := time.Now()
+		mbps := bytesToMb(writeCounter.Reset()) / now.Sub(lastStatus).Seconds()
+		lastStatus = now
 		st := wire.Status{
 			CommittedBytes: ledger.CommittedBytes(),
 			BufFree:        staging.Free(),

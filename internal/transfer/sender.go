@@ -14,6 +14,7 @@ import (
 	"automdt/internal/flight"
 	"automdt/internal/fsim"
 	"automdt/internal/metrics"
+	"automdt/internal/rate"
 	"automdt/internal/wire"
 	"automdt/internal/workload"
 )
@@ -41,12 +42,15 @@ type Result struct {
 	// connections by this run (the figure the resume e2e test bounds).
 	WireBytes int64
 	// ResentBytes is the payload volume re-sent by striping recovery
-	// after a data connection died mid-transfer: the lost chunks that had
-	// to cross the wire again on a surviving connection.
+	// after a data connection died mid-transfer: the lost chunks that
+	// re-entered staging and crossed the wire again, through the network
+	// stage, on a surviving connection. WireBytes includes it.
 	ResentBytes int64
 	// Recorder holds the per-tick concurrency and throughput traces
 	// (series: cc_read, cc_conns, cc_streams, cc_net, cc_write, thr_read,
-	// thr_net, thr_write), the raw material for the paper's figures.
+	// thr_net, thr_write), the raw material for the paper's figures. Each
+	// rate is taken over the window since the previous tick; thr_read
+	// and thr_net include a recovery's re-reads and re-sends.
 	Recorder *metrics.Recorder
 }
 
@@ -80,9 +84,8 @@ type Sender struct {
 	// every connection.
 	Pool *ConnPool
 
-	mu         sync.Mutex
-	err        error
-	lastStatus wire.Status
+	mu  sync.Mutex
+	err error
 }
 
 // fail records a fatal error; the first one wins. A data-plane failure is
@@ -102,12 +105,6 @@ func (s *Sender) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.err
-}
-
-func (s *Sender) status() wire.Status {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastStatus
 }
 
 // chunker hands out sequential chunk references over the manifest,
@@ -255,9 +252,10 @@ func handshake(ctx context.Context, ctrl *wire.Conn, hello wire.Message, timeout
 
 // Run executes the transfer against a receiver listening at addr,
 // returning when the receiver confirms completion. Control and data
-// connections all dial addr. Run's goroutine carries the control stage's
-// profile label while it runs, and ctx's labels again on return, as
-// pprof.Do leaves them.
+// connections all dial addr. Run itself dials and handshakes; the rest
+// of the run is a sendSession's stages. Run's goroutine carries the
+// control stage's profile label while it runs, and ctx's labels again on
+// return, as pprof.Do leaves them.
 func (s *Sender) Run(ctx context.Context, addr string) (res *Result, err error) {
 	pprof.SetGoroutineLabels(stageControl)
 	defer pprof.SetGoroutineLabels(ctx)
@@ -370,626 +368,614 @@ func (s *Sender) Run(ctx context.Context, addr string) (res *Result, err error) 
 	}
 	// Every data connection must open with the endpoint's routing token,
 	// or its frames land nowhere.
-	dataToken := welcome.DataToken
-	if dataToken == "" {
+	if welcome.DataToken == "" {
 		return nil, errors.New("transfer: receiver's Welcome carries no data token")
 	}
-	chunkBytes := cfg.ChunkBytes
-	if welcome.ChunkBytes > 0 {
-		chunkBytes = welcome.ChunkBytes // a resumed ledger pins the geometry
+	ss := &sendSession{
+		s: s, cfg: cfg, ctx: ctx, cancel: cancel, ctrl: ctrl,
+		pool: pool, addr: addr, token: welcome.DataToken,
 	}
+	ss.plan(welcome, initial.N[env.StageConns])
+	defer func() { clean = ss.teardown(res, err) }()
+	return ss.run(initial)
+}
 
-	total := s.Manifest.TotalBytes()
+// sendSession is one run of a Sender past its handshake; its methods are
+// the stages. Staging is the one hand-off from the read side to the
+// network stage and stays open until teardown: a recovery re-reads a
+// dead connection's lost chunks into it, so only network workers write
+// frames, all under the same caps and counters.
+type sendSession struct {
+	s                           *Sender
+	cfg                         Config
+	ctx                         context.Context
+	cancel                      context.CancelFunc
+	ctrl                        *wire.Conn
+	pool                        *ConnPool // nil: every connection is dialed and closed
+	addr, token                 string    // the endpoint and its Welcome's data token
+	sess                        Session
+	chunkBytes                  int
+	src                         *chunker
+	summer                      *fileSummer
+	readers                     *fileTable[fsim.FileReader]
+	staging                     *Staging
+	conns                       *connSet
+	readPool, netPool           *Pool
+	readPerThread, netPerStream *limiterSet
+	readAgg, link               *rate.Limiter
+	readCounter, netCounter     metrics.Counter             // the controller's per-tick rates
+	status                      atomic.Pointer[wire.Status] // the receiver's latest
+	netTotal, resentTotal       atomic.Int64                // Result.WireBytes and ResentBytes
+	// doneCh closes on the receiver's Done; ctrlDone when the control
+	// reader exits, having closed doneCh or recorded the session's error.
+	doneCh, ctrlDone chan struct{}
+	pullMu           sync.Mutex // guards pullWaiters, keyed by pull sequence
+	pullWaiters      map[uint64]chan []wire.FileState
+	pullSeq          uint64
+	recMu            sync.Mutex // guards recClosed: no recovery starts once set
+	recClosed        bool
+	recoverWG        sync.WaitGroup
+	streams, writers int // the control loop's own state from here on
+	rec              *metrics.Recorder
+	start, lastTick  time.Time
+}
+
+// abort records a fatal error (the first one wins) and cancels the run.
+func (ss *sendSession) abort(err error) {
+	ss.s.fail(err)
+	ss.cancel()
+}
+
+// plan builds the run from the Welcome: the chunks its ledger does not
+// cover, the file sums owed, the rate caps and the idle pools.
+func (ss *sendSession) plan(welcome *wire.Welcome, conns int) {
+	s, cfg := ss.s, ss.cfg
+	ss.chunkBytes = cfg.ChunkBytes
+	if welcome.ChunkBytes > 0 {
+		ss.chunkBytes = welcome.ChunkBytes // a resumed ledger pins the geometry
+	}
 	var resume *Ledger
 	var skipped int64
 	if len(welcome.Ledger) > 0 {
-		resume = NewLedger(welcome.SessionID, chunkBytes, s.Manifest, false)
+		resume = NewLedger(welcome.SessionID, ss.chunkBytes, s.Manifest, false)
 		resume.ApplyWire(welcome.Ledger)
 		skipped = resume.CommittedBytes()
 	}
-	sess := Session{
-		ID:           welcome.SessionID,
-		Resumed:      skipped > 0,
-		TotalBytes:   total,
-		SkippedBytes: skipped,
-	}
+	ss.sess = Session{ID: welcome.SessionID, Resumed: skipped > 0, TotalBytes: s.Manifest.TotalBytes(), SkippedBytes: skipped}
 	if h := cfg.Hooks.OnSession; h != nil {
-		h(sess)
+		h(ss.sess)
 	}
-	planned := total - skipped
-
-	staging := NewStaging(cfg.SenderBufBytes)
-	src := newChunker(s.Manifest, chunkBytes, resume)
-
+	ss.src = newChunker(s.Manifest, ss.chunkBytes, resume)
 	// End-to-end file sums, announced as reads complete. The receiver
 	// derives the same set of owed files from the ledger it advertised.
-	summer := newFileSummer(s.Manifest, chunkBytes, resume)
-
+	ss.summer = newFileSummer(s.Manifest, ss.chunkBytes, resume)
 	// A source file is open while planned chunks of it are being read,
 	// and closed after its last one.
-	readers := newFileTable(len(s.Manifest), func(id uint32) (fsim.FileReader, error) {
+	ss.readers = newFileTable(len(s.Manifest), func(id uint32) (fsim.FileReader, error) {
 		return s.Store.Open(s.Manifest[id].Name, s.Manifest[id].Size)
 	})
-	defer readers.closeAll()
+	ss.staging = NewStaging(cfg.SenderBufBytes)
+	ss.readPerThread = newLimiterSet(cfg.Shaping.ReadPerThreadMbps, cfg.ChunkBytes)
+	ss.readAgg = newLimiter(cfg.Shaping.ReadAggMbps, cfg.ChunkBytes)
+	ss.netPerStream = newLimiterSet(cfg.Shaping.NetPerStreamMbps, cfg.ChunkBytes)
+	ss.link = newLimiter(cfg.Shaping.LinkMbps, cfg.ChunkBytes)
+	ss.status.Store(new(wire.Status))
+	ss.doneCh, ss.ctrlDone = make(chan struct{}), make(chan struct{})
+	ss.pullWaiters = make(map[uint64]chan []wire.FileState)
+	ss.conns = newConnSet(conns, ss.dialData, cfg.Hooks.OnDataConn)
+	ss.readPool = NewPool(ss.readWorker)
+	ss.netPool = NewPool(ss.netWorker)
+}
 
-	var readCounter, netCounter metrics.Counter
-	var netTotal, resentTotal atomic.Int64
-	var chunksStaged atomic.Int64
-	arena := cfg.arena()
-	readPerThread := newLimiterSet(cfg.Shaping.ReadPerThreadMbps, cfg.ChunkBytes)
-	readAgg := newLimiter(cfg.Shaping.ReadAggMbps, cfg.ChunkBytes)
-	netPerStream := newLimiterSet(cfg.Shaping.NetPerStreamMbps, cfg.ChunkBytes)
-	link := newLimiter(cfg.Shaping.LinkMbps, cfg.ChunkBytes)
-
-	readPool := NewPool(func(stop <-chan struct{}, id int) {
-		pprof.SetGoroutineLabels(stageRead)
-		lim := readPerThread.get(id)
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ctx.Done():
-				return
-			default:
-			}
-			fileID, off, n, ok := src.next()
-			if !ok {
-				return
-			}
-			if err := lim.WaitN(ctx, n); err != nil {
-				return
-			}
-			if err := readAgg.WaitN(ctx, n); err != nil {
-				return
-			}
-			r, err := readers.acquire(fileID)
-			if err != nil {
-				s.fail(err)
-				cancel()
-				return
-			}
-			// One arena lease per chunk, full and tail sizes alike; the
-			// lease rides the chunk through staging and is released by the
-			// network worker after the frame hits the wire.
-			buf := arena.Get(n)
-			span := flight.StageStart()
-			if _, err := r.ReadAt(buf.Bytes(), off); err != nil {
-				readers.release(fileID, false)
-				buf.Release()
-				s.fail(fmt.Errorf("transfer: read %s@%d: %w", s.Manifest[fileID].Name, off, err))
-				cancel()
-				return
-			}
-			flight.StageEnd(flight.StageRead, span)
-			// A source close error cannot harm the bytes already read.
-			readers.release(fileID, src.read(fileID))
-			wire.CountIOOps(1)
-			readCounter.Add(int64(n))
-			// One hash per chunk: it is the frame checksum and feeds the
-			// file fold, so the payload is never hashed twice here.
-			sum := wire.PayloadCRC(buf.Bytes())
-			if crc, done := summer.add(fileID, off, sum); done {
-				// A failed send ends the control reader, which owns the
-				// verdict.
-				ctrl.Send(wire.Message{FileSum: &wire.FileSum{FileID: fileID, CRC: crc}})
-			}
-			if !staging.Put(Chunk{FileID: fileID, Offset: off, Data: buf.Bytes(), Buf: buf, Sum: sum}) {
-				buf.Release()
-				return
-			}
-			if chunksStaged.Add(1) == src.total {
-				staging.Close() // all chunks staged; network drains the rest
-			}
-		}
-	})
-	if src.total == 0 {
-		// Nothing left to plan (empty dataset or a fully committed
-		// resume): close the intake so the data plane drains to the end
-		// markers immediately.
-		staging.Close()
-	}
-
-	// doneCh closes when the receiver confirms completion; ctrlDone closes
-	// when the control reader exits, by which time it has either closed
-	// doneCh or recorded the session's error. Declared before the data
-	// plane because every dial and recovery path consults them.
-	doneCh := make(chan struct{})
-	ctrlDone := make(chan struct{})
-
-	// Striped data plane: the chunk stream fans out over a resizable set
-	// of parallel data connections. dialData takes a pooled connection
-	// first, then dials, with the listener-race retry the single-conn
-	// engine had: the receiver closes its listener the moment the
-	// transfer completes, so a dial prompted by a late grow can lose that
-	// race without anything being wrong. Every connection's death watch
-	// reports to onConnGone with the slot it serves.
-	var onConnGone func(index int)
-	dialData := func(index int) (net.Conn, error) {
-		onGone := func() { onConnGone(index) }
-		// open writes the session's preamble, before its first frame, on
-		// a connection wrapped for this session; the endpoint routes the
-		// stream to this session by token.
-		open := func(sock *dataSock) (net.Conn, error) {
-			var conn net.Conn = sock
-			if cfg.WrapConn != nil {
-				conn = cfg.WrapConn("data", sock)
-			}
-			if err := wire.WriteDataPreamble(conn, dataToken); err != nil {
-				sock.disown() // a connection that never served the slot
-				conn.Close()
-				return nil, err
-			}
-			return conn, nil
-		}
-		for sock := pool.takeData(onGone); sock != nil; sock = pool.takeData(onGone) {
-			if conn, err := open(sock); err == nil {
-				return conn, nil
-			}
-		}
-		var lastErr error
-		for attempt := 0; attempt < 5; attempt++ {
-			if attempt > 0 {
-				select {
-				case <-doneCh:
-					return nil, errRunDone
-				case <-ctx.Done():
-					return nil, ctx.Err()
-				case <-time.After(time.Duration(attempt) * 5 * time.Millisecond):
-				}
-			}
-			raw, err := dialer.DialContext(ctx, "tcp", addr)
-			if err != nil {
-				lastErr = err
-				continue
-			}
-			conn, err := open(watchData(raw.(*net.TCPConn), onGone))
-			if err != nil {
-				lastErr = err
-				continue
-			}
-			return conn, nil
-		}
+// readWorker is one read-stage worker: it reads the next planned chunk
+// under its own cap, announces any file sum the read completes, and
+// stages the chunk.
+func (ss *sendSession) readWorker(stop <-chan struct{}, id int) {
+	pprof.SetGoroutineLabels(stageRead)
+	lim := ss.readPerThread.get(id)
+	for {
 		select {
-		case <-doneCh:
-			return nil, errRunDone
+		case <-stop:
+			return
+		case <-ss.ctx.Done():
+			return
 		default:
 		}
-		return nil, fmt.Errorf("transfer: dial data: %w", lastErr)
-	}
-	conns := newConnSet(initial.N[env.StageConns], dialData, cfg.Hooks.OnDataConn)
-
-	// Mid-transfer ledger pulls: when a striped connection dies, recovery
-	// asks the receiver which chunks already committed so only the truly
-	// lost ones are re-sent. Replies are routed back to their waiting pull
-	// by sequence number. The receiver answers from the loop that sends
-	// its verdict and stops answering once it has, so on the ordered
-	// control channel a reply proves the receiver alive with no Done or
-	// error queued ahead of it. Without a reply the pull returns the
-	// control reader's verdict: errRunDone or the recorded error.
-	var pullMu sync.Mutex
-	pullWaiters := make(map[uint64]chan []wire.FileState)
-	var pullSeq uint64
-	pullLedger := func() ([]wire.FileState, error) {
-		pullMu.Lock()
-		pullSeq++
-		seq := pullSeq
-		ch := make(chan []wire.FileState, 1)
-		pullWaiters[seq] = ch
-		pullMu.Unlock()
-		defer func() {
-			pullMu.Lock()
-			delete(pullWaiters, seq)
-			pullMu.Unlock()
-		}()
-		// A failed send needs no handling of its own: a broken channel
-		// always ends the control reader.
-		ctrl.Send(wire.Message{LedgerPull: &wire.LedgerPull{Seq: seq}})
-		select {
-		case states := <-ch:
-			return states, nil
-		case <-ctrlDone:
-			select {
-			case <-doneCh:
-				return nil, errRunDone
-			default:
-				return nil, s.Err()
-			}
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-
-	// sendFrames stripes a batch of frames, as one vectored write, onto
-	// one of the live connections: a write failure retires the failed
-	// connection, hands its sent history to a recovery goroutine, and
-	// retries the whole in-hand batch on a surviving connection (the
-	// receiver drops any duplicate that did land). Only a session with no
-	// live connection left fails, and only after a ledger pull: every
-	// connection closing is also how a finished or failed receiver looks
-	// from the data plane, and the pull lets its verdict land first.
-	var recoverWG sync.WaitGroup
-	var sendFrames func(frames []wire.Frame, hint int) error
-	var recoverConn func(c *dataConn, cause error)
-	// spawnRecovery starts a recovery goroutine unless the run is already
-	// winding down — the read-side death watch can fire while closeAll
-	// tears the sockets down, after recoverWG has been waited on.
-	var recMu sync.Mutex
-	var recClosed bool
-	spawnRecovery := func(c *dataConn, cause error) {
-		recMu.Lock()
-		defer recMu.Unlock()
-		if recClosed {
+		fileID, off, n, ok := ss.src.next()
+		if !ok || lim.WaitN(ss.ctx, n) != nil {
 			return
 		}
-		recoverWG.Add(1)
-		go recoverConn(c, cause)
-	}
-	sendFrames = func(frames []wire.Frame, hint int) error {
-		for {
-			c := conns.pick(hint)
-			if c == nil {
-				if _, err := pullLedger(); err != nil {
-					return err
-				}
-				return errConnsExhausted
-			}
-			err := conns.writeBatch(c, frames)
-			if err == nil {
-				return nil
-			}
-			if errors.Is(err, errRunDone) {
-				return err
-			}
-			if conns.markDead(c) {
-				spawnRecovery(c, err)
-			}
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
+		ch, ok := ss.readChunk(fileID, off, n, true)
+		if !ok {
+			return
+		}
+		if crc, done := ss.summer.add(fileID, off, ch.Sum); done {
+			// A failed send ends the control reader, which owns the
+			// verdict.
+			ss.ctrl.Send(wire.Message{FileSum: &wire.FileSum{FileID: fileID, CRC: crc}})
+		}
+		if !ss.staging.Put(ch) {
+			ch.Release()
+			return
 		}
 	}
-	// recoverConn re-plans a dead connection's in-flight chunks: pull the
-	// receiver's ledger, subtract the committed chunks, re-read the rest
-	// straight from the source store, and re-stripe them over the
-	// surviving connections. The staged data plane is untouched —
-	// recovery bypasses the staging buffer, which may already be closed
-	// by the time a loss is noticed.
-	recoverConn = func(c *dataConn, cause error) {
-		defer recoverWG.Done()
-		pprof.SetGoroutineLabels(stageNetTx) // a re-send is network-stage work
-		history := c.takeHistory()
-		lost := history
-		if len(history) > 0 {
-			states, err := pullLedger()
-			if err != nil {
-				// The run is done or cancelled, or the control reader has
-				// recorded the verdict. A completed receiver sends Done
-				// before it closes its data connections, so this is also
-				// how a finished session's death-watch recoveries end.
-				return
-			}
-			committed := NewLedger(sess.ID, chunkBytes, s.Manifest, false)
-			committed.ApplyWire(states)
-			kept := history[:0]
-			for _, cr := range history {
-				if !committed.Done(cr.fileID, cr.off) {
-					kept = append(kept, cr)
-				}
-			}
-			lost = kept
-		}
-		if flight.Active() {
-			var bytes int64
-			for _, cr := range lost {
-				bytes += int64(cr.n)
-			}
-			flight.Record(flight.Event{
-				Source: "sender:" + sess.ID,
-				Kind:   flight.KindReplan,
-				Chosen: flight.Alt{Score: float64(bytes)},
-				Note: fmt.Sprintf("conn %d lost (%v): %d in-flight sends, %d still uncommitted",
-					c.index, cause, len(history), len(lost)),
-			})
-		}
-		for _, cr := range lost {
-			select {
-			case <-doneCh:
-				return
-			case <-ctx.Done():
-				return
-			default:
-			}
-			// The file may be closed by now: this reopens it, and the
-			// release closes it again if its planned reads are all done.
-			r, err := readers.acquire(cr.fileID)
-			if err != nil {
-				s.fail(err)
-				cancel()
-				return
-			}
-			buf := arena.Get(int(cr.n))
-			_, err = r.ReadAt(buf.Bytes(), cr.off)
-			readers.release(cr.fileID, false)
-			if err != nil {
-				buf.Release()
-				s.fail(fmt.Errorf("transfer: re-read %s@%d after connection loss: %w",
-					s.Manifest[cr.fileID].Name, cr.off, err))
-				cancel()
-				return
-			}
-			f := [1]wire.Frame{{FileID: cr.fileID, Offset: cr.off, Data: buf.Bytes()}}
-			err = sendFrames(f[:], -1)
-			n := int64(cr.n)
-			buf.Release()
-			if err != nil {
-				if errors.Is(err, errRunDone) {
-					return
-				}
-				s.fail(fmt.Errorf("transfer: data connection %d lost (%v) and re-plan failed: %w",
-					c.index, cause, err))
-				cancel()
-				return
-			}
-			netTotal.Add(n)
-			resentTotal.Add(n)
-		}
-	}
+}
 
-	// The read-side death watch: a receiver that drops a data connection
-	// (checksum failure, injected fault) after every pending write
-	// already drained into the socket buffer leaves no later write to
-	// fail, so without the watch the lost in-flight chunks would never be
-	// re-planned and the session would stall waiting for commits. A
-	// connection retired here fires it too; markDead makes that a no-op.
-	onConnGone = func(index int) {
-		if c := conns.slot(index); conns.markDead(c) {
-			spawnRecovery(c, errConnClosedByPeer)
-		}
+// readChunk is the read stage's one read, planned or a recovery's: the
+// aggregate read cap, one arena lease, one ReadAt, one hash (the frame
+// checksum, also folded into the file sum). A planned read counts down
+// its file's chunks so the file closes after its last; a re-read reopens
+// a closed file and closes it again. ok is false when the run is coming
+// down, and after a failed open or read, which aborts the run.
+func (ss *sendSession) readChunk(fileID uint32, off int64, n int, planned bool) (ch Chunk, ok bool) {
+	if ss.readAgg.WaitN(ss.ctx, n) != nil {
+		return Chunk{}, false
 	}
+	r, err := ss.readers.acquire(fileID)
+	if err != nil {
+		ss.abort(err)
+		return Chunk{}, false
+	}
+	// The lease rides the chunk through staging and is released by the
+	// network worker after the frame hits the wire.
+	buf := ss.cfg.arena().Get(n)
+	span := flight.StageStart()
+	if _, err := r.ReadAt(buf.Bytes(), off); err != nil {
+		ss.readers.release(fileID, false)
+		buf.Release()
+		ss.abort(fmt.Errorf("transfer: read %s@%d: %w", ss.s.Manifest[fileID].Name, off, err))
+		return Chunk{}, false
+	}
+	flight.StageEnd(flight.StageRead, span)
+	// A source close error cannot harm the bytes already read.
+	ss.readers.release(fileID, planned && ss.src.read(fileID))
+	wire.CountIOOps(1)
+	ss.readCounter.Add(int64(n))
+	return Chunk{FileID: fileID, Offset: off, Data: buf.Bytes(), Buf: buf, Sum: wire.PayloadCRC(buf.Bytes())}, true
+}
 
-	// The network stage drains batches so their frames share one vectored
-	// write. A shaped network stage stays chunk-at-a-time: rate-bound
-	// sends gain nothing from syscall batching, and batching would lump
-	// the paced writes into end-of-window bursts.
+// netWorker is one network-stage worker: it drains staged chunks, paces
+// each through its stream's and the link's cap, and sends them as one
+// vectored write. An empty buffer parks it (no timer) until a Put, its
+// stop, the context or teardown's Close. A shaped network stage stays
+// chunk-at-a-time: rate-bound sends gain nothing from batching, which
+// would lump the paced writes into end-of-window bursts.
+func (ss *sendSession) netWorker(stop <-chan struct{}, id int) {
+	pprof.SetGoroutineLabels(stageNetTx)
+	lim := ss.netPerStream.get(id)
 	drain := sendBatchChunks
-	if cfg.Shaping.NetPerStreamMbps > 0 || cfg.Shaping.LinkMbps > 0 {
+	if ss.cfg.Shaping.NetPerStreamMbps > 0 || ss.cfg.Shaping.LinkMbps > 0 {
 		drain = 1
 	}
-
-	netPool := NewPool(func(stop <-chan struct{}, id int) {
-		pprof.SetGoroutineLabels(stageNetTx)
-		lim := netPerStream.get(id)
-		var batch []Chunk
-		var frames []wire.Frame
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ctx.Done():
-				return
-			default:
-			}
-			// An empty buffer parks the worker (no timer) until a Put or
-			// Close, its stop, or the context: all but a Put end it.
-			batch, _ = staging.GetN(batch[:0], drain, stop, ctx.Done())
-			if len(batch) == 0 {
-				return
-			}
-			// Reserve shaping tokens chunk by chunk, not one batch-sized
-			// debt; only the writes are batched.
-			var total int64
-			frames = frames[:0]
-			for i := range batch {
-				ch := &batch[i]
-				sz := len(ch.Data)
-				if lim.WaitN(ctx, sz) != nil || link.WaitN(ctx, sz) != nil {
-					releaseAll(batch)
-					return // limiter wait cancelled: the run is coming down
-				}
-				total += int64(sz)
-				frames = append(frames, wire.Frame{
-					FileID: ch.FileID, Offset: ch.Offset, Data: ch.Data,
-					Sum: ch.Sum, SumKnown: true,
-				})
-			}
-			span := flight.StageStart()
-			err := sendFrames(frames, id)
-			flight.StageEnd(flight.StageNet, span)
-			releaseAll(batch)
-			if err != nil {
-				if errors.Is(err, errRunDone) {
-					return
-				}
-				s.fail(fmt.Errorf("transfer: send frame: %w", err))
-				cancel()
-				return
-			}
-			netCounter.Add(total)
-			netTotal.Add(total)
+	var batch []Chunk
+	var frames []wire.Frame
+	for {
+		select {
+		case <-stop:
+			return
+		case <-ss.ctx.Done():
+			return
+		default:
 		}
-	})
-	// Cleanup order matters: closing the staging buffer first wakes
-	// readers blocked in Put so the pool shutdowns cannot deadlock. Once
-	// both pools have exited, any chunks stranded in staging (aborted
-	// transfer) return their arena leases. Connections close, or go back
-	// to the pool, only after every recovery has wound down — at a frame
-	// boundary, where a close reads as a clean end-of-stream at the
-	// receiver and a pooled connection's next preamble rebinds it. Only a
-	// clean end gives connections back: the receiver's Done, no
-	// sender-side error, and the control reader gone.
-	//
-	// The wire counters are read last, once every network worker and
-	// recovery has exited: the receiver's Done can overtake the counter
-	// update of the batch that completed the session.
-	defer func() {
-		if res != nil {
-			res.WireBytes, res.ResentBytes = netTotal.Load(), resentTotal.Load()
-		}
-	}()
-	defer func() {
-		clean = err == nil && res != nil && s.Err() == nil
-		if !clean {
-			conns.finish(nil)
+		batch, _ = ss.staging.GetN(batch[:0], drain, stop, ss.ctx.Done())
+		if len(batch) == 0 {
 			return
 		}
-		<-ctrlDone
-		conns.finish(pool)
-	}()
-	defer func() {
-		staging.Close()
-		readPool.Shutdown()
-		netPool.Shutdown()
-		staging.ReleaseRemaining()
-	}()
-	// Recovery goroutines may outlive the workers that spawned them; they
-	// must finish (or observe completion/cancellation) before the source
-	// files and the connections are closed. Disarm spawning first (LIFO):
-	// the death watch fires for every socket finish tears down, and a
-	// recovery started after the Wait would race the teardown.
-	defer recoverWG.Wait()
-	defer func() {
-		recMu.Lock()
-		recClosed = true
-		recMu.Unlock()
-	}()
+		// Reserve shaping tokens chunk by chunk, not one batch-sized
+		// debt; only the writes are batched.
+		var total, resent int64
+		frames = frames[:0]
+		for i := range batch {
+			ch := &batch[i]
+			sz := len(ch.Data)
+			if lim.WaitN(ss.ctx, sz) != nil || ss.link.WaitN(ss.ctx, sz) != nil {
+				releaseAll(batch)
+				return // limiter wait cancelled: the run is coming down
+			}
+			total += int64(sz)
+			if ch.resent {
+				resent += int64(sz)
+			}
+			frames = append(frames, wire.Frame{
+				FileID: ch.FileID, Offset: ch.Offset, Data: ch.Data,
+				Sum: ch.Sum, SumKnown: true,
+			})
+		}
+		span := flight.StageStart()
+		err := ss.sendFrames(frames, id)
+		flight.StageEnd(flight.StageNet, span)
+		releaseAll(batch)
+		if err != nil {
+			if !errors.Is(err, errRunDone) {
+				ss.abort(fmt.Errorf("transfer: send frame: %w", err))
+			}
+			return
+		}
+		ss.netCounter.Add(total)
+		ss.netTotal.Add(total)
+		ss.resentTotal.Add(resent)
+	}
+}
 
-	// Control reader: receiver statuses, ledger-pull replies and the
-	// session's verdict. It is the only place a receiver-side outcome is
-	// decided: Done, an errored Status, or a channel that ends with
-	// neither.
-	go func() {
-		defer close(ctrlDone)
-		for {
-			m, err := ctrl.Recv()
-			if err != nil {
-				s.fail(fmt.Errorf("transfer: control channel: %w", err))
-				cancel()
-				return
+// sendFrames writes frames as one vectored write on worker hint's
+// connection. A write failure retires the connection, hands its sent
+// history to a recovery, and retries the batch on a survivor (the
+// receiver drops any duplicate that did land). Only a session with no
+// live connection left fails, and only after a ledger pull: every
+// connection closing is also how a finished or failed receiver looks
+// from the data plane, and the pull lets its verdict land first.
+func (ss *sendSession) sendFrames(frames []wire.Frame, hint int) error {
+	for {
+		c := ss.conns.pick(hint)
+		if c == nil {
+			if _, err := ss.pullLedger(); err != nil {
+				return err
 			}
-			if m.LedgerState != nil {
-				// Route a ledger-pull reply to its waiting recovery.
-				pullMu.Lock()
-				if ch, ok := pullWaiters[m.LedgerState.Seq]; ok {
-					ch <- m.LedgerState.Ledger
-				}
-				pullMu.Unlock()
-				continue
-			}
-			if m.Status == nil {
-				continue
-			}
-			s.mu.Lock()
-			s.lastStatus = *m.Status
-			s.mu.Unlock()
-			if m.Status.Error != "" {
-				s.fail(fmt.Errorf("transfer: receiver: %s", m.Status.Error))
-				cancel()
-				return
-			}
-			if m.Status.Done {
-				close(doneCh)
-				return
+			return errConnsExhausted
+		}
+		err := ss.conns.writeBatch(c, frames)
+		if err == nil {
+			return nil
+		}
+		if errors.Is(err, errRunDone) {
+			return err
+		}
+		if ss.conns.markDead(c) {
+			ss.spawnRecovery(c, err)
+		}
+		if ss.ctx.Err() != nil {
+			return ss.ctx.Err()
+		}
+	}
+}
+
+// dialData connects data slot index: a pooled connection first, then a
+// dial with a short retry, since a dial prompted by a late grow can lose
+// the race with a finished receiver's close. The connection's death
+// watch reports to connGone.
+func (ss *sendSession) dialData(index int) (net.Conn, error) {
+	onGone := func() { ss.connGone(index) }
+	for sock := ss.pool.takeData(onGone); sock != nil; sock = ss.pool.takeData(onGone) {
+		if conn, err := ss.openData(sock); err == nil {
+			return conn, nil
+		}
+	}
+	var dialer net.Dialer
+	var lastErr error
+	for attempt := 0; attempt < 5; attempt++ {
+		if attempt > 0 {
+			select {
+			case <-ss.doneCh:
+				return nil, errRunDone
+			case <-ss.ctx.Done():
+				return nil, ss.ctx.Err()
+			case <-time.After(time.Duration(attempt) * 5 * time.Millisecond):
 			}
 		}
+		raw, err := dialer.DialContext(ss.ctx, "tcp", ss.addr)
+		if err != nil {
+			lastErr = err
+			continue
+		}
+		conn, err := ss.openData(watchData(raw.(*net.TCPConn), onGone))
+		if err != nil {
+			lastErr = err
+			continue
+		}
+		return conn, nil
+	}
+	select {
+	case <-ss.doneCh:
+		return nil, errRunDone
+	default:
+	}
+	return nil, fmt.Errorf("transfer: dial data: %w", lastErr)
+}
+
+// openData writes the session's preamble on a connection wrapped for
+// this session; the endpoint routes the stream to it by token.
+func (ss *sendSession) openData(sock *dataSock) (net.Conn, error) {
+	var conn net.Conn = sock
+	if ss.cfg.WrapConn != nil {
+		conn = ss.cfg.WrapConn("data", sock)
+	}
+	if err := wire.WriteDataPreamble(conn, ss.token); err != nil {
+		sock.disown() // a connection that never served the slot
+		conn.Close()
+		return nil, err
+	}
+	return conn, nil
+}
+
+// connGone is the read-side death watch: a receiver that drops a data
+// connection after every pending write drained into the socket buffer
+// leaves no later write to fail, and without it the lost chunks would
+// never be re-planned. A connection retired by a failed write fires it
+// too; markDead makes that a no-op.
+func (ss *sendSession) connGone(index int) {
+	if c := ss.conns.slot(index); ss.conns.markDead(c) {
+		ss.spawnRecovery(c, errConnClosedByPeer)
+	}
+}
+
+// spawnRecovery starts a recovery unless teardown has disarmed them:
+// the death watch fires for every socket teardown closes.
+func (ss *sendSession) spawnRecovery(c *dataConn, cause error) {
+	ss.recMu.Lock()
+	defer ss.recMu.Unlock()
+	if ss.recClosed {
+		return
+	}
+	ss.recoverWG.Add(1)
+	go ss.recoverConn(c, cause)
+}
+
+// recoverConn re-plans a dead connection's in-flight chunks: it pulls
+// the receiver's ledger, subtracts the committed chunks, and re-reads
+// the rest into staging, marked as re-sends, for the network stage.
+func (ss *sendSession) recoverConn(c *dataConn, cause error) {
+	defer ss.recoverWG.Done()
+	pprof.SetGoroutineLabels(stageRead) // a re-read is read-stage work
+	history := c.takeHistory()
+	lost := history
+	if len(history) > 0 {
+		states, err := ss.pullLedger()
+		if err != nil {
+			// The run is done or cancelled, or the control reader has
+			// recorded the verdict. A completed receiver sends Done
+			// before it closes its data connections, so this is also
+			// how a finished session's death-watch recoveries end.
+			return
+		}
+		committed := NewLedger(ss.sess.ID, ss.chunkBytes, ss.s.Manifest, false)
+		committed.ApplyWire(states)
+		kept := history[:0]
+		for _, cr := range history {
+			if !committed.Done(cr.fileID, cr.off) {
+				kept = append(kept, cr)
+			}
+		}
+		lost = kept
+	}
+	if flight.Active() {
+		var bytes int64
+		for _, cr := range lost {
+			bytes += int64(cr.n)
+		}
+		flight.Record(flight.Event{
+			Source: "sender:" + ss.sess.ID,
+			Kind:   flight.KindReplan,
+			Chosen: flight.Alt{Score: float64(bytes)},
+			Note: fmt.Sprintf("conn %d lost (%v): %d in-flight sends, %d still uncommitted",
+				c.index, cause, len(history), len(lost)),
+		})
+	}
+	for _, cr := range lost {
+		ch, ok := ss.readChunk(cr.fileID, cr.off, int(cr.n), false)
+		if !ok {
+			return
+		}
+		ch.resent = true
+		if !ss.staging.Put(ch) {
+			ch.Release()
+			return
+		}
+	}
+}
+
+// pullLedger asks the receiver which chunks have committed. It answers
+// from the loop that sends its verdict and stops once it has, so on the
+// ordered control channel a reply proves the receiver alive with no Done
+// or error queued ahead of it. Without a reply the pull returns the
+// control reader's verdict: errRunDone or the recorded error.
+func (ss *sendSession) pullLedger() ([]wire.FileState, error) {
+	ss.pullMu.Lock()
+	ss.pullSeq++
+	seq := ss.pullSeq
+	ch := make(chan []wire.FileState, 1)
+	ss.pullWaiters[seq] = ch
+	ss.pullMu.Unlock()
+	defer func() {
+		ss.pullMu.Lock()
+		delete(ss.pullWaiters, seq)
+		ss.pullMu.Unlock()
 	}()
+	// A failed send needs no handling of its own: a broken channel
+	// always ends the control reader.
+	ss.ctrl.Send(wire.Message{LedgerPull: &wire.LedgerPull{Seq: seq}})
+	select {
+	case states := <-ch:
+		return states, nil
+	case <-ss.ctrlDone:
+		select {
+		case <-ss.doneCh:
+			return nil, errRunDone
+		default:
+			return nil, ss.s.Err()
+		}
+	case <-ss.ctx.Done():
+		return nil, ss.ctx.Err()
+	}
+}
 
-	readPool.Resize(initial.N[env.StageRead])
-	streams := initial.N[env.StageStreams]
-	netPool.Resize(conns.size() * streams)
-	writers := initial.N[env.StageWrite]
+// readControl is the control channel's one reader: statuses, ledger-pull
+// replies and the verdict. It alone decides a receiver-side outcome:
+// Done, an errored Status, or a channel that ends with neither.
+func (ss *sendSession) readControl() {
+	defer close(ss.ctrlDone)
+	for {
+		m, err := ss.ctrl.Recv()
+		if err != nil {
+			ss.abort(fmt.Errorf("transfer: control channel: %w", err))
+			return
+		}
+		if m.LedgerState != nil {
+			// Route a ledger-pull reply to its waiting recovery.
+			ss.pullMu.Lock()
+			if ch, ok := ss.pullWaiters[m.LedgerState.Seq]; ok {
+				ch <- m.LedgerState.Ledger
+			}
+			ss.pullMu.Unlock()
+			continue
+		}
+		if m.Status == nil {
+			continue
+		}
+		ss.status.Store(m.Status)
+		if m.Status.Error != "" {
+			ss.abort(fmt.Errorf("transfer: receiver: %s", m.Status.Error))
+			return
+		}
+		if m.Status.Done {
+			close(ss.doneCh)
+			return
+		}
+	}
+}
 
-	rec := metrics.NewRecorder()
-	start := time.Now()
+// run starts the control reader and the stages at the initial tuple, then
+// each probe interval records the state and applies the controller's
+// tuple, until the receiver's Done or the run's failure.
+func (ss *sendSession) run(initial env.Action) (*Result, error) {
+	cfg := ss.cfg
+	go ss.readControl()
+	ss.readPool.Resize(initial.N[env.StageRead])
+	ss.streams = initial.N[env.StageStreams]
+	ss.netPool.Resize(ss.conns.size() * ss.streams)
+	ss.writers = initial.N[env.StageWrite]
+
+	ss.rec = metrics.NewRecorder()
+	ss.start = time.Now()
+	ss.lastTick = ss.start
 	ticker := time.NewTicker(cfg.ProbeInterval)
 	defer ticker.Stop()
 
-	record := func() env.State {
-		now := time.Since(start).Seconds()
-		st := s.status()
-		dt := cfg.ProbeInterval.Seconds()
-		state := env.State{
-			N: [env.StageCount]int{
-				env.StageRead:    readPool.Size(),
-				env.StageConns:   conns.size(),
-				env.StageStreams: streams,
-				env.StageWrite:   writers,
-			},
-			Throughput: env.ThroughputVec(
-				bytesToMb(readCounter.Reset())/dt,
-				bytesToMb(netCounter.Reset())/dt,
-				st.WriteMbps,
-			),
-			SenderFree:   bytesToMb(staging.Free()),
-			ReceiverFree: bytesToMb(st.BufFree),
-		}
-		rec.Series("cc_read").Record(now, float64(state.N[env.StageRead]))
-		rec.Series("cc_conns").Record(now, float64(state.N[env.StageConns]))
-		rec.Series("cc_streams").Record(now, float64(state.N[env.StageStreams]))
-		rec.Series("cc_net").Record(now, float64(netPool.Size()))
-		rec.Series("cc_write").Record(now, float64(state.N[env.StageWrite]))
-		rec.Series("thr_read").Record(now, state.Throughput[env.StageRead])
-		rec.Series("thr_net").Record(now, state.Throughput[env.StageConns])
-		rec.Series("thr_write").Record(now, state.Throughput[env.StageWrite])
-		if h := cfg.Hooks.OnTick; h != nil {
-			h(state)
-		}
-		if h := cfg.Hooks.OnProgress; h != nil {
-			h(st.CommittedBytes, total)
-		}
-		return state
-	}
-
 	ctrlName := "fixed"
-	if s.Controller != nil {
-		ctrlName = s.Controller.Name()
+	if ss.s.Controller != nil {
+		ctrlName = ss.s.Controller.Name()
 	}
-
 	// The flight wrap is decided once per run (one atomic load), so a
 	// disabled recorder adds nothing to the probe loop. The source is
 	// keyed by session ID: a resumed attempt appends to the prior
 	// attempt's ring.
-	decider := s.Controller
+	decider := ss.s.Controller
 	if decider != nil && flight.Active() {
-		decider = flight.WrapController(decider, flight.Default(), "ctrl:"+sess.ID)
+		decider = flight.WrapController(decider, flight.Default(), "ctrl:"+ss.sess.ID)
 	}
 
 	for {
 		select {
-		case <-ctx.Done():
-			if err := s.Err(); err != nil {
+		case <-ss.ctx.Done():
+			if err := ss.s.Err(); err != nil {
 				return nil, err
 			}
-			return nil, ctx.Err()
-		case <-doneCh:
-			record()
-			d := time.Since(start)
+			return nil, ss.ctx.Err()
+		case <-ss.doneCh:
+			ss.record()
+			d := time.Since(ss.start)
+			planned := ss.sess.TotalBytes - ss.sess.SkippedBytes
 			return &Result{
 				Duration:     d,
 				Bytes:        planned,
 				AvgMbps:      bytesToMb(planned) / d.Seconds(),
 				Controller:   ctrlName,
-				SessionID:    sess.ID,
-				Resumed:      sess.Resumed,
-				SkippedBytes: skipped,
-				Recorder:     rec,
-			}, s.Err()
+				SessionID:    ss.sess.ID,
+				Resumed:      ss.sess.Resumed,
+				SkippedBytes: ss.sess.SkippedBytes,
+				Recorder:     ss.rec,
+			}, ss.s.Err()
 		case <-ticker.C:
-			state := record()
+			state := ss.record()
 			if decider == nil {
 				continue
 			}
 			act := decider.Decide(state).Clamp(cfg.MaxThreads)
-			readPool.Resize(act.N[env.StageRead])
-			conns.setWant(act.N[env.StageConns])
-			streams = act.N[env.StageStreams]
-			netPool.Resize(act.N[env.StageConns] * streams)
-			if act.N[env.StageWrite] != writers {
-				writers = act.N[env.StageWrite]
+			ss.readPool.Resize(act.N[env.StageRead])
+			ss.conns.setWant(act.N[env.StageConns])
+			ss.streams = act.N[env.StageStreams]
+			ss.netPool.Resize(act.N[env.StageConns] * ss.streams)
+			if act.N[env.StageWrite] != ss.writers {
+				ss.writers = act.N[env.StageWrite]
 				// A failed send ends the control reader, which owns the
 				// verdict: a finished receiver may already have closed
 				// the channel after its Done.
-				ctrl.Send(wire.Message{SetWriters: &wire.SetWriters{N: writers}})
+				ss.ctrl.Send(wire.Message{SetWriters: &wire.SetWriters{N: ss.writers}})
 			}
 		}
 	}
+}
+
+// record samples the §IV-D-1 state — thread counts, the read and network
+// rates over the window since the previous sample, the receiver's last
+// write rate, free buffer space at both ends — into the recorder and the
+// tick and progress hooks.
+func (ss *sendSession) record() env.State {
+	now := time.Now()
+	t := now.Sub(ss.start).Seconds()
+	dt := now.Sub(ss.lastTick).Seconds()
+	ss.lastTick = now
+	st := ss.status.Load()
+	state := env.State{
+		N: [env.StageCount]int{
+			env.StageRead:    ss.readPool.Size(),
+			env.StageConns:   ss.conns.size(),
+			env.StageStreams: ss.streams,
+			env.StageWrite:   ss.writers,
+		},
+		Throughput: env.ThroughputVec(
+			bytesToMb(ss.readCounter.Reset())/dt,
+			bytesToMb(ss.netCounter.Reset())/dt,
+			st.WriteMbps,
+		),
+		SenderFree:   bytesToMb(ss.staging.Free()),
+		ReceiverFree: bytesToMb(st.BufFree),
+	}
+	for stage, name := range [env.StageCount]string{"cc_read", "cc_conns", "cc_streams", "cc_write"} {
+		ss.rec.Series(name).Record(t, float64(state.N[stage]))
+	}
+	ss.rec.Series("cc_net").Record(t, float64(ss.netPool.Size()))
+	ss.rec.Series("thr_read").Record(t, state.Throughput[env.StageRead])
+	ss.rec.Series("thr_net").Record(t, state.Throughput[env.StageConns])
+	ss.rec.Series("thr_write").Record(t, state.Throughput[env.StageWrite])
+	if h := ss.cfg.Hooks.OnTick; h != nil {
+		h(state)
+	}
+	if h := ss.cfg.Hooks.OnProgress; h != nil {
+		h(st.CommittedBytes, ss.sess.TotalBytes)
+	}
+	return state
+}
+
+// teardown winds the run down and reports whether it ended cleanly: the
+// receiver's Done, no sender-side error, the control reader gone.
+// Recoveries are disarmed and network workers stopped first, so nothing
+// is sent after the verdict; closing staging then wakes readers and
+// recoveries blocked in Put before anything waits on them. Connections
+// close, or go back to the pool after a clean end, only once all have
+// wound down — at a frame boundary, where a close reads as a clean
+// end-of-stream and a pooled connection's next preamble rebinds it. The
+// wire counters are read last: the receiver's Done can overtake the
+// counter update of the batch that completed the session.
+func (ss *sendSession) teardown(res *Result, err error) (clean bool) {
+	ss.recMu.Lock()
+	ss.recClosed = true
+	ss.recMu.Unlock()
+	ss.netPool.Resize(0)
+	ss.staging.Close()
+	ss.recoverWG.Wait()
+	ss.readPool.Shutdown()
+	ss.netPool.Shutdown()
+	ss.staging.ReleaseRemaining()
+	clean = err == nil && res != nil && ss.s.Err() == nil
+	if clean {
+		<-ss.ctrlDone
+		ss.conns.finish(ss.pool)
+	} else {
+		ss.conns.finish(nil)
+	}
+	if res != nil {
+		res.WireBytes, res.ResentBytes = ss.netTotal.Load(), ss.resentTotal.Load()
+	}
+	ss.readers.closeAll()
+	return clean
 }

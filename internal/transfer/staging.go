@@ -24,6 +24,9 @@ type Chunk struct {
 	// receiver: the write stage closes it when the payload fails its
 	// CRC. Nil on the sender.
 	Conn io.Closer
+	// resent marks a sender chunk a recovery put back after its
+	// connection died: the network stage counts it in ResentBytes.
+	resent bool
 }
 
 // size returns the chunk's payload length.

@@ -4,10 +4,11 @@ package transfer
 // resizable set of parallel data connections (the controller's conns
 // dimension n_c), each opening with the session's preamble.
 // Network workers (the streams-per-connection dimension n_s; n_c·n_s of
-// them in total) share the connections — a per-connection mutex
+// them in total) share the connections — worker i sends on slot i mod
+// n_c and moves only past a dead slot, and a per-connection mutex
 // serializes frame writes — so the two dimensions resize independently:
 // growing streams adds workers, growing conns adds sockets for them to
-// rotate across. The receiver fans every connection of a session into
+// spread over. The receiver fans every connection of a session into
 // the same staging/commit path, so striping changes nothing about
 // resume, ledger, or checksum semantics.
 

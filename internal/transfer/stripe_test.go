@@ -150,6 +150,84 @@ func TestStripedConnFailureRecovery(t *testing.T) {
 	}
 }
 
+// gatedStore holds every write until open closes, so the chunks a
+// sender puts on the wire pile up uncommitted at the receiver.
+type gatedStore struct {
+	fsim.Store
+	open chan struct{}
+}
+
+func (s *gatedStore) Create(name string, size int64) (fsim.FileWriter, error) {
+	w, err := s.Store.Create(name, size)
+	if err != nil {
+		return nil, err
+	}
+	return &gatedWriter{FileWriter: w, open: s.open}, nil
+}
+
+type gatedWriter struct {
+	fsim.FileWriter
+	open <-chan struct{}
+}
+
+func (w *gatedWriter) WriteAt(p []byte, off int64) (int, error) {
+	<-w.open
+	return w.FileWriter.WriteAt(p, off)
+}
+
+// A dead connection's lost chunks cross the wire again through the
+// network stage, under the same link cap as every other chunk. With the
+// receiver's writes held, megabytes sent on connection 0 are uncommitted
+// when it is killed, so they are re-sent; a link token bucket admits at
+// most one burst plus rate × elapsed bytes, so the run can be no shorter
+// than (WireBytes − burst) / rate if the re-sends were paced too.
+func TestResentChunksPassNetworkShaping(t *testing.T) {
+	cfg := testConfig()
+	cfg.Conns = 2
+	cfg.ReceiverBufBytes = 16 << 20 // the held chunks fit: nothing backs up into the sender
+	cfg.Shaping.LinkMbps = 80       // 10 MB/s
+	rate := mbpsToBytesPerSec(cfg.Shaping.LinkMbps)
+	burst := rate * 0.02 // newLimiter's burst: 20 ms of tokens, more than one 64 KiB chunk
+
+	victim := make(chan net.Conn, 1)
+	cfg.Hooks.OnDataConn = func(index int, conn net.Conn) {
+		if index == 0 {
+			select {
+			case victim <- conn:
+			default:
+			}
+		}
+	}
+	dst := &gatedStore{Store: fsim.NewSyntheticStore(), open: make(chan struct{})}
+	go func() {
+		defer close(dst.open)
+		select {
+		case c := <-victim:
+			time.Sleep(600 * time.Millisecond) // ≈6 MB on the wire, none committed
+			c.Close()
+			time.Sleep(100 * time.Millisecond) // the recovery's ledger pull lands first
+		case <-time.After(10 * time.Second):
+		}
+	}()
+
+	m := workload.LargeFiles(6, 2<<20) // 12 MB
+	start := time.Now()
+	res, err := Loopback(context.Background(), cfg, m, fsim.NewSyntheticStore(), dst, nil)
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Bytes != m.TotalBytes() || res.WireBytes != res.Bytes+res.ResentBytes {
+		t.Fatalf("bytes %d (want %d), wire %d, resent %d", res.Bytes, m.TotalBytes(), res.WireBytes, res.ResentBytes)
+	}
+	if float64(res.ResentBytes) <= burst {
+		t.Fatalf("re-sent %d bytes, no more than one %.0f-byte burst: the kill missed the held chunks", res.ResentBytes, burst)
+	}
+	if floor := time.Duration((float64(res.WireBytes) - burst) / rate * float64(time.Second)); elapsed < floor {
+		t.Fatalf("%d wire bytes (%d re-sent) in %v: a %.0f Mbps link needs at least %v", res.WireBytes, res.ResentBytes, elapsed, cfg.Shaping.LinkMbps, floor)
+	}
+}
+
 // When every data connection dies and cannot be re-dialed, the sender
 // fails the attempt instead of hanging.
 func TestStripedAllConnsDeadFails(t *testing.T) {

@@ -426,3 +426,45 @@ func TestMonolithicWrapperCouplesStages(t *testing.T) {
 		t.Fatalf("monolithic action %v want all 9", a.N)
 	}
 }
+
+// stallingController keeps the tuple it is shown and records every state
+// it decides on; its second decision stalls for stall, as a slow policy
+// would, so the tick after it comes late.
+type stallingController struct {
+	stall  time.Duration
+	states []env.State
+}
+
+func (c *stallingController) Name() string { return "stalling" }
+
+func (c *stallingController) Decide(s env.State) env.Action {
+	c.states = append(c.states, s)
+	if len(c.states) == 2 {
+		time.Sleep(c.stall)
+	}
+	return env.Action{N: s.N}
+}
+
+// The controller's rates are taken over the window each sample covers,
+// not over one probe interval: after a decision that stalls the control
+// loop for three intervals, the read stage, held at its aggregate cap,
+// still reports about the cap.
+func TestControllerRatesSpanMeasuredWindow(t *testing.T) {
+	cfg := testConfig()
+	cfg.InitialThreads = 1
+	cfg.ProbeInterval = 250 * time.Millisecond
+	cfg.Shaping.ReadAggMbps = 40 // 5 MB/s: about 1.25 MB a tick against 0.1 MB of burst
+	ctl := &stallingController{stall: 3 * cfg.ProbeInterval}
+	m := workload.LargeFiles(4, 2<<20) // 8 MB, ≈1.6 s at the cap
+	if _, err := Loopback(context.Background(), cfg, m, fsim.NewSyntheticStore(), fsim.NewSyntheticStore(), ctl); err != nil {
+		t.Fatal(err)
+	}
+	if len(ctl.states) < 3 {
+		t.Fatalf("controller decided %d times; the stalled decision needs a tick after it", len(ctl.states))
+	}
+	for i, st := range ctl.states {
+		if r := st.Throughput[env.StageRead]; r > 1.25*cfg.Shaping.ReadAggMbps {
+			t.Errorf("decision %d saw a read rate of %.1f Mbps under a %.0f Mbps cap", i, r, cfg.Shaping.ReadAggMbps)
+		}
+	}
+}
