@@ -17,7 +17,7 @@ var (
 	stageNetRx   = stageLabel("net-rx")  // receiver data-connection readers
 	stageWrite   = stageLabel("write")   // receiver write workers
 	stageControl = stageLabel("control") // control loops and readers, both ends
-	stagePersist = stageLabel("persist") // receiver ledger persistence
+	stagePersist = stageLabel("persist") // receiver ledger writes on the session goroutine (rsession.persist)
 )
 
 func stageLabel(name string) context.Context {

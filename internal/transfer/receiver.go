@@ -79,8 +79,7 @@ type Receiver struct {
 	gcOnce sync.Once
 	// fatal is closed when an acceptor dies outside shutdown, so serve
 	// can stop blocking and surface the endpoint-fatal error.
-	fatalOnce sync.Once
-	fatal     chan struct{}
+	fatal chan struct{}
 }
 
 // Indexes of Receiver.accepted.
@@ -107,18 +106,21 @@ type SessionResult struct {
 	Err error
 }
 
-// rsession is one live transfer session at the endpoint. The demux
-// routes data connections into it, and its control connection's reader
-// hands it control messages; the session's run loop owns the rest of its
-// state as locals.
+// rsession is one transfer session at the endpoint, from its admission
+// to its release. The demux routes data connections into it, and its
+// control connection's reader hands it control messages. Its methods
+// are the session's stages: open (ledger, sums owed, Welcome), write
+// (writeWorker, writeChunk, commit), control (Status out, commands in),
+// persist, finish and teardown.
 type rsession struct {
+	r       *Receiver
 	id      string
 	token   string // data-preamble routing key
 	staging *Staging
 	arena   *Arena
-	ledger  atomic.Pointer[Ledger] // set once resume state is known; for gauges
-	// resumed is written by runSession and read by serveSession after
-	// runSession returns (same goroutine), so it needs no lock.
+	ledger  atomic.Pointer[Ledger] // set once by open; read by the demux and the gauges
+	// resumed is written by open and read by serveSession after run
+	// returns (same goroutine), so it needs no lock.
 	resumed bool
 	// cmds carries the control messages the connection's reader hands
 	// the session.
@@ -149,14 +151,28 @@ type rsession struct {
 	// released is closed when the endpoint unregisters the session; a
 	// retry Hello for the same session ID waits on it.
 	released chan struct{}
-}
 
-func (s *rsession) fail(err error) {
-	s.mu.Lock()
-	if s.err == nil && err != nil {
-		s.err = err
-	}
-	s.mu.Unlock()
+	// Set by run and open before the Welcome leaves, and fixed after.
+	ctx         context.Context // the session's, a child of the endpoint's
+	raw         net.Conn        // the control connection, idle again after Done
+	ctrl        *wire.Conn
+	manifest    workload.Manifest
+	total       int64
+	ls          fsim.LedgerStore // nil: a one-shot session
+	persister   *ledgerPersister
+	chk         *sumChecker
+	writers     *fileTable[fsim.FileWriter]
+	pool        *Pool
+	perThread   *limiterSet
+	agg, budget *rate.Limiter
+	writeDone   chan struct{} // closed once the ledger holds the whole dataset
+	writeOnce   sync.Once
+
+	// landing is held shared by a write from its commit to its file's
+	// release; finish takes it to wait those out.
+	landing      sync.RWMutex
+	writeCounter metrics.Counter // bytes written since the last Status
+	lastStatus   time.Time       // when the last Status left; control only
 }
 
 // Err returns the session's first fatal error, if any.
@@ -166,7 +182,8 @@ func (s *rsession) Err() error {
 	return s.err
 }
 
-// abort fails the session from outside its run loop and ends the run.
+// abort records err as the session's failure, unless one came first,
+// and ends the run.
 func (s *rsession) abort(err error) {
 	s.mu.Lock()
 	if s.err == nil {
@@ -447,25 +464,17 @@ func (r *Receiver) clampWriters(n int) int { return max(1, min(n, r.Cfg.MaxThrea
 // Addr returns the bound listener address.
 func (r *Receiver) Addr() string { return r.ln.Addr().String() }
 
-func (r *Receiver) fail(err error) {
-	r.mu.Lock()
-	if r.err == nil && err != nil {
-		r.err = err
-	}
-	r.mu.Unlock()
-}
-
 // acceptFailed records an endpoint-fatal accept error and wakes serve so
 // the endpoint shuts down instead of blocking as a silently dead
 // listener. Accept errors after shutdown (the listener was closed
-// deliberately) are the normal exit path and not recorded.
+// deliberately) are the normal exit path and not recorded. The first
+// error is the only one recorded, so fatal closes once.
 func (r *Receiver) acceptFailed(err error) {
 	r.mu.Lock()
-	closed := r.closed
-	r.mu.Unlock()
-	if !closed {
-		r.fail(fmt.Errorf("transfer: accept: %w", err))
-		r.fatalOnce.Do(func() { close(r.fatal) })
+	defer r.mu.Unlock()
+	if !r.closed && r.err == nil {
+		r.err = fmt.Errorf("transfer: accept: %w", err)
+		close(r.fatal)
 	}
 }
 
@@ -494,9 +503,12 @@ func (r *Receiver) serve(ctx context.Context, maxDone int) error {
 	r.gcOnce.Do(r.expireStaleLedgers)
 
 	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
 	var wg sync.WaitGroup
+	defer func() {
+		r.shutdown()
+		cancel()
+		wg.Wait()
+	}()
 	results := make(chan error)
 
 	// Acceptor: every connection gets a goroutine that serves it as what
@@ -527,14 +539,8 @@ func (r *Receiver) serve(ctx context.Context, maxDone int) error {
 	for {
 		select {
 		case <-ctx.Done():
-			r.shutdown()
-			cancel()
-			wg.Wait()
 			return ctx.Err()
 		case <-r.fatal:
-			r.shutdown()
-			cancel()
-			wg.Wait()
 			return r.Err()
 		case err := <-results:
 			done++
@@ -542,9 +548,6 @@ func (r *Receiver) serve(ctx context.Context, maxDone int) error {
 				firstErr = err
 			}
 			if maxDone > 0 && done >= maxDone {
-				r.shutdown()
-				cancel()
-				wg.Wait()
 				return firstErr
 			}
 		}
@@ -734,15 +737,8 @@ func (r *Receiver) admitWaiting(ctx context.Context, h *wire.Hello) (*rsession, 
 // serveSession runs one admitted session in sctx, unregisters it, and
 // reports its outcome on results while the endpoint context lives.
 func (r *Receiver) serveSession(ctx, sctx context.Context, sess *rsession, raw net.Conn, ctrl *wire.Conn, h *wire.Hello, results chan<- error) {
-	err := r.runSession(sctx, sess, raw, ctrl, h)
-	// A session that returned before its teardown was armed may still
-	// hold data connections.
-	r.unbindConns(sess, sess.decide(false))
-	res := SessionResult{
-		SessionID: sess.id,
-		Resumed:   sess.resumed,
-		Err:       err,
-	}
+	err := sess.run(sctx, raw, ctrl, h)
+	res := SessionResult{SessionID: sess.id, Resumed: sess.resumed, Err: err}
 	if l := sess.ledger.Load(); l != nil {
 		res.CommittedBytes = l.CommittedBytes()
 	}
@@ -832,6 +828,7 @@ func (r *Receiver) admit(h *wire.Hello) (sess *rsession, held <-chan struct{}, e
 		return nil, holder.released, fmt.Errorf("transfer: session %q is already active on this endpoint: %w", session, errSessionBusy)
 	}
 	sess = &rsession{
+		r:        r,
 		id:       session,
 		token:    wire.NewDataToken(),
 		staging:  NewStaging(bufCap),
@@ -1001,413 +998,415 @@ func (c *sumChecker) verified(fileID uint32) {
 	}
 }
 
-// runSession executes one admitted session to completion or failure: the
-// Welcome handshake, the session-scoped write pool draining the staging
-// buffer the demuxed readers fill, ledger persistence, and end-to-end
-// file verification. It returns when the transfer completes, the session
-// fails, or ctx — the session's, a child of the endpoint's — is
-// cancelled; its teardown releases every arena lease the session took
-// and persists the ledger's final state without touching any sibling
-// session. A completed session leaves its connections open for the
-// sender's next session; any other verdict closes them.
-func (r *Receiver) runSession(ctx context.Context, sess *rsession, raw net.Conn, ctrl *wire.Conn, h *wire.Hello) error {
-	cancel := sess.cancel
-	defer func() {
-		if !sess.decide(false) {
-			ctrl.Close()
-		}
-	}()
+// run executes the admitted session in ctx, its own, until the transfer
+// completes, the session fails or ctx ends. Teardown is armed before open
+// sends the Welcome, so it takes down whatever the session started.
+func (s *rsession) run(ctx context.Context, raw net.Conn, ctrl *wire.Conn, h *wire.Hello) error {
+	s.ctx, s.raw, s.ctrl = ctx, raw, ctrl
+	defer s.teardown()
+	if err := s.open(h); err != nil {
+		return err
+	}
+	n := h.InitialWriters
+	if n <= 0 {
+		n = s.r.Cfg.InitialThreads
+	}
+	s.pool.Resize(s.r.clampWriters(n))
+	return s.control()
+}
 
-	manifest := make(workload.Manifest, len(h.Files))
-	var total int64
+// open builds the session from its Hello and sends the Welcome: the
+// ledger, loaded, verified and compacted; the file sums owed; and the
+// write stage, with no workers yet. Every part that teardown takes down
+// exists before the Welcome send, open's one failure.
+func (s *rsession) open(h *wire.Hello) error {
+	r := s.r
+	s.manifest = make(workload.Manifest, len(h.Files))
 	for i, f := range h.Files {
-		manifest[i] = workload.File{Name: f.Name, Size: f.Size}
-		total += f.Size
+		s.manifest[i] = workload.File{Name: f.Name, Size: f.Size}
+		s.total += f.Size
 	}
 	chunkBytes := h.ChunkBytes
 	if chunkBytes <= 0 {
 		chunkBytes = r.Cfg.ChunkBytes
 	}
-
-	// Session ledger: reload a persisted one when the store is a
-	// fsim.LedgerStore and the sender named a session, re-verifying every
-	// committed range against the destination (a missing file or corrupt
-	// region loses just its ledger entry) before advertising it. ls stays
-	// nil for a one-shot session.
-	session := sess.id
-	ledger := NewLedger(session, chunkBytes, manifest, true)
-	var ls fsim.LedgerStore
-	if s, ok := r.Store.(fsim.LedgerStore); ok && fsim.ValidSessionID(h.SessionID) {
-		ls = s
+	if ls, ok := r.Store.(fsim.LedgerStore); ok && fsim.ValidSessionID(h.SessionID) {
+		s.ls = ls
 	}
-	if ls != nil {
-		// LoadSessionLedger folds the append-only journal into the
-		// snapshot (a torn or generation-mismatched journal truncates
-		// to its last valid record) before anything is decided. A
-		// ledger without per-chunk sums cannot prove its committed
-		// ranges, so it is not resumed: the session starts over and
-		// replaces it.
-		if old, derr := LoadSessionLedger(ls, session); derr == nil &&
-			old.MatchesManifest(manifest) == nil && old.HasSums {
-			if kept, _ := old.VerifyAgainst(ls); kept > 0 {
-				metrics.ResumeSessionInc()
-				metrics.ResumeSkippedAdd(kept)
-				sess.resumed = true
-			}
-			ledger = old
-			// The persisted ledger pins the session's chunk
-			// geometry: the Welcome advertises its chunk size and
-			// the sender plans with it, so a changed sender config
-			// cannot orphan the committed ranges.
-			chunkBytes = old.ChunkBytes
-		}
-	}
-	sess.ledger.Store(ledger)
+	ledger := s.loadLedger(chunkBytes)
+	s.ledger.Store(ledger)
 	// The persister owns all ledger writes for the session: journaled
 	// O(delta) appends per probe tick, compaction, and the final
 	// teardown persist. The opening compaction snapshots the
 	// verification-adjusted state and folds any replayed journal away.
-	// The control goroutine persists under the persist stage's profile
-	// label; a write worker that invalidates a file persists under its
-	// own.
-	persister := newLedgerPersister(ledger, ls, session, r.compactBytes)
-	persistAs := func(step func()) {
-		pprof.SetGoroutineLabels(stagePersist)
-		step()
-		pprof.SetGoroutineLabels(stageControl)
-	}
-	persistAs(persister.compact)
-	persist := func() { persistAs(persister.tick) }
-
+	s.persister = newLedgerPersister(ledger, s.ls, s.id, r.compactBytes)
+	s.persist(s.persister.compact)
 	// End-to-end file verification: the sums owed are fixed by the ledger
 	// the Welcome advertises, before any chunk can commit.
-	chk := newSumChecker(manifest, ledger)
+	s.chk = newSumChecker(s.manifest, ledger)
+	// The write stage. Completion is ledger-driven: every chunk, written
+	// or inherited from a resumed ledger, committed. A destination file is
+	// open while chunks of it are being written. The budget bucket is the
+	// session's max-min fair share of the endpoint's write budget, resized
+	// by the arbiter as siblings come and go.
+	s.writers = newFileTable(len(s.manifest), s.create)
+	s.perThread = newLimiterSet(r.Cfg.Shaping.WritePerThreadMbps, r.Cfg.ChunkBytes)
+	s.agg = newLimiter(r.Cfg.Shaping.WriteAggMbps, r.Cfg.ChunkBytes)
+	s.budget = rate.Unlimited()
+	if r.arb != nil {
+		s.budget = r.arb.join(s.id)
+	}
+	s.writeDone = make(chan struct{})
+	s.checkWritten() // an empty dataset, or a resume that was already complete
+	s.pool = NewPool(s.writeWorker)
 
 	// No data connection can be routed into the session before this
 	// send: the token has not left the process.
-	if err := ctrl.Send(wire.Message{Welcome: &wire.Welcome{
+	if err := s.ctrl.Send(wire.Message{Welcome: &wire.Welcome{
 		ProtoVersion: wire.ProtoVersion,
-		SessionID:    session,
-		ChunkBytes:   chunkBytes,
+		SessionID:    s.id,
+		ChunkBytes:   ledger.ChunkBytes,
 		Ledger:       ledger.WireStates(),
-		DataToken:    sess.token,
+		DataToken:    s.token,
 	}}); err != nil {
 		return fmt.Errorf("transfer: send welcome: %w", err)
 	}
+	return nil
+}
 
-	staging := sess.staging
+// loadLedger returns the session's persisted ledger, every committed
+// range re-verified against the destination (a missing file or corrupt
+// region loses just its entry), or else a fresh one.
+func (s *rsession) loadLedger(chunkBytes int) *Ledger {
+	if s.ls != nil {
+		// LoadSessionLedger folds the append-only journal into the
+		// snapshot (a torn or generation-mismatched journal truncates to
+		// its last valid record) before anything is decided. A ledger
+		// without per-chunk sums cannot prove its committed ranges, so it
+		// is not resumed: the session starts over and replaces it.
+		if old, err := LoadSessionLedger(s.ls, s.id); err == nil &&
+			old.MatchesManifest(s.manifest) == nil && old.HasSums {
+			if kept, _ := old.VerifyAgainst(s.ls); kept > 0 {
+				metrics.ResumeSessionInc()
+				metrics.ResumeSkippedAdd(kept)
+				s.resumed = true
+			}
+			// The persisted ledger pins the session's chunk geometry:
+			// the Welcome advertises its chunk size and the sender plans
+			// with it, so a changed sender config cannot orphan the
+			// committed ranges.
+			return old
+		}
+	}
+	return NewLedger(s.id, chunkBytes, s.manifest, true)
+}
 
-	// A destination file is open while chunks of it are being written,
-	// and closed once the ledger holds all of it.
-	writers := newFileTable(len(h.Files), func(id uint32) (fsim.FileWriter, error) {
-		return r.Store.Create(h.Files[id].Name, h.Files[id].Size)
-	})
-	defer writers.closeAll()
+// create opens a destination file for the file table.
+func (s *rsession) create(id uint32) (fsim.FileWriter, error) {
+	return s.r.Store.Create(s.manifest[id].Name, s.manifest[id].Size)
+}
 
-	// invalidate drops exactly one file's ledger range, so the next resume
-	// replans it, persists that, and returns err saying so.
-	invalidate := func(fileID uint32, err error) error {
-		n := ledger.InvalidateFile(fileID)
-		metrics.ResumeInvalidatedAdd(int64(n))
-		persister.tick()
-		return fmt.Errorf("%w (%d-chunk ledger range invalidated)", err, n)
-	}
+// persist runs one ledger write on the session goroutine under the
+// persist stage's profile label. A write worker that invalidates a file
+// persists under its own.
+func (s *rsession) persist(step func()) {
+	pprof.SetGoroutineLabels(stagePersist)
+	step()
+	pprof.SetGoroutineLabels(stageControl)
+}
 
-	// checkFile verifies one owed, announced file once it is fully
-	// committed: the ledger's per-chunk sums are folded into the
-	// whole-file CRC and compared against the sender's. A mismatch
-	// invalidates exactly that file's ledger range — the next resume
-	// replans it — and fails the session. The file leaves the owed set
-	// only AFTER the verdict lands, so a mismatch found by a write worker
-	// can never race session completion into reporting success (duplicate
-	// concurrent verifications are harmless — same sums, same verdict,
-	// idempotent invalidation).
-	checkFile := func(fileID uint32) {
-		want, ok := chk.want(fileID)
-		if !ok || !ledger.FileComplete(fileID) {
-			return
-		}
-		got, ok := ledger.FileCRC(fileID)
-		if !ok {
-			return
-		}
-		if got != want {
-			sess.fail(invalidate(fileID, fmt.Errorf("transfer: end-to-end CRC mismatch on %s: got %#x want %#x",
-				manifest[fileID].Name, got, want)))
-			cancel()
-		}
-		chk.verified(fileID)
-	}
-
-	// Write pool. Completion is ledger-driven: the session is done when
-	// every chunk — freshly written or inherited from a resumed ledger —
-	// is committed and every owed sum is verified.
-	var writeCounter metrics.Counter
-	perThread := newLimiterSet(r.Cfg.Shaping.WritePerThreadMbps, r.Cfg.ChunkBytes)
-	agg := newLimiter(r.Cfg.Shaping.WriteAggMbps, r.Cfg.ChunkBytes)
-	// The arbitrated budget bucket: the session's max-min fair share of
-	// the endpoint's write budget, resized by the arbiter as siblings
-	// come and go.
-	budget := rate.Unlimited()
-	if r.arb != nil {
-		budget = r.arb.join(sess.id)
-		defer r.arb.leave(sess.id)
-	}
-	writeDone := make(chan struct{})
-	var writeOnce sync.Once
-	if ledger.CommittedBytes() >= total {
-		// Nothing to move (empty dataset, or a resume that was already
-		// complete): the session is done as soon as it starts.
-		writeOnce.Do(func() { close(writeDone) })
-	}
-	// commit records one written chunk in the ledger with its wire CRC,
-	// which the write stage checked against the payload just before the
-	// write: one hash covers the wire and staging both, and the FileSum
-	// compare folds sums of what reached the store.
-	commit := func(c *Chunk) {
-		if !ledger.Commit(c.FileID, c.Offset, len(c.Data), c.Sum) {
-			return
-		}
-		checkFile(c.FileID)
-		if ledger.CommittedBytes() >= total {
-			writeOnce.Do(func() { close(writeDone) })
-		}
-	}
-	// writeChunk lands one chunk with one positioned write and commits
-	// it. The file's handle is released after the commit, which closes
-	// it once the ledger holds the whole file; a failed close drops the
-	// file from the ledger. landing is held shared from the commit to the
-	// release.
-	var landing sync.RWMutex
-	writeChunk := func(c *Chunk) error {
-		w, err := writers.acquire(c.FileID)
-		if err != nil {
-			return err
-		}
-		span := flight.StageStart()
-		wire.CountIOOps(1)
-		n, err := w.WriteAt(c.Data, c.Offset)
-		flight.StageEnd(flight.StageWrite, span)
-		if err == nil && n < len(c.Data) {
-			err = io.ErrShortWrite
-		}
-		if err != nil {
-			writers.release(c.FileID, false)
-			return err
-		}
-		landing.RLock()
-		defer landing.RUnlock()
-		commit(c)
-		if err := writers.release(c.FileID, ledger.FileComplete(c.FileID)); err != nil {
-			return invalidate(c.FileID, fmt.Errorf("transfer: close %s: %w", manifest[c.FileID].Name, err))
-		}
-		return nil
-	}
+// writeWorker is one write-stage worker. It drains staged chunks, drops
+// those the ledger already holds, paces the rest through its own, the
+// aggregate and the budget caps, checks each payload's wire CRC, and
+// lands it with writeChunk.
+func (s *rsession) writeWorker(stop <-chan struct{}, id int) {
+	pprof.SetGoroutineLabels(stageWrite)
+	ledger := s.ledger.Load()
+	lim := s.perThread.get(id)
 	// An unshaped write stage drains batches sized from the env's
 	// write-stage dimension: a deep backlog shared over few writers
 	// drains in large batches, a keeping-up pool degenerates to
 	// chunk-at-a-time. A shaped stage always moves one chunk at a time:
 	// it gains nothing from batching, which would lump the paced writes
 	// into end-of-window bursts.
-	batched := r.Cfg.Shaping.WritePerThreadMbps <= 0 && r.Cfg.Shaping.WriteAggMbps <= 0 &&
-		r.Cfg.WriteBudgetMbps <= 0
-	var pool *Pool
-	pool = NewPool(func(stop <-chan struct{}, id int) {
-		pprof.SetGoroutineLabels(stageWrite)
-		lim := perThread.get(id)
-		var batch []Chunk
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ctx.Done():
-				return
-			default:
+	shaping := s.r.Cfg.Shaping
+	batched := shaping.WritePerThreadMbps <= 0 && shaping.WriteAggMbps <= 0 && s.r.Cfg.WriteBudgetMbps <= 0
+	var batch []Chunk
+	for {
+		select {
+		case <-stop:
+			return
+		case <-s.ctx.Done():
+			return
+		default:
+		}
+		k := 1
+		if batched {
+			if w := s.pool.Size(); w > 0 {
+				k = min(1+s.staging.Len()/w, commitBatchChunks)
 			}
-			k := 1
-			if batched {
-				if w := pool.Size(); w > 0 {
-					k = min(1+staging.Len()/w, commitBatchChunks)
-				}
-			}
-			// An empty buffer parks the worker (no timer) until a Put or
-			// Close, its stop, or the context: all but a Put end it.
-			batch, _ = staging.GetN(batch[:0], k, stop, ctx.Done())
-			if len(batch) == 0 {
-				return
-			}
-			for i := range batch {
-				c := &batch[i]
-				// Drop duplicates of committed chunks (resume overlap or a
-				// replayed frame) without touching the disk.
-				if ledger.Done(c.FileID, c.Offset) {
-					c.Release()
-					continue
-				}
-				sz := len(c.Data)
-				if lim.WaitN(ctx, sz) != nil || agg.WaitN(ctx, sz) != nil || budget.WaitN(ctx, sz) != nil {
-					releaseAll(batch[i:])
-					return // limiter wait cancelled: the session is coming down
-				}
-				// The payload's one hash on this end. A payload that fails
-				// its wire CRC never reaches the store, and the session
-				// goes on: the connection that carried it closes, and the
-				// sender repairs that like any lost connection — it pulls
-				// the ledger and re-sends what did not commit.
-				f := wire.Frame{FileID: c.FileID, Offset: c.Offset, Data: c.Data, Sum: c.Sum}
-				if f.Verify() != nil {
-					c.Release()
-					if c.Conn != nil {
-						c.Conn.Close()
-					}
-					continue
-				}
-				if err := writeChunk(c); err != nil {
-					releaseAll(batch[i:])
-					sess.fail(err)
-					cancel()
-					return
-				}
-				writeCounter.Add(int64(sz))
+		}
+		// An empty buffer parks the worker (no timer) until a Put or
+		// Close, its stop, or the context: all but a Put end it.
+		batch, _ = s.staging.GetN(batch[:0], k, stop, s.ctx.Done())
+		if len(batch) == 0 {
+			return
+		}
+		for i := range batch {
+			c := &batch[i]
+			// Drop duplicates of committed chunks (resume overlap or a
+			// replayed frame) without touching the disk.
+			if ledger.Done(c.FileID, c.Offset) {
 				c.Release()
+				continue
 			}
+			sz := len(c.Data)
+			if lim.WaitN(s.ctx, sz) != nil || s.agg.WaitN(s.ctx, sz) != nil || s.budget.WaitN(s.ctx, sz) != nil {
+				releaseAll(batch[i:])
+				return // limiter wait cancelled: the session is coming down
+			}
+			// The payload's one hash on this end. A payload that fails
+			// its wire CRC never reaches the store, and the session goes
+			// on: the connection that carried it closes, and the sender
+			// repairs that like any lost connection — it pulls the ledger
+			// and re-sends what did not commit.
+			f := wire.Frame{FileID: c.FileID, Offset: c.Offset, Data: c.Data, Sum: c.Sum}
+			if f.Verify() != nil {
+				c.Release()
+				if c.Conn != nil {
+					c.Conn.Close()
+				}
+				continue
+			}
+			if err := s.writeChunk(c); err != nil {
+				releaseAll(batch[i:])
+				s.abort(err)
+				return
+			}
+			s.writeCounter.Add(int64(sz))
+			c.Release()
 		}
-	})
-	n := h.InitialWriters
-	if n <= 0 {
-		n = r.Cfg.InitialThreads
 	}
-	pool.Resize(r.clampWriters(n))
-	// Shutdown discipline: stop this session's intake first (a failed
-	// session closes every data connection, then waits for the readers
-	// those connections fed), close staging so a reader still mid-Put
-	// fails and releases its own lease, stop the write pool, and only
-	// then drain what's left. After this defer runs, every arena lease
-	// this session took is returned, and the ledger's latest state is
-	// persisted so the next attempt can resume from it. A completed
-	// session leaves its data connections open and does not wait on
-	// their readers: once its verdict is in, a frame they read goes
-	// nowhere. Sibling sessions and the endpoint listener are untouched.
-	defer func() {
-		completed := sess.decide(false)
-		r.unbindConns(sess, completed)
-		// Close staging BEFORE waiting on the readers: closing the conns
-		// only unblocks readers parked in a socket read, while a reader
-		// blocked in Put on a full staging buffer (write pool already
-		// gone on cancellation) only wakes when staging closes — waiting
-		// first would deadlock the session forever.
-		staging.Close()
-		if !completed {
-			sess.readerWG.Wait()
-		}
-		pool.Shutdown()
-		staging.ReleaseRemaining()
-		persist()
-	}()
+}
 
-	// Control loop: periodic status out; SetWriters commands, file sums
-	// and ledger pulls in, handed over by the connection's reader, which
-	// cancels the session when the control channel dies.
-	cmds := sess.cmds
+// writeChunk lands one chunk with one positioned write and commits it.
+// The file's handle is released after the commit, which closes it once
+// the ledger holds the whole file; a failed close drops the file from
+// the ledger. landing is held shared from the commit to the release.
+func (s *rsession) writeChunk(c *Chunk) error {
+	w, err := s.writers.acquire(c.FileID)
+	if err != nil {
+		return err
+	}
+	span := flight.StageStart()
+	wire.CountIOOps(1)
+	n, err := w.WriteAt(c.Data, c.Offset)
+	flight.StageEnd(flight.StageWrite, span)
+	if err == nil && n < len(c.Data) {
+		err = io.ErrShortWrite
+	}
+	if err != nil {
+		s.writers.release(c.FileID, false)
+		return err
+	}
+	s.landing.RLock()
+	defer s.landing.RUnlock()
+	s.commit(c)
+	if err := s.writers.release(c.FileID, s.ledger.Load().FileComplete(c.FileID)); err != nil {
+		return s.invalidate(c.FileID, fmt.Errorf("transfer: close %s: %w", s.manifest[c.FileID].Name, err))
+	}
+	return nil
+}
 
-	ticker := time.NewTicker(r.Cfg.ProbeInterval)
+// commit records one written chunk in the ledger with its wire CRC,
+// which the write stage checked against the payload just before the
+// write: one hash covers the wire and staging both, and the FileSum
+// compare folds sums of what reached the store.
+func (s *rsession) commit(c *Chunk) {
+	if !s.ledger.Load().Commit(c.FileID, c.Offset, len(c.Data), c.Sum) {
+		return
+	}
+	s.checkFile(c.FileID)
+	s.checkWritten()
+}
+
+// checkWritten closes writeDone, once, when the ledger holds the whole
+// dataset.
+func (s *rsession) checkWritten() {
+	if s.ledger.Load().CommittedBytes() >= s.total {
+		s.writeOnce.Do(func() { close(s.writeDone) })
+	}
+}
+
+// checkFile verifies one owed, announced file once it is fully
+// committed: the ledger's per-chunk sums are folded into the whole-file
+// CRC and compared against the sender's. A mismatch invalidates exactly
+// that file's ledger range — the next resume replans it — and fails the
+// session. The file leaves the owed set only AFTER the verdict lands, so
+// a mismatch found by a write worker can never race session completion
+// into reporting success (duplicate concurrent verifications are
+// harmless — same sums, same verdict, idempotent invalidation).
+func (s *rsession) checkFile(fileID uint32) {
+	ledger := s.ledger.Load()
+	want, ok := s.chk.want(fileID)
+	if !ok || !ledger.FileComplete(fileID) {
+		return
+	}
+	got, ok := ledger.FileCRC(fileID)
+	if !ok {
+		return
+	}
+	if got != want {
+		s.abort(s.invalidate(fileID, fmt.Errorf("transfer: end-to-end CRC mismatch on %s: got %#x want %#x",
+			s.manifest[fileID].Name, got, want)))
+	}
+	s.chk.verified(fileID)
+}
+
+// invalidate drops exactly one file's ledger range, so the next resume
+// replans it, persists that, and returns err saying so.
+func (s *rsession) invalidate(fileID uint32, err error) error {
+	n := s.ledger.Load().InvalidateFile(fileID)
+	metrics.ResumeInvalidatedAdd(int64(n))
+	s.persister.tick()
+	return fmt.Errorf("%w (%d-chunk ledger range invalidated)", err, n)
+}
+
+// control is the session goroutine's loop from the Welcome on: each
+// probe tick it persists the ledger's delta and sends a Status, and it
+// serves the SetWriters commands, file sums and ledger pulls that the
+// control connection's reader hands over (the reader cancels the session
+// when the control channel dies). Once every chunk is committed and
+// every owed sum verified, finish gives the verdict.
+func (s *rsession) control() error {
+	ticker := time.NewTicker(s.r.Cfg.ProbeInterval)
 	defer ticker.Stop()
-	lastStatus := time.Now() // a status's write rate spans the time since the last
-	sendStatus := func(done bool) error {
-		now := time.Now()
-		mbps := bytesToMb(writeCounter.Reset()) / now.Sub(lastStatus).Seconds()
-		lastStatus = now
-		st := wire.Status{
-			CommittedBytes: ledger.CommittedBytes(),
-			BufFree:        staging.Free(),
-			WriteMbps:      mbps,
-			Writers:        pool.Size(),
-			Done:           done,
-		}
-		if e := sess.Err(); e != nil {
-			st.Error = e.Error()
-		}
-		return ctrl.Send(wire.Message{Status: &st})
-	}
-
-	handleCmd := func(m wire.Message) {
-		switch {
-		case m.SetWriters != nil:
-			pool.Resize(r.clampWriters(m.SetWriters.N))
-		case m.FileSum != nil:
-			chk.announce(m.FileSum.FileID, m.FileSum.CRC)
-			checkFile(m.FileSum.FileID)
-		case m.LedgerPull != nil:
-			// Striping recovery: answer with the current committed state
-			// so the sender re-plans only the chunks this endpoint never
-			// got. A send error here is a dying control channel, which
-			// ends the session through its own path.
-			ctrl.Send(wire.Message{LedgerState: &wire.LedgerState{
-				Seq:    m.LedgerPull.Seq,
-				Ledger: ledger.WireStates(),
-			}})
-		}
-	}
-
-	// finishSession concludes a fully committed session whose owed sums
-	// are all verified: either persist the (invalidated) ledger and fail,
-	// or drop the ledger and confirm completion.
-	finishSession := func() error {
-		// The last commit can land before another file's close does: wait
-		// out every write between its commit and its release, so a close
-		// failure lands before the verdict.
-		landing.Lock()
-		landing.Unlock()
-		if e := sess.Err(); e != nil {
-			persist()
-			sendStatus(false)
-			return e
-		}
-		persister.markDone()
-		if ls != nil {
-			ls.RemoveLedger(session)
-		}
-		// The verdict is in before Done leaves: the sender's next Hello
-		// on this connection finds the session ended, its admission slot
-		// free, and the connection idle.
-		sess.decide(true)
-		r.mu.Lock()
-		r.retireLocked(sess)
-		if !r.closed {
-			r.idle[raw] = struct{}{}
-		}
-		r.mu.Unlock()
-		if err := sendStatus(true); err != nil {
-			ctrl.Close()
-			return err
-		}
-		return nil
-	}
-
+	s.lastStatus = time.Now()
 	// Each wait is nil-ed after it fires so the select keeps serving
 	// control messages until both have: the last sums can trail the last
 	// frame, since control and data are separate TCP connections.
-	waitDone, waitSums := writeDone, chk.settled
+	waitDone, waitSums := s.writeDone, s.chk.settled
 	for waitDone != nil || waitSums != nil {
 		select {
-		case <-ctx.Done():
-			sendStatus(false)
-			if e := sess.Err(); e != nil {
+		case <-s.ctx.Done():
+			s.sendStatus(false)
+			if e := s.Err(); e != nil {
 				return e
 			}
-			return ctx.Err()
+			return s.ctx.Err()
 		case <-waitDone:
 			waitDone = nil
 		case <-waitSums:
 			waitSums = nil
-		case m := <-cmds:
-			handleCmd(m)
+		case m := <-s.cmds:
+			s.handleCmd(m)
 		case <-ticker.C:
-			persist()
-			if err := sendStatus(false); err != nil {
+			s.persist(s.persister.tick)
+			if err := s.sendStatus(false); err != nil {
 				return err
 			}
 		}
 	}
-	return finishSession()
+	return s.finish()
+}
+
+// sendStatus reports the session's progress; its write rate spans the
+// time since the last Status.
+func (s *rsession) sendStatus(done bool) error {
+	now := time.Now()
+	mbps := bytesToMb(s.writeCounter.Reset()) / now.Sub(s.lastStatus).Seconds()
+	s.lastStatus = now
+	st := wire.Status{
+		CommittedBytes: s.ledger.Load().CommittedBytes(),
+		BufFree:        s.staging.Free(),
+		WriteMbps:      mbps,
+		Writers:        s.pool.Size(),
+		Done:           done,
+	}
+	if e := s.Err(); e != nil {
+		st.Error = e.Error()
+	}
+	return s.ctrl.Send(wire.Message{Status: &st})
+}
+
+// handleCmd serves one message the control connection's reader handed over.
+func (s *rsession) handleCmd(m wire.Message) {
+	switch {
+	case m.SetWriters != nil:
+		s.pool.Resize(s.r.clampWriters(m.SetWriters.N))
+	case m.FileSum != nil:
+		s.chk.announce(m.FileSum.FileID, m.FileSum.CRC)
+		s.checkFile(m.FileSum.FileID)
+	case m.LedgerPull != nil:
+		// Striping recovery: answer with the current committed state so
+		// the sender re-plans only the chunks this endpoint never got. A
+		// send error here is a dying control channel, which ends the
+		// session through its own path.
+		s.ctrl.Send(wire.Message{LedgerState: &wire.LedgerState{
+			Seq:    m.LedgerPull.Seq,
+			Ledger: s.ledger.Load().WireStates(),
+		}})
+	}
+}
+
+// finish concludes a fully committed session whose owed sums are all
+// verified: either persist the (invalidated) ledger and fail, or drop
+// the ledger and confirm completion.
+func (s *rsession) finish() error {
+	// The last commit can land before another file's close does: wait
+	// out every write between its commit and its release, so a close
+	// failure lands before the verdict.
+	s.landing.Lock()
+	s.landing.Unlock()
+	if e := s.Err(); e != nil {
+		s.persist(s.persister.tick)
+		s.sendStatus(false)
+		return e
+	}
+	s.persister.markDone()
+	if s.ls != nil {
+		s.ls.RemoveLedger(s.id)
+	}
+	// The verdict is in before Done leaves: the sender's next Hello on
+	// this connection finds the session ended, its admission slot free,
+	// and the connection idle.
+	s.decide(true)
+	r := s.r
+	r.mu.Lock()
+	r.retireLocked(s)
+	if !r.closed {
+		r.idle[s.raw] = struct{}{}
+	}
+	r.mu.Unlock()
+	if err := s.sendStatus(true); err != nil {
+		s.ctrl.Close()
+		return err
+	}
+	return nil
+}
+
+// teardown takes the session down once run is over, whatever the
+// verdict, in the order docs/ARCHITECTURE.md gives: intake, staging, the
+// readers (a failed session only), the write pool, what is left staged,
+// the ledger, and last the control connection, unless the session ended
+// with Done. Staging closes BEFORE the wait on the readers: a reader
+// blocked in Put on a full buffer wakes only then, so waiting first
+// would deadlock the session. Siblings and the listener are untouched.
+func (s *rsession) teardown() {
+	completed := s.decide(false)
+	s.r.unbindConns(s, completed)
+	s.staging.Close()
+	if !completed {
+		s.readerWG.Wait()
+	}
+	s.pool.Shutdown()
+	s.staging.ReleaseRemaining()
+	s.persist(s.persister.tick)
+	if s.r.arb != nil {
+		s.r.arb.leave(s.id)
+	}
+	s.writers.closeAll()
+	if !completed {
+		s.ctrl.Close()
+	}
 }

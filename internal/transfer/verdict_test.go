@@ -320,6 +320,22 @@ func TestReceiverVerdicts(t *testing.T) {
 			if lerr != nil {
 				t.Fatalf("failed session's ledger was not kept: %v", lerr)
 			}
+			if tc.lastSum < 0 {
+				return
+			}
+			// A wrong sum invalidates exactly its own file: b.dat's range
+			// is dropped, and a.dat, verified, keeps every chunk.
+			l, err := LoadSessionLedger(dst, session)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for id, f := range files[:2] {
+				for off := int64(0); off < f.Size; off += chunk {
+					if got, want := l.Done(uint32(id), off), id == 0; got != want {
+						t.Errorf("persisted ledger: %s@%d committed %v, want %v", f.Name, off, got, want)
+					}
+				}
+			}
 		})
 	}
 }
